@@ -1,56 +1,103 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-func benchTensors(b *testing.B) (x, w, bias *Tensor) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	x = New(8, 16, 32, 32).RandN(rng, 1)
-	w = New(32, 16, 3, 3).RandN(rng, 1)
-	bias = New(32).RandN(rng, 1)
-	return x, w, bias
+// convCase is one convolution geometry of the kernel benchmarks.
+type convCase struct {
+	x, w, bias *Tensor
+	spec       ConvSpec
 }
 
-func BenchmarkConvForward(b *testing.B) {
-	x, w, bias := benchTensors(b)
-	spec := UniformConv(2, 1, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ConvForward(x, w, bias, spec)
+func newConvCase(seed int64, xShape, wShape []int, stride, pad int) convCase {
+	rng := rand.New(rand.NewSource(seed))
+	return convCase{
+		x:    New(xShape...).RandN(rng, 1),
+		w:    New(wShape...).RandN(rng, 1),
+		bias: New(wShape[0]).RandN(rng, 1),
+		spec: UniformConv(len(xShape)-2, stride, pad),
 	}
 }
 
-func BenchmarkConvBackwardData(b *testing.B) {
-	x, w, bias := benchTensors(b)
-	spec := UniformConv(2, 1, 1)
-	dy := ConvForward(x, w, bias, spec)
+func conv3x3() convCase {
+	return newConvCase(1, []int{8, 16, 32, 32}, []int{32, 16, 3, 3}, 1, 1)
+}
+
+func conv1x1() convCase {
+	return newConvCase(8, []int{8, 32, 16, 16}, []int{64, 32, 1, 1}, 1, 0)
+}
+
+func conv3D() convCase {
+	return newConvCase(2, []int{2, 4, 12, 12, 12}, []int{8, 4, 3, 3, 3}, 1, 1)
+}
+
+func conv3DStrided() convCase {
+	return newConvCase(9, []int{2, 4, 16, 16, 16}, []int{8, 4, 3, 3, 3}, 2, 1)
+}
+
+// dyOf returns an upstream gradient for c. Dense is the forward output
+// itself; sparse keeps a seeded quarter of it, the density a gradient has
+// after a ReLU and a 2x2 max-pool — the only kind a training run feeds
+// the backward kernels.
+func (c convCase) dyOf(sparse bool) *Tensor {
+	dy := ConvForward(c.x, c.w, c.bias, c.spec)
+	if sparse {
+		rng := rand.New(rand.NewSource(10))
+		for i := range dy.data {
+			if rng.Intn(4) != 0 {
+				dy.data[i] = 0
+			}
+		}
+	}
+	return dy
+}
+
+// run times op and reports its allocations and GFLOP/s. The FLOPs are
+// the dense count of the shapes (2·N·F·out·C·k), the same for all three
+// kernels, whatever zeros dy holds.
+func (c convCase) run(b *testing.B, op func()) {
+	b.Helper()
+	y := ConvForward(c.x, c.w, nil, c.spec)
+	flops := 2 * float64(y.Len()) * float64(c.w.Len()/c.w.Dim(0))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ConvBackwardData(dy, w, x.Shape(), spec)
+		op()
+	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+func benchConvForward(b *testing.B, c convCase) {
+	c.run(b, func() { ConvForward(c.x, c.w, c.bias, c.spec) })
+}
+
+func BenchmarkConvForward(b *testing.B)          { benchConvForward(b, conv3x3()) }
+func BenchmarkConv1x1Forward(b *testing.B)       { benchConvForward(b, conv1x1()) }
+func BenchmarkConv3DForward(b *testing.B)        { benchConvForward(b, conv3D()) }
+func BenchmarkConv3DStridedForward(b *testing.B) { benchConvForward(b, conv3DStrided()) }
+
+func BenchmarkConvBackwardData(b *testing.B) {
+	c := conv3x3()
+	xShape := c.x.Shape()
+	for _, sparse := range []bool{false, true} {
+		dy := c.dyOf(sparse)
+		b.Run(fmt.Sprintf("sparse=%v", sparse), func(b *testing.B) {
+			c.run(b, func() { ConvBackwardData(dy, c.w, xShape, c.spec) })
+		})
 	}
 }
 
 func BenchmarkConvBackwardWeight(b *testing.B) {
-	x, w, bias := benchTensors(b)
-	spec := UniformConv(2, 1, 1)
-	dy := ConvForward(x, w, bias, spec)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ConvBackwardWeight(dy, x, w.Shape(), spec)
-	}
-}
-
-func BenchmarkConv3DForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x := New(2, 4, 12, 12, 12).RandN(rng, 1)
-	w := New(8, 4, 3, 3, 3).RandN(rng, 1)
-	spec := UniformConv(3, 1, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ConvForward(x, w, nil, spec)
+	c := conv3x3()
+	wShape := c.w.Shape()
+	for _, sparse := range []bool{false, true} {
+		dy := c.dyOf(sparse)
+		b.Run(fmt.Sprintf("sparse=%v", sparse), func(b *testing.B) {
+			c.run(b, func() { ConvBackwardWeight(dy, c.x, wShape, c.spec) })
+		})
 	}
 }
 

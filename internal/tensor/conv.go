@@ -21,12 +21,120 @@ func UniformConv(dims, stride, pad int) ConvSpec {
 	return ConvSpec{Stride: s, Pad: p}
 }
 
-// ConvForward computes a direct convolution.
+// patchFloats bounds one im2row tile ([rows, C·kVol] float64, 16 KiB):
+// the patches stay L1-resident while every filter row streams over them.
+// Measured flat from 8 to 32 KiB; smaller is less to allocate per call.
+const patchFloats = 2048
+
+// lowering is the per-call im2row plan the three kernels share. A
+// convolution is a GEMM between the weight, already [F, C·kVol]
+// row-major, and the matrix of input patches [outVol, C·kVol]; the
+// patches are materialised one tile of output positions at a time
+// through the window-offset table, so a call's scratch is the table
+// plus one tile whatever the output volume. Nothing here is shared
+// between calls: PE goroutines run the kernels concurrently.
+type lowering struct {
+	off                    []int // windowOffsets of the geometry
+	c, inVol, outVol, kVol int
+	k                      int       // patch row length, c*kVol
+	rows                   int       // output positions per tile
+	patch                  []float64 // [rows, k]
+}
+
+func lower(c int, inDims, outDims, kDims []int, spec ConvSpec) lowering {
+	lw := lowering{
+		off: windowOffsets(inDims, outDims, kDims, spec.Stride, spec.Pad),
+		c:   c, inVol: Volume(inDims), outVol: Volume(outDims), kVol: Volume(kDims),
+	}
+	lw.k = c * lw.kVol
+	lw.rows = max(1, min(lw.outVol, patchFloats/max(1, lw.k)))
+	lw.patch = make([]float64, lw.rows*lw.k)
+	return lw
+}
+
+// gather fills the tile with the patches of output positions [m0, m1) of
+// one sample xs ([C, inVol]); padding taps read as zero.
+func (lw *lowering) gather(xs []float64, m0, m1 int) {
+	for m := m0; m < m1; m++ {
+		offs := lw.off[m*lw.kVol : (m+1)*lw.kVol]
+		row := lw.patch[(m-m0)*lw.k : (m-m0+1)*lw.k]
+		for ci := 0; ci < lw.c; ci++ {
+			xc := xs[ci*lw.inVol : (ci+1)*lw.inVol]
+			rc := row[ci*lw.kVol : (ci+1)*lw.kVol]
+			for ki, o := range offs {
+				if o >= 0 {
+					rc[ki] = xc[o]
+				} else {
+					rc[ki] = 0
+				}
+			}
+		}
+	}
+}
+
+// scatter is gather's transpose (col2im): it adds the tile's patch
+// gradients of output positions [m0, m1) into one sample dxs ([C, inVol]).
+func (lw *lowering) scatter(dxs []float64, m0, m1 int) {
+	for m := m0; m < m1; m++ {
+		offs := lw.off[m*lw.kVol : (m+1)*lw.kVol]
+		row := lw.patch[(m-m0)*lw.k : (m-m0+1)*lw.k]
+		for ci := 0; ci < lw.c; ci++ {
+			xc := dxs[ci*lw.inVol : (ci+1)*lw.inVol]
+			rc := row[ci*lw.kVol : (ci+1)*lw.kVol]
+			for ki, o := range offs {
+				if o >= 0 {
+					xc[o] += rc[ki]
+				}
+			}
+		}
+	}
+}
+
+// dot4 returns acc[j] + p·w[j*len(p):(j+1)*len(p)] for four consecutive
+// weight rows. The four sums are independent register accumulators, each
+// summed in index order, so one output value depends only on its patch,
+// its filter row and its bias — not on the tile or the filter block it
+// was computed in.
+func dot4(p, w []float64, acc [4]float64) [4]float64 {
+	k := len(p)
+	w0, w1, w2, w3 := w[:k], w[k:2*k], w[2*k:3*k], w[3*k:4*k]
+	w1, w2, w3 = w1[:k], w2[:k], w3[:k] // proves len == len(p): no bounds checks below
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	for i, v := range p {
+		a0 += v * w0[i]
+		a1 += v * w1[i]
+		a2 += v * w2[i]
+		a3 += v * w3[i]
+	}
+	return [4]float64{a0, a1, a2, a3}
+}
+
+// dot1 returns acc + p·w summed in index order, as one lane of dot4.
+func dot1(p, w []float64, acc float64) float64 {
+	w = w[:len(p)]
+	for i, v := range p {
+		acc += v * w[i]
+	}
+	return acc
+}
+
+// axpy computes dst += a*src.
+func axpy(dst []float64, a float64, src []float64) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] += a * v
+	}
+}
+
+// ConvForward computes a convolution, lowered to im2row + GEMM (see
+// lowering).
 //
 //	x: [N, C, in...]   w: [F, C, k...]   b: [F] or nil
 //
 // and returns y: [N, F, out...] with out[i] = ConvOutSize(in[i], k[i],
-// stride[i], pad[i]). The spatial rank is inferred from x.
+// stride[i], pad[i]). The spatial rank is inferred from x. Each output
+// is its bias plus the patch·filter products summed in [C, k...]
+// row-major order, padding taps contributing an exact zero.
 func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 	n, c, inDims := splitActShape(x)
 	f, wc, kDims := splitWeightShape(w)
@@ -41,50 +149,43 @@ func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 		panic(fmt.Sprintf("tensor: conv bias shape %v does not match F=%d", b.Shape(), f))
 	}
 
-	outDims := make([]int, len(inDims))
+	shape := make([]int, 2+len(inDims))
+	shape[0], shape[1] = n, f
 	for i := range inDims {
-		outDims[i] = ConvOutSize(inDims[i], kDims[i], spec.Stride[i], spec.Pad[i])
+		shape[2+i] = ConvOutSize(inDims[i], kDims[i], spec.Stride[i], spec.Pad[i])
 	}
-	y := New(append([]int{n, f}, outDims...)...)
+	y := New(shape...)
+	lw := lower(c, inDims, shape[2:], kDims, spec)
+	k, outVol := lw.k, lw.outVol
 
-	inVol := Volume(inDims)
-	outVol := Volume(outDims)
-	kVol := Volume(kDims)
-	inStr := computeStrides(inDims)
-	kCoords := enumerate(kDims)
-	outCoords := enumerate(outDims)
-
-	xd, wd, yd := x.data, w.data, y.data
+	var bias [4]float64
 	for ni := 0; ni < n; ni++ {
-		for fi := 0; fi < f; fi++ {
-			bias := 0.0
-			if b != nil {
-				bias = b.data[fi]
-			}
-			yBase := (ni*f + fi) * outVol
-			for oi, oc := range outCoords {
-				acc := bias
-				for ki := 0; ki < kVol; ki++ {
-					kc := kCoords[ki]
-					// input spatial offset for this (output, kernel) pair
-					inOff := 0
-					ok := true
-					for d := range oc {
-						pos := oc[d]*spec.Stride[d] - spec.Pad[d] + kc[d]
-						if pos < 0 || pos >= inDims[d] {
-							ok = false
-							break
-						}
-						inOff += pos * inStr[d]
-					}
-					if !ok {
-						continue
-					}
-					for ci := 0; ci < c; ci++ {
-						acc += xd[(ni*c+ci)*inVol+inOff] * wd[((fi*c+ci)*kVol)+ki]
-					}
+		xs := x.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
+		ys := y.data[ni*f*outVol : (ni+1)*f*outVol]
+		for m0 := 0; m0 < outVol; m0 += lw.rows {
+			m1 := min(m0+lw.rows, outVol)
+			lw.gather(xs, m0, m1)
+			fi := 0
+			for ; fi+4 <= f; fi += 4 {
+				if b != nil {
+					copy(bias[:], b.data[fi:fi+4])
 				}
-				yd[yBase+oi] = acc
+				wf := w.data[fi*k : (fi+4)*k]
+				y0, y1, y2, y3 := ys[fi*outVol:], ys[(fi+1)*outVol:], ys[(fi+2)*outVol:], ys[(fi+3)*outVol:]
+				for m := m0; m < m1; m++ {
+					a := dot4(lw.patch[(m-m0)*k:(m-m0+1)*k], wf, bias)
+					y0[m], y1[m], y2[m], y3[m] = a[0], a[1], a[2], a[3]
+				}
+			}
+			for ; fi < f; fi++ { // filter-block tail
+				bf := 0.0
+				if b != nil {
+					bf = b.data[fi]
+				}
+				wf := w.data[fi*k : (fi+1)*k]
+				for m := m0; m < m1; m++ {
+					ys[fi*outVol+m] = dot1(lw.patch[(m-m0)*k:(m-m0+1)*k], wf, bf)
+				}
 			}
 		}
 	}
@@ -93,7 +194,10 @@ func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 
 // ConvBackwardData computes the gradient of the loss with respect to the
 // convolution input: dx = BW_data(dy, w). dy is [N, F, out...] and the
-// result matches the forward input shape inShape ([N, C, in...]).
+// result matches the forward input shape inShape ([N, C, in...]). Patch
+// gradients are accumulated filter by filter (zero dy entries, the bulk
+// of a post-ReLU/pool gradient, are skipped) and then scattered in
+// output-position order.
 func ConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
 	n, f, outDims := splitActShape(dy)
 	wf, c, kDims := splitWeightShape(w)
@@ -105,44 +209,27 @@ func ConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
 	}
 	checkSpec(spec, len(kDims))
 	inDims := inShape[2:]
+	checkOutDims(outDims, inDims, kDims, spec)
 
 	dx := New(inShape...)
-	inVol := Volume(inDims)
-	outVol := Volume(outDims)
-	kVol := Volume(kDims)
-	inStr := computeStrides(inDims)
-	kCoords := enumerate(kDims)
-	outCoords := enumerate(outDims)
+	lw := lower(c, inDims, outDims, kDims, spec)
+	k, outVol := lw.k, lw.outVol
 
-	dyd, wd, dxd := dy.data, w.data, dx.data
 	for ni := 0; ni < n; ni++ {
-		for fi := 0; fi < f; fi++ {
-			dyBase := (ni*f + fi) * outVol
-			for oi, oc := range outCoords {
-				g := dyd[dyBase+oi]
-				if g == 0 {
-					continue
-				}
-				for ki := 0; ki < kVol; ki++ {
-					kc := kCoords[ki]
-					inOff := 0
-					ok := true
-					for d := range oc {
-						pos := oc[d]*spec.Stride[d] - spec.Pad[d] + kc[d]
-						if pos < 0 || pos >= inDims[d] {
-							ok = false
-							break
-						}
-						inOff += pos * inStr[d]
-					}
-					if !ok {
-						continue
-					}
-					for ci := 0; ci < c; ci++ {
-						dxd[(ni*c+ci)*inVol+inOff] += g * wd[(fi*c+ci)*kVol+ki]
+		dys := dy.data[ni*f*outVol : (ni+1)*f*outVol]
+		dxs := dx.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
+		for m0 := 0; m0 < outVol; m0 += lw.rows {
+			m1 := min(m0+lw.rows, outVol)
+			clear(lw.patch[:(m1-m0)*k])
+			for fi := 0; fi < f; fi++ {
+				wrow := w.data[fi*k : (fi+1)*k]
+				for r, g := range dys[fi*outVol+m0 : fi*outVol+m1] {
+					if g != 0 {
+						axpy(lw.patch[r*k:(r+1)*k], g, wrow)
 					}
 				}
 			}
+			lw.scatter(dxs, m0, m1)
 		}
 	}
 	return dx
@@ -150,7 +237,9 @@ func ConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
 
 // ConvBackwardWeight computes the gradients of the loss with respect to
 // the weights and bias: dw = BW_weight(dy, x), db = Σ dy. The returned
-// dw matches wShape ([F, C, k...]); db is [F].
+// dw matches wShape ([F, C, k...]); db is [F]. Every dw and db element
+// accumulates its nonzero dy contributions in (sample, output position)
+// order.
 func ConvBackwardWeight(dy, x *Tensor, wShape []int, spec ConvSpec) (dw, db *Tensor) {
 	n, f, outDims := splitActShape(dy)
 	xn, c, inDims := splitActShape(x)
@@ -162,49 +251,43 @@ func ConvBackwardWeight(dy, x *Tensor, wShape []int, spec ConvSpec) (dw, db *Ten
 	}
 	checkSpec(spec, len(inDims))
 	kDims := wShape[2:]
+	checkOutDims(outDims, inDims, kDims, spec)
 
 	dw = New(wShape...)
 	db = New(f)
-	inVol := Volume(inDims)
-	outVol := Volume(outDims)
-	kVol := Volume(kDims)
-	inStr := computeStrides(inDims)
-	kCoords := enumerate(kDims)
-	outCoords := enumerate(outDims)
+	lw := lower(c, inDims, outDims, kDims, spec)
+	k, outVol := lw.k, lw.outVol
 
-	dyd, xd, dwd := dy.data, x.data, dw.data
 	for ni := 0; ni < n; ni++ {
-		for fi := 0; fi < f; fi++ {
-			dyBase := (ni*f + fi) * outVol
-			for oi, oc := range outCoords {
-				g := dyd[dyBase+oi]
-				if g == 0 {
-					continue
-				}
-				db.data[fi] += g
-				for ki := 0; ki < kVol; ki++ {
-					kc := kCoords[ki]
-					inOff := 0
-					ok := true
-					for d := range oc {
-						pos := oc[d]*spec.Stride[d] - spec.Pad[d] + kc[d]
-						if pos < 0 || pos >= inDims[d] {
-							ok = false
-							break
-						}
-						inOff += pos * inStr[d]
-					}
-					if !ok {
-						continue
-					}
-					for ci := 0; ci < c; ci++ {
-						dwd[(fi*c+ci)*kVol+ki] += g * xd[(ni*c+ci)*inVol+inOff]
+		xs := x.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
+		dys := dy.data[ni*f*outVol : (ni+1)*f*outVol]
+		for m0 := 0; m0 < outVol; m0 += lw.rows {
+			m1 := min(m0+lw.rows, outVol)
+			lw.gather(xs, m0, m1)
+			for fi := 0; fi < f; fi++ {
+				dwrow := dw.data[fi*k : (fi+1)*k]
+				for r, g := range dys[fi*outVol+m0 : fi*outVol+m1] {
+					if g != 0 {
+						db.data[fi] += g
+						axpy(dwrow, g, lw.patch[r*k:(r+1)*k])
 					}
 				}
 			}
 		}
 	}
 	return dw, db
+}
+
+// checkOutDims panics unless outDims, the spatial dims of a dy, are the
+// convolution output of inDims under kDims and spec.
+func checkOutDims(outDims, inDims, kDims []int, spec ConvSpec) {
+	ok := len(outDims) == len(inDims)
+	for i := 0; ok && i < len(inDims); i++ {
+		ok = outDims[i] == ConvOutSize(inDims[i], kDims[i], spec.Stride[i], spec.Pad[i])
+	}
+	if !ok {
+		panic(fmt.Sprintf("tensor: conv bwd dy spatial dims %v are not the output of input dims %v under kernel %v, stride %v, pad %v", outDims, inDims, kDims, spec.Stride, spec.Pad))
+	}
 }
 
 // splitActShape decomposes an activation shape [N, C, spatial...].
@@ -227,13 +310,4 @@ func checkSpec(spec ConvSpec, dims int) {
 	if len(spec.Stride) != dims || len(spec.Pad) != dims {
 		panic(fmt.Sprintf("tensor: conv spec rank (stride %d, pad %d) does not match spatial rank %d", len(spec.Stride), len(spec.Pad), dims))
 	}
-}
-
-// enumerate lists all multi-indices of shape in row-major order.
-func enumerate(shape []int) [][]int {
-	out := make([][]int, 0, Volume(shape))
-	for it := NewIndex(shape); it.Valid(); it.Next() {
-		out = append(out, append([]int(nil), it.Current()...))
-	}
-	return out
 }

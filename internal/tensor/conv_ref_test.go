@@ -1,0 +1,202 @@
+package tensor
+
+import "fmt"
+
+// The direct N-d convolution loops that ConvForward, ConvBackwardData and
+// ConvBackwardWeight were before the im2row + GEMM lowering, moved here
+// verbatim: they re-derive and bounds-check every (output, kernel)
+// coordinate pair, which makes them slow and obviously right. The
+// differential tests in conv_test.go hold the lowering to them.
+
+func refConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
+	n, c, inDims := splitActShape(x)
+	f, wc, kDims := splitWeightShape(w)
+	if wc != c {
+		panic(fmt.Sprintf("tensor: conv channel mismatch x has C=%d, w has C=%d", c, wc))
+	}
+	if len(kDims) != len(inDims) {
+		panic(fmt.Sprintf("tensor: conv spatial rank mismatch input %d vs kernel %d", len(inDims), len(kDims)))
+	}
+	checkSpec(spec, len(inDims))
+	if b != nil && (b.Rank() != 1 || b.Dim(0) != f) {
+		panic(fmt.Sprintf("tensor: conv bias shape %v does not match F=%d", b.Shape(), f))
+	}
+
+	outDims := make([]int, len(inDims))
+	for i := range inDims {
+		outDims[i] = ConvOutSize(inDims[i], kDims[i], spec.Stride[i], spec.Pad[i])
+	}
+	y := New(append([]int{n, f}, outDims...)...)
+
+	inVol := Volume(inDims)
+	outVol := Volume(outDims)
+	kVol := Volume(kDims)
+	inStr := computeStrides(inDims)
+	kCoords := enumerate(kDims)
+	outCoords := enumerate(outDims)
+
+	xd, wd, yd := x.data, w.data, y.data
+	for ni := 0; ni < n; ni++ {
+		for fi := 0; fi < f; fi++ {
+			bias := 0.0
+			if b != nil {
+				bias = b.data[fi]
+			}
+			yBase := (ni*f + fi) * outVol
+			for oi, oc := range outCoords {
+				acc := bias
+				for ki := 0; ki < kVol; ki++ {
+					kc := kCoords[ki]
+					// input spatial offset for this (output, kernel) pair
+					inOff := 0
+					ok := true
+					for d := range oc {
+						pos := oc[d]*spec.Stride[d] - spec.Pad[d] + kc[d]
+						if pos < 0 || pos >= inDims[d] {
+							ok = false
+							break
+						}
+						inOff += pos * inStr[d]
+					}
+					if !ok {
+						continue
+					}
+					for ci := 0; ci < c; ci++ {
+						acc += xd[(ni*c+ci)*inVol+inOff] * wd[((fi*c+ci)*kVol)+ki]
+					}
+				}
+				yd[yBase+oi] = acc
+			}
+		}
+	}
+	return y
+}
+
+func refConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
+	n, f, outDims := splitActShape(dy)
+	wf, c, kDims := splitWeightShape(w)
+	if wf != f {
+		panic(fmt.Sprintf("tensor: conv bwd filter mismatch dy has F=%d, w has F=%d", f, wf))
+	}
+	if len(inShape) != 2+len(kDims) || inShape[0] != n || inShape[1] != c {
+		panic(fmt.Sprintf("tensor: conv bwd input shape %v inconsistent with dy %v and w %v", inShape, dy.Shape(), w.Shape()))
+	}
+	checkSpec(spec, len(kDims))
+	inDims := inShape[2:]
+
+	dx := New(inShape...)
+	inVol := Volume(inDims)
+	outVol := Volume(outDims)
+	kVol := Volume(kDims)
+	inStr := computeStrides(inDims)
+	kCoords := enumerate(kDims)
+	outCoords := enumerate(outDims)
+
+	dyd, wd, dxd := dy.data, w.data, dx.data
+	for ni := 0; ni < n; ni++ {
+		for fi := 0; fi < f; fi++ {
+			dyBase := (ni*f + fi) * outVol
+			for oi, oc := range outCoords {
+				g := dyd[dyBase+oi]
+				if g == 0 {
+					continue
+				}
+				for ki := 0; ki < kVol; ki++ {
+					kc := kCoords[ki]
+					inOff := 0
+					ok := true
+					for d := range oc {
+						pos := oc[d]*spec.Stride[d] - spec.Pad[d] + kc[d]
+						if pos < 0 || pos >= inDims[d] {
+							ok = false
+							break
+						}
+						inOff += pos * inStr[d]
+					}
+					if !ok {
+						continue
+					}
+					for ci := 0; ci < c; ci++ {
+						dxd[(ni*c+ci)*inVol+inOff] += g * wd[(fi*c+ci)*kVol+ki]
+					}
+				}
+			}
+		}
+	}
+	return dx
+}
+
+func refConvBackwardWeight(dy, x *Tensor, wShape []int, spec ConvSpec) (dw, db *Tensor) {
+	n, f, outDims := splitActShape(dy)
+	xn, c, inDims := splitActShape(x)
+	if xn != n {
+		panic(fmt.Sprintf("tensor: conv bwd batch mismatch dy N=%d, x N=%d", n, xn))
+	}
+	if len(wShape) != 2+len(inDims) || wShape[0] != f || wShape[1] != c {
+		panic(fmt.Sprintf("tensor: conv bwd weight shape %v inconsistent with dy %v and x %v", wShape, dy.Shape(), x.Shape()))
+	}
+	checkSpec(spec, len(inDims))
+	kDims := wShape[2:]
+
+	dw = New(wShape...)
+	db = New(f)
+	inVol := Volume(inDims)
+	outVol := Volume(outDims)
+	kVol := Volume(kDims)
+	inStr := computeStrides(inDims)
+	kCoords := enumerate(kDims)
+	outCoords := enumerate(outDims)
+
+	dyd, xd, dwd := dy.data, x.data, dw.data
+	for ni := 0; ni < n; ni++ {
+		for fi := 0; fi < f; fi++ {
+			dyBase := (ni*f + fi) * outVol
+			for oi, oc := range outCoords {
+				g := dyd[dyBase+oi]
+				if g == 0 {
+					continue
+				}
+				db.data[fi] += g
+				for ki := 0; ki < kVol; ki++ {
+					kc := kCoords[ki]
+					inOff := 0
+					ok := true
+					for d := range oc {
+						pos := oc[d]*spec.Stride[d] - spec.Pad[d] + kc[d]
+						if pos < 0 || pos >= inDims[d] {
+							ok = false
+							break
+						}
+						inOff += pos * inStr[d]
+					}
+					if !ok {
+						continue
+					}
+					for ci := 0; ci < c; ci++ {
+						dwd[(fi*c+ci)*kVol+ki] += g * xd[(ni*c+ci)*inVol+inOff]
+					}
+				}
+			}
+		}
+	}
+	return dw, db
+}
+
+// enumerate lists all multi-indices of shape in row-major order.
+func enumerate(shape []int) [][]int {
+	out := make([][]int, 0, Volume(shape))
+	for it := NewIndex(shape); it.Valid(); it.Next() {
+		out = append(out, append([]int(nil), it.Current()...))
+	}
+	return out
+}
+
+func computeStrides(shape []int) []int {
+	strides := make([]int, len(shape))
+	s := 1
+	for i := len(shape) - 1; i >= 0; i-- {
+		strides[i] = s
+		s *= shape[i]
+	}
+	return strides
+}

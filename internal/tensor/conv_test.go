@@ -1,7 +1,10 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -231,4 +234,197 @@ func TestConvChannelMismatchPanics(t *testing.T) {
 func TestConvSpecRankMismatchPanics(t *testing.T) {
 	defer expectPanic(t, "spec rank mismatch")
 	ConvForward(New(1, 1, 4, 4), New(1, 1, 3, 3), nil, UniformConv(3, 1, 1))
+}
+
+// convGeom is one convolution geometry of the differential suite.
+type convGeom struct {
+	n, c, f            int
+	in, k, stride, pad []int
+}
+
+func (g convGeom) spec() ConvSpec { return ConvSpec{Stride: g.stride, Pad: g.pad} }
+
+// randomConvGeom draws a rank-1..3 geometry with per-dimension (so
+// generally non-uniform) kernel, stride in 1..3 and pad in 0..k-1.
+func randomConvGeom(rng *rand.Rand) convGeom {
+	rank := 1 + rng.Intn(3)
+	g := convGeom{
+		n: 1 + rng.Intn(2),
+		c: 1 + rng.Intn(3),
+		f: []int{1, 3, 4, 5, 8}[rng.Intn(5)],
+	}
+	for d := 0; d < rank; d++ {
+		in := 1 + rng.Intn(9-2*rank)
+		k := 1 + rng.Intn(3)
+		p := rng.Intn(k)
+		if k > in+2*p {
+			k = in + 2*p
+		}
+		g.in, g.k = append(g.in, in), append(g.k, k)
+		g.stride, g.pad = append(g.stride, 1+rng.Intn(3)), append(g.pad, p)
+	}
+	return g
+}
+
+// checkConvAgainstReference holds all three kernels to the direct-loop
+// reference on geometry g, with dy at the given density (1 dense, 0 all
+// zero) and the bias present or nil.
+func checkConvAgainstReference(t *testing.T, rng *rand.Rand, g convGeom, density float64, withBias bool) {
+	t.Helper()
+	const tol = 1e-12
+	x := New(append([]int{g.n, g.c}, g.in...)...).RandN(rng, 1)
+	w := New(append([]int{g.f, g.c}, g.k...)...).RandN(rng, 1)
+	var b *Tensor
+	if withBias {
+		b = New(g.f).RandN(rng, 1)
+	}
+	spec := g.spec()
+
+	y, yRef := ConvForward(x, w, b, spec), refConvForward(x, w, b, spec)
+	if !y.AllClose(yRef, tol) {
+		t.Fatalf("%+v bias=%v: forward differs from reference (shape %v vs %v, max diff %g)",
+			g, withBias, y.Shape(), yRef.Shape(), y.MaxDiff(yRef))
+	}
+	dy := New(y.Shape()...).RandN(rng, 1)
+	for i := range dy.data {
+		if rng.Float64() >= density {
+			dy.data[i] = 0
+		}
+	}
+	dx, dxRef := ConvBackwardData(dy, w, x.Shape(), spec), refConvBackwardData(dy, w, x.Shape(), spec)
+	if !dx.AllClose(dxRef, tol) {
+		t.Fatalf("%+v density=%v: backward-data differs from reference (max diff %g)", g, density, dx.MaxDiff(dxRef))
+	}
+	dw, db := ConvBackwardWeight(dy, x, w.Shape(), spec)
+	dwRef, dbRef := refConvBackwardWeight(dy, x, w.Shape(), spec)
+	// Backward-weight kept the reference's accumulation order, (sample,
+	// output position) per element, so it matches exactly.
+	if !dw.AllClose(dwRef, 0) || !db.AllClose(dbRef, 0) {
+		t.Fatalf("%+v density=%v: backward-weight differs from reference (dw max diff %g, db %g)",
+			g, density, dw.MaxDiff(dwRef), db.MaxDiff(dbRef))
+	}
+}
+
+func TestConvMatchesReferenceRandomGeometries(t *testing.T) {
+	rng := rand.New(rand.NewSource(2021))
+	densities := []float64{1, 0.25, 0}
+	for trial := 0; trial < 300; trial++ {
+		checkConvAgainstReference(t, rng, randomConvGeom(rng), densities[trial%3], trial%2 == 0)
+	}
+}
+
+func TestConvMatchesReferenceEdgeGeometries(t *testing.T) {
+	rng := rand.New(rand.NewSource(2022))
+	cases := []struct {
+		name string
+		g    convGeom
+	}{
+		{"1x1 kernel", convGeom{n: 2, c: 3, f: 5, in: []int{4, 5}, k: []int{1, 1}, stride: []int{1, 1}, pad: []int{0, 0}}},
+		{"1x1 kernel strided", convGeom{n: 1, c: 2, f: 4, in: []int{5, 5}, k: []int{1, 1}, stride: []int{2, 2}, pad: []int{0, 0}}},
+		{"kernel == input (FC)", convGeom{n: 3, c: 2, f: 3, in: []int{3, 4}, k: []int{3, 4}, stride: []int{1, 1}, pad: []int{0, 0}}},
+		{"single channel/filter", convGeom{n: 1, c: 1, f: 1, in: []int{6}, k: []int{3}, stride: []int{1}, pad: []int{2}}},
+		{"non-uniform 3-D", convGeom{n: 1, c: 2, f: 5, in: []int{5, 3, 4}, k: []int{3, 1, 2}, stride: []int{2, 1, 3}, pad: []int{2, 0, 1}}},
+		{"window wider than input", convGeom{n: 1, c: 1, f: 3, in: []int{1, 2}, k: []int{3, 3}, stride: []int{1, 2}, pad: []int{1, 2}}},
+		// 25 output rows of 200 floats against a 2048-float tile: two
+		// full tiles of ten rows and a short last one.
+		{"several tiles", convGeom{n: 2, c: 8, f: 6, in: []int{9, 9}, k: []int{5, 5}, stride: []int{1, 1}, pad: []int{0, 0}}},
+		// 1000 floats per patch row: tiles of two rows, three rows in all.
+		{"patch row near tile size", convGeom{n: 1, c: 10, f: 4, in: []int{10, 12}, k: []int{10, 10}, stride: []int{1, 1}, pad: []int{0, 0}}},
+		{"patch row beyond tile", convGeom{n: 1, c: 50, f: 2, in: []int{10, 10}, k: []int{10, 10}, stride: []int{1, 1}, pad: []int{1, 1}}},
+	}
+	for _, c := range cases {
+		for _, density := range []float64{1, 0.25, 0} {
+			for _, withBias := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/density=%v/bias=%v", c.name, density, withBias), func(t *testing.T) {
+					checkConvAgainstReference(t, rng, c.g, density, withBias)
+				})
+			}
+		}
+	}
+}
+
+// A dy whose spatial dims are not the convolution output of the input
+// used to be accepted: positions out of range were silently skipped.
+func TestConvBackwardShapeMismatchPanics(t *testing.T) {
+	x := New(2, 3, 6, 6)
+	w := New(4, 3, 3, 3)
+	spec := UniformConv(2, 1, 1) // output is 6x6
+	for name, dyShape := range map[string][]int{
+		"too small": {2, 4, 5, 6},
+		"too large": {2, 4, 6, 7},
+		"rank":      {2, 4, 36},
+	} {
+		dy := New(dyShape...)
+		t.Run("data/"+name, func(t *testing.T) {
+			defer expectPanic(t, "dy shape mismatch")
+			ConvBackwardData(dy, w, x.Shape(), spec)
+		})
+		t.Run("weight/"+name, func(t *testing.T) {
+			defer expectPanic(t, "dy shape mismatch")
+			ConvBackwardWeight(dy, x, w.Shape(), spec)
+		})
+	}
+}
+
+// The lowering's scratch is the window table and one patch tile, so a
+// call's heap objects do not grow with the output volume (the direct
+// loops allocated one coordinate slice per output position).
+func TestConvAllocsIndependentOfOutputVolume(t *testing.T) {
+	const ceiling = 8
+	rng := rand.New(rand.NewSource(7))
+	w := New(6, 3, 3, 3).RandN(rng, 1)
+	spec := UniformConv(2, 1, 1)
+	for _, side := range []int{4, 40} {
+		x := New(2, 3, side, side).RandN(rng, 1)
+		dy := ConvForward(x, w, nil, spec)
+		xShape, wShape := x.Shape(), w.Shape()
+		for name, op := range map[string]func(){
+			"ConvForward":        func() { ConvForward(x, w, nil, spec) },
+			"ConvBackwardData":   func() { ConvBackwardData(dy, w, xShape, spec) },
+			"ConvBackwardWeight": func() { ConvBackwardWeight(dy, x, wShape, spec) },
+		} {
+			if got := testing.AllocsPerRun(5, op); got > ceiling {
+				t.Errorf("%s on %dx%d: %v allocs per call, ceiling %d", name, side, side, got, ceiling)
+			}
+		}
+	}
+}
+
+// PE goroutines run the kernels concurrently on shared, read-only
+// operands; a call's window table and patch tile are its own, so every
+// goroutine must get the bits a lone call gets (run under -race in CI).
+func TestConvPoolConcurrentCallsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	x := New(2, 3, 9, 9).RandN(rng, 1)
+	w := New(5, 3, 3, 3).RandN(rng, 1)
+	b := New(5).RandN(rng, 1)
+	spec, pool := UniformConv(2, 1, 1), UniformPool(MaxPool, 2, 2, 2, 0)
+	xShape, wShape := x.Shape(), w.Shape()
+	type result struct{ y, dx, dw, db, py, pdx *Tensor }
+	step := func() result {
+		var r result
+		r.y = ConvForward(x, w, b, spec)
+		r.dx = ConvBackwardData(r.y, w, xShape, spec)
+		r.dw, r.db = ConvBackwardWeight(r.y, x, wShape, spec)
+		var arg []int
+		r.py, arg = PoolForward(x, pool)
+		r.pdx = PoolBackward(r.py, xShape, pool, arg)
+		return r
+	}
+	want := step()
+	got := make([]result, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = step()
+		}()
+	}
+	wg.Wait()
+	for i, r := range got {
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("goroutine %d computed different bits than the lone call", i)
+		}
+	}
 }

@@ -41,84 +41,57 @@ func UniformPool(kind PoolKind, dims, window, stride, pad int) PoolSpec {
 // PoolForward applies pooling to x: [N, C, in...] and returns
 // y: [N, C, out...] plus an argmax index tensor (for MaxPool backward;
 // nil for AvgPool). The argmax stores the flat input-spatial offset of
-// the winning element, or -1 when the window saw only padding.
+// the winning element, or -1 when the window saw only padding. A window
+// is visited in row-major order, so ties keep the first maximum.
 func PoolForward(x *Tensor, spec PoolSpec) (y *Tensor, argmax []int) {
 	n, c, inDims := splitActShape(x)
 	dims := len(inDims)
 	if len(spec.Window) != dims || len(spec.Stride) != dims || len(spec.Pad) != dims {
 		panic(fmt.Sprintf("tensor: pool spec rank mismatch with spatial rank %d", dims))
 	}
-	outDims := make([]int, dims)
-	for i := range inDims {
-		outDims[i] = PoolOutSize(inDims[i], spec.Window[i], spec.Stride[i], spec.Pad[i])
+	if spec.Kind != MaxPool && spec.Kind != AvgPool {
+		panic("tensor: unknown pool kind")
 	}
-	y = New(append([]int{n, c}, outDims...)...)
+	shape := make([]int, 2+dims)
+	shape[0], shape[1] = n, c
+	for i := range inDims {
+		shape[2+i] = PoolOutSize(inDims[i], spec.Window[i], spec.Stride[i], spec.Pad[i])
+	}
+	y = New(shape...)
 
-	inVol := Volume(inDims)
-	outVol := Volume(outDims)
-	inStr := computeStrides(inDims)
-	winCoords := enumerate(spec.Window)
-	outCoords := enumerate(outDims)
-	winVol := Volume(spec.Window)
-
+	off := windowOffsets(inDims, shape[2:], spec.Window, spec.Stride, spec.Pad)
+	inVol, outVol, winVol := Volume(inDims), Volume(shape[2:]), Volume(spec.Window)
 	if spec.Kind == MaxPool {
 		argmax = make([]int, n*c*outVol)
 	}
 
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ni*c + ci) * inVol
-			yBase := (ni*c + ci) * outVol
-			for oi, oc := range outCoords {
-				switch spec.Kind {
-				case MaxPool:
-					best := math.Inf(-1)
-					bestOff := -1
-					for _, wc := range winCoords {
-						inOff := 0
-						ok := true
-						for d := range oc {
-							pos := oc[d]*spec.Stride[d] - spec.Pad[d] + wc[d]
-							if pos < 0 || pos >= inDims[d] {
-								ok = false
-								break
-							}
-							inOff += pos * inStr[d]
-						}
-						if !ok {
-							continue
-						}
-						if v := x.data[base+inOff]; v > best {
-							best = v
-							bestOff = inOff
-						}
+	for nc := 0; nc < n*c; nc++ {
+		xs := x.data[nc*inVol : (nc+1)*inVol]
+		ys := y.data[nc*outVol : (nc+1)*outVol]
+		for oi := range ys {
+			win := off[oi*winVol : (oi+1)*winVol]
+			if spec.Kind == MaxPool {
+				best := math.Inf(-1)
+				bestOff := -1
+				for _, o := range win {
+					if o >= 0 && xs[o] > best {
+						best = xs[o]
+						bestOff = o
 					}
-					if bestOff < 0 {
-						best = 0 // window entirely in padding
-					}
-					y.data[yBase+oi] = best
-					argmax[yBase+oi] = bestOff
-				case AvgPool:
-					sum := 0.0
-					for _, wc := range winCoords {
-						inOff := 0
-						ok := true
-						for d := range oc {
-							pos := oc[d]*spec.Stride[d] - spec.Pad[d] + wc[d]
-							if pos < 0 || pos >= inDims[d] {
-								ok = false
-								break
-							}
-							inOff += pos * inStr[d]
-						}
-						if ok {
-							sum += x.data[base+inOff]
-						}
-					}
-					y.data[yBase+oi] = sum / float64(winVol)
-				default:
-					panic("tensor: unknown pool kind")
 				}
+				if bestOff < 0 {
+					best = 0 // window entirely in padding
+				}
+				ys[oi] = best
+				argmax[nc*outVol+oi] = bestOff
+			} else {
+				sum := 0.0
+				for _, o := range win {
+					if o >= 0 {
+						sum += xs[o]
+					}
+				}
+				ys[oi] = sum / float64(winVol)
 			}
 		}
 	}
@@ -134,48 +107,33 @@ func PoolBackward(dy *Tensor, inShape []int, spec PoolSpec, argmax []int) *Tenso
 	}
 	inDims := inShape[2:]
 	dx := New(inShape...)
+	inVol, outVol, winVol := Volume(inDims), Volume(outDims), Volume(spec.Window)
 
-	inVol := Volume(inDims)
-	outVol := Volume(outDims)
-	inStr := computeStrides(inDims)
-	winCoords := enumerate(spec.Window)
-	outCoords := enumerate(outDims)
-	winVol := Volume(spec.Window)
+	var off []int
+	switch spec.Kind {
+	case MaxPool:
+	case AvgPool:
+		off = windowOffsets(inDims, outDims, spec.Window, spec.Stride, spec.Pad)
+	default:
+		panic("tensor: unknown pool kind")
+	}
 
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ni*c + ci) * inVol
-			yBase := (ni*c + ci) * outVol
-			for oi, oc := range outCoords {
-				g := dy.data[yBase+oi]
-				if g == 0 {
-					continue
+	for nc := 0; nc < n*c; nc++ {
+		xs := dx.data[nc*inVol : (nc+1)*inVol]
+		for oi, g := range dy.data[nc*outVol : (nc+1)*outVol] {
+			if g == 0 {
+				continue
+			}
+			if spec.Kind == MaxPool {
+				if o := argmax[nc*outVol+oi]; o >= 0 {
+					xs[o] += g
 				}
-				switch spec.Kind {
-				case MaxPool:
-					off := argmax[yBase+oi]
-					if off >= 0 {
-						dx.data[base+off] += g
-					}
-				case AvgPool:
-					share := g / float64(winVol)
-					for _, wc := range winCoords {
-						inOff := 0
-						ok := true
-						for d := range oc {
-							pos := oc[d]*spec.Stride[d] - spec.Pad[d] + wc[d]
-							if pos < 0 || pos >= inDims[d] {
-								ok = false
-								break
-							}
-							inOff += pos * inStr[d]
-						}
-						if ok {
-							dx.data[base+inOff] += share
-						}
-					}
-				default:
-					panic("tensor: unknown pool kind")
+				continue
+			}
+			share := g / float64(winVol)
+			for _, o := range off[oi*winVol : (oi+1)*winVol] {
+				if o >= 0 {
+					xs[o] += share
 				}
 			}
 		}

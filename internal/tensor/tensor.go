@@ -6,8 +6,32 @@
 // (internal/dist) can execute every parallel strategy on actual data and
 // verify, value by value, that partitioned execution matches the
 // sequential baseline — the correctness methodology of §4.5.2 of the
-// ParaDL paper. Kernels therefore favour clarity and exactness over raw
-// speed; they are direct (no im2col, no SIMD) and operate on float64.
+// ParaDL paper. Everything is portable float64 Go: no assembly, no SIMD,
+// no state shared between calls (PE goroutines call the kernels
+// concurrently).
+//
+// Convolution, of any spatial rank, is one lowering (conv.go): a
+// per-call window-offset table (window.go) drives im2row into a small
+// cache-resident tile of patches, and the arithmetic is GEMM against the
+// weight in its own [F, C·k...] row-major layout — forward as a
+// register-blocked dot kernel over four filters at a time, backward as
+// row axpys that skip zero upstream gradients, plus a table-driven
+// col2im scatter for the input gradient. Pooling walks the same table.
+// The direct N-d loops this replaced survive only in conv_ref_test.go and
+// pool_ref_test.go, as the reference the kernels are tested against.
+//
+// Numeric contract. Every reduction runs in a fixed order that depends
+// only on the operand shapes — never on the data, the tile size, the
+// goroutine or the time — so a kernel called twice on the same inputs
+// returns the same bits. That is what the runtime's bit-identity (==)
+// guarantees rest on: overlap on vs off, resume from any checkpoint,
+// traced vs untraced, chain vs DAG executor, run to run. A partitioned
+// plan, by contrast, splits a reduction across PEs (over channels,
+// samples or spatial blocks) and so rounds differently from the serial
+// run; those guarantees are stated to a tolerance, ≤1e-6 on the loss
+// series of every plan against sequential SGD. A change to a reduction
+// order here moves loss series at rounding level and must leave both
+// kinds of guarantee standing.
 //
 // Layout convention: activations are [N, C, spatial...], convolution
 // weights are [F, C, spatial...]. All tensors are row-major.
@@ -32,16 +56,13 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			// Formatting a copy keeps shape from escaping, so callers'
+			// variadic New(a, b, ...) argument lists stay on their stacks.
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	t := &Tensor{
-		shape: append([]int(nil), shape...),
-		data:  make([]float64, n),
-	}
-	t.strides = computeStrides(t.shape)
-	return t
+	return newTensor(make([]float64, n), shape)
 }
 
 // FromSlice creates a tensor with the given shape, adopting data as its
@@ -51,22 +72,26 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	if len(data) != n {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), shape, n))
 	}
-	t := &Tensor{
-		shape: append([]int(nil), shape...),
-		data:  data,
-	}
-	t.strides = computeStrides(t.shape)
+	return newTensor(data, shape)
+}
+
+// newTensor wraps data in a tensor that owns a private copy of shape.
+func newTensor(data []float64, shape []int) *Tensor {
+	r := len(shape)
+	meta := make([]int, 2*r) // shape and strides share one allocation
+	t := &Tensor{shape: meta[:r:r], strides: meta[r:], data: data}
+	copy(t.shape, shape)
+	fillStrides(t.strides, t.shape)
 	return t
 }
 
-func computeStrides(shape []int) []int {
-	strides := make([]int, len(shape))
+// fillStrides writes the row-major strides of shape into strides.
+func fillStrides(strides, shape []int) {
 	s := 1
 	for i := len(shape) - 1; i >= 0; i-- {
 		strides[i] = s
 		s *= shape[i]
 	}
-	return strides
 }
 
 // Volume returns the number of elements implied by shape.
