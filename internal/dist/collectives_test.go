@@ -10,9 +10,11 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	"paradl/internal/collective"
 	"paradl/internal/tensor"
 )
 
@@ -47,18 +49,24 @@ func rankInput(rank, n int) *tensor.Tensor {
 // per-rank results.
 func eachRank(t *testing.T, p int, body func(c *Comm) *tensor.Tensor) []*tensor.Tensor {
 	t.Helper()
-	w := NewWorld(p)
 	out := make([]*tensor.Tensor, p)
+	onWorld(NewWorld(p), func(c *Comm) { out[c.Rank()] = body(c) })
+	return out
+}
+
+// onWorld runs body on every rank of w, one goroutine per PE, and
+// waits for all of them — reusable on one world, whose mailboxes then
+// already exist on the second call.
+func onWorld(w *World, body func(c *Comm)) {
 	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
+	for r := 0; r < w.p; r++ {
 		wg.Add(1)
-		go func(rank int) {
+		go func(c *Comm) {
 			defer wg.Done()
-			out[rank] = body(w.Comm(rank))
-		}(r)
+			body(c)
+		}(w.Comm(r))
 	}
 	wg.Wait()
-	return out
 }
 
 // hubSum is the reference reduction: ascending rank order, the
@@ -229,4 +237,128 @@ func TestAllReduceScalarWidths(t *testing.T) {
 			}
 		}
 	}
+}
+
+// snapshotRingSum replays, sequentially, the ring the view ring
+// replaced: every PE snapshots its first send chunk, each
+// reduce-scatter hop adds the receiver's own contribution INTO the
+// received buffer (in + own) and forwards it, and the allgather
+// circulates the reduced chunks unchanged. It is the bit-level
+// reference for ringAllReduce's association order.
+func snapshotRingSum(p, n int) *tensor.Tensor {
+	offs, sizes := collective.Chunks(n, p)
+	own := make([][]float64, p)
+	cur := make([][]float64, p)
+	for r := range own {
+		own[r] = rankInput(r, n).Data()
+		sc, _ := collective.RingReduceScatterStep(r, 0, p)
+		cur[r] = append([]float64(nil), own[r][offs[sc]:offs[sc]+sizes[sc]]...)
+	}
+	for s := 0; s < p-1; s++ {
+		recv := make([][]float64, p)
+		for r := range own {
+			_, rc := collective.RingReduceScatterStep(r, s, p)
+			in := cur[(r+p-1)%p]
+			for i, v := range own[r][offs[rc] : offs[rc]+sizes[rc]] {
+				in[i] += v
+			}
+			recv[r] = in
+		}
+		cur = recv
+	}
+	// cur[r] is the fully reduced chunk r; every rank ends with all of them.
+	sum := tensor.New(n)
+	for r, chunk := range cur {
+		copy(sum.Data()[offs[r]:], chunk)
+	}
+	return sum
+}
+
+// TestRingAllReduceMatchesSnapshotRing: the view ring adds the same two
+// operands at every hop as the snapshot ring did (own + in for in +
+// own), so every rank's result equals the replayed reference bit for
+// bit — at every suite width and at sizes that leave uneven chunks.
+func TestRingAllReduceMatchesSnapshotRing(t *testing.T) {
+	for _, p := range collectiveWidths {
+		for _, n := range []int{ringMinElems, 257, 4099, 1 << 18} {
+			want := snapshotRingSum(p, n).Data()
+			got := eachRank(t, p, func(c *Comm) *tensor.Tensor {
+				return c.AllReduceSum(rankInput(c.Rank(), n))
+			})
+			for rank, res := range got {
+				for i, v := range res.Data() {
+					if v != want[i] {
+						t.Fatalf("p=%d n=%d rank %d elem %d: view ring %.17g != snapshot ring %.17g", p, n, rank, i, v, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRingAllReduceBufferReuse pins the closing ack: the ring lends
+// views of the caller's buffer to the successor, so the moment
+// AllReduceSum or Handle.Wait returns the caller must be free to
+// overwrite that buffer and launch the next collective on it. Every PE
+// does exactly that for 200 rounds, alternating blocking and
+// nonblocking calls; integer-valued inputs make the expected sums
+// exact, and -race (CI's collective smoke) judges the view contract.
+func TestRingAllReduceBufferReuse(t *testing.T) {
+	const rounds, n = 200, 3*ringMinElems + 1
+	for _, p := range []int{2, 3, 4} {
+		eachRank(t, p, func(c *Comm) *tensor.Tensor {
+			buf := tensor.New(n)
+			bad := false // report once, but keep the ring's program order
+			for round := 0; round < rounds; round++ {
+				for i := range buf.Data() {
+					buf.Data()[i] = float64(c.Rank() + round + i%7)
+				}
+				if round%2 == 0 {
+					buf = c.AllReduceSum(buf)
+				} else {
+					buf = c.IAllReduceSum(buf).Wait()
+				}
+				for i, v := range buf.Data() {
+					if want := float64(p*(round+i%7) + p*(p-1)/2); v != want && !bad {
+						bad = true
+						t.Errorf("p=%d rank %d round %d elem %d: %v, want %v", p, c.Rank(), round, i, v, want)
+					}
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// TestRingAllReduceAllocatesNoPayload: the ring circulates views, so a
+// 1 MiB allreduce at p=2 allocates only headers — under 4 KiB per PE
+// per call, where the snapshot ring allocated a 512 KiB chunk.
+func TestRingAllReduceAllocatesNoPayload(t *testing.T) {
+	const p, n, rounds, ceiling = 2, 1 << 17, 8, 4 << 10
+	w := NewWorld(p)
+	bufs := make([]*tensor.Tensor, p)
+	for r := range bufs {
+		bufs[r] = rankInput(r, n)
+	}
+	run := func(rounds int) {
+		onWorld(w, func(c *Comm) {
+			for i := 0; i < rounds; i++ {
+				c.AllReduceSum(bufs[c.Rank()])
+			}
+		})
+	}
+	run(1) // creates the mailboxes
+	if perCall := allocBytes(func() { run(rounds) }) / (rounds * p); perCall >= ceiling {
+		t.Fatalf("1 MiB ring allreduce allocates %d B per PE per call, ceiling %d", perCall, ceiling)
+	}
+}
+
+// allocBytes returns the heap bytes allocated while fn runs (all
+// goroutines: the PEs of a world allocate concurrently).
+func allocBytes(fn func()) int {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc - before.TotalAlloc)
 }

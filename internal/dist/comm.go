@@ -255,19 +255,22 @@ func (c *Comm) send(dst int, m message) {
 
 // Send delivers a deep copy of t to dst's mailbox. Payloads are copied
 // at the sender so a message is immutable in flight, like a buffer
-// handed to a real interconnect. Use sendOwned when the sender
-// relinquishes the buffer anyway — the copy discipline of the
-// collectives below.
+// handed to a real interconnect. The collectives below use sendOwned
+// instead: they hand buffers off or lend read-only views of them.
 func (c *Comm) Send(dst int, t *tensor.Tensor) {
 	c.send(dst, message{t: t.Clone()})
 }
 
-// sendOwned delivers t itself, transferring ownership: the caller must
-// not read or write t afterwards, and the receiver must treat it as
-// immutable if it may still be aliased (ring forwarding). This is the
-// zero-copy path every collective and halo/pipeline transfer uses for
-// buffers that are handed off anyway — cloning is reserved for true
-// aliasing boundaries (public Send, tree broadcast fan-out).
+// sendOwned delivers t itself, without a copy, under one of two
+// contracts. Ownership transfer — the halo, pipeline, tree and
+// reduce-scatter hops of a buffer that is handed off anyway: the sender
+// must not read or write t afterwards and the receiver may do with it
+// as it likes. View — ringAllReduce's chunks of the caller's buffer and
+// AllGather's forwarded shards, memory the sender keeps: the receiver
+// only ever reads it, and the sender does not write the viewed region
+// until it knows the receiver is done reading (ringAllReduce spells out
+// how). Cloning is reserved for true aliasing boundaries (public Send,
+// tree broadcast fan-out).
 func (c *Comm) sendOwned(dst int, t *tensor.Tensor) {
 	c.send(dst, message{t: t})
 }
@@ -340,40 +343,56 @@ func (c *Comm) AllReduceSum(t *tensor.Tensor) *tensor.Tensor {
 // elements — the bandwidth-optimal schedule — versus the O(p·n) the
 // serialized rank-0 hub shipped.
 //
-// Buffer discipline: exactly one chunk buffer is allocated per PE
-// (chunkCopy below); every hop hands the received buffer onward after
-// accumulating into it, so p buffers circulate for the whole collective
-// instead of one allocation per hop.
+// Buffer discipline: no payload is allocated or snapshotted. The ring
+// circulates views (sendOwned) of the PEs' own buffers, the
+// shared-memory analogue of an intra-node transport reading the peer's
+// buffer directly: a reduce-scatter step sends a view of own chunk sc
+// and adds the predecessor's view into own chunk rc; an allgather step
+// sends a view of the chunk completed the step before and copies the
+// predecessor's view into own chunk rc. A PE writes only its own
+// buffer and only reads the views it receives; each byte is touched
+// once per hop. Two orderings keep a chunk from being written while
+// the successor may still read it:
+//
+//   - inside the call, the ring's dependency chain: chunk k reaches this
+//     PE for its allgather write only after travelling successor → … →
+//     owner → … → predecessor, and the successor forwarded its partial
+//     sum of k only after reading this PE's reduce-scatter view of k.
+//     Within either phase a chunk is sent after its single write;
+//   - across the return, the closing ack: each PE tells its predecessor
+//     it has read its last view, and returns only after hearing the same
+//     from its successor — so the caller (blocking, or through
+//     Handle.Wait) gets back a buffer no peer is still reading. The ack
+//     travels on the collective's own stream, FIFO behind the data, so a
+//     recycled stream sees it before any later traffic, and a world
+//     abort unblocks the wait with errAborted like any other receive.
 func (c *Comm) ringAllReduce(t *tensor.Tensor) *tensor.Tensor {
 	p := c.Size()
 	data := t.Data()
 	offs, sizes := collective.Chunks(len(data), p)
+	chunk := func(i int) []float64 { return data[offs[i] : offs[i]+sizes[i]] }
 	next, prev := (c.rank+1)%p, (c.rank+p-1)%p
-	sc0, _ := collective.RingReduceScatterStep(c.rank, 0, p)
-	cur := chunkCopy(data, offs[sc0], sizes[sc0])
 	for s := 0; s < p-1; s++ {
-		_, rc := collective.RingReduceScatterStep(c.rank, s, p)
-		c.sendOwned(next, cur)
-		cur = c.Recv(prev)
-		in := cur.Data()
-		for i, v := range data[offs[rc] : offs[rc]+sizes[rc]] {
-			in[i] += v
+		sc, rc := collective.RingReduceScatterStep(c.rank, s, p)
+		c.sendOwned(next, tensor.FromSlice(chunk(sc), sizes[sc]))
+		in := c.Recv(prev).Data()
+		own := chunk(rc)[:len(in)]
+		for i, v := range in {
+			own[i] += v
 		}
 	}
-	// cur is the fully reduced chunk `rank`; the allgather ring forwards
-	// the reduced chunks unchanged (read-only from here on).
-	copy(data[offs[c.rank]:offs[c.rank]+sizes[c.rank]], cur.Data())
 	for s := 0; s < p-1; s++ {
-		_, rc := collective.RingAllGatherStep(c.rank, s, p)
-		c.sendOwned(next, cur)
-		cur = c.Recv(prev)
-		copy(data[offs[rc]:offs[rc]+sizes[rc]], cur.Data())
+		sc, rc := collective.RingAllGatherStep(c.rank, s, p)
+		c.sendOwned(next, tensor.FromSlice(chunk(sc), sizes[sc]))
+		copy(chunk(rc), c.Recv(prev).Data())
 	}
+	c.sendScalar(prev, 0)
+	c.recvScalar(next)
 	return t
 }
 
-// chunkCopy snapshots [off, off+n) of data as a rank-1 tensor — the one
-// buffer this PE contributes to the circulating ring.
+// chunkCopy snapshots [off, off+n) of data as a rank-1 tensor — the
+// owned payload of one two-tree chunk hop.
 func chunkCopy(data []float64, off, n int) *tensor.Tensor {
 	buf := make([]float64, n)
 	copy(buf, data[off:off+n])

@@ -12,7 +12,9 @@ import (
 // bytes reach this bound, overlapping the backward compute of the
 // layers below. 256 KiB coalesces the whole gradient set of the toy zoo
 // into a single ring allreduce while still splitting real-model-scale
-// exchanges into multiple in-flight buckets.
+// exchanges into multiple in-flight buckets. It is also the size from
+// which a single tensor is exchanged by itself, in place, instead of
+// being packed (push).
 const defaultBucketBytes = 256 << 10
 
 // gradExchanger is the bucketed gradient exchange every engine's
@@ -62,17 +64,22 @@ func newGradExchanger(c *Comm, cfg *runConfig) *gradExchanger {
 }
 
 // push queues gradient tensors for exchange, flushing the bucket
-// whenever the size bound is reached. Nil tensors (absent fields of
-// nn.Grads) are skipped. The tensors must be dead to the caller until
-// drain returns: the exchange owns their values and rewrites their data
-// in place with the reduced result.
+// whenever the size bound is reached; a tensor that is bucket-sized by
+// itself first flushes whatever is queued, so it is exchanged alone.
+// Nil tensors (absent fields of nn.Grads) are skipped. The tensors must
+// be dead to the caller until drain returns: the exchange owns their
+// values and rewrites their data in place with the reduced result.
 func (ex *gradExchanger) push(ts ...*tensor.Tensor) {
 	for _, t := range ts {
 		if t == nil {
 			continue
 		}
+		b := 8 * t.Len()
+		if b >= ex.bucketBytes {
+			ex.flush(ex.overlap) // t travels alone, in place: see flush
+		}
 		ex.queued = append(ex.queued, t)
-		ex.queuedBytes += 8 * t.Len()
+		ex.queuedBytes += b
 		if ex.queuedBytes >= ex.bucketBytes {
 			ex.flush(ex.overlap)
 		}
@@ -88,10 +95,12 @@ func (ex *gradExchanger) pushGrads(gr *nn.Grads) {
 // async is set (a mid-backward bucket with compute left to hide
 // behind), blocking otherwise. Either way the packed buffer and the
 // collective are identical, so the two modes cannot diverge by a bit.
-// Single-tensor buckets skip the pack/unpack copies and exchange the
-// tensor directly; larger buckets are packed into one flat buffer in
-// push order, so the whole bucket costs one collective instead of one
-// per tensor.
+// Packing exists to coalesce small tensors: a multi-tensor bucket is
+// packed into one flat buffer in push order, so it costs one collective
+// instead of one per tensor. A single-tensor bucket — always the case
+// for a tensor of bucketBytes or more, which push never queues behind
+// others — skips the pack/unpack copies and is reduced in its own
+// backing array.
 func (ex *gradExchanger) flush(async bool) {
 	if len(ex.queued) == 0 {
 		return

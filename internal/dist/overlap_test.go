@@ -251,3 +251,96 @@ func TestOverlapAbortUnblocksWait(t *testing.T) {
 		t.Fatalf("want the injected failure as the root cause, got: %v", err)
 	}
 }
+
+// TestRingAllReduceAbortUnblocksAckWait: a PE parked on the ring's
+// closing ack — all data hops done, waiting to hear that its successor
+// has read its last view — aborts with the world instead of hanging.
+// Rank 0 plays the p=2 ring's data hops by hand and fails before
+// acknowledging.
+func TestRingAllReduceAbortUnblocksAckWait(t *testing.T) {
+	_, err := runWorld(2, 0, func(c *Comm) ([]float64, error) {
+		if c.Rank() == 1 {
+			c.AllReduceSum(rankInput(1, ringSize))
+			return nil, nil
+		}
+		for hop := 0; hop < 2; hop++ { // one reduce-scatter, one allgather
+			c.sendOwned(1, tensor.New(ringSize/2))
+			c.Recv(1)
+		}
+		panic("injected failure before the ack")
+	})
+	if err == nil || !strings.Contains(err.Error(), "injected failure before the ack") {
+		t.Fatalf("want the injected failure as the root cause, got: %v", err)
+	}
+}
+
+// exchangerFor builds one PE's gradient exchanger with a 1 KiB bucket.
+func exchangerFor(c *Comm, overlap bool) *gradExchanger {
+	return newGradExchanger(c, &runConfig{overlap: overlap, bucketBytes: 1 << 10})
+}
+
+// TestExchangerOversizedTensorTravelsAlone: a tensor of bucketBytes or
+// more is never packed — push first flushes the small tensors queued
+// before it as their own packed bucket, in push order, then exchanges
+// the big one by itself in its own backing array; the tensors after it
+// start a fresh bucket. Every gradient still comes back summed.
+func TestExchangerOversizedTensorTravelsAlone(t *testing.T) {
+	const p, big = 2, 4 * ringMinElems // 8 KiB against the 1 KiB bucket
+	for _, overlap := range []bool{false, true} {
+		eachRank(t, p, func(c *Comm) *tensor.Tensor {
+			ex := exchangerFor(c, overlap)
+			ts := []*tensor.Tensor{rankInput(c.Rank(), 10), rankInput(c.Rank(), 20), rankInput(c.Rank(), big), rankInput(c.Rank(), 30)}
+			backing := &ts[2].Data()[0]
+			ex.push(ts...)
+			if len(ex.flights) != 2 || len(ex.queued) != 1 || ex.queued[0] != ts[3] {
+				t.Errorf("overlap=%v: %d flights, %d queued after push; want the small bucket and the big tensor in flight, the last tensor queued", overlap, len(ex.flights), len(ex.queued))
+				return nil
+			}
+			if small := ex.flights[0].ts; len(small) != 2 || small[0] != ts[0] || small[1] != ts[1] {
+				t.Errorf("overlap=%v: first flight is not the two small tensors in push order", overlap)
+			}
+			if alone := ex.flights[1]; len(alone.ts) != 1 || alone.ts[0] != ts[2] || (!overlap && alone.flat != ts[2]) {
+				t.Errorf("overlap=%v: the oversized tensor was not exchanged by itself, in place", overlap)
+			}
+			ex.drain()
+			if &ts[2].Data()[0] != backing {
+				t.Errorf("overlap=%v: oversized gradient moved to a new backing array", overlap)
+			}
+			for i, n := range []int{10, 20, big, 30} {
+				// p=2 sums are commutative, hence exact in either order.
+				if want := hubSum(p, n); !ts[i].AllClose(want, 0) {
+					t.Errorf("overlap=%v rank %d: tensor %d is not the cross-PE sum", overlap, c.Rank(), i)
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// TestExchangerOversizedTensorAllocatesNoFlatBuffer: exchanging a
+// 1 MiB gradient behind a few tiny ones allocates headers and the tiny
+// packed bucket only — under 4 KiB per PE per exchange — where packing
+// it cost a 1 MiB flat buffer on top of the ring's chunk. Averaged over
+// rounds, so a stray allocation elsewhere in the test binary (the
+// counter is process-wide) cannot trip the ceiling.
+func TestExchangerOversizedTensorAllocatesNoFlatBuffer(t *testing.T) {
+	const p, big, rounds, ceiling = 2, 1 << 17, 8, 4 << 10
+	w := NewWorld(p)
+	grads := make([][]*tensor.Tensor, p)
+	for r := range grads {
+		grads[r] = []*tensor.Tensor{rankInput(r, 10), rankInput(r, 20), rankInput(r, big), rankInput(r, 30)}
+	}
+	run := func(rounds int) {
+		onWorld(w, func(c *Comm) {
+			for i := 0; i < rounds; i++ {
+				ex := exchangerFor(c, false)
+				ex.push(grads[c.Rank()]...)
+				ex.drain()
+			}
+		})
+	}
+	run(1) // creates the mailboxes
+	if perPE := allocBytes(func() { run(rounds) }) / (rounds * p); perPE >= ceiling {
+		t.Fatalf("exchanging a 1 MiB gradient allocates %d B per PE, ceiling %d", perPE, ceiling)
+	}
+}

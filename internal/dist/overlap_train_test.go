@@ -32,8 +32,8 @@ func assertBitIdentical(t *testing.T, label string, on, off *dist.Result) {
 }
 
 // overlapAB runs one plan with overlap on and off under the given extra
-// options and demands bit-identical losses.
-func overlapAB(t *testing.T, m *nn.Model, batches []dist.Batch, pl dist.Plan, label string, extra ...dist.Option) {
+// options, demands bit-identical losses and returns the overlapped run.
+func overlapAB(t *testing.T, m *nn.Model, batches []dist.Batch, pl dist.Plan, label string, extra ...dist.Option) *dist.Result {
 	t.Helper()
 	base := append([]dist.Option{dist.WithSeed(seed), dist.WithLR(lr)}, extra...)
 	on, err := dist.Run(m, batches, pl, append(base, dist.WithOverlap(true))...)
@@ -45,6 +45,7 @@ func overlapAB(t *testing.T, m *nn.Model, batches []dist.Batch, pl dist.Plan, la
 		t.Fatalf("%s overlap off: %v", label, err)
 	}
 	assertBitIdentical(t, label, on, off)
+	return on
 }
 
 // TestOverlapTrainingBitIdenticalWidths: data parallelism — the
@@ -114,4 +115,32 @@ func TestOverlapTrainingMomentum(t *testing.T) {
 	m := model.TinyCNNNoBN()
 	batches := toyBatches(t, m, 3, 8)
 	overlapAB(t, m, batches, dist.Plan{Strategy: core.Data, P1: 4}, "data:4+momentum", dist.WithMomentum(0.9))
+}
+
+// TestExchangerTrainingOversizedGradient: a bench-fcnet-shaped model —
+// one FC weight of 320 KiB, above even the default 256 KiB bucket, among
+// tiny conv/bias/classifier gradients — takes the exchanged-alone,
+// in-place path in the middle of the backward pass. Overlap on/off must
+// stay bit-identical at every bucket size (1 byte: every tensor alone;
+// 4 KiB: the second FC weight oversized too; default), and every
+// setting keeps value parity with sequential SGD.
+func TestExchangerTrainingOversizedGradient(t *testing.T) {
+	b := nn.NewBuilder("fcnet-shaped", 4, []int{8, 8})
+	b.Conv(8, 3, 1, 1).ReLU()
+	b.Pool(nn.MaxPool, 2, 2, 0)
+	b.FC(320).ReLU()
+	b.FC(10)
+	m := b.MustBuild()
+	batches := toyBatches(t, m, 3, 8)
+	seq := dist.RunSequential(m, seed, batches, lr)
+	for _, bb := range []int{1, 4 << 10, 256 << 10} {
+		for _, pl := range []dist.Plan{
+			{Strategy: core.Data, P1: 2},
+			{Strategy: core.Data, P1: 4},
+			{Strategy: core.DataFilter, P1: 2, P2: 2},
+		} {
+			label := fmt.Sprintf("%s bucket=%d", pl, bb)
+			assertParity(t, seq, overlapAB(t, m, batches, pl, label, dist.WithBucketBytes(bb)), nil)
+		}
+	}
 }

@@ -46,18 +46,27 @@ func FCForward(x, w, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: fc bias length %d does not match out %d", b.Len(), out))
 	}
 	y := New(n, out)
-	for ni := 0; ni < n; ni++ {
-		xRow := x.data[ni*in : (ni+1)*in]
-		for oi := 0; oi < out; oi++ {
-			wRow := w.data[oi*in : (oi+1)*in]
-			acc := 0.0
-			for k, xv := range xRow {
-				acc += xv * wRow[k]
+	// Weight-row blocks outer, samples inner: w streams once per call,
+	// and every output is its zero-initialised k-ordered dot plus bias.
+	oi := 0
+	for ; oi+4 <= out; oi += 4 {
+		wRows := w.data[oi*in : (oi+4)*in]
+		for ni := 0; ni < n; ni++ {
+			acc := dot4(x.data[ni*in:(ni+1)*in], wRows, [4]float64{})
+			copy(y.data[ni*out+oi:], acc[:])
+		}
+	}
+	for ; oi < out; oi++ {
+		wRow := w.data[oi*in : (oi+1)*in]
+		for ni := 0; ni < n; ni++ {
+			y.data[ni*out+oi] = dot1(x.data[ni*in:(ni+1)*in], wRow, 0)
+		}
+	}
+	if b != nil {
+		for ni := 0; ni < n; ni++ {
+			for oi, bv := range b.data {
+				y.data[ni*out+oi] += bv
 			}
-			if b != nil {
-				acc += b.data[oi]
-			}
-			y.data[ni*out+oi] = acc
 		}
 	}
 	return y
@@ -69,6 +78,9 @@ func FCBackward(dy, x, w *Tensor, xShape []int) (dx, dw, db *Tensor) {
 	n := x.shape[0]
 	in := x.Len() / n
 	out := w.shape[0]
+	if win := w.Len() / out; win != in {
+		panic(fmt.Sprintf("tensor: fc bwd input %d does not match weight inner %d", in, win))
+	}
 	if dy.shape[0] != n || dy.Len()/n != out {
 		panic(fmt.Sprintf("tensor: fc bwd dy shape %v inconsistent with N=%d Out=%d", dy.Shape(), n, out))
 	}

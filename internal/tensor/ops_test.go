@@ -38,6 +38,66 @@ func TestFCForwardKnownValues(t *testing.T) {
 	}
 }
 
+// refFCForward is the per-sample, single-accumulator loop FCForward
+// replaced, kept as the bit-level reference.
+func refFCForward(x, w, b *Tensor) *Tensor {
+	n := x.shape[0]
+	in := x.Len() / n
+	out := w.shape[0]
+	y := New(n, out)
+	for ni := 0; ni < n; ni++ {
+		xRow := x.data[ni*in : (ni+1)*in]
+		for oi := 0; oi < out; oi++ {
+			wRow := w.data[oi*in : (oi+1)*in]
+			acc := 0.0
+			for k, xv := range xRow {
+				acc += xv * wRow[k]
+			}
+			if b != nil {
+				acc += b.data[oi]
+			}
+			y.data[ni*out+oi] = acc
+		}
+	}
+	return y
+}
+
+// The row-blocked FCForward sums every output in the reference's order
+// (zero-initialised k-ordered dot, bias last), so it matches it bit for
+// bit — over full blocks of four rows, the dot1 tail, and nil bias.
+func TestFCForwardBitIdenticalToReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, g := range []struct{ n, in, out int }{
+		{1, 1, 1}, {3, 7, 4}, {2, 33, 5}, {4, 64, 10}, {5, 129, 3}, {2, 16, 8},
+	} {
+		x := New(g.n, g.in).RandN(rng, 1)
+		w := New(g.out, g.in).RandN(rng, 1)
+		for _, b := range []*Tensor{nil, New(g.out).RandN(rng, 1)} {
+			got, want := FCForward(x, w, b), refFCForward(x, w, b)
+			for i, v := range want.data {
+				if got.data[i] != v {
+					t.Fatalf("n=%d in=%d out=%d bias=%v: y[%d] = %.17g, reference %.17g", g.n, g.in, g.out, b != nil, i, got.data[i], v)
+				}
+			}
+		}
+	}
+}
+
+func TestFCBackwardShapeMismatchPanics(t *testing.T) {
+	x := New(2, 6)
+	dy := New(2, 3)
+	for name, wShape := range map[string][]int{
+		"inner too small": {3, 5},
+		"inner too large": {3, 7},
+	} {
+		w := New(wShape...)
+		t.Run(name, func(t *testing.T) {
+			defer expectPanic(t, "weight inner mismatch")
+			FCBackward(dy, x, w, x.Shape())
+		})
+	}
+}
+
 func TestFCBackwardFiniteDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	x := New(3, 5).RandN(rng, 1)
