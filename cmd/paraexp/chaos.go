@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"paradl/internal/artifact"
+	"paradl/internal/core"
 	"paradl/internal/data"
 	"paradl/internal/dist"
 	"paradl/internal/model"
@@ -92,7 +93,10 @@ func writeChaos(w io.Writer, o options) error {
 		return err
 	}
 	batches := data.Toy(m, int64(chaosIters*chaosBatch)).Batches(chaosIters, chaosBatch)
-	seq := dist.RunSequential(m, chaosSeed, batches, chaosLR)
+	seq, err := dist.Run(m, batches, dist.Plan{Strategy: core.Serial}, dist.WithSeed(chaosSeed), dist.WithLR(chaosLR))
+	if err != nil {
+		return err
+	}
 
 	rep := &ChaosReport{
 		Header:      artifact.NewHeader(chaosSchema, chaosVersion),

@@ -1,17 +1,17 @@
 // Command paraexp regenerates the paper's evaluation artefacts — every
 // table and figure of §5, as indexed in DESIGN.md — plus the repo's
-// committed measurement snapshots:
+// committed measurement artefacts:
 //
 //	paraexp -exp all
 //	paraexp -exp fig3
 //	paraexp -exp accuracy
-//	paraexp -exp benchdist -bench-iters 10 > BENCH_dist.json
-//	paraexp -exp servebench -serve-requests 50000 > BENCH_serve.json
 //	paraexp -exp scoreboard -scenarios 60 > SCOREBOARD.json
 //	paraexp -exp chaos -scenarios 25 -seed 1 > CHAOS.json
+//	paraexp -exp phases > PHASES.json
 //
 // Run with -h (or any unknown -exp value) for the full experiment
-// registry with one-line descriptions.
+// registry with one-line descriptions. Performance is not measured
+// here: the repo benchmark is bench/ (see BENCHMARK.json).
 package main
 
 import (
@@ -31,12 +31,6 @@ type options struct {
 	congested float64 // fig6: congested fraction
 	seed      int64   // fig6: congestion RNG seed
 	csv       bool    // machine-readable variants where available
-
-	benchIters int // benchdist: timed runs per case
-
-	serveRequests    int // servebench: cached-phase requests
-	serveConcurrency int // servebench: in-flight workers
-	serveCold        int // servebench: cold-phase requests
 
 	scenarios    int    // trace/scoreboard: sweep size
 	workloadSeed int64  // trace/scoreboard: generator seed
@@ -100,12 +94,6 @@ func registry(csv bool) []experiment {
 		}
 	}
 	measured := []experiment{
-		{"benchdist", "REAL partitioned-runtime perf snapshot (BENCH_dist.json)", false,
-			func(w io.Writer, e *report.Env, o options) error { return writeBenchDist(w, o.benchIters) }},
-		{"servebench", "planner HTTP service under load (BENCH_serve.json)", false,
-			func(w io.Writer, e *report.Env, o options) error {
-				return writeServeBench(w, o.serveRequests, o.serveConcurrency, o.serveCold)
-			}},
 		{"trace", "seeded workload sweep as a reproducible JSON-lines trace", false,
 			func(w io.Writer, e *report.Env, o options) error { return writeTraceExp(w, o) }},
 		{"scoreboard", "replay a seeded sweep; oracle ranking-fidelity scores (SCOREBOARD.json)", false,
@@ -143,10 +131,6 @@ func main() {
 	flag.Float64Var(&o.congested, "congested", 0.35, "fig6: fraction of congested trials")
 	flag.Int64Var(&o.seed, "seed", 7, "fig6: congestion RNG seed; chaos: base seed the per-scenario schedules derive from")
 	flag.BoolVar(&o.csv, "csv", false, "emit machine-readable CSV (fig3, fig4, fig6, accuracy)")
-	flag.IntVar(&o.benchIters, "bench-iters", 5, "benchdist: timed runs per case")
-	flag.IntVar(&o.serveRequests, "serve-requests", 50000, "servebench: cached-phase request count")
-	flag.IntVar(&o.serveConcurrency, "serve-concurrency", 0, "servebench: in-flight workers (0 = 4×GOMAXPROCS)")
-	flag.IntVar(&o.serveCold, "serve-cold", 64, "servebench: cold-phase request count (all-distinct keys)")
 	flag.IntVar(&o.scenarios, "scenarios", 60, "trace/scoreboard: scenarios sampled from the sweep lattice; chaos: fault schedules soaked")
 	flag.Int64Var(&o.workloadSeed, "workload-seed", 1, "trace/scoreboard: generator seed (recorded in the trace header)")
 	flag.IntVar(&o.replayIters, "replay-iters", 1, "scoreboard: timed real-runtime runs per candidate")

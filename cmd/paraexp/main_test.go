@@ -15,8 +15,6 @@ import (
 func testOptions() options {
 	return options{
 		trials: 2, congested: 0.5, seed: 1,
-		benchIters:    1,
-		serveRequests: 1, serveConcurrency: 1, serveCold: 1,
 		scenarios: 1, workloadSeed: 1, replayIters: 1,
 	}
 }
@@ -41,7 +39,7 @@ func TestRunRejectsUnknown(t *testing.T) {
 	}
 	// The error must enumerate the registry so the user can self-serve
 	// — the whole point of the registered descriptions.
-	for _, name := range []string{"table3", "fig6", "benchdist", "servebench", "trace", "scoreboard"} {
+	for _, name := range []string{"table3", "fig6", "trace", "scoreboard", "chaos", "phases"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("unknown-experiment error does not list %q:\n%v", name, err)
 		}
@@ -58,88 +56,6 @@ func TestRunCSVMode(t *testing.T) {
 	out := buf.String()
 	if !strings.HasPrefix(out, "series,bytes,") {
 		t.Fatalf("csv output missing header: %q", out[:40])
-	}
-}
-
-// TestBenchDistSnapshot: the perf snapshot decodes, covers every
-// strategy, and carries positive measurements — one timed iteration to
-// keep the test quick.
-func TestBenchDistSnapshot(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, "benchdist", testOptions()); err != nil {
-		t.Fatal(err)
-	}
-	var snap BenchSnapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if err := snap.Check(BenchDistSchema, BenchDistVersion); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"sequential": false, "data": false, "spatial": false, "filter": false,
-		"channel": false, "pipeline": false, "data+filter": false, "data+spatial": false,
-	}
-	exchanges := map[string]bool{"data": true, "spatial": true,
-		"data+filter": true, "data+spatial": true, "data+pipeline": true}
-	for _, c := range snap.Cases {
-		want[c.Name] = true
-		if c.NsPerOp <= 0 || c.AllocsPerOp <= 0 {
-			t.Fatalf("%s p=%d: non-positive measurement %+v", c.Name, c.P, c)
-		}
-		// Every partitioned case carries both overlap A/B columns;
-		// serial has no exchange to toggle.
-		if c.P > 1 && (c.NsPerOpOverlap <= 0 || c.NsPerOpBlocking <= 0) {
-			t.Fatalf("%s p=%d: missing overlap A/B columns %+v", c.Name, c.P, c)
-		}
-		// The A/B pins a bucket size at which buckets fill mid-backward,
-		// so strategies WITH a gradient exchange must actually launch
-		// nonblocking collectives in the overlap run — visible as extra
-		// allocations vs the synchronous run. (Pure filter/channel/
-		// pipeline have no cross-PE gradient exchange, so their A/B is
-		// legitimately flat.)
-		if exchanges[c.Name] && c.AllocsPerOpOverlap <= c.AllocsPerOpBlocking {
-			t.Fatalf("%s p=%d: overlap run launched nothing (allocs %d <= blocking %d)",
-				c.Name, c.P, c.AllocsPerOpOverlap, c.AllocsPerOpBlocking)
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Fatalf("snapshot is missing strategy %q", name)
-		}
-	}
-}
-
-// TestServeBenchSnapshot: the planner load snapshot decodes and the
-// cached path actually bypasses computation — a tiny run to keep the
-// test quick.
-func TestServeBenchSnapshot(t *testing.T) {
-	var buf bytes.Buffer
-	o := testOptions()
-	o.serveRequests, o.serveConcurrency, o.serveCold = 200, 4, 4
-	if err := run(&buf, "servebench", o); err != nil {
-		t.Fatal(err)
-	}
-	var snap ServeBenchSnapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if err := snap.Check(BenchServeSchema, BenchServeVersion); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Cold.Errors != 0 || snap.Cached.Errors != 0 {
-		t.Fatalf("load errors: %+v", snap)
-	}
-	if snap.Cached.QPS <= 0 || snap.Cold.QPS <= 0 {
-		t.Fatalf("non-positive throughput: %+v", snap)
-	}
-	// 4 cold keys + 1 cached warm-up; the 200 cached requests must not
-	// add computations.
-	if snap.Computations != 5 {
-		t.Fatalf("computations = %d, want 5", snap.Computations)
-	}
-	if snap.CacheHitRate <= 0.9 {
-		t.Fatalf("cache hit rate %.3f, want > 0.9", snap.CacheHitRate)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package artifact defines the shared self-identification header every
 // committed machine-readable artefact of this repo carries
-// (BENCH_dist.json, BENCH_serve.json, SCOREBOARD.json). A consumer —
+// (SCOREBOARD.json, CHAOS.json, PHASES.json). A consumer —
 // the CI smoke steps, a later PR's regression gate, an external
 // dashboard — first checks Schema and Version before trusting any other
 // field, so emitters can evolve their payloads without silently
@@ -14,7 +14,7 @@ import (
 )
 
 // Header is embedded at the top of every committed artefact. Schema
-// names the artefact kind ("paradl/bench-dist"), Version its payload
+// names the artefact kind ("paradl/scoreboard"), Version its payload
 // revision; Generated/GoVersion/GOMAXPROCS record measurement
 // provenance the way the pre-header snapshots already did.
 type Header struct {

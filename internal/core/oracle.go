@@ -431,7 +431,7 @@ func projectDataSpatial(cfg Config, pr *Projection) {
 // — one per stage's weight shard, over the p1 groups — share each
 // node's uplinks with contention φ, exactly like the df segmentation.
 // This is the analytic counterpart of the runtime's dp engine
-// (internal/dist runDataPipeline), which Table 3 never modeled.
+// (internal/dist dataPipelineEngine), which Table 3 never modeled.
 func projectDataPipeline(cfg Config, pr *Projection) {
 	// One group's workload IS the pure pipeline model: depth p2 on the
 	// batch shard B/p1 over the dataset share D/p1 (iteration count and

@@ -23,7 +23,7 @@ import (
 func TestChaosMultiCrashRecoveryParity(t *testing.T) {
 	m := model.TinyCNNNoBN()
 	batches := toyBatches(t, m, 6, 8)
-	seq := dist.RunSequential(m, seed, batches, lr)
+	seq := serial(t, m, batches)
 	sched := &dist.FaultSchedule{Seed: 7, Faults: []dist.Fault{
 		{Kind: dist.FaultCrash, PE: 3, Iter: 1},
 		{Kind: dist.FaultStraggle, PE: 1, Iter: 2, Delay: 500 * time.Microsecond},
@@ -57,7 +57,7 @@ func TestChaosMultiCrashRecoveryParity(t *testing.T) {
 func TestGrowBackParity(t *testing.T) {
 	m := model.TinyCNNNoBN()
 	batches := toyBatches(t, m, 6, 8)
-	seq := dist.RunSequential(m, seed, batches, lr)
+	seq := serial(t, m, batches)
 	sched := &dist.FaultSchedule{Seed: 11, Faults: []dist.Fault{
 		{Kind: dist.FaultCrash, PE: 2, Iter: 1},
 		{Kind: dist.FaultHeal, Iter: 3},
@@ -92,7 +92,7 @@ func TestGrowBackParity(t *testing.T) {
 func TestGrowBackWithoutCheckpointDir(t *testing.T) {
 	m := model.TinyCNNNoBN()
 	batches := toyBatches(t, m, 5, 8)
-	seq := dist.RunSequential(m, seed, batches, lr)
+	seq := serial(t, m, batches)
 	sched := &dist.FaultSchedule{Seed: 3, Faults: []dist.Fault{
 		{Kind: dist.FaultCrash, PE: 0, Iter: 0},
 		{Kind: dist.FaultHeal, Iter: 2},
@@ -116,7 +116,7 @@ func TestGrowBackWithoutCheckpointDir(t *testing.T) {
 func TestChaosCorruptionFallsBackToOlderCheckpoint(t *testing.T) {
 	m := model.TinyCNNNoBN()
 	batches := toyBatches(t, m, 5, 8)
-	seq := dist.RunSequential(m, seed, batches, lr)
+	seq := serial(t, m, batches)
 	sched := &dist.FaultSchedule{Seed: 5, Faults: []dist.Fault{
 		{Kind: dist.FaultCrash, PE: 4, Iter: 3},
 		{Kind: dist.FaultCorrupt, Iter: 3},
@@ -145,7 +145,7 @@ func TestChaosCorruptionFallsBackToOlderCheckpoint(t *testing.T) {
 func TestChaosRandomizedScenariosParity(t *testing.T) {
 	m := model.TinyCNNNoBN()
 	batches := toyBatches(t, m, 6, 8)
-	seq := dist.RunSequential(m, seed, batches, lr)
+	seq := serial(t, m, batches)
 	for s := int64(1); s <= 6; s++ {
 		sched := dist.RandomFaultSchedule(s, 8, len(batches))
 		res, err := dist.RunElastic(m, batches, mustPlan(t, "data:8"),
@@ -206,7 +206,7 @@ func TestChaosCancelledSupervisorReturnsPromptly(t *testing.T) {
 func TestChaosStragglerKeepsParity(t *testing.T) {
 	m := model.TinyCNNNoBN()
 	batches := toyBatches(t, m, 4, 8)
-	seq := dist.RunSequential(m, seed, batches, lr)
+	seq := serial(t, m, batches)
 	res, err := dist.Run(m, batches, mustPlan(t, "data:8"),
 		dist.WithSeed(seed), dist.WithLR(lr),
 		dist.WithDelay(5, 1, 2*time.Millisecond), dist.WithDelay(2, 3, time.Millisecond))

@@ -25,8 +25,15 @@
 //	res, err := dist.Run(m, batches, dist.Plan{Strategy: core.DataFilter, P1: 4, P2: 2},
 //	        dist.WithSeed(7), dist.WithLR(0.05))
 //
-// Run dispatches through a strategy registry (registry.go) whose
-// entries are the grid engines of §3/§3.6:
+// Run validates the plan and hands it to the one step driver
+// (drive.go), which owns the whole per-PE run — replica, optimizer,
+// the batch loop with fault injection, hooks, checkpoints and the
+// iteration's trace frame. A strategy contributes only an engine: its
+// Table 3 feasibility checks, a per-PE build that returns the
+// iteration closure, and an ownership table (elastic_state.go) saying
+// which slice of the canonical state each PE holds — the one table
+// checkpoint gather and velocity restore both walk. The registry
+// (registry.go) maps every strategy onto the grid engines of §3/§3.6:
 //
 //	serial        — single-PE SGD, the baseline every strategy must match
 //	data          — batch sharded over replicas, gradient Allreduce (p2=1 edge of df)
@@ -37,8 +44,7 @@
 //	df / ds / dp  — §3.6 hybrids: p1 model-parallel groups × segmented exchange
 //
 // Plans round-trip through strings ("ds:4x2" ⇄ ParsePlan/String), so
-// the advisor and the CLI can select strategies as runtime values. The
-// per-strategy Run* functions survive as deprecated shims over Run.
+// the advisor and the CLI can select strategies as runtime values.
 package dist
 
 import (
@@ -48,10 +54,9 @@ import (
 	"sync"
 	"time"
 
-	"paradl/internal/core"
 	"paradl/internal/nn"
+	"paradl/internal/strategy"
 	"paradl/internal/tensor"
-	"paradl/internal/trace"
 )
 
 // PEFailure reports the death of one PE mid-run: the failure WithFailAt
@@ -89,93 +94,15 @@ type Result struct {
 	Losses   []float64
 }
 
-// RunSequential trains a fresh replica (deterministically initialized
-// from seed) with plain SGD, one iteration per batch. It is the ground
-// truth every partitioned run is validated against. It panics on models
-// whose layer list does not compile to an executable graph and on
-// malformed batches; the Run* strategy variants return the same
-// conditions as errors.
-//
-// Deprecated: use Run with Plan{Strategy: core.Serial} (paradl.Train),
-// which reports those conditions as errors instead of panicking.
-func RunSequential(m *nn.Model, seed int64, batches []Batch, lr float64) *Result {
-	res, err := Run(m, batches, Plan{Strategy: core.Serial}, WithSeed(seed), WithLR(lr))
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// runSequential is the serial engine behind the registry: single-PE
-// training, one optimizer step per batch.
-func runSequential(m *nn.Model, batches []Batch, cfg *runConfig) (*Result, error) {
-	if err := checkBatches(m, batches); err != nil {
-		return nil, err
-	}
-	net, err := cfg.replica(m)
-	if err != nil {
-		return nil, err
-	}
-	step := newStepper(cfg)
-	seedFullVelocities(cfg, step.mom, net)
-	losses := make([]float64, 0, len(batches))
-	tr := cfg.tracer(0)
-	var runErr error
-	func() {
-		defer tr.End()
-		defer func() {
-			if rec := recover(); rec != nil {
-				var pf *PEFailure
-				if err, ok := rec.(error); ok && errors.As(err, &pf) {
-					runErr = err // the single PE IS the world: no peers to abort
-					return
-				}
-				panic(rec)
-			}
-		}()
-		for i := range batches {
-			tr.Iter(cfg.startIter + i)
-			tr.Begin(trace.Idle)
-			cfg.maybeFail(0, i)
-			// The explicit forward/loss/backward/step composition is
-			// TrainStep(With) verbatim (see nn/exec.go), split so each
-			// phase lands on its own span.
-			tr.Begin(trace.ComputeForward)
-			logits, states := net.Forward(batches[i].X)
-			loss, dLogits := tensor.SoftmaxCrossEntropy(logits, batches[i].Labels)
-			tr.Begin(trace.ComputeBackward)
-			_, grads := net.Backward(dLogits, states)
-			step.stepNet(net, grads)
-			losses = append(losses, loss)
-			cfg.fire(i, loss)
-			if cfg.snapshotDue(i) {
-				tr.Begin(trace.CheckpointPut)
-				params, vel := cloneNetState(net, step.mom)
-				cfg.emit(m.Name, i, losses, params, vel)
-			}
-		}
-	}()
-	if runErr != nil {
-		return nil, runErr
-	}
-	return &Result{Strategy: "sequential", P: 1, P1: 1, P2: 1, Losses: losses}, nil
-}
-
-// newReplica instantiates the model with parameters drawn from seed.
-// Two PEs calling this with the same seed hold bit-identical replicas.
-func newReplica(m *nn.Model, seed int64) *nn.Network {
-	return nn.NewNetwork(m, rand.New(rand.NewSource(seed)))
-}
-
-// replica builds this PE's full replica: the usual seed-derived
-// initialization, then — when resuming — the canonical checkpoint
-// parameters copied over it. The seed init still runs first so the
-// model's RNG stream is consumed identically to a fresh run; engines
-// then carve their shards from the restored replica exactly as they
-// would from a fresh one, which is what makes re-sharding under any
-// plan a non-event.
+// replica builds this PE's full replica: parameters drawn from the
+// seed (every PE draws the same ones, so replicas are bit-identical),
+// then — when resuming — the canonical checkpoint parameters copied
+// over them. The seed init still runs first so the model's RNG stream
+// is consumed identically to a fresh run; engines then carve their
+// shards from the restored replica exactly as they would from a fresh
+// one, which is what makes re-sharding under any plan a non-event.
 func (c *runConfig) replica(m *nn.Model) (*nn.Network, error) {
-	net := newReplica(m, c.seed)
+	net := nn.NewNetwork(m, rand.New(rand.NewSource(c.seed)))
 	if c.initState != nil {
 		if err := restoreParams(net, c.initState); err != nil {
 			return nil, err
@@ -235,12 +162,12 @@ func runWorld(p, resultRank int, body func(c *Comm) ([]float64, error)) ([]float
 	return results[resultRank], nil
 }
 
-// checkBatches validates the common preconditions of every Run
-// function: the model must compile to an executable graph (Branch/
-// shortcut layers included — the DAG executor runs them; only
-// malformed taps are rejected) and every batch must match the model's
-// input geometry.
-func checkBatches(m *nn.Model, batches []Batch) error {
+// checkBatches validates the preconditions every plan shares: the model
+// must compile to an executable graph (Branch/shortcut layers included
+// — the DAG executor runs them; only malformed taps are rejected), and
+// every batch must match the model's input geometry and hold at least
+// one sample per data-parallel group.
+func checkBatches(m *nn.Model, batches []Batch, p1 int) error {
 	if _, err := nn.CompileGraph(m); err != nil {
 		return fmt.Errorf("dist: model %q does not compile to an executable graph: %w", m.Name, err)
 	}
@@ -255,6 +182,9 @@ func checkBatches(m *nn.Model, batches []Batch) error {
 		want := append([]int{b.X.Dim(0), m.InputChannels}, m.InputDims...)
 		if !tensor.EqualShapes(b.X.Shape(), want) {
 			return fmt.Errorf("dist: batch %d shape %v does not match model input %v", i, b.X.Shape(), want)
+		}
+		if _, err := strategy.MicroBatches(b.X.Dim(0), p1); err != nil {
+			return fmt.Errorf("dist: batch %d: %w", i, err)
 		}
 	}
 	return nil

@@ -28,6 +28,29 @@ func toyBatches(t *testing.T, m *nn.Model, iters, size int) []dist.Batch {
 	return ds.Batches(iters, size)
 }
 
+// run executes plan pl at the suite's seed and learning rate.
+func run(m *nn.Model, batches []dist.Batch, pl dist.Plan) (*dist.Result, error) {
+	return dist.Run(m, batches, pl, dist.WithSeed(seed), dist.WithLR(lr))
+}
+
+// serial runs the baseline every plan is held against.
+func serial(t *testing.T, m *nn.Model, batches []dist.Batch) *dist.Result {
+	t.Helper()
+	res, err := run(m, batches, dist.Plan{Strategy: core.Serial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// pureAt returns the five pure strategies' plans at width p.
+func pureAt(p int) []dist.Plan {
+	return []dist.Plan{
+		{Strategy: core.Data, P1: p}, {Strategy: core.Spatial, P2: p}, {Strategy: core.Filter, P2: p},
+		{Strategy: core.Channel, P2: p}, {Strategy: core.Pipeline, P2: p},
+	}
+}
+
 func assertParity(t *testing.T, want *dist.Result, got *dist.Result, err error) {
 	t.Helper()
 	if err != nil {
@@ -50,16 +73,16 @@ func assertParity(t *testing.T, want *dist.Result, got *dist.Result, err error) 
 func TestSpatialMatchesSequentialTiny3D(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 4, 4)
-	seq := dist.RunSequential(m, seed, batches, lr)
-	got, err := dist.RunSpatial(m, seed, batches, lr, 2)
+	seq := serial(t, m, batches)
+	got, err := run(m, batches, dist.Plan{Strategy: core.Spatial, P2: 2})
 	assertParity(t, seq, got, err)
 }
 
 func TestDataMatchesSequentialTiny3D(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 4, 4)
-	seq := dist.RunSequential(m, seed, batches, lr)
-	got, err := dist.RunData(m, seed, batches, lr, 2)
+	seq := serial(t, m, batches)
+	got, err := run(m, batches, dist.Plan{Strategy: core.Data, P1: 2})
 	assertParity(t, seq, got, err)
 }
 
@@ -69,18 +92,11 @@ func TestDataMatchesSequentialTiny3D(t *testing.T) {
 func TestAllStrategiesMatchSequential(t *testing.T) {
 	m := model.TinyCNNNoBN()
 	batches := toyBatches(t, m, 4, 4)
-	seq := dist.RunSequential(m, seed, batches, lr)
-	type run func(*nn.Model, int64, []dist.Batch, float64, int) (*dist.Result, error)
-	for name, fn := range map[string]run{
-		"data":     dist.RunData,
-		"spatial":  dist.RunSpatial,
-		"filter":   dist.RunFilter,
-		"channel":  dist.RunChannel,
-		"pipeline": dist.RunPipeline,
-	} {
-		got, err := fn(m, seed, batches, lr, 2)
+	seq := serial(t, m, batches)
+	for _, pl := range pureAt(2) {
+		got, err := run(m, batches, pl)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", pl, err)
 		}
 		assertParity(t, seq, got, err)
 	}
@@ -92,10 +108,10 @@ func TestAllStrategiesMatchSequential(t *testing.T) {
 func TestSyncBNParity(t *testing.T) {
 	m := model.TinyCNN()
 	batches := toyBatches(t, m, 3, 4)
-	seq := dist.RunSequential(m, seed, batches, lr)
-	gotData, err := dist.RunData(m, seed, batches, lr, 2)
+	seq := serial(t, m, batches)
+	gotData, err := run(m, batches, dist.Plan{Strategy: core.Data, P1: 2})
 	assertParity(t, seq, gotData, err)
-	gotSpatial, err := dist.RunSpatial(m, seed, batches, lr, 2)
+	gotSpatial, err := run(m, batches, dist.Plan{Strategy: core.Spatial, P2: 2})
 	assertParity(t, seq, gotSpatial, err)
 }
 
@@ -105,10 +121,10 @@ func TestSyncBNParity(t *testing.T) {
 func TestHybridsMatchSequential(t *testing.T) {
 	for _, m := range []*nn.Model{model.TinyCNNNoBN(), model.Tiny3D()} {
 		batches := toyBatches(t, m, 4, 4)
-		seq := dist.RunSequential(m, seed, batches, lr)
-		df, err := dist.RunDataFilter(m, seed, batches, lr, 2, 2)
+		seq := serial(t, m, batches)
+		df, err := run(m, batches, dist.Plan{Strategy: core.DataFilter, P1: 2, P2: 2})
 		assertParity(t, seq, df, err)
-		ds, err := dist.RunDataSpatial(m, seed, batches, lr, 2, 2)
+		ds, err := run(m, batches, dist.Plan{Strategy: core.DataSpatial, P1: 2, P2: 2})
 		assertParity(t, seq, ds, err)
 		if df.P != 4 || df.P1 != 2 || df.P2 != 2 {
 			t.Fatalf("%s: df grid %d=%d×%d, want 4=2×2", m.Name, df.P, df.P1, df.P2)
@@ -123,19 +139,19 @@ func TestHybridsMatchSequential(t *testing.T) {
 func TestHybridSyncBNParity(t *testing.T) {
 	m := model.TinyCNN()
 	batches := toyBatches(t, m, 3, 4)
-	seq := dist.RunSequential(m, seed, batches, lr)
-	df, err := dist.RunDataFilter(m, seed, batches, lr, 2, 2)
+	seq := serial(t, m, batches)
+	df, err := run(m, batches, dist.Plan{Strategy: core.DataFilter, P1: 2, P2: 2})
 	assertParity(t, seq, df, err)
-	ds, err := dist.RunDataSpatial(m, seed, batches, lr, 2, 2)
+	ds, err := run(m, batches, dist.Plan{Strategy: core.DataSpatial, P1: 2, P2: 2})
 	assertParity(t, seq, ds, err)
 }
 
 // TestHybridDegenerateEdges: the pure strategies are the p1=1 / p2=1
 // edges of the grid and must agree with the hybrid entry points
-// bit-for-bit. Today the pure runners delegate to the grid engines, so
-// this is a determinism check plus a delegation canary — it becomes
-// load-bearing the day a pure runner is specialized (e.g. for
-// performance) and starts drifting from its grid edge.
+// bit-for-bit. Today the pure registry entries share the grid engines,
+// so this is a determinism check plus a canary — it becomes
+// load-bearing the day a pure strategy gets a specialized engine (e.g.
+// for performance) and starts drifting from its grid edge.
 func TestHybridDegenerateEdges(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 3, 4)
@@ -145,12 +161,12 @@ func TestHybridDegenerateEdges(t *testing.T) {
 		pure       *dist.Result
 		hErr, pErr error
 	}
-	df21, e1 := dist.RunDataFilter(m, seed, batches, lr, 2, 1)
-	data2, e2 := dist.RunData(m, seed, batches, lr, 2)
-	df12, e3 := dist.RunDataFilter(m, seed, batches, lr, 1, 2)
-	filter2, e4 := dist.RunFilter(m, seed, batches, lr, 2)
-	ds12, e5 := dist.RunDataSpatial(m, seed, batches, lr, 1, 2)
-	spatial2, e6 := dist.RunSpatial(m, seed, batches, lr, 2)
+	df21, e1 := run(m, batches, dist.Plan{Strategy: core.DataFilter, P1: 2, P2: 1})
+	data2, e2 := run(m, batches, dist.Plan{Strategy: core.Data, P1: 2})
+	df12, e3 := run(m, batches, dist.Plan{Strategy: core.DataFilter, P1: 1, P2: 2})
+	filter2, e4 := run(m, batches, dist.Plan{Strategy: core.Filter, P2: 2})
+	ds12, e5 := run(m, batches, dist.Plan{Strategy: core.DataSpatial, P1: 1, P2: 2})
+	spatial2, e6 := run(m, batches, dist.Plan{Strategy: core.Spatial, P2: 2})
 	for _, e := range []edge{
 		{"df(2,1)=data(2)", df21, data2, e1, e2},
 		{"df(1,2)=filter(2)", df12, filter2, e3, e4},
@@ -172,10 +188,10 @@ func TestHybridDegenerateEdges(t *testing.T) {
 func TestHybridUnevenGrid(t *testing.T) {
 	m := model.Tiny3D() // min F_l = 4, filters 4 and 8: p2=3 is uneven
 	batches := toyBatches(t, m, 3, 5)
-	seq := dist.RunSequential(m, seed, batches, lr)
-	df, err := dist.RunDataFilter(m, seed, batches, lr, 2, 3) // batch 5 → 3,2
+	seq := serial(t, m, batches)
+	df, err := run(m, batches, dist.Plan{Strategy: core.DataFilter, P1: 2, P2: 3}) // batch 5 → 3,2
 	assertParity(t, seq, df, err)
-	ds, err := dist.RunDataSpatial(m, seed, batches, lr, 3, 2) // batch 5 → 2,2,1
+	ds, err := run(m, batches, dist.Plan{Strategy: core.DataSpatial, P1: 3, P2: 2}) // batch 5 → 2,2,1
 	assertParity(t, seq, ds, err)
 
 	// Synchronized BN over UNEVEN group shards: the count-weighted
@@ -183,10 +199,10 @@ func TestHybridUnevenGrid(t *testing.T) {
 	// sequential arithmetic when the shards differ in size.
 	bn := model.TinyCNN()
 	bnBatches := toyBatches(t, bn, 3, 5) // batch 5 over 2 groups → 3,2
-	bnSeq := dist.RunSequential(bn, seed, bnBatches, lr)
-	bnDf, err := dist.RunDataFilter(bn, seed, bnBatches, lr, 2, 2)
+	bnSeq := serial(t, bn, bnBatches)
+	bnDf, err := run(bn, bnBatches, dist.Plan{Strategy: core.DataFilter, P1: 2, P2: 2})
 	assertParity(t, bnSeq, bnDf, err)
-	bnDs, err := dist.RunDataSpatial(bn, seed, bnBatches, lr, 2, 2)
+	bnDs, err := run(bn, bnBatches, dist.Plan{Strategy: core.DataSpatial, P1: 2, P2: 2})
 	assertParity(t, bnSeq, bnDs, err)
 }
 
@@ -194,16 +210,16 @@ func TestHybridUnevenGrid(t *testing.T) {
 func TestHybridScalingLimits(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 1, 2)
-	if _, err := dist.RunDataFilter(m, seed, batches, lr, 3, 2); err == nil {
+	if _, err := run(m, batches, dist.Plan{Strategy: core.DataFilter, P1: 3, P2: 2}); err == nil {
 		t.Fatal("df: batch 2 over 3 groups must fail")
 	}
-	if _, err := dist.RunDataFilter(m, seed, batches, lr, 2, 5); err == nil {
+	if _, err := run(m, batches, dist.Plan{Strategy: core.DataFilter, P1: 2, P2: 5}); err == nil {
 		t.Fatal("df: p2=5 > min F_l=4 must fail")
 	}
-	if _, err := dist.RunDataSpatial(m, seed, batches, lr, 2, 3); err == nil {
+	if _, err := run(m, batches, dist.Plan{Strategy: core.DataSpatial, P1: 2, P2: 3}); err == nil {
 		t.Fatal("ds: extent-2 activation over 3 slabs must fail")
 	}
-	if _, err := dist.RunDataSpatial(m, seed, batches, lr, 0, 2); err == nil {
+	if _, err := run(m, batches, dist.Plan{Strategy: core.DataSpatial, P1: 0, P2: 2}); err == nil {
 		t.Fatal("ds: p1=0 must fail")
 	}
 }
@@ -213,12 +229,12 @@ func TestHybridScalingLimits(t *testing.T) {
 func TestUnevenPartitions(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 3, 4) // batch 4 over 3 replicas → 2,1,1
-	seq := dist.RunSequential(m, seed, batches, lr)
-	gotData, err := dist.RunData(m, seed, batches, lr, 3)
+	seq := serial(t, m, batches)
+	gotData, err := run(m, batches, dist.Plan{Strategy: core.Data, P1: 3})
 	assertParity(t, seq, gotData, err)
-	gotFilter, err := dist.RunFilter(m, seed, batches, lr, 3) // min F_l = 4
+	gotFilter, err := run(m, batches, dist.Plan{Strategy: core.Filter, P2: 3}) // min F_l = 4
 	assertParity(t, seq, gotFilter, err)
-	gotPipe, err := dist.RunPipeline(m, seed, batches, lr, 3) // 5 layers over 3 stages
+	gotPipe, err := run(m, batches, dist.Plan{Strategy: core.Pipeline, P2: 3}) // 5 layers over 3 stages
 	assertParity(t, seq, gotPipe, err)
 }
 
@@ -227,19 +243,15 @@ func TestUnevenPartitions(t *testing.T) {
 func TestWidthOne(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 2, 2)
-	seq := dist.RunSequential(m, seed, batches, lr)
-	type run func(*nn.Model, int64, []dist.Batch, float64, int) (*dist.Result, error)
-	for name, fn := range map[string]run{
-		"data": dist.RunData, "spatial": dist.RunSpatial, "filter": dist.RunFilter,
-		"channel": dist.RunChannel, "pipeline": dist.RunPipeline,
-	} {
-		got, err := fn(m, seed, batches, lr, 1)
+	seq := serial(t, m, batches)
+	for _, pl := range pureAt(1) {
+		got, err := run(m, batches, pl)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", pl, err)
 		}
 		for i := range seq.Losses {
 			if got.Losses[i] != seq.Losses[i] {
-				t.Fatalf("%s p=1 iter %d: %.17g != sequential %.17g", name, i, got.Losses[i], seq.Losses[i])
+				t.Fatalf("%s iter %d: %.17g != sequential %.17g", pl, i, got.Losses[i], seq.Losses[i])
 			}
 		}
 	}
@@ -250,11 +262,11 @@ func TestWidthOne(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 3, 4)
-	a, err := dist.RunSpatial(m, seed, batches, lr, 2)
+	a, err := run(m, batches, dist.Plan{Strategy: core.Spatial, P2: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dist.RunSpatial(m, seed, batches, lr, 2)
+	b, err := run(m, batches, dist.Plan{Strategy: core.Spatial, P2: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,22 +282,22 @@ func TestDeterminism(t *testing.T) {
 func TestScalingLimits(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 1, 2)
-	if _, err := dist.RunData(m, seed, batches, lr, 3); err == nil {
+	if _, err := run(m, batches, dist.Plan{Strategy: core.Data, P1: 3}); err == nil {
 		t.Fatal("data: batch 2 over 3 replicas must fail")
 	}
-	if _, err := dist.RunSpatial(m, seed, batches, lr, 3); err == nil {
+	if _, err := run(m, batches, dist.Plan{Strategy: core.Spatial, P2: 3}); err == nil {
 		t.Fatal("spatial: extent-2 activation over 3 PEs must fail")
 	}
-	if _, err := dist.RunFilter(m, seed, batches, lr, 5); err == nil {
+	if _, err := run(m, batches, dist.Plan{Strategy: core.Filter, P2: 5}); err == nil {
 		t.Fatal("filter: p=5 > min F_l=4 must fail")
 	}
-	if _, err := dist.RunChannel(m, seed, batches, lr, 5); err == nil {
+	if _, err := run(m, batches, dist.Plan{Strategy: core.Channel, P2: 5}); err == nil {
 		t.Fatal("channel: p=5 > min C_l=4 must fail")
 	}
-	if _, err := dist.RunPipeline(m, seed, batches, lr, 8); err == nil {
+	if _, err := run(m, batches, dist.Plan{Strategy: core.Pipeline, P2: 8}); err == nil {
 		t.Fatal("pipeline: 8 stages for 7 layers must fail")
 	}
-	if _, err := dist.RunData(m, seed, batches, lr, 0); err == nil {
+	if _, err := run(m, batches, dist.Plan{Strategy: core.Data, P1: 0}); err == nil {
 		t.Fatal("p=0 must fail")
 	}
 }
@@ -296,11 +308,11 @@ func TestBatchValidation(t *testing.T) {
 	m := model.Tiny3D()
 	good := toyBatches(t, m, 1, 2)
 	bad := []dist.Batch{{X: good[0].X, Labels: []int{0}}}
-	if _, err := dist.RunData(m, seed, bad, lr, 2); err == nil {
+	if _, err := run(m, bad, dist.Plan{Strategy: core.Data, P1: 2}); err == nil {
 		t.Fatal("label/sample mismatch must fail")
 	}
 	other := model.TinyCNN()
-	if _, err := dist.RunSpatial(other, seed, good, lr, 2); err == nil {
+	if _, err := run(other, good, dist.Plan{Strategy: core.Spatial, P2: 2}); err == nil {
 		t.Fatal("geometry mismatch must fail")
 	}
 }
@@ -417,7 +429,7 @@ func TestMalformedBranchRejected(t *testing.T) {
 		}
 	}
 	batches := toyBatches(t, model.TinyResNet(), 1, 2)
-	if _, err := dist.RunData(m, seed, batches, lr, 1); err == nil ||
+	if _, err := run(m, batches, dist.Plan{Strategy: core.Data, P1: 1}); err == nil ||
 		!strings.Contains(err.Error(), "graph") {
 		t.Fatalf("malformed tap must be rejected with a graph-compile error, got %v", err)
 	}
@@ -438,8 +450,8 @@ func TestSpatialBranchLegality(t *testing.T) {
 	b.FC(6)
 	trunk := b.MustBuild()
 	batches := toyBatches(t, trunk, 2, 4)
-	seq := dist.RunSequential(trunk, seed, batches, lr)
-	got, err := dist.RunSpatial(trunk, seed, batches, lr, 2)
+	seq := serial(t, trunk, batches)
+	got, err := run(trunk, batches, dist.Plan{Strategy: core.Spatial, P2: 2})
 	assertParity(t, seq, got, err)
 
 	// Hand-build a head-resident branch: a full-extent shortcut
@@ -454,7 +466,7 @@ func TestSpatialBranchLegality(t *testing.T) {
 	if err := head.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = dist.RunSpatial(head, seed, toyBatches(t, head, 1, 4), lr, 2)
+	_, err = run(head, toyBatches(t, head, 1, 4), dist.Plan{Strategy: core.Spatial, P2: 2})
 	if err == nil || !strings.Contains(err.Error(), "conv2_shortcut") {
 		t.Fatalf("head-resident branch must be rejected with an error naming it, got %v", err)
 	}

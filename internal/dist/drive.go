@@ -1,0 +1,126 @@
+package dist
+
+import (
+	"paradl/internal/nn"
+	"paradl/internal/tensor"
+	"paradl/internal/trace"
+)
+
+// peCtx is one PE's view of a run: its three communicators on the
+// P1×P2 grid (see runGrid), its replica, its optimizer, and its tracer.
+type peCtx struct {
+	world, group, seg *Comm
+	net               *nn.Network
+	step              *stepper
+	tr                *trace.PE
+}
+
+// stepFunc runs one training iteration — forward, backward with the
+// strategy's exchanges, optimizer step — on this PE's share (x, labels)
+// of the batch, weighted n_g/B in the global loss, and returns the
+// iteration's global loss. Only the engine's result rank must return
+// the real value; the driver reads no other PE's series.
+type stepFunc func(x *tensor.Tensor, labels []int, weight float64) float64
+
+// engine is everything one strategy contributes to a run. Its
+// constructor (the registry entry) has already applied the strategy's
+// Table 3 feasibility checks and computed whatever read-only plan the
+// PEs share; build then runs once on every PE, carving that PE's shards
+// out of its replica and returning the iteration closure together with
+// the ownership table that says which slice of the canonical state the
+// PE ended up holding. Everything else about a run — the loop, fault
+// injection, hooks, checkpoints, tracing of the iteration frame — is
+// drive's, written once.
+type engine struct {
+	// resultRank is the world rank whose loss series the run reports and
+	// on which hooks fire and checkpoints assemble; it lies in group 0,
+	// so it is that PE's group rank too.
+	resultRank int
+	build      func(pe *peCtx) (stepFunc, ownership, error)
+}
+
+// drive executes one validated plan: it spawns the P1×P2 world and
+// runs, on every PE, replica → optimizer → engine build → velocity
+// re-seed (on resume) → one engine step per batch → trace end. This is
+// the only batch loop of the runtime; serial is its 1×1 world.
+func drive(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
+	if err := checkBatches(m, batches, pl.P1); err != nil {
+		return nil, err
+	}
+	entry := registry[pl.Strategy]
+	eng, err := entry.engine(m, pl, entry.label, cfg)
+	if err != nil {
+		return nil, err
+	}
+	losses, err := runGrid(pl.P1, pl.P2, eng.resultRank, func(world, group, seg *Comm) ([]float64, error) {
+		net, err := cfg.replica(m)
+		if err != nil {
+			return nil, err
+		}
+		pe := &peCtx{world: world, group: group, seg: seg, net: net, step: newStepper(cfg), tr: cfg.trace.PE(world.Rank())}
+		iterate, own, err := eng.build(pe)
+		if err != nil {
+			return nil, err
+		}
+		seedVelocities(cfg, pe.step.mom, group.Rank(), own)
+		reports := world.Rank() == eng.resultRank
+		tr := pe.tr
+		out := make([]float64, 0, len(batches))
+		for bi := range batches {
+			tr.Iter(cfg.startIter + bi)
+			// An injected straggle shows up on the trace as idle time.
+			tr.Begin(trace.Idle)
+			cfg.maybeFail(world.Rank(), bi)
+			x, labels, weight := groupShard(&batches[bi], seg.Rank(), pl.P1)
+			loss := iterate(x, labels, weight)
+			out = append(out, loss)
+			if reports {
+				cfg.fire(bi, loss)
+			}
+			if cfg.snapshotDue(bi) {
+				tr.Begin(trace.CheckpointPut)
+				// The groups are bit-identical replicas of the canonical
+				// state, so group 0 alone assembles it, on the result rank.
+				if seg.Rank() == 0 {
+					params, vel := gatherState(group, eng.resultRank, own, pe.step.mom)
+					if reports {
+						cfg.emit(m.Name, bi, out, params, vel)
+					}
+				}
+				// Checkpoint barrier: no PE may start the next iteration
+				// until the snapshot is durable, or a failure injected
+				// just past the boundary could abort the world mid-gather
+				// and lose the checkpoint recovery should resume from.
+				world.AllReduceScalar(0)
+			}
+		}
+		tr.End()
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Strategy: entry.label, P: pl.P1 * pl.P2, P1: pl.P1, P2: pl.P2, Losses: losses}, nil
+}
+
+// serialEngine is the baseline every strategy must match: single-PE
+// training, one optimizer step per batch, on a fresh replica
+// deterministically initialized from the seed. It is the 1×1 world of
+// the driver; the whole state is held by its one rank.
+func serialEngine(*nn.Model, Plan, string, *runConfig) (*engine, error) {
+	return &engine{build: func(pe *peCtx) (stepFunc, ownership, error) {
+		net, tr := pe.net, pe.tr
+		return func(x *tensor.Tensor, labels []int, _ float64) float64 {
+			// The explicit forward/loss/backward/step composition is
+			// TrainStep(With) verbatim (see nn/exec.go), split so each
+			// phase lands on its own span.
+			tr.Begin(trace.ComputeForward)
+			logits, states := net.Forward(x)
+			loss, dLogits := tensor.SoftmaxCrossEntropy(logits, labels)
+			tr.Begin(trace.ComputeBackward)
+			_, grads := net.Backward(dLogits, states)
+			pe.step.stepNet(net, grads)
+			return loss
+		}, wholeOwnership(net), nil
+	}}, nil
+}

@@ -457,6 +457,19 @@ func PlanFromProjection(pr *core.Projection) Plan {
 	}
 }
 
+// Apply is the inverse of PlanFromProjection: it returns cfg laid out
+// on the plan's grid. P is the plan's PE count; P1/P2 are set only for
+// the hybrids — the oracle derives a pure strategy's geometry from P
+// alone and reads a non-zero P1/P2 as an explicit hybrid split. It is
+// the one Plan→Config mapping every measured-vs-projected join uses.
+func (pl Plan) Apply(cfg core.Config) core.Config {
+	cfg.P, cfg.P1, cfg.P2 = pl.P(), 0, 0
+	if axisOf(pl.Strategy) == axisGrid {
+		cfg.P1, cfg.P2 = pl.P1, pl.P2
+	}
+	return cfg
+}
+
 // Migrate trains batches[:switchAt] under plan from, checkpoints at
 // the switch point through the canonical representation, and resumes
 // batches[switchAt:] under plan to — a live plan migration (e.g.

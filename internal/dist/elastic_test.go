@@ -11,6 +11,8 @@ import (
 	"paradl/internal/core"
 	"paradl/internal/dist"
 	"paradl/internal/model"
+	"paradl/internal/nn"
+	"paradl/internal/tensor"
 )
 
 func mustPlan(t *testing.T, s string) dist.Plan {
@@ -22,25 +24,41 @@ func mustPlan(t *testing.T, s string) dist.Plan {
 	return pl
 }
 
-// TestResumeBitIdenticalAllPlans pins the tentpole invariant on every
+// TestResumeBitIdenticalAllPlans pins the elastic invariant on every
 // plan: (1) a checkpointing run is bit-identical to a plain run (the
 // snapshot gathers are pure data movement), and (2) a run restored
 // from the iteration-2 snapshot — after a full wire round-trip —
 // reproduces the remaining losses bit-for-bit, momentum velocities
-// included. Equality here is ==, not a tolerance.
+// included. Equality here is ==, not a tolerance. Then the cross-plan
+// matrix, the guard of the ownership table: same-plan resume passes
+// even when a gather and a seed are wrong in the same way, so (3)
+// every plan's snapshot must BE the canonical state — Params and Vel
+// within 1e-9 of serial's — and (4) resuming each snapshot under each
+// OTHER plan must finish within 1e-6 of the straight serial run. The
+// residual model repeats all four on the DAG executor's sharded
+// branch weights.
 func TestResumeBitIdenticalAllPlans(t *testing.T) {
-	m := model.TinyCNNNoBN()
+	cross := []string{"serial", "data:2", "filter:2", "channel:2", "spatial:2", "pipeline:2", "df:2x2", "ds:2x2", "dp:2x2"}
+	resumeMatrix(t, model.TinyCNNNoBN(), append(cross,
+		"data:4", "spatial:4", "filter:4", "channel:4", "pipeline:4"), cross)
+	t.Run("tinyresnet", func(t *testing.T) { resumeMatrix(t, model.TinyResNet(), cross, cross) })
+}
+
+func resumeMatrix(t *testing.T, m *nn.Model, plans, cross []string) {
 	batches := toyBatches(t, m, 4, 8)
 	opts := []dist.Option{dist.WithSeed(seed), dist.WithLR(lr), dist.WithMomentum(0.9)}
-	plans := []string{
-		"serial",
-		"data:2", "data:4",
-		"spatial:2", "spatial:4",
-		"filter:2", "filter:4",
-		"channel:2", "channel:4",
-		"pipeline:2", "pipeline:4",
-		"df:2x2", "ds:2x2", "dp:2x2",
+	resume := func(t *testing.T, st *ckpt.State, pl dist.Plan) *dist.Result {
+		t.Helper()
+		res, err := dist.Run(m, batches[2:], pl, append(append([]dist.Option(nil), opts...), dist.WithInitState(st))...)
+		if err != nil {
+			t.Fatalf("resuming %s's snapshot under %s: %v", st.Plan, pl, err)
+		}
+		if len(res.Losses) != 2 {
+			t.Fatalf("resumed run produced %d losses, want 2", len(res.Losses))
+		}
+		return res
 	}
+	snaps := map[string]*ckpt.State{}
 	for _, ps := range plans {
 		ps := ps
 		t.Run(ps, func(t *testing.T) {
@@ -84,14 +102,8 @@ func TestResumeBitIdenticalAllPlans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := dist.Run(m, batches[2:], pl,
-				append(append([]dist.Option(nil), opts...), dist.WithInitState(restored))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(resumed.Losses) != 2 {
-				t.Fatalf("resumed run produced %d losses, want 2", len(resumed.Losses))
-			}
+			snaps[ps] = restored
+			resumed := resume(t, restored, pl)
 			for i := range resumed.Losses {
 				if resumed.Losses[i] != straight.Losses[2+i] {
 					t.Fatalf("resume diverged at iter %d: %v vs straight %v (Δ=%g)",
@@ -100,6 +112,58 @@ func TestResumeBitIdenticalAllPlans(t *testing.T) {
 				}
 			}
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	want, err := dist.Run(m, batches, dist.Plan{Strategy: core.Serial}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := snaps["serial"]
+	for _, from := range cross {
+		st := snaps[from]
+		assertStateNear(t, from+" snapshot", st.Params, ref.Params)
+		assertStateNear(t, from+" snapshot velocity", st.Vel, ref.Vel)
+		for _, to := range cross {
+			if to == from {
+				continue
+			}
+			got := resume(t, st, mustPlan(t, to))
+			for i, loss := range got.Losses {
+				if d := math.Abs(loss - want.Losses[2+i]); d > tol || math.IsNaN(d) {
+					t.Fatalf("%s → %s iter %d: loss %v vs straight serial %v (Δ %.3e > %g)", from, to, 2+i, loss, want.Losses[2+i], d, tol)
+				}
+			}
+		}
+	}
+}
+
+// assertStateNear demands two canonical states agree field by field:
+// same presence, same shape, every element within 1e-9.
+func assertStateNear(t *testing.T, what string, got, want []nn.Params) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d layers, want %d", what, len(got), len(want))
+	}
+	for l := range want {
+		g := [4]*tensor.Tensor{got[l].W, got[l].B, got[l].Gamma, got[l].Beta}
+		for f, w := range [4]*tensor.Tensor{want[l].W, want[l].B, want[l].Gamma, want[l].Beta} {
+			if (g[f] == nil) != (w == nil) {
+				t.Fatalf("%s layer %d field %d: present=%v, serial's present=%v", what, l, f, g[f] != nil, w != nil)
+			}
+			if w == nil {
+				continue
+			}
+			if !tensor.EqualShapes(g[f].Shape(), w.Shape()) {
+				t.Fatalf("%s layer %d field %d: shape %v, serial's %v", what, l, f, g[f].Shape(), w.Shape())
+			}
+			for i, v := range w.Data() {
+				if d := math.Abs(g[f].Data()[i] - v); d > 1e-9 || math.IsNaN(d) {
+					t.Fatalf("%s layer %d field %d [%d]: %v vs serial's %v (Δ %.3e)", what, l, f, i, g[f].Data()[i], v, d)
+				}
+			}
+		}
 	}
 }
 
@@ -124,7 +188,7 @@ func TestElasticRecoveryParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			batches := toyBatches(t, m, 4, 8)
-			seq := dist.RunSequential(m, seed, batches, lr)
+			seq := serial(t, m, batches)
 			res, err := dist.RunElastic(m, batches, mustPlan(t, tc.plan),
 				dist.Policy{CkptEvery: 1, MaxRetries: 3, CkptDir: t.TempDir()},
 				dist.WithSeed(seed), dist.WithLR(lr), dist.WithFailAt(3, 2))

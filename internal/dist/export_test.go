@@ -5,24 +5,6 @@ import (
 	"paradl/internal/nn"
 )
 
-// SetRunnerForTest swaps strategy s's registry entry for a stub and
-// returns a restore func. The delegation tests use it to observe that
-// the deprecated Run* shims route through the registry dispatch rather
-// than calling an engine directly.
-func SetRunnerForTest(s core.Strategy, fn func(m *nn.Model, batches []Batch, pl Plan) (*Result, error)) (restore func()) {
-	old, ok := registry[s]
-	registry[s] = func(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
-		return fn(m, batches, pl)
-	}
-	return func() {
-		if ok {
-			registry[s] = old
-		} else {
-			delete(registry, s)
-		}
-	}
-}
-
 // RegistryStrategiesForTest returns the registry's key set (unordered)
 // so the invariant test can pin Strategies() against it.
 func RegistryStrategiesForTest() []core.Strategy {

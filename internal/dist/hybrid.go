@@ -1,10 +1,6 @@
 package dist
 
 import (
-	"fmt"
-
-	"paradl/internal/core"
-	"paradl/internal/nn"
 	"paradl/internal/strategy"
 	"paradl/internal/tensor"
 )
@@ -50,68 +46,9 @@ func groupShard(b *Batch, g, p1 int) (*tensor.Tensor, []int, float64) {
 	total := b.X.Dim(0)
 	sizes, err := strategy.MicroBatches(total, p1)
 	if err != nil {
-		panic(err) // unreachable: checkGrid validated every batch
+		panic(err) // unreachable: checkBatches validated every batch
 	}
 	off := tensor.SplitOffsets(total, p1)[g]
 	n := sizes[g]
 	return b.X.Narrow(0, off, n), b.Labels[off : off+n], float64(n) / float64(total)
-}
-
-// checkGrid validates the common hybrid preconditions: a sane grid
-// shape and at least one sample per group in every batch.
-func checkGrid(m *nn.Model, batches []Batch, p1, p2 int, label string) error {
-	if p1 < 1 || p2 < 1 {
-		return fmt.Errorf("dist: %s needs p1, p2 >= 1, got %d×%d", label, p1, p2)
-	}
-	if err := checkBatches(m, batches); err != nil {
-		return err
-	}
-	for i := range batches {
-		if _, err := strategy.MicroBatches(batches[i].X.Dim(0), p1); err != nil {
-			return fmt.Errorf("dist: batch %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// RunDataFilter executes the df hybrid (§3.6): filter parallelism of
-// width p2 inside each of p1 data-parallel groups. Each group trains on
-// its batch shard with every weighted layer's output channels sharded
-// across the group; the segmented cross-group allreduce then sums each
-// PE's weight-shard gradient over the groups into the global mean
-// gradient. Batch norm is synchronized across segments (one PE per
-// group covers the global batch exactly once), so runs match the
-// sequential baseline even on BN models.
-//
-// Deprecated: use Run with Plan{Strategy: core.DataFilter, P1: p1, P2: p2}.
-func RunDataFilter(m *nn.Model, seed int64, batches []Batch, lr float64, p1, p2 int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.DataFilter, P1: p1, P2: p2}, WithSeed(seed), WithLR(lr))
-}
-
-// RunDataSpatial executes the ds hybrid (§3.6): spatial parallelism of
-// width p2 inside each of p1 data-parallel groups — the paper's
-// CosmoFlow configuration (one sample per node, spatial within the
-// node, Fig. 5). Trunk convolution gradients are partial over each
-// (group, slab) pair and allreduce across the whole world; the
-// replicated classifier head's gradients allreduce across segments;
-// trunk batch norm is synchronized world-wide.
-//
-// Deprecated: use Run with Plan{Strategy: core.DataSpatial, P1: p1, P2: p2}.
-func RunDataSpatial(m *nn.Model, seed int64, batches []Batch, lr float64, p1, p2 int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.DataSpatial, P1: p1, P2: p2}, WithSeed(seed), WithLR(lr))
-}
-
-// RunDataPipeline executes the dp hybrid per the §3.6 grid recipe:
-// GPipe pipeline parallelism of depth p2 inside each of p1
-// data-parallel groups, with segmented cross-group gradient exchange —
-// stage k of every group holds the same layers, so segment k's
-// allreduce sums the per-group stage gradients into the global mean
-// gradient. Batch-norm statistics are per-microbatch per-group (the
-// GPipe semantics), so value parity vs the sequential baseline holds
-// for BN-free models, like pure pipeline parallelism.
-//
-// Deprecated: use Run with Plan{Strategy: core.DataPipeline, P1: p1, P2: p2};
-// this wrapper exists only for symmetry with the other grid shims.
-func RunDataPipeline(m *nn.Model, seed int64, batches []Batch, lr float64, p1, p2 int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.DataPipeline, P1: p1, P2: p2}, WithSeed(seed), WithLR(lr))
 }

@@ -17,6 +17,15 @@ import (
 // being packed (push).
 const defaultBucketBytes = 256 << 10
 
+// BenchOverlapBucketBytes is the gradient-bucket size every toy-scale
+// overlap A/B surface pins (the -measured table, the PHASES artefact,
+// paradl -train -overlap, the trace/overlap tests). The default 256 KiB
+// bucket targets real-model-scale gradients and never fills on the toy
+// zoo (~84 KB of gradients), so at the default the on/off pair would
+// compare identical executions; 8 KiB forces buckets to fill
+// mid-backward, so the A/B isolates exactly the nonblocking launch.
+const BenchOverlapBucketBytes = 8 << 10
+
 // gradExchanger is the bucketed gradient exchange every engine's
 // cross-group allreduce goes through. Gradients are pushed in backward
 // order (layer l's gradients as soon as its backward completes); full
@@ -51,7 +60,9 @@ type flight struct {
 // newGradExchanger returns the exchanger of one PE for the given
 // communicator, or nil when the communicator is singleton — gradients
 // are already global there, exactly as the blocking AllReduceSum's p=1
-// identity made them before.
+// identity made them before. Like a nil trace.PE, a nil exchanger is
+// usable: push, pushGrads and drain are no-ops on it, so engine code
+// never asks whether its segment is wider than one.
 func newGradExchanger(c *Comm, cfg *runConfig) *gradExchanger {
 	if c.Size() == 1 {
 		return nil
@@ -60,7 +71,7 @@ func newGradExchanger(c *Comm, cfg *runConfig) *gradExchanger {
 	if bb < 1 {
 		bb = 1 // flush every tensor by itself
 	}
-	return &gradExchanger{c: c, overlap: cfg.overlap, bucketBytes: bb, tr: cfg.tracer(c.WorldRank())}
+	return &gradExchanger{c: c, overlap: cfg.overlap, bucketBytes: bb, tr: cfg.trace.PE(c.WorldRank())}
 }
 
 // push queues gradient tensors for exchange, flushing the bucket
@@ -70,6 +81,9 @@ func newGradExchanger(c *Comm, cfg *runConfig) *gradExchanger {
 // be dead to the caller until drain returns: the exchange owns their
 // values and rewrites their data in place with the reduced result.
 func (ex *gradExchanger) push(ts ...*tensor.Tensor) {
+	if ex == nil {
+		return
+	}
 	for _, t := range ts {
 		if t == nil {
 			continue
@@ -143,6 +157,9 @@ func (ex *gradExchanger) flush(async bool) {
 // would be pure overhead — waits every in-flight collective, and
 // unpacks each reduced bucket back into its gradient tensors.
 func (ex *gradExchanger) drain() {
+	if ex == nil {
+		return
+	}
 	ex.flush(false)
 	prev := ex.tr.Begin(trace.CollectiveWait)
 	for _, fl := range ex.flights {

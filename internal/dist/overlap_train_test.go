@@ -132,7 +132,7 @@ func TestExchangerTrainingOversizedGradient(t *testing.T) {
 	b.FC(10)
 	m := b.MustBuild()
 	batches := toyBatches(t, m, 3, 8)
-	seq := dist.RunSequential(m, seed, batches, lr)
+	seq := serial(t, m, batches)
 	for _, bb := range []int{1, 4 << 10, 256 << 10} {
 		for _, pl := range []dist.Plan{
 			{Strategy: core.Data, P1: 2},

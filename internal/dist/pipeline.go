@@ -11,43 +11,35 @@ import (
 	"paradl/internal/trace"
 )
 
-// RunPipeline executes layer/pipeline parallelism (§3.3): the network is
-// cut into p contiguous stages, each owned exclusively by one PE, and a
-// batch flows through as microbatches GPipe-style — all microbatches
+// dataPipelineEngine is the shared engine behind the pipeline (p1=1)
+// and data+pipeline registry entries.
+//
+// Layer/pipeline parallelism (§3.3): the network is cut into p2
+// contiguous stages, each held exclusively by one PE of the group, and
+// a batch flows through as microbatches GPipe-style — all microbatches
 // forward, then a backward flush in reverse order, then one local SGD
 // step per stage. Activations and activation gradients are the only
-// traffic, point-to-point between neighbouring stages; weights are never
-// exchanged because no two PEs share a layer.
+// traffic within a group, point-to-point between neighbouring stages;
+// weights are never exchanged because no two PEs of a group share a
+// layer.
 //
-// Microbatch gradients are scaled by n_mb/B before the backward pass, so
-// their sum is exactly the full-batch mean gradient. Per-iteration
-// losses therefore match the sequential baseline up to summation
-// reassociation for models without batch norm; BN statistics are
-// per-microbatch (the GPipe semantics), which is a genuine semantic
-// deviation the correctness harness documents rather than hides. It is
-// the p1=1 edge of the data×pipeline grid.
+// Microbatch gradients are scaled by n_mb/B (the GLOBAL batch) before
+// the backward pass, so their sum is exactly the group's contribution
+// to the full-batch mean gradient. Per-iteration losses therefore match
+// the sequential baseline up to summation reassociation for models
+// without batch norm; BN statistics are per-microbatch per-group (the
+// GPipe semantics), which is a genuine semantic deviation the
+// correctness harness documents rather than hides.
 //
-// Deprecated: use Run with Plan{Strategy: core.Pipeline, P2: p}.
-func RunPipeline(m *nn.Model, seed int64, batches []Batch, lr float64, p int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.Pipeline, P2: p}, WithSeed(seed), WithLR(lr))
-}
-
-// runDataPipeline is the shared engine behind the pipeline (p1=1) and
-// data+pipeline registry entries — the §3.6 grid recipe applied to
-// GPipe stages: each of p1 data-parallel groups pipelines its own batch
-// shard through p2 stages, and the p2 segmented cross-groups — {stage k
-// of every group}, which hold identical layer ranges — carry the
-// data-parallel gradient exchange. Per-microbatch gradients are
-// pre-scaled by n_mb/B (the GLOBAL batch), so each stage's accumulated
-// gradient is exactly its group's contribution to the full-batch mean
-// gradient and the segment exchange is a plain sum.
-func runDataPipeline(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, label string) (*Result, error) {
-	g := m.G()
-	if p2 < 1 || p2 > g {
+// The dp hybrid is the §3.6 grid recipe applied to GPipe stages: each
+// of p1 data-parallel groups pipelines its own batch shard through p2
+// stages, and the p2 segmented cross-groups — {stage k of every group},
+// which hold identical layer ranges — carry the data-parallel gradient
+// exchange as a plain sum.
+func dataPipelineEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*engine, error) {
+	g, p2 := m.G(), pl.P2
+	if p2 > g {
 		return nil, fmt.Errorf("dist: %s needs 1 <= p2 <= G=%d stages, got p2=%d", label, g, p2)
-	}
-	if err := checkGrid(m, batches, p1, p2, label); err != nil {
-		return nil, err
 	}
 	gph, err := nn.CompileGraph(m)
 	if err != nil {
@@ -58,58 +50,31 @@ func runDataPipeline(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, l
 		return nil, err
 	}
 	stages := strategy.ContiguousStages(bounds)
-	resultRank := p2 - 1 // group 0's last stage: the first PE to own a global loss
-	losses, err := runGrid(p1, p2, resultRank, func(world, group, seg *Comm) ([]float64, error) {
-		net, err := cfg.replica(m)
-		if err != nil {
-			return nil, err
+	// Group 0's last stage reports: the first PE to own a global loss.
+	return &engine{resultRank: p2 - 1, build: func(pe *peCtx) (stepFunc, ownership, error) {
+		ex := newGradExchanger(pe.seg, cfg)
+		own := wholeOwnership(pe.net)
+		for _, st := range stages {
+			for l := st.Start; l < st.End; l++ {
+				for f := range own[l] {
+					own[l][f].how, own[l][f].stage = oneStage, st.PE
+				}
+			}
 		}
-		step := newStepper(cfg)
-		seedStageVelocities(cfg, step.mom, net, stages[group.Rank()])
-		ex := newGradExchanger(seg, cfg)
-		st := stages[group.Rank()]
-		lastStage := group.Rank() == group.Size()-1
-		tr := cfg.tracer(world.Rank())
-		out := make([]float64, 0, len(batches))
-		for bi := range batches {
-			tr.Iter(cfg.startIter + bi)
-			tr.Begin(trace.Idle)
-			cfg.maybeFail(world.Rank(), bi)
-			x, labels, weight := groupShard(&batches[bi], seg.Rank(), p1)
-			loss := dataPipelineStep(group, seg, ex, net, st, x, labels, weight, step, tr)
+		st := stages[pe.group.Rank()]
+		lastStage := pe.group.Rank() == p2-1
+		return func(x *tensor.Tensor, labels []int, weight float64) float64 {
+			loss := dataPipelineStep(pe, ex, st, x, labels, weight)
 			if lastStage {
 				// The last-stage segment sums the per-group weighted
 				// losses into the global mean loss.
-				tr.Begin(trace.CollectiveWait)
-				loss = seg.AllReduceScalar(loss)
-				tr.Begin(trace.ComputeBackward)
-				out = append(out, loss)
-				if world.Rank() == resultRank {
-					cfg.fire(bi, loss)
-				}
+				pe.tr.Begin(trace.CollectiveWait)
+				loss = pe.seg.AllReduceScalar(loss)
+				pe.tr.Begin(trace.ComputeBackward)
 			}
-			if cfg.snapshotDue(bi) {
-				tr.Begin(trace.CheckpointPut)
-				if seg.Rank() == 0 {
-					// Group 0 (the groups are bit-identical replicas) streams
-					// every stage's owned layers to its last stage — the
-					// result rank, which also owns the loss series.
-					params, vel := gatherPipelineState(group, net, stages, step.mom)
-					if world.Rank() == resultRank {
-						cfg.emit(m.Name, bi, out, params, vel)
-					}
-				}
-				// Checkpoint barrier — see runDataFilter.
-				world.AllReduceScalar(0)
-			}
-		}
-		tr.End()
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Strategy: label, P: p1 * p2, P1: p1, P2: p2, Losses: losses}, nil
+			return loss
+		}, own, nil
+	}}, nil
 }
 
 // balanceStages splits the G layers into p contiguous groups via the
@@ -200,7 +165,8 @@ func abs(x int) int {
 // exchange is bucketed (ex): a layer's accumulated gradient is final
 // once the LAST microbatch's backward has passed it, so it enters the
 // segment exchange right there, overlapping the rest of the flush.
-func dataPipelineStep(c, seg *Comm, ex *gradExchanger, net *nn.Network, st strategy.PipelineStage, x *tensor.Tensor, labels []int, weight float64, step *stepper, tr *trace.PE) float64 {
+func dataPipelineStep(pe *peCtx, ex *gradExchanger, st strategy.PipelineStage, x *tensor.Tensor, labels []int, weight float64) float64 {
+	c, net, step, tr := pe.group, pe.net, pe.step, pe.tr
 	rank, p := c.Rank(), c.Size()
 	total := x.Dim(0)
 	nm := min(p, total)
@@ -265,7 +231,7 @@ func dataPipelineStep(c, seg *Comm, ex *gradExchanger, net *nn.Network, st strat
 		dy = gph.BackwardRange(st.Start, st.End, dy, func(l int, d *tensor.Tensor) *tensor.Tensor {
 			dx, g := net.BackwardLayer(l, d, states[mb][l-st.Start])
 			accumulateGrads(&acc[l-st.Start], g)
-			if mb == 0 && ex != nil {
+			if mb == 0 {
 				// The reverse-order flush visits microbatch 0 last, so
 				// this layer's accumulation is complete: its exchange can
 				// launch while the flush continues below it.
@@ -285,9 +251,7 @@ func dataPipelineStep(c, seg *Comm, ex *gradExchanger, net *nn.Network, st strat
 	// per-group contributions into the global mean gradient; drain is
 	// the pre-step barrier. With p1=1 — pure pipeline — the segment is
 	// singleton, ex is nil, and there is no exchange at all.
-	if ex != nil {
-		ex.drain()
-	}
+	ex.drain()
 
 	// This stage owns its layers exclusively within the group: step them
 	// locally.

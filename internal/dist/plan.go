@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -63,15 +64,6 @@ func axisOf(s core.Strategy) planAxis {
 	default:
 		return axisP2
 	}
-}
-
-// widthPlan places width p on pure strategy s's free axis; hybrids take
-// an explicit grid and must be built literally.
-func widthPlan(s core.Strategy, p int) Plan {
-	if axisOf(s) == axisP1 {
-		return Plan{Strategy: s, P1: p}
-	}
-	return Plan{Strategy: s, P2: p}
 }
 
 // normalized fills only the axes a pure strategy pins to 1 anyway; the
@@ -153,10 +145,11 @@ func (pl *Plan) UnmarshalText(b []byte) error {
 }
 
 // Validate rejects plans the registry cannot dispatch: unknown or
-// unregistered strategies, non-positive grid axes, and pure strategies
-// whose degenerate axis is not 1 (e.g. Plan{Strategy: Data, P2: 3}).
-// Width-vs-model limits (Table 3) are checked later by the runner,
-// which knows the model.
+// unregistered strategies, non-positive grid axes, grids whose PE count
+// P1·P2 does not fit an int (so P() >= 1 for every valid plan), and
+// pure strategies whose degenerate axis is not 1 (e.g. Plan{Strategy:
+// Data, P2: 3}). Width-vs-model limits (Table 3) are checked later by
+// the engine, which knows the model.
 func (pl Plan) Validate() error {
 	pl = pl.normalized()
 	if _, ok := registry[pl.Strategy]; !ok {
@@ -164,6 +157,9 @@ func (pl Plan) Validate() error {
 	}
 	if pl.P1 < 1 || pl.P2 < 1 {
 		return fmt.Errorf("dist: plan %v needs positive grid axes, got %d×%d", pl.Strategy, pl.P1, pl.P2)
+	}
+	if pl.P1 > math.MaxInt/pl.P2 {
+		return fmt.Errorf("dist: plan %v grid %d×%d overflows the PE count", pl.Strategy, pl.P1, pl.P2)
 	}
 	switch axisOf(pl.Strategy) {
 	case axisNone:

@@ -1,12 +1,10 @@
-// Tests for the plan-driven API: ParsePlan/String round-trips, registry
-// dispatch (every deprecated shim routes through Run), and the
-// correctness of the new plan-only capabilities — the data×pipeline
-// hybrid, momentum, per-iteration hooks, and the footnote-2
-// reduce-scatter backward.
+// Tests for the plan-driven API: ParsePlan/String round-trips, the
+// Plan⇄Config mapping, registry coverage, and the correctness of the
+// plan-only capabilities — the data×pipeline hybrid, momentum,
+// per-iteration hooks, and the footnote-2 reduce-scatter backward.
 package dist_test
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -56,6 +54,33 @@ func TestPlanRoundTripParity(t *testing.T) {
 	}
 }
 
+// TestPlanConfigRoundTrip pins the one Plan→Config mapping against its
+// inverse: for every plan the sweep enumerates up to p=16, projecting
+// pl.Apply(cfg) and mapping the projection back yields pl again — so
+// the measured-vs-projected joins (report, measure, workload, serve)
+// price exactly the grid the runtime executes.
+func TestPlanConfigRoundTrip(t *testing.T) {
+	base, err := core.ConfigRef{Model: "resnet50", D: 1 << 20, B: 512, P: 1}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 1; p <= 16; p++ {
+		for _, pl := range dist.SweepPlans(p) {
+			cfg := pl.Apply(base)
+			if cfg.P != p {
+				t.Fatalf("%s: Apply set P=%d, want %d", pl, cfg.P, p)
+			}
+			pr, err := core.Project(cfg, pl.Strategy)
+			if err != nil {
+				t.Fatalf("%s: %v", pl, err)
+			}
+			if got := dist.PlanFromProjection(pr); got.Validate() != nil || got.String() != pl.String() {
+				t.Fatalf("PlanFromProjection(Project(%s.Apply(cfg))) = %+v", pl, got)
+			}
+		}
+	}
+}
+
 // TestStrategiesMatchRegistry: the curated Strategies() order and the
 // registry key set never drift apart — a strategy added to one must be
 // added to the other, or the round-trip property test above would
@@ -82,19 +107,20 @@ func TestStrategiesMatchRegistry(t *testing.T) {
 
 func TestParsePlanRejectsInvalid(t *testing.T) {
 	for _, s := range []string{
-		"",            // no strategy
-		"quantum:2",   // unknown strategy
-		"df:3x0",      // zero grid axis
-		"df:0x3",      // zero grid axis
-		"dp:2x-1",     // negative axis
-		"df:4",        // hybrid without explicit grid
-		"data:2x2",    // pure strategy with a grid
-		"serial:2",    // serial wider than 1
-		"data:0",      // zero width
-		"data:x",      // not a number
-		"data:2.5",    // not an integer
-		"ds:2x2x2",    // malformed grid
-		"pipeline:],", // garbage width
+		"",                         // no strategy
+		"quantum:2",                // unknown strategy
+		"df:3x0",                   // zero grid axis
+		"df:0x3",                   // zero grid axis
+		"dp:2x-1",                  // negative axis
+		"df:4",                     // hybrid without explicit grid
+		"data:2x2",                 // pure strategy with a grid
+		"serial:2",                 // serial wider than 1
+		"data:0",                   // zero width
+		"data:x",                   // not a number
+		"data:2.5",                 // not an integer
+		"ds:2x2x2",                 // malformed grid
+		"pipeline:],",              // garbage width
+		"df:4294967296x4294967296", // P1·P2 wraps to 0
 	} {
 		if pl, err := dist.ParsePlan(s); err == nil {
 			t.Fatalf("ParsePlan(%q) = %+v, want error", s, pl)
@@ -104,11 +130,12 @@ func TestParsePlanRejectsInvalid(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 1, 2)
 	for _, pl := range []dist.Plan{
-		{Strategy: core.Strategy(99), P1: 1, P2: 1}, // unregistered
-		{Strategy: core.Data, P1: 0, P2: 1},         // explicit zero width
-		{Strategy: core.Data, P1: 2, P2: 3},         // data width on the wrong axis
-		{Strategy: core.Filter, P1: 2, P2: 2},       // filter needs P1=1
-		{Strategy: core.DataFilter, P1: -2, P2: 2},  // negative axis
+		{Strategy: core.Strategy(99), P1: 1, P2: 1},           // unregistered
+		{Strategy: core.Data, P1: 0, P2: 1},                   // explicit zero width
+		{Strategy: core.Data, P1: 2, P2: 3},                   // data width on the wrong axis
+		{Strategy: core.Filter, P1: 2, P2: 2},                 // filter needs P1=1
+		{Strategy: core.DataFilter, P1: -2, P2: 2},            // negative axis
+		{Strategy: core.DataFilter, P1: 1 << 32, P2: 1 << 32}, // P1·P2 overflows int
 	} {
 		if err := pl.Validate(); err == nil {
 			t.Fatalf("Validate(%+v) must fail", pl)
@@ -119,92 +146,13 @@ func TestParsePlanRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestShimRegistryDelegation: every deprecated Run* shim must reach its
-// strategy's registry entry — swapping the entry for a stub must be
-// observable through the shim (the "single dispatch path" criterion).
-func TestShimRegistryDelegation(t *testing.T) {
-	m := model.Tiny3D()
-	batches := toyBatches(t, m, 1, 4)
-	type shim struct {
-		s    core.Strategy
-		call func() (*dist.Result, error)
-	}
-	shims := []shim{
-		{core.Serial, func() (*dist.Result, error) { return dist.RunSequential(m, seed, batches, lr), nil }},
-		{core.Data, func() (*dist.Result, error) { return dist.RunData(m, seed, batches, lr, 2) }},
-		{core.Spatial, func() (*dist.Result, error) { return dist.RunSpatial(m, seed, batches, lr, 2) }},
-		{core.Filter, func() (*dist.Result, error) { return dist.RunFilter(m, seed, batches, lr, 2) }},
-		{core.Channel, func() (*dist.Result, error) { return dist.RunChannel(m, seed, batches, lr, 2) }},
-		{core.Pipeline, func() (*dist.Result, error) { return dist.RunPipeline(m, seed, batches, lr, 2) }},
-		{core.DataFilter, func() (*dist.Result, error) { return dist.RunDataFilter(m, seed, batches, lr, 2, 2) }},
-		{core.DataSpatial, func() (*dist.Result, error) { return dist.RunDataSpatial(m, seed, batches, lr, 2, 2) }},
-		{core.DataPipeline, func() (*dist.Result, error) { return dist.RunDataPipeline(m, seed, batches, lr, 2, 2) }},
-	}
-	for _, sh := range shims {
-		sentinel := fmt.Sprintf("stub:%v", sh.s)
-		restore := dist.SetRunnerForTest(sh.s, func(_ *nn.Model, _ []dist.Batch, pl dist.Plan) (*dist.Result, error) {
-			return &dist.Result{Strategy: sentinel, P: pl.P()}, nil
-		})
-		got, err := sh.call()
-		restore()
-		if err != nil {
-			t.Fatalf("%v shim: %v", sh.s, err)
-		}
-		if got.Strategy != sentinel {
-			t.Fatalf("%v shim bypassed the registry: got %q, want %q", sh.s, got.Strategy, sentinel)
-		}
-	}
-}
-
-// TestShimsMatchPlanRunBitForBit: each deprecated shim and the
-// equivalent Run(plan) call are the same computation — identical loss
-// bits, not merely within tolerance.
-func TestShimsMatchPlanRunBitForBit(t *testing.T) {
-	m := model.Tiny3D()
-	batches := toyBatches(t, m, 3, 4)
-	opts := []dist.Option{dist.WithSeed(seed), dist.WithLR(lr)}
-	type pair struct {
-		name string
-		plan dist.Plan
-		shim func() (*dist.Result, error)
-	}
-	for _, pr := range []pair{
-		{"sequential", dist.Plan{Strategy: core.Serial}, func() (*dist.Result, error) { return dist.RunSequential(m, seed, batches, lr), nil }},
-		{"data", dist.Plan{Strategy: core.Data, P1: 3}, func() (*dist.Result, error) { return dist.RunData(m, seed, batches, lr, 3) }},
-		{"spatial", dist.Plan{Strategy: core.Spatial, P2: 2}, func() (*dist.Result, error) { return dist.RunSpatial(m, seed, batches, lr, 2) }},
-		{"filter", dist.Plan{Strategy: core.Filter, P2: 3}, func() (*dist.Result, error) { return dist.RunFilter(m, seed, batches, lr, 3) }},
-		{"channel", dist.Plan{Strategy: core.Channel, P2: 2}, func() (*dist.Result, error) { return dist.RunChannel(m, seed, batches, lr, 2) }},
-		{"pipeline", dist.Plan{Strategy: core.Pipeline, P2: 3}, func() (*dist.Result, error) { return dist.RunPipeline(m, seed, batches, lr, 3) }},
-		{"df", dist.Plan{Strategy: core.DataFilter, P1: 2, P2: 2}, func() (*dist.Result, error) { return dist.RunDataFilter(m, seed, batches, lr, 2, 2) }},
-		{"ds", dist.Plan{Strategy: core.DataSpatial, P1: 2, P2: 2}, func() (*dist.Result, error) { return dist.RunDataSpatial(m, seed, batches, lr, 2, 2) }},
-		{"dp", dist.Plan{Strategy: core.DataPipeline, P1: 2, P2: 2}, func() (*dist.Result, error) { return dist.RunDataPipeline(m, seed, batches, lr, 2, 2) }},
-	} {
-		want, err := dist.Run(m, batches, pr.plan, opts...)
-		if err != nil {
-			t.Fatalf("%s: Run: %v", pr.name, err)
-		}
-		got, err := pr.shim()
-		if err != nil {
-			t.Fatalf("%s: shim: %v", pr.name, err)
-		}
-		if len(got.Losses) != len(want.Losses) {
-			t.Fatalf("%s: %d losses vs %d", pr.name, len(got.Losses), len(want.Losses))
-		}
-		for i := range want.Losses {
-			if got.Losses[i] != want.Losses[i] {
-				t.Fatalf("%s iter %d: shim %.17g != Run %.17g", pr.name, i, got.Losses[i], want.Losses[i])
-			}
-		}
-	}
-}
-
 // TestDataPipelineParity is the dp acceptance criterion: GPipe stage
 // groups under segmented gradient exchange reproduce sequential SGD at
 // ≤1e-6 on the tiny zoo for p1×p2 ∈ {2×2, 2×3}.
 func TestDataPipelineParity(t *testing.T) {
 	for _, m := range []*nn.Model{model.TinyCNNNoBN(), model.Tiny3D()} {
 		batches := toyBatches(t, m, 4, 4)
-		seq := dist.RunSequential(m, seed, batches, lr)
+		seq := serial(t, m, batches)
 		for _, grid := range [][2]int{{2, 2}, {2, 3}} {
 			pl := dist.Plan{Strategy: core.DataPipeline, P1: grid[0], P2: grid[1]}
 			got, err := dist.Run(m, batches, pl, dist.WithSeed(seed), dist.WithLR(lr))
@@ -222,7 +170,7 @@ func TestDataPipelineParity(t *testing.T) {
 func TestDataPipelineUnevenParity(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 3, 5)
-	seq := dist.RunSequential(m, seed, batches, lr)
+	seq := serial(t, m, batches)
 	got, err := dist.Run(m, batches, dist.Plan{Strategy: core.DataPipeline, P1: 2, P2: 3},
 		dist.WithSeed(seed), dist.WithLR(lr))
 	assertParity(t, seq, got, err)
@@ -233,7 +181,7 @@ func TestDataPipelineUnevenParity(t *testing.T) {
 func TestDataPipelineDegenerateEdge(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 3, 4)
-	pure, err := dist.RunPipeline(m, seed, batches, lr, 3)
+	pure, err := run(m, batches, dist.Plan{Strategy: core.Pipeline, P2: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +227,7 @@ func TestFootnote2ReduceScatterParity(t *testing.T) {
 		{"df:2x2", dist.Plan{Strategy: core.DataFilter, P1: 2, P2: 2}},
 	} {
 		batches := toyBatches(t, m, 3, 4)
-		seq := dist.RunSequential(m, seed, batches, lr)
+		seq := serial(t, m, batches)
 		rs, err := dist.Run(m, batches, tc.pl, dist.WithSeed(seed), dist.WithLR(lr))
 		assertParity(t, seq, rs, err)
 		ar, err := dist.Run(m, batches, tc.pl, dist.WithSeed(seed), dist.WithLR(lr),
@@ -314,7 +262,7 @@ func TestMomentumParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := dist.RunSequential(m, seed, batches, lr)
+	plain := serial(t, m, batches)
 	same := true
 	for i := range seq.Losses {
 		if seq.Losses[i] != plain.Losses[i] {

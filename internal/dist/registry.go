@@ -12,9 +12,8 @@ import (
 )
 
 // runConfig carries every knob of one training run. It is assembled
-// only by Run from the functional options below; the deprecated Run*
-// shims translate their positional arguments into options and delegate
-// to Run, so every entry path feeds the engines identically.
+// only by Run from the functional options below, so every entry path
+// feeds the driver and the engines identically.
 type runConfig struct {
 	seed     int64
 	lr       float64
@@ -205,19 +204,13 @@ func (c *runConfig) fire(iter int, loss float64) {
 	}
 }
 
-// tracer returns the configured recorder's tracer for one world rank —
-// nil (the free disabled tracer) when tracing is off.
-func (c *runConfig) tracer(worldRank int) *trace.PE {
-	return c.trace.PE(worldRank)
-}
-
 // maybeFail panics with a *PEFailure when this PE is the configured
 // casualty of global iteration startIter+bi. It runs at the top of the
 // iteration body, before any collective: the victim dies cleanly while
 // its peers are already (or soon) blocked in exchanges, so the world
 // observes a mid-iteration loss and aborts. An injected straggle shows
-// up on the trace as idle time (the engines open an idle span around
-// this call).
+// up on the trace as idle time (drive opens an idle span around this
+// call).
 func (c *runConfig) maybeFail(worldRank, bi int) {
 	if d, ok := c.delays[delayPoint{worldRank, c.startIter + bi}]; ok {
 		time.Sleep(d) // straggle first: a slow node can still die
@@ -296,45 +289,33 @@ func (s *stepper) stepNet(net *nn.Network, grads []nn.Grads) {
 	net.Step(grads, s.lr)
 }
 
-// runnerFunc executes one normalized, validated plan.
-type runnerFunc func(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error)
+// engineFunc applies one strategy's Table 3 feasibility checks to a
+// normalized, validated plan and returns the engine drive will run;
+// label is the Result.Strategy name, which the checks quote.
+type engineFunc func(m *nn.Model, pl Plan, label string, cfg *runConfig) (*engine, error)
 
-// registry maps every executable strategy to its runner. The pure
-// strategies are registered as the degenerate edges of the grid engines
-// they share with the hybrids — data is the P2=1 edge of the
-// data×filter grid, filter/spatial/pipeline the P1=1 edges of their
-// grids — so a new strategy lands as one entry here, not a new export.
-var registry = map[core.Strategy]runnerFunc{
-	core.Serial: func(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
-		return runSequential(m, batches, cfg)
-	},
-	core.Data: func(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
-		return runDataFilter(m, batches, cfg, pl.P1, 1, "data")
-	},
-	core.Filter: func(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
-		return runDataFilter(m, batches, cfg, 1, pl.P2, "filter")
-	},
-	core.Spatial: func(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
-		return runDataSpatial(m, batches, cfg, 1, pl.P2, "spatial")
-	},
-	core.Channel: func(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
-		return runChannel(m, batches, cfg, pl.P2)
-	},
-	core.Pipeline: func(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
-		return runDataPipeline(m, batches, cfg, 1, pl.P2, "pipeline")
-	},
-	core.DataFilter: func(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
-		return runDataFilter(m, batches, cfg, pl.P1, pl.P2, "data+filter")
-	},
-	core.DataSpatial: func(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
-		return runDataSpatial(m, batches, cfg, pl.P1, pl.P2, "data+spatial")
-	},
-	core.DataPipeline: func(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
-		return runDataPipeline(m, batches, cfg, pl.P1, pl.P2, "data+pipeline")
-	},
+// registry maps every executable strategy to its Result label and its
+// engine. The pure strategies are registered as the degenerate edges of
+// the grid engines they share with the hybrids — data is the P2=1 edge
+// of the data×filter grid, filter/spatial/pipeline the P1=1 edges of
+// their grids, serial the 1×1 world — so a new strategy lands as one
+// entry here, not a new export.
+var registry = map[core.Strategy]struct {
+	label  string
+	engine engineFunc
+}{
+	core.Serial:       {"sequential", serialEngine},
+	core.Data:         {"data", dataFilterEngine},
+	core.Filter:       {"filter", dataFilterEngine},
+	core.Spatial:      {"spatial", dataSpatialEngine},
+	core.Channel:      {"channel", channelEngine},
+	core.Pipeline:     {"pipeline", dataPipelineEngine},
+	core.DataFilter:   {"data+filter", dataFilterEngine},
+	core.DataSpatial:  {"data+spatial", dataSpatialEngine},
+	core.DataPipeline: {"data+pipeline", dataPipelineEngine},
 }
 
-// Strategies lists every strategy with a registered runner, in plan
+// Strategies lists every strategy with a registered engine, in plan
 // order: the serial baseline, the five pure strategies, then the grid
 // hybrids. (core.Strategies lists the PROJECTABLE set; the two differ
 // exactly by Serial, the baseline only the runtime executes — dp is
@@ -347,11 +328,11 @@ func Strategies() []core.Strategy {
 }
 
 // Run executes a training run described by a Plan: it validates the
-// plan, looks up the strategy's runner in the registry, and dispatches
-// with the options applied. This is the single entry point of the
-// runtime — the advisor, the CLI, and the deprecated per-strategy
-// shims all converge here, so a strategy choice can be a runtime value
-// rather than a function name.
+// plan and hands it, with the options applied, to the step driver,
+// which looks the strategy's engine up in the registry. This is the
+// single entry point of the runtime — the advisor, the CLI and the
+// elastic supervisor all converge here, so a strategy choice is a
+// runtime value rather than a function name.
 func Run(m *nn.Model, batches []Batch, pl Plan, opts ...Option) (*Result, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -370,5 +351,5 @@ func Run(m *nn.Model, batches []Batch, pl Plan, opts ...Option) (*Result, error)
 			return nil, fmt.Errorf("dist: checkpoint has %d layers, model %q has %d", len(st.Params), m.Name, m.G())
 		}
 	}
-	return registry[pl.Strategy](m, batches, pl, &cfg)
+	return drive(m, batches, pl, &cfg)
 }

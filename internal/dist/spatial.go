@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"paradl/internal/core"
 	"paradl/internal/nn"
 	"paradl/internal/strategy"
 	"paradl/internal/tensor"
@@ -187,29 +186,29 @@ func zeroAxis(pad []int) []int {
 	return out
 }
 
-// RunSpatial executes spatial parallelism (§3.2): every PE owns a
-// contiguous slab of the first spatial dimension of every activation,
-// convolutions and poolings exchange halo rows with their neighbours,
-// and the slabs are aggregated (Allgather) before the classifier head,
-// which runs replicated — the aggregation point of §4.5.1. Trunk weight
-// gradients are partial sums over each PE's output rows and are
-// Allreduced before the identical SGD step; trunk batch norm is
-// synchronized across slabs. It is the p1=1 edge of the data×spatial
-// grid.
-//
-// Deprecated: use Run with Plan{Strategy: core.Spatial, P2: p}.
-func RunSpatial(m *nn.Model, seed int64, batches []Batch, lr float64, p int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.Spatial, P2: p}, WithSeed(seed), WithLR(lr))
-}
-
-// runDataSpatial is the shared engine behind the spatial (p1=1) and
+// dataSpatialEngine is the shared engine behind the spatial (p1=1) and
 // data+spatial registry entries: a p1×p2 grid where each group
 // spatially decomposes its own batch shard over p2 slabs, joined by
 // world-wide trunk and segmented head gradient exchange.
-func runDataSpatial(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, label string) (*Result, error) {
-	if err := checkGrid(m, batches, p1, p2, label); err != nil {
-		return nil, err
-	}
+//
+// Spatial parallelism (§3.2): every PE owns a contiguous slab of the
+// first spatial dimension of every activation, convolutions and
+// poolings exchange halo rows with their neighbours, and the slabs are
+// aggregated (Allgather) before the classifier head, which runs
+// replicated — the aggregation point of §4.5.1. Trunk weight gradients
+// are partial sums over each PE's output rows and are Allreduced before
+// the identical SGD step; trunk batch norm is synchronized across
+// slabs.
+//
+// The ds hybrid (§3.6) is the paper's CosmoFlow configuration (one
+// sample per node, spatial within the node, Fig. 5): trunk convolution
+// gradients are partial over each (group, slab) pair and allreduce
+// across the whole world; the replicated classifier head's gradients
+// allreduce across segments; trunk batch norm is synchronized
+// world-wide. Every PE steps the full replica in lockstep, so each
+// holds the whole canonical state.
+func dataSpatialEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*engine, error) {
+	p2 := pl.P2
 	fcStart := m.G()
 	for l := range m.Layers {
 		if m.Layers[l].Kind == nn.FC {
@@ -241,54 +240,21 @@ func runDataSpatial(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, la
 		if spec.Kind != nn.Conv && spec.Kind != nn.Pool {
 			continue
 		}
-		pl, err := planLayer(spec, p2)
+		lp, err := planLayer(spec, p2)
 		if err != nil {
 			return nil, err
 		}
-		plans[l] = pl
+		plans[l] = lp
 	}
-	losses, err := runGrid(p1, p2, 0, func(world, group, seg *Comm) ([]float64, error) {
-		net, err := cfg.replica(m)
-		if err != nil {
-			return nil, err
-		}
-		step := newStepper(cfg)
-		seedFullVelocities(cfg, step.mom, net)
+	return &engine{build: func(pe *peCtx) (stepFunc, ownership, error) {
 		// Two bucketed exchanges per PE: trunk conv gradients sum over
 		// the whole world, head gradients over the segment.
-		exWorld := newGradExchanger(world, cfg)
-		exSeg := newGradExchanger(seg, cfg)
-		tr := cfg.tracer(world.Rank())
-		out := make([]float64, 0, len(batches))
-		for bi := range batches {
-			tr.Iter(cfg.startIter + bi)
-			tr.Begin(trace.Idle)
-			cfg.maybeFail(world.Rank(), bi)
-			x, labels, weight := groupShard(&batches[bi], seg.Rank(), p1)
-			loss := dataSpatialStep(world, group, seg, exWorld, exSeg, net, x, labels, weight, plans, fcStart, step, tr)
-			if world.Rank() == 0 {
-				cfg.fire(bi, loss)
-			}
-			out = append(out, loss)
-			if cfg.snapshotDue(bi) {
-				tr.Begin(trace.CheckpointPut)
-				if world.Rank() == 0 {
-					// Every PE steps the full replica in lockstep, so rank 0's
-					// replica IS the canonical state — no gather traffic.
-					params, vel := cloneNetState(net, step.mom)
-					cfg.emit(m.Name, bi, out, params, vel)
-				}
-				// Checkpoint barrier — see runDataFilter.
-				world.AllReduceScalar(0)
-			}
-		}
-		tr.End()
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Strategy: label, P: p1 * p2, P1: p1, P2: p2, Losses: losses}, nil
+		exWorld := newGradExchanger(pe.world, cfg)
+		exSeg := newGradExchanger(pe.seg, cfg)
+		return func(x *tensor.Tensor, labels []int, weight float64) float64 {
+			return dataSpatialStep(pe, exWorld, exSeg, x, labels, weight, plans, fcStart)
+		}, wholeOwnership(pe.net), nil
+	}}, nil
 }
 
 // dataSpatialStep runs one SGD iteration of the data×spatial grid on
@@ -300,7 +266,8 @@ func runDataSpatial(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, la
 // backward produces them (overlapping the whole trunk backward), trunk
 // conv gradients enter exWorld layer by layer (overlapping the backward
 // of the layers below); draining both is the pre-step barrier.
-func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net *nn.Network, x *tensor.Tensor, labels []int, weight float64, plans []*layerPlan, fcStart int, step *stepper, tr *trace.PE) float64 {
+func dataSpatialStep(pe *peCtx, exWorld, exSeg *gradExchanger, x *tensor.Tensor, labels []int, weight float64, plans []*layerPlan, fcStart int) float64 {
+	world, group, seg, net, step, tr := pe.world, pe.group, pe.seg, pe.net, pe.step, pe.tr
 	model := net.Model
 	rank, p := group.Rank(), group.Size()
 	layers := model.Layers
@@ -399,9 +366,7 @@ func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net
 			continue
 		}
 		dy, grads[l] = net.BackwardLayer(l, dy, states[l])
-		if exSeg != nil {
-			exSeg.pushGrads(&grads[l])
-		}
+		exSeg.pushGrads(&grads[l])
 	}
 
 	// Back into the trunk: keep only the gradient rows of this PE's
@@ -419,9 +384,7 @@ func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net
 				dxBlock := tensor.ConvBackwardData(dy, net.Params[l].W, block.Shape(), cs)
 				dw, db := tensor.ConvBackwardWeight(dy, block, net.Params[l].W.Shape(), cs)
 				grads[l] = nn.Grads{W: dw, B: db}
-				if exWorld != nil {
-					exWorld.push(dw, db)
-				}
+				exWorld.push(dw, db)
 				tr.Begin(trace.Halo)
 				out := haloScatter(group, dxBlock, plans[l])
 				tr.Begin(trace.ComputeBackward)
@@ -457,12 +420,8 @@ func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net
 	// are identical within a group and were pushed into the segmented
 	// one; sync-BN gradients are already global. Draining both waits
 	// every in-flight bucket and writes the sums back in place.
-	if exWorld != nil {
-		exWorld.drain()
-	}
-	if exSeg != nil {
-		exSeg.drain()
-	}
+	exWorld.drain()
+	exSeg.drain()
 	step.stepNet(net, grads)
 	tr.Begin(trace.CollectiveWait)
 	global := seg.AllReduceScalar(loss * weight)

@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 
-	"paradl/internal/core"
 	"paradl/internal/nn"
 	"paradl/internal/strategy"
 	"paradl/internal/tensor"
@@ -16,81 +15,52 @@ type weightShard struct {
 	rng  strategy.Range
 }
 
-// RunFilter executes filter parallelism (§3.4): every weighted layer's
-// output channels (filters) are sharded across the PEs. Each PE holds
-// the full input activation, computes its output-channel slice, and the
-// slices are Allgathered so the next layer again sees the full tensor.
+// dataFilterEngine is the shared engine behind the data (p2=1), filter
+// (p1=1), and data+filter registry entries: a p1×p2 grid of
+// filter-parallel groups joined by segmented cross-group gradient
+// exchange.
+//
+// Filter parallelism (§3.4) shards every weighted layer's output
+// channels (filters) across the PEs of a group. Each PE holds the full
+// input activation, computes its output-channel slice, and the slices
+// are Allgathered so the next layer again sees the full tensor.
 // Backward, the input gradient is the Allreduced sum of per-shard
 // contributions — reduce-scattered instead wherever the layer below
 // immediately narrows to its own slice (the paper's footnote-2
 // optimization) — while each PE's weight gradients are exact for its
-// own filters — no gradient exchange at all, the selling point of the
-// strategy in Table 3. It is the p1=1 edge of the data×filter grid.
+// own filters — no gradient exchange at all within a group, the selling
+// point of the strategy in Table 3.
 //
-// Deprecated: use Run with Plan{Strategy: core.Filter, P2: p}.
-func RunFilter(m *nn.Model, seed int64, batches []Batch, lr float64, p int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.Filter, P2: p}, WithSeed(seed), WithLR(lr))
-}
-
-// runDataFilter is the shared engine behind the data (p2=1), filter
-// (p1=1), and data+filter registry entries: a p1×p2 grid of
-// filter-parallel groups joined by segmented cross-group gradient
-// exchange.
-func runDataFilter(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, label string) (*Result, error) {
-	if err := checkGrid(m, batches, p1, p2, label); err != nil {
-		return nil, err
-	}
+// Data parallelism (§3.1) is the p2=1 edge: p full replicas, each
+// training on a contiguous shard of every batch — groups of one, so
+// every filter shard spans its whole layer and the segmented
+// cross-group exchange is the classic gradient allreduce, after which
+// the replicas take identical SGD steps and stay bit-synchronized.
+//
+// The df hybrid (§3.6) has both axes free: each of p1 groups trains on
+// its batch shard with filter width p2, and the segmented allreduce
+// sums each PE's weight-shard gradient over the groups into the global
+// mean gradient. On every edge batch norm is synchronized across
+// segments (one PE per group covers the global batch exactly once), so
+// runs match the sequential baseline even on BN models — the paper's
+// framework comparison point of §4.5.2.
+func dataFilterEngine(m *nn.Model, pl Plan, _ string, cfg *runConfig) (*engine, error) {
+	p2 := pl.P2
 	if mf := m.MinFilters(); p2 > 1 && p2 > mf {
 		return nil, fmt.Errorf("dist: model %q supports filter width <= min F_l = %d (Table 3), got %d", m.Name, mf, p2)
 	}
 	rsOK := scatterableInputGrads(m, p2, cfg)
-	losses, err := runGrid(p1, p2, 0, func(world, group, seg *Comm) ([]float64, error) {
-		net, err := cfg.replica(m)
+	return &engine{build: func(pe *peCtx) (stepFunc, ownership, error) {
+		ex := newGradExchanger(pe.seg, cfg)
+		own := wholeOwnership(pe.net)
+		shards, err := filterShards(pe.net, pe.group.Rank(), p2, own)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		step := newStepper(cfg)
-		ex := newGradExchanger(seg, cfg)
-		shards, err := filterShards(net, group.Rank(), p2)
-		if err != nil {
-			return nil, err
-		}
-		seedFilterVelocities(cfg, step.mom, net, shards)
-		tr := cfg.tracer(world.Rank())
-		out := make([]float64, 0, len(batches))
-		for bi := range batches {
-			tr.Iter(cfg.startIter + bi)
-			tr.Begin(trace.Idle)
-			cfg.maybeFail(world.Rank(), bi)
-			x, labels, weight := groupShard(&batches[bi], seg.Rank(), p1)
-			loss := dataFilterStep(group, seg, ex, net, shards, rsOK, x, labels, weight, step, tr)
-			if world.Rank() == 0 {
-				cfg.fire(bi, loss)
-			}
-			out = append(out, loss)
-			if cfg.snapshotDue(bi) {
-				tr.Begin(trace.CheckpointPut)
-				// Collective within the group (every group holds an
-				// identical replica of the canonical state); only the
-				// world's result rank emits.
-				params, vel := gatherFilterState(group, net, shards, step.mom)
-				if world.Rank() == 0 {
-					cfg.emit(m.Name, bi, out, params, vel)
-				}
-				// Checkpoint barrier: no PE may start the next iteration
-				// until the snapshot is durable, or a failure injected
-				// just past the boundary could abort the world mid-gather
-				// and lose the checkpoint recovery should resume from.
-				world.AllReduceScalar(0)
-			}
-		}
-		tr.End()
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Strategy: label, P: p1 * p2, P1: p1, P2: p2, Losses: losses}, nil
+		return func(x *tensor.Tensor, labels []int, weight float64) float64 {
+			return dataFilterStep(pe, ex, shards, rsOK, x, labels, weight)
+		}, own, nil
+	}}, nil
 }
 
 // scatterableInputGrads marks the sharded layers whose backward input
@@ -136,10 +106,10 @@ func scatterableInputGrads(m *nn.Model, p2 int, cfg *runConfig) []bool {
 }
 
 // filterShards carves rank's output-channel slice out of every weighted
-// layer of an (identically seeded) full replica. The slices are the
-// PE's authoritative parameters from here on; the replica keeps only
-// the replicated BN parameters live.
-func filterShards(net *nn.Network, rank, p int) ([]*weightShard, error) {
+// layer of an (identically seeded) full replica and records it in own.
+// The slices are the PE's authoritative parameters from here on; the
+// replica keeps only the replicated BN parameters live.
+func filterShards(net *nn.Network, rank, p int, own ownership) ([]*weightShard, error) {
 	layers := net.Model.Layers
 	shards := make([]*weightShard, len(layers))
 	for l := range layers {
@@ -155,15 +125,18 @@ func filterShards(net *nn.Network, rank, p int) ([]*weightShard, error) {
 		if p == 1 {
 			// Degenerate width (the data-parallel grid edge): the shard
 			// IS the whole parameter — alias it instead of Narrow-copying
-			// every weight tensor per replica.
+			// every weight tensor per replica; own already says "whole".
 			shards[l] = &weightShard{w: net.Params[l].W, b: net.Params[l].B, rng: rng}
 			continue
 		}
-		shards[l] = &weightShard{
+		sh := &weightShard{
 			w:   net.Params[l].W.Narrow(0, rng.Start, rng.Size()),
 			b:   net.Params[l].B.Narrow(0, rng.Start, rng.Size()),
 			rng: rng,
 		}
+		own.slice(l, fieldW, sh.w, 0, rng.Start, rng.Size())
+		own.slice(l, fieldB, sh.b, 0, rng.Start, rng.Size())
+		shards[l] = sh
 	}
 	return shards, nil
 }
@@ -199,7 +172,8 @@ func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
 // weight/bias gradients are pushed the moment its backward completes,
 // so with overlap on the segment allreduce of layer l hides behind the
 // backward compute of the layers below it.
-func dataFilterStep(group, seg *Comm, ex *gradExchanger, net *nn.Network, shards []*weightShard, rsOK []bool, x *tensor.Tensor, labels []int, weight float64, step *stepper, tr *trace.PE) float64 {
+func dataFilterStep(pe *peCtx, ex *gradExchanger, shards []*weightShard, rsOK []bool, x *tensor.Tensor, labels []int, weight float64) float64 {
+	group, seg, net, step, tr := pe.group, pe.seg, pe.net, pe.step, pe.tr
 	layers := net.Model.Layers
 	gph := net.Graph()
 	g := len(layers)
@@ -267,9 +241,7 @@ func dataFilterStep(group, seg *Comm, ex *gradExchanger, net *nn.Network, shards
 			}
 			dw, db := tensor.ConvBackwardWeight(dySh, xl, sh.w.Shape(), cs)
 			shardGrads[l] = weightShard{w: dw, b: db}
-			if ex != nil {
-				ex.push(dw, db)
-			}
+			ex.push(dw, db)
 			if gph.Src(l) < 0 {
 				// No consumer for the input gradient — the bottom layer,
 				// or a shortcut tapping the network input: skip the data
@@ -294,9 +266,7 @@ func dataFilterStep(group, seg *Comm, ex *gradExchanger, net *nn.Network, shards
 			}
 			dxPart, dw, db := tensor.FCBackward(dySh, flat, sh.w, xl.Shape())
 			shardGrads[l] = weightShard{w: dw, b: db}
-			if ex != nil {
-				ex.push(dw, db)
-			}
+			ex.push(dw, db)
 			if gph.Src(l) < 0 {
 				return nil
 			}
@@ -338,9 +308,7 @@ func dataFilterStep(group, seg *Comm, ex *gradExchanger, net *nn.Network, shards
 	// layer — is segment-synchronized whenever the segment is wider than
 	// one, so its gradients are already global. With p1=1 — pure filter
 	// — the segment is singleton and ex is nil: no exchange at all.
-	if ex != nil {
-		ex.drain()
-	}
+	ex.drain()
 	step.stepNet(net, grads)
 	for l := range shards {
 		if shards[l] == nil {
@@ -375,74 +343,38 @@ func channelChunk(x *tensor.Tensor, group *Comm) *tensor.Tensor {
 	return x.Narrow(1, off, tensor.SplitSizes(x.Dim(1), p)[r])
 }
 
-// RunChannel executes channel parallelism (§3.5): every weighted layer's
-// input channels are sharded, each PE convolves its channel slice with
-// its weight slice, and the partial outputs are summed by Allreduce
-// before the bias is applied exactly once. Layers with fewer channels
-// than PEs — in practice the first layer, which the paper also leaves
-// unsplit (§4.2) — run replicated.
-//
-// Deprecated: use Run with Plan{Strategy: core.Channel, P2: p}.
-func RunChannel(m *nn.Model, seed int64, batches []Batch, lr float64, p int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.Channel, P2: p}, WithSeed(seed), WithLR(lr))
-}
-
-// runChannel is the channel-parallel engine behind the registry, which
-// guarantees p >= 1 via Plan.Validate.
-func runChannel(m *nn.Model, batches []Batch, cfg *runConfig, p int) (*Result, error) {
+// channelEngine executes channel parallelism (§3.5): every weighted
+// layer's input channels are sharded, each PE convolves its channel
+// slice with its weight slice, and the partial outputs are summed by
+// Allreduce before the bias is applied exactly once. Layers with fewer
+// channels than PEs — in practice the first layer, which the paper also
+// leaves unsplit (§4.2) — run replicated.
+func channelEngine(m *nn.Model, pl Plan, _ string, _ *runConfig) (*engine, error) {
+	p := pl.P2
 	if mc := m.MinChannels(); p > 1 && p > mc {
 		return nil, fmt.Errorf("dist: model %q supports channel width <= min C_l = %d (Table 3), got p=%d", m.Name, mc, p)
 	}
-	if err := checkBatches(m, batches); err != nil {
-		return nil, err
-	}
-	losses, err := runWorld(p, 0, func(c *Comm) ([]float64, error) {
-		net, err := cfg.replica(m)
+	return &engine{build: func(pe *peCtx) (stepFunc, ownership, error) {
+		own := wholeOwnership(pe.net)
+		shards, err := channelShards(pe.net, pe.group.Rank(), p, own)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		step := newStepper(cfg)
-		shards, err := channelShards(net, c.Rank(), p)
-		if err != nil {
-			return nil, err
-		}
-		seedChannelVelocities(cfg, step.mom, net, shards)
-		tr := cfg.tracer(c.Rank())
-		out := make([]float64, 0, len(batches))
-		for bi := range batches {
-			tr.Iter(cfg.startIter + bi)
-			tr.Begin(trace.Idle)
-			cfg.maybeFail(c.Rank(), bi)
-			loss := channelStep(c, net, shards, &batches[bi], step, tr)
-			if c.Rank() == 0 {
-				cfg.fire(bi, loss)
-			}
-			out = append(out, loss)
-			if cfg.snapshotDue(bi) {
-				tr.Begin(trace.CheckpointPut)
-				params, vel := gatherChannelState(c, net, shards, step.mom)
-				if c.Rank() == 0 {
-					cfg.emit(m.Name, bi, out, params, vel)
-				}
-				// Checkpoint barrier — see runDataFilter.
-				c.AllReduceScalar(0)
-			}
-		}
-		tr.End()
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Strategy: "channel", P: p, P1: 1, P2: p, Losses: losses}, nil
+		return func(x *tensor.Tensor, labels []int, _ float64) float64 {
+			return channelStep(pe, shards, x, labels)
+		}, own, nil
+	}}, nil
 }
 
 // channelShards carves rank's input-channel slice of every weighted
-// layer wide enough to split; narrower layers keep shards[l] == nil and
-// run replicated. FC weights are sliced by channel blocks of the
-// flattened input (the layer is the paper's kernel-equals-input
-// convolution, so a channel is a contiguous run of vol(In) columns).
-func channelShards(net *nn.Network, rank, p int) ([]*weightShard, error) {
+// layer wide enough to split and records it in own; narrower layers
+// keep shards[l] == nil and run replicated. FC weights are sliced by
+// channel blocks of the flattened input (the layer is the paper's
+// kernel-equals-input convolution, so a channel is a contiguous run of
+// vol(In) columns — contiguous per rank, so the same axis-1 Allgather
+// inverts both kinds). Biases stay whole: replicated and stepped in
+// lockstep on every PE.
+func channelShards(net *nn.Network, rank, p int, own ownership) ([]*weightShard, error) {
 	layers := net.Model.Layers
 	shards := make([]*weightShard, len(layers))
 	if p == 1 {
@@ -458,14 +390,12 @@ func channelShards(net *nn.Network, rank, p int) ([]*weightShard, error) {
 			return nil, err
 		}
 		rng := rngs[rank]
-		sh := &weightShard{rng: rng}
-		switch spec.Kind {
-		case nn.Conv:
-			sh.w = net.Params[l].W.Narrow(1, rng.Start, rng.Size())
-		case nn.FC:
-			vol := int(spec.InSize()) / spec.C
-			sh.w = net.Params[l].W.Narrow(1, rng.Start*vol, rng.Size()*vol)
+		vol := 1 // canonical columns per channel
+		if spec.Kind == nn.FC {
+			vol = int(spec.InSize()) / spec.C
 		}
+		sh := &weightShard{w: net.Params[l].W.Narrow(1, rng.Start*vol, rng.Size()*vol), rng: rng}
+		own.slice(l, fieldW, sh.w, 1, rng.Start*vol, rng.Size()*vol)
 		shards[l] = sh
 	}
 	return shards, nil
@@ -475,13 +405,14 @@ func channelShards(net *nn.Network, rank, p int) ([]*weightShard, error) {
 // routes shortcut convolutions from their taps and merges their output
 // into the main path; a sharded shortcut convolves its input-channel
 // slice of the tap activation like any other sharded layer.
-func channelStep(c *Comm, net *nn.Network, shards []*weightShard, b *Batch, step *stepper, tr *trace.PE) float64 {
+func channelStep(pe *peCtx, shards []*weightShard, x *tensor.Tensor, labels []int) float64 {
+	c, net, step, tr := pe.group, pe.net, pe.step, pe.tr
 	layers := net.Model.Layers
 	gph := net.Graph()
 	g := len(layers)
 	states := make([]*nn.LayerState, g)
 	tr.Begin(trace.ComputeForward)
-	cur := gph.ForwardRange(0, g, b.X, func(l int, xin *tensor.Tensor) *tensor.Tensor {
+	cur := gph.ForwardRange(0, g, x, func(l int, xin *tensor.Tensor) *tensor.Tensor {
 		spec := &layers[l]
 		sh := shards[l]
 		switch {
@@ -514,7 +445,7 @@ func channelStep(c *Comm, net *nn.Network, shards []*weightShard, b *Batch, step
 			return y
 		}
 	})
-	loss, dy := tensor.SoftmaxCrossEntropy(cur, b.Labels)
+	loss, dy := tensor.SoftmaxCrossEntropy(cur, labels)
 	tr.Begin(trace.ComputeBackward)
 
 	grads := make([]nn.Grads, g)

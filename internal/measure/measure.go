@@ -70,13 +70,7 @@ func MeasurePlan(e *Engine, cfg core.Config, pl dist.Plan) (*Result, error) {
 	if err := pl.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.P = pl.P()
-	cfg.P1, cfg.P2 = 0, 0
-	switch pl.Strategy {
-	case core.DataFilter, core.DataSpatial, core.DataPipeline:
-		cfg.P1, cfg.P2 = pl.P1, pl.P2
-	}
-	return Measure(e, cfg, pl.Strategy)
+	return Measure(e, pl.Apply(cfg), pl.Strategy)
 }
 
 // IterTotal measures one strategy and returns its per-iteration total

@@ -117,24 +117,17 @@ func (e *Env) PhaseBreakdown() ([]PhaseRow, error) {
 			}
 			sum := rec.Summarize()
 
-			p1, p2 := 0, 0
-			if pl.Strategy == core.DataFilter || pl.Strategy == core.DataSpatial || pl.Strategy == core.DataPipeline {
-				p1, p2 = pl.P1, pl.P2
-			}
 			perPE := PhaseBatch / pl.P()
 			if perPE < 1 {
 				perPE = 1
 			}
-			proj, err := core.Project(core.Config{
+			proj, err := core.Project(pl.Apply(core.Config{
 				Model: m, Sys: e.Sys,
 				Times:    profile.ProfileModel(e.Dev, m, perPE),
 				D:        PhaseBatch,
 				B:        PhaseBatch,
-				P:        pl.P(),
-				P1:       p1,
-				P2:       p2,
 				Segments: 4,
-			}, pl.Strategy)
+			}), pl.Strategy)
 			if err != nil {
 				return nil, fmt.Errorf("report: projecting %s on %s (the runtime executed it): %w", pl, m.Name, err)
 			}

@@ -56,7 +56,7 @@ const (
 )
 
 // isWidthLimit reports whether err is a Table 3 scaling-limit
-// rejection from the dist runners (every such error cites the table).
+// rejection from the dist engines (every such error cites the table).
 func isWidthLimit(err error) bool {
 	return strings.Contains(err.Error(), "(Table 3)")
 }
@@ -102,24 +102,21 @@ func (e *Env) RuntimeOverhead(p int) ([]RuntimeRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	projCfg := func(width, p1, p2 int) core.Config {
-		perPE := runtimeBatch / width
+	projCfg := func(pl dist.Plan) core.Config {
+		perPE := runtimeBatch / pl.P()
 		if perPE < 1 {
 			perPE = 1
 		}
-		return core.Config{
+		return pl.Apply(core.Config{
 			Model:    m,
 			Sys:      e.Sys,
 			Times:    profile.ProfileModel(e.Dev, m, perPE),
 			D:        runtimeBatch,
 			B:        runtimeBatch,
-			P:        width,
-			P1:       p1,
-			P2:       p2,
 			Segments: 4,
-		}
+		})
 	}
-	serialProj, err := core.Project(projCfg(1, 0, 0), core.Serial)
+	serialProj, err := core.Project(projCfg(dist.Plan{Strategy: core.Serial}), core.Serial)
 	if err != nil {
 		return nil, err
 	}
@@ -165,19 +162,16 @@ func (e *Env) RuntimeOverhead(p int) ([]RuntimeRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("report: measuring %v at p=%d with overlap off: %w", c.Strategy, p, err)
 		}
-		p1, p2 := 0, 0
-		if c.Strategy == core.DataFilter || c.Strategy == core.DataSpatial || c.Strategy == core.DataPipeline {
-			p1, p2 = c.P1, c.P2
-		}
-		proj, err := core.Project(projCfg(p, p1, p2), c.Strategy)
+		cfg := projCfg(c)
+		proj, err := core.Project(cfg, c.Strategy)
 		if err != nil {
 			return nil, fmt.Errorf("report: projecting %v at p=%d (the runtime executed it): %w", c.Strategy, p, err)
 		}
 		rows = append(rows, RuntimeRow{
 			Strategy:          c.Strategy,
 			P:                 p,
-			P1:                p1,
-			P2:                p2,
+			P1:                cfg.P1,
+			P2:                cfg.P2,
 			MeasuredSec:       sec,
 			MeasuredOverhead:  sec / seqSec,
 			BlockingSec:       blockSec,

@@ -349,15 +349,12 @@ func sweepGrid(req Request) (*SweepResponse, int, error) {
 			perPE = 1
 		}
 		for _, pl := range dist.SweepPlans(p) {
-			cfg := core.Config{
+			cfg := pl.Apply(core.Config{
 				Model: m, Sys: sys, Times: profileAt(perPE),
-				D: req.D, B: b, P: p,
+				D: req.D, B: b,
 				Segments: req.Segments, Phi: req.Phi,
 				OptimizerExtraState: req.OptimizerExtraState,
-			}
-			if isHybrid(pl.Strategy) {
-				cfg.P1, cfg.P2 = pl.P1, pl.P2
-			}
+			})
 			point := SweepPoint{Plan: pl.String(), P: p}
 			pr, err := core.Project(cfg, pl.Strategy)
 			if err != nil {
@@ -370,8 +367,4 @@ func sweepGrid(req Request) (*SweepResponse, int, error) {
 		}
 	}
 	return resp, projections, nil
-}
-
-func isHybrid(s core.Strategy) bool {
-	return s == core.DataFilter || s == core.DataSpatial || s == core.DataPipeline
 }

@@ -169,15 +169,11 @@ func (r *Replayer) Replay(sc Scenario) (*ScenarioResult, error) {
 		}
 		measuredSec := time.Since(start).Seconds() / float64(r.Iters)
 
-		cfg := core.Config{
+		cfg := pl.Apply(core.Config{
 			Model: m, Sys: eng.Sys, Times: times,
 			D: int64(sc.Iters * sc.Batch), B: sc.Batch,
-			P: sc.P, Segments: 4,
-		}
-		switch pl.Strategy {
-		case core.DataFilter, core.DataSpatial, core.DataPipeline:
-			cfg.P1, cfg.P2 = pl.P1, pl.P2
-		}
+			Segments: 4,
+		})
 		pr, err := core.Project(cfg, pl.Strategy)
 		if err != nil {
 			res.Skipped = append(res.Skipped, Skip{Plan: ps, Reason: "oracle: " + err.Error()})

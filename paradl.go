@@ -197,66 +197,6 @@ func Train(m *NetModel, batches []TrainBatch, pl Plan, opts ...TrainOption) (*Tr
 	return dist.Run(m, batches, pl, opts...)
 }
 
-// TrainSequential runs real single-PE SGD — the value-parity baseline.
-//
-// Deprecated: use Train with Plan{Strategy: Serial}.
-func TrainSequential(m *NetModel, seed int64, batches []TrainBatch, lr float64) *TrainResult {
-	return dist.RunSequential(m, seed, batches, lr)
-}
-
-// TrainData runs real data-parallel training over p replicas.
-//
-// Deprecated: use Train with Plan{Strategy: Data, P1: p}.
-func TrainData(m *NetModel, seed int64, batches []TrainBatch, lr float64, p int) (*TrainResult, error) {
-	return dist.RunData(m, seed, batches, lr, p)
-}
-
-// TrainSpatial runs real spatially-partitioned training over p PEs.
-//
-// Deprecated: use Train with Plan{Strategy: Spatial, P2: p}.
-func TrainSpatial(m *NetModel, seed int64, batches []TrainBatch, lr float64, p int) (*TrainResult, error) {
-	return dist.RunSpatial(m, seed, batches, lr, p)
-}
-
-// TrainFilter runs real filter-parallel training over p PEs.
-//
-// Deprecated: use Train with Plan{Strategy: Filter, P2: p}.
-func TrainFilter(m *NetModel, seed int64, batches []TrainBatch, lr float64, p int) (*TrainResult, error) {
-	return dist.RunFilter(m, seed, batches, lr, p)
-}
-
-// TrainChannel runs real channel-parallel training over p PEs.
-//
-// Deprecated: use Train with Plan{Strategy: Channel, P2: p}.
-func TrainChannel(m *NetModel, seed int64, batches []TrainBatch, lr float64, p int) (*TrainResult, error) {
-	return dist.RunChannel(m, seed, batches, lr, p)
-}
-
-// TrainDataFilter runs real df-hybrid training (§3.6): p1 data-parallel
-// groups, each applying filter parallelism over p2 PEs to its batch
-// shard, with segmented cross-group gradient exchange.
-//
-// Deprecated: use Train with Plan{Strategy: DataFilter, P1: p1, P2: p2}.
-func TrainDataFilter(m *NetModel, seed int64, batches []TrainBatch, lr float64, p1, p2 int) (*TrainResult, error) {
-	return dist.RunDataFilter(m, seed, batches, lr, p1, p2)
-}
-
-// TrainDataSpatial runs real ds-hybrid training (§3.6): p1 data-parallel
-// groups, each spatially decomposing its batch shard over p2 PEs — the
-// paper's CosmoFlow configuration (Fig. 5).
-//
-// Deprecated: use Train with Plan{Strategy: DataSpatial, P1: p1, P2: p2}.
-func TrainDataSpatial(m *NetModel, seed int64, batches []TrainBatch, lr float64, p1, p2 int) (*TrainResult, error) {
-	return dist.RunDataSpatial(m, seed, batches, lr, p1, p2)
-}
-
-// TrainPipeline runs real pipeline-parallel training over p stages.
-//
-// Deprecated: use Train with Plan{Strategy: Pipeline, P2: p}.
-func TrainPipeline(m *NetModel, seed int64, batches []TrainBatch, lr float64, p int) (*TrainResult, error) {
-	return dist.RunPipeline(m, seed, batches, lr, p)
-}
-
 // Strategies lists all projectable strategies.
 func Strategies() []Strategy { return core.Strategies() }
 

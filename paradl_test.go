@@ -92,8 +92,12 @@ func TestFacadeParse(t *testing.T) {
 func TestFacadeRealTraining(t *testing.T) {
 	m := model.Tiny3D()
 	batches := data.Toy(m, 32).Batches(2, 4)
-	seq := paradl.TrainSequential(m, 7, batches, 0.05)
-	par, err := paradl.TrainData(m, 7, batches, 0.05, 2)
+	opts := []paradl.TrainOption{paradl.WithSeed(7), paradl.WithLR(0.05)}
+	seq, err := paradl.Train(m, batches, paradl.Plan{Strategy: paradl.Serial}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := paradl.Train(m, batches, paradl.Plan{Strategy: paradl.Data, P1: 2}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +110,7 @@ func TestFacadeRealTraining(t *testing.T) {
 
 // TestFacadePlanTraining: the plan-driven entry point executes every
 // trainable strategy — including the plan-only data×pipeline hybrid —
-// in value parity with the serial plan, and the deprecated Train*
-// wrappers match Train(plan) bit-for-bit.
+// in value parity with the serial plan.
 func TestFacadePlanTraining(t *testing.T) {
 	m := model.Tiny3D()
 	batches := data.Toy(m, 32).Batches(2, 4)
@@ -129,20 +132,6 @@ func TestFacadePlanTraining(t *testing.T) {
 			if d := math.Abs(res.Losses[i] - seq.Losses[i]); d > 1e-6 {
 				t.Fatalf("%s iter %d: loss off by %.3e", s, i, d)
 			}
-		}
-	}
-	// Deprecated wrappers delegate to the same registry path: bit-for-bit.
-	viaPlan, err := paradl.Train(m, batches, paradl.Plan{Strategy: paradl.DataFilter, P1: 2, P2: 2}, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaShim, err := paradl.TrainDataFilter(m, 7, batches, 0.05, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range viaPlan.Losses {
-		if viaPlan.Losses[i] != viaShim.Losses[i] {
-			t.Fatalf("iter %d: TrainDataFilter %.17g != Train(plan) %.17g", i, viaShim.Losses[i], viaPlan.Losses[i])
 		}
 	}
 }
@@ -207,12 +196,16 @@ func TestFacadePlanParse(t *testing.T) {
 func TestFacadeHybridTraining(t *testing.T) {
 	m := model.Tiny3D()
 	batches := data.Toy(m, 32).Batches(2, 4)
-	seq := paradl.TrainSequential(m, 7, batches, 0.05)
-	df, err := paradl.TrainDataFilter(m, 7, batches, 0.05, 2, 2)
+	opts := []paradl.TrainOption{paradl.WithSeed(7), paradl.WithLR(0.05)}
+	seq, err := paradl.Train(m, batches, paradl.Plan{Strategy: paradl.Serial}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := paradl.TrainDataSpatial(m, 7, batches, 0.05, 2, 2)
+	df, err := paradl.Train(m, batches, paradl.Plan{Strategy: paradl.DataFilter, P1: 2, P2: 2}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := paradl.Train(m, batches, paradl.Plan{Strategy: paradl.DataSpatial, P1: 2, P2: 2}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
