@@ -257,24 +257,12 @@ func run(modelName, strategyName string, gpus, batch, batchGlobal, p1, p2, segme
 		return err
 	}
 	b := batch * gpus
-	perPE := batch
 	if batchGlobal > 0 {
 		b = batchGlobal
-		perPE = maxInt(1, batchGlobal/gpus)
 	}
-	dev := profile.NewDevice(sys.GPU)
-	cfg := core.Config{
-		Model:    m,
-		Sys:      sys,
-		Times:    profile.ProfileModel(dev, m, perPE),
-		D:        ds.Samples,
-		B:        b,
-		P:        gpus,
-		P1:       p1,
-		P2:       p2,
-		Segments: segments,
-		Phi:      phi,
-	}
+	cfg := core.NewConfig(m, sys, ds.Samples, b, gpus, 0, nil)
+	cfg.P1, cfg.P2 = p1, p2
+	cfg.Segments, cfg.Phi = segments, phi
 
 	if advise {
 		return printAdvice(cfg)
@@ -462,11 +450,4 @@ func runPlanParity(w io.Writer, pl dist.Plan, overlap string, m *nn.Model, trace
 	fmt.Fprintf(w, "plan %s reproduces sequential SGD value-by-value (max |Δ| = %.1e ≤ %g, §4.5.2)\n",
 		pl, worst, trainTol)
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

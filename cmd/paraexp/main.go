@@ -1,6 +1,7 @@
 // Command paraexp regenerates the paper's evaluation artefacts — every
-// table and figure of §5, as indexed in DESIGN.md — plus the repo's
-// committed measurement artefacts:
+// table and figure of §5, as indexed by the registry below and the
+// README's "Measured vs projected" section — plus the repo's committed
+// measurement artefacts:
 //
 //	paraexp -exp all
 //	paraexp -exp fig3

@@ -81,10 +81,11 @@ func pipelineStudy() {
 	cfg := paradl.StrongScalingConfig(m, 4, 32)
 	base, _ := paradl.Project(cfg, paradl.Pipeline)
 	ck, _ := core.ProjectPipelineCheckpointed(cfg)
+	// 2 data-parallel groups × 4 pipeline stages: the registry's dp hybrid.
 	hd := cfg
-	hd.P, hd.P1, hd.P2 = 8, 4, 2
+	hd.P, hd.P1, hd.P2 = 8, 2, 4
 	hd.B = 64
-	pd, err := core.ProjectPipelineData(hd)
+	pd, err := paradl.Project(hd, paradl.DataPipeline)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func pipelineStudy() {
 	fmt.Fprintln(tw, "variant\titer total\tmem/GPU")
 	fmt.Fprintf(tw, "pipeline p=4\t%.1f ms\t%.1f GB\n", base.Iter().Total()*1e3, base.MemoryPerPE/1e9)
 	fmt.Fprintf(tw, "+ checkpointing\t%.1f ms\t%.1f GB\n", ck.Iter().Total()*1e3, ck.MemoryPerPE/1e9)
-	fmt.Fprintf(tw, "pipeline 4×2 data\t%.1f ms\t%.1f GB\n", pd.Iter().Total()*1e3, pd.MemoryPerPE/1e9)
+	fmt.Fprintf(tw, "data 2 × pipeline 4\t%.1f ms\t%.1f GB\n", pd.Iter().Total()*1e3, pd.MemoryPerPE/1e9)
 	tw.Flush()
 	fmt.Println()
 }

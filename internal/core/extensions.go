@@ -1,12 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"paradl/internal/collective"
-)
-
 // This file models the optimizations the paper names as remedies for
 // the limitations of §5.3 — they are projections a user can compare
 // against the base strategies:
@@ -16,7 +9,9 @@ import (
 //     citing Xu et al. [52])
 //   - reduce-scatter filter backward (§3.3 footnote 2)
 //   - gradient-checkpointed pipeline (§5.3.2, GPipe/PipeDream style)
-//   - pipeline+data hybrid (§5.3.3 "Workload Balancing")
+//
+// The pipeline+data hybrid of §5.3.3 ("Workload Balancing") is a
+// registry strategy: Project(cfg, DataPipeline).
 
 // ProjectZeRO projects data parallelism with ZeRO-style partitioning of
 // weights and optimizer state: per-PE memory drops to |w|/p, at the
@@ -25,7 +20,7 @@ import (
 // (§5.3.2). On the wire: reduce-scatter of gradients plus two weight
 // Allgathers = 3(p−1) chunk rounds vs the ring Allreduce's 2(p−1).
 func ProjectZeRO(cfg Config) (*Projection, error) {
-	if err := validate(&cfg, Data); err != nil {
+	if err := Validate(&cfg, Data); err != nil {
 		return nil, err
 	}
 	pr := &Projection{Strategy: Data, Config: cfg, Feasible: true}
@@ -50,7 +45,7 @@ func ProjectZeRO(cfg Config) (*Projection, error) {
 	pr.MemoryPerPE = gamma * delta * items
 	pr.MaxPE = cfg.B
 	pr.Notes = append(pr.Notes, "ZeRO: weights, gradients and optimizer state partitioned across PEs")
-	finishFeasibility(cfg, pr)
+	finish(cfg, pr)
 	return pr, nil
 }
 
@@ -61,7 +56,7 @@ func ProjectZeRO(cfg Config) (*Projection, error) {
 // Allreduce (RS + AG = 2(p−1) chunk rounds) while WU time drops to 1/p
 // — the fix for VGG16's 15% WU share.
 func ProjectWUSharded(cfg Config) (*Projection, error) {
-	if err := validate(&cfg, Data); err != nil {
+	if err := Validate(&cfg, Data); err != nil {
 		return nil, err
 	}
 	pr := &Projection{Strategy: Data, Config: cfg, Feasible: true}
@@ -70,7 +65,7 @@ func ProjectWUSharded(cfg Config) (*Projection, error) {
 	pr.MemoryPerPE = MemoryPerPE(cfg, Data)
 	pr.MaxPE = cfg.B
 	pr.Notes = append(pr.Notes, "weight update sharded across replicas (reduce-scatter + allgather)")
-	finishFeasibility(cfg, pr)
+	finish(cfg, pr)
 	return pr, nil
 }
 
@@ -79,7 +74,7 @@ func ProjectWUSharded(cfg Config) (*Projection, error) {
 // Reduce-Scatter (each preceding layer only needs one partition of the
 // gradients), cutting the layer-wise rounds from 3(p−1) to 2(p−1).
 func ProjectFilterRS(cfg Config) (*Projection, error) {
-	if err := validate(&cfg, Filter); err != nil {
+	if err := Validate(&cfg, Filter); err != nil {
 		return nil, err
 	}
 	pr := &Projection{Strategy: Filter, Config: cfg, Feasible: true}
@@ -89,7 +84,7 @@ func ProjectFilterRS(cfg Config) (*Projection, error) {
 	pr.Epoch.FBComm *= 2.0 / 3.0
 	pr.MemoryPerPE = MemoryPerPE(cfg, Filter)
 	pr.Notes = append(pr.Notes, "reduce-scatter backward (footnote 2): 2(p−1) rounds per boundary")
-	finishFeasibility(cfg, pr)
+	finish(cfg, pr)
 	return pr, nil
 }
 
@@ -99,7 +94,7 @@ func ProjectFilterRS(cfg Config) (*Projection, error) {
 // memory shrinks by ≈1/S), paid for by recomputing the forward pass
 // inside each partition during backward (FW compute doubles).
 func ProjectPipelineCheckpointed(cfg Config) (*Projection, error) {
-	if err := validate(&cfg, Pipeline); err != nil {
+	if err := Validate(&cfg, Pipeline); err != nil {
 		return nil, err
 	}
 	pr := &Projection{Strategy: Pipeline, Config: cfg, Feasible: true}
@@ -116,7 +111,7 @@ func ProjectPipelineCheckpointed(cfg Config) (*Projection, error) {
 	pr.MemoryPerPE = paramBytes + actBytes/float64(cfg.Segments)
 	pr.MaxPE = cfg.Model.G()
 	pr.Notes = append(pr.Notes, "gradient checkpointing at partition boundaries (FW recompute)")
-	finishFeasibility(cfg, pr)
+	finish(cfg, pr)
 	return pr, nil
 }
 
@@ -136,69 +131,4 @@ func paramBytesLargestStage(cfg Config) float64 {
 		}
 	}
 	return gamma * delta * maxB
-}
-
-// ProjectPipelineData projects the pipeline+data hybrid of §5.3.3: P1
-// pipeline stages, each replicated across P2 data-parallel PEs (p =
-// P1·P2). Stage compute divides by P2; each stage's replicas Allreduce
-// their own weight shard.
-func ProjectPipelineData(cfg Config) (*Projection, error) {
-	if cfg.P1 == 0 || cfg.P2 == 0 {
-		return nil, fmt.Errorf("core: pipeline+data needs explicit P1 (stages) and P2 (replicas)")
-	}
-	if cfg.P1*cfg.P2 != cfg.P {
-		return nil, fmt.Errorf("core: P1·P2 = %d·%d ≠ P = %d", cfg.P1, cfg.P2, cfg.P)
-	}
-	stageCfg := cfg
-	stageCfg.P = cfg.P1
-	if err := validate(&stageCfg, Pipeline); err != nil {
-		return nil, err
-	}
-	pr := &Projection{Strategy: Pipeline, Config: cfg, Feasible: true}
-	projectPipeline(stageCfg, pr)
-
-	p2 := float64(cfg.P2)
-	pr.Epoch.FW /= p2
-	pr.Epoch.BW /= p2
-
-	// Per-stage gradient exchange: the heaviest stage's weights,
-	// Allreduced among its P2 replicas each iteration.
-	groups := PartitionPipeline(cfg.Times, cfg.P1)
-	maxW := 0.0
-	for _, g := range groups {
-		w := 0.0
-		for l := g.Start; l < g.End; l++ {
-			w += float64(cfg.Model.Layers[l].WeightSize())
-		}
-		maxW = math.Max(maxW, w)
-	}
-	x := ab(cfg.Sys, cfg.P2)
-	iters := float64(cfg.D) / float64(cfg.B)
-	pr.Epoch.GE = iters * collective.RingAllreduce(x, cfg.P2, maxW*cfg.Sys.BytesPerItem)
-
-	// Each replica of a stage holds only its 1/P2 share of the batch.
-	memCfg := stageCfg
-	memCfg.B = cfg.B / cfg.P2
-	if memCfg.B < 1 {
-		memCfg.B = 1
-	}
-	pr.MemoryPerPE = MemoryPerPE(memCfg, Pipeline)
-	pr.MaxPE = cfg.Model.G() * cfg.B
-	pr.Notes = append(pr.Notes, fmt.Sprintf("pipeline+data: %d stages × %d replicas", cfg.P1, cfg.P2))
-	finishFeasibility(cfg, pr)
-	return pr, nil
-}
-
-// finishFeasibility applies the memory bound without re-deriving
-// MaxPE (the extension functions set both fields themselves).
-func finishFeasibility(cfg Config, pr *Projection) {
-	if pr.MaxPE > 0 && cfg.P > pr.MaxPE {
-		pr.Feasible = false
-		pr.Notes = append(pr.Notes, fmt.Sprintf("P=%d exceeds the scaling limit %d", cfg.P, pr.MaxPE))
-	}
-	if pr.MemoryPerPE > cfg.Sys.GPU.MemBytes {
-		pr.Feasible = false
-		pr.Notes = append(pr.Notes, fmt.Sprintf("memory %.1f GB exceeds device capacity %.1f GB",
-			pr.MemoryPerPE/1e9, cfg.Sys.GPU.MemBytes/1e9))
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"paradl/internal/model"
-	"paradl/internal/profile"
 )
 
 func TestZeROShardsMemoryAndPaysComm(t *testing.T) {
@@ -98,52 +97,5 @@ func TestPipelineCheckpointTradesComputeForMemory(t *testing.T) {
 	}
 	if ck.Epoch.BW != base.Epoch.BW {
 		t.Fatal("BW unchanged under checkpointing")
-	}
-}
-
-func TestPipelineDataScalesBeyondG(t *testing.T) {
-	m := model.TinyCNNNoBN() // only 7 layers — pure pipeline caps at 7
-	sys := testConfig(t, model.ResNet50(), 1, 1).Sys
-	dev := profile.NewDevice(sys.GPU)
-	times := profile.ProfileModel(dev, m, 8)
-
-	cfg := Config{
-		Model: m, Sys: sys, Times: times,
-		D: 1 << 16, B: 64, P: 16, P1: 4, P2: 4, Segments: 4,
-	}
-	pr, err := ProjectPipelineData(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pr.Feasible {
-		t.Fatalf("pipeline+data at 16 PEs over a 7-layer net must be feasible: %v", pr.Notes)
-	}
-	if pr.Epoch.GE <= 0 {
-		t.Fatal("replicated stages must pay a per-stage Allreduce")
-	}
-	// Compute beats pure pipeline at 4 stages (the replicas split the
-	// batch).
-	pipeCfg := cfg
-	pipeCfg.P, pipeCfg.P1, pipeCfg.P2 = 4, 0, 0
-	pipe, err := Project(pipeCfg, Pipeline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Epoch.Comp() >= pipe.Epoch.Comp() {
-		t.Fatalf("pipeline+data compute %g must beat pure pipeline %g", pr.Epoch.Comp(), pipe.Epoch.Comp())
-	}
-}
-
-func TestPipelineDataValidation(t *testing.T) {
-	m := model.TinyCNNNoBN()
-	sys := testConfig(t, model.ResNet50(), 1, 1).Sys
-	times := profile.ProfileModel(profile.NewDevice(sys.GPU), m, 8)
-	cfg := Config{Model: m, Sys: sys, Times: times, D: 1 << 16, B: 64, P: 16}
-	if _, err := ProjectPipelineData(cfg); err == nil {
-		t.Fatal("missing P1/P2 must be rejected")
-	}
-	cfg.P1, cfg.P2 = 3, 4
-	if _, err := ProjectPipelineData(cfg); err == nil {
-		t.Fatal("P1·P2≠P must be rejected")
 	}
 }

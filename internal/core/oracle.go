@@ -133,7 +133,7 @@ func (p *Projection) WithCongestionFactor(factor float64) *Projection {
 
 // Project evaluates the analytical model of Table 3 for one strategy.
 func Project(cfg Config, s Strategy) (*Projection, error) {
-	if err := validate(&cfg, s); err != nil {
+	if err := Validate(&cfg, s); err != nil {
 		return nil, err
 	}
 	pr := &Projection{Strategy: s, Config: cfg, Feasible: true}
@@ -157,11 +157,19 @@ func Project(cfg Config, s Strategy) (*Projection, error) {
 	default:
 		return nil, fmt.Errorf("core: cannot project strategy %v", s)
 	}
+	pr.MemoryPerPE = MemoryPerPE(cfg, s)
 	finish(cfg, pr)
 	return pr, nil
 }
 
-func validate(cfg *Config, s Strategy) error {
+// Validate is the one normaliser of a (Config, strategy) pair: it
+// rejects incomplete or non-positive configs and fills, in place, the
+// defaults every consumer must agree on — S = 4 pipeline segments and,
+// for the hybrids, the P1×P2 grid (node-sized P2 when neither axis is
+// given, the missing axis derived from P when one is). Project and
+// measure.Measure both start here, so the oracle and the simulator can
+// never evaluate different grids for one config.
+func Validate(cfg *Config, s Strategy) error {
 	if cfg.Model == nil || cfg.Sys == nil || cfg.Times == nil {
 		return fmt.Errorf("core: config requires Model, Sys, and Times")
 	}
@@ -491,9 +499,10 @@ func EstimatePhi(sys *cluster.System, s Strategy, segments int) float64 {
 	return phi
 }
 
-// finish computes memory, applies scaling limits, and annotates.
+// finish applies the scaling limit and the memory bound to a projection
+// whose MaxPE and MemoryPerPE are set, writing the notes once for the
+// base strategies and the extension projections alike.
 func finish(cfg Config, pr *Projection) {
-	pr.MemoryPerPE = MemoryPerPE(cfg, pr.Strategy)
 	if pr.MaxPE > 0 && cfg.P > pr.MaxPE && pr.Strategy != Serial {
 		pr.Feasible = false
 		pr.Notes = append(pr.Notes, fmt.Sprintf("P=%d exceeds the %v scaling limit %d", cfg.P, pr.Strategy, pr.MaxPE))

@@ -545,6 +545,32 @@ func TestProjectDataPipeline(t *testing.T) {
 	if prDeep.Feasible {
 		t.Fatal("p2 > G must be infeasible")
 	}
+
+	// §5.3.3 "Workload Balancing": the hybrid scales past the pure
+	// pipeline's G-stage cap — 16 PEs on the 7-layer toy net as 4 groups
+	// of 4 stages — and the groups splitting the batch beats pipeline:4.
+	wide := testConfig(t, model.TinyCNNNoBN(), 16, 4)
+	wide.P1, wide.P2 = 4, 4
+	prWide, err := Project(wide, DataPipeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prWide.Feasible || prWide.Epoch.GE <= 0 {
+		t.Fatalf("dp 4×4 over a 7-layer net must be feasible and pay a per-stage Allreduce: %+v %v", prWide.Epoch, prWide.Notes)
+	}
+	narrow := wide
+	narrow.P, narrow.P1, narrow.P2 = 4, 0, 0
+	prNarrow, err := Project(narrow, Pipeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prWide.Epoch.Comp() >= prNarrow.Epoch.Comp() {
+		t.Fatalf("dp 4×4 compute %g must beat pipeline:4 %g", prWide.Epoch.Comp(), prNarrow.Epoch.Comp())
+	}
+	wide.P1 = 3
+	if _, err := Project(wide, DataPipeline); err == nil {
+		t.Fatal("P1·P2 ≠ P must be rejected")
+	}
 }
 
 // TestAdviseRanksDataPipeline: the advisor now ranks dp with the rest.

@@ -21,7 +21,6 @@ import (
 
 	"paradl/internal/cluster"
 	"paradl/internal/model"
-	"paradl/internal/profile"
 )
 
 // ConfigRef is the wire form of Config: every field that addresses a
@@ -72,17 +71,11 @@ func (r ConfigRef) Resolve() (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	perPE := r.B / r.P
-	if perPE < 1 {
-		perPE = 1
-	}
-	dev := profile.NewDevice(sys.GPU)
-	return Config{
-		Model: m, Sys: sys, Times: profile.ProfileModel(dev, m, perPE),
-		D: r.D, B: r.B, P: r.P, P1: r.P1, P2: r.P2,
-		Segments: r.Segments, Phi: r.Phi,
-		OptimizerExtraState: r.OptimizerExtraState,
-	}, nil
+	cfg := NewConfig(m, sys, r.D, r.B, r.P, 0, nil)
+	cfg.P1, cfg.P2 = r.P1, r.P2
+	cfg.Segments, cfg.Phi = r.Segments, r.Phi
+	cfg.OptimizerExtraState = r.OptimizerExtraState
+	return cfg, nil
 }
 
 // Canonical renders the ref in its canonical content-addressed form:

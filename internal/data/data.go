@@ -3,7 +3,8 @@
 // 4×256³). Only sample geometry and count enter the performance model;
 // sample VALUES matter only to the correctness harness, where
 // procedurally generated tensors are equivalent to real images — the
-// substitution recorded in DESIGN.md.
+// substitution recorded in the README's "Measured vs projected"
+// section.
 package data
 
 import (

@@ -74,6 +74,17 @@ func (e *PEFailure) Error() string {
 	return fmt.Sprintf("dist: PE %d died at iteration %d", e.PE, e.Iter)
 }
 
+// InfeasibleError reports that Run rejected a (model, batches, plan)
+// combination before spawning any PE: the plan's Table 3 width limit, a
+// pipeline depth without legal stage cuts, an FC-head constraint, or a
+// batch smaller than the data-parallel group count. Nothing executed,
+// so a measured-vs-projected join may skip the plan; every other Run
+// error means a started world failed. Error() is the cause's message.
+type InfeasibleError struct{ Err error }
+
+func (e *InfeasibleError) Error() string { return e.Err.Error() }
+func (e *InfeasibleError) Unwrap() error { return e.Err }
+
 // Batch is one training step's input: samples [N, C, spatial...] plus
 // integer class labels of length N.
 type Batch struct {

@@ -44,13 +44,15 @@ type engine struct {
 // re-seed (on resume) → one engine step per batch → trace end. This is
 // the only batch loop of the runtime; serial is its 1×1 world.
 func drive(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
-	if err := checkBatches(m, batches, pl.P1); err != nil {
-		return nil, err
-	}
 	entry := registry[pl.Strategy]
-	eng, err := entry.engine(m, pl, entry.label, cfg)
+	var eng *engine
+	err := checkBatches(m, batches, pl.P1)
+	if err == nil {
+		eng, err = entry.engine(m, pl, entry.label, cfg)
+	}
 	if err != nil {
-		return nil, err
+		// No PE exists yet: the plan was rejected, not run.
+		return nil, &InfeasibleError{err}
 	}
 	losses, err := runGrid(pl.P1, pl.P2, eng.resultRank, func(world, group, seg *Comm) ([]float64, error) {
 		net, err := cfg.replica(m)

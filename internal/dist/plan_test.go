@@ -5,13 +5,17 @@
 package dist_test
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
+	"paradl/internal/cluster"
 	"paradl/internal/core"
 	"paradl/internal/dist"
 	"paradl/internal/model"
 	"paradl/internal/nn"
+	"paradl/internal/profile"
 )
 
 // planWidths returns representative valid plans for one strategy.
@@ -55,16 +59,31 @@ func TestPlanRoundTripParity(t *testing.T) {
 }
 
 // TestPlanConfigRoundTrip pins the one Plan→Config mapping against its
-// inverse: for every plan the sweep enumerates up to p=16, projecting
-// pl.Apply(cfg) and mapping the projection back yields pl again — so
-// the measured-vs-projected joins (report, measure, workload, serve)
-// price exactly the grid the runtime executes.
+// inverse, through the one Config constructor: for every plan the sweep
+// enumerates up to p=16, projecting pl.Apply(core.NewConfig(…, p)) and
+// mapping the projection back yields pl again — so the
+// measured-vs-projected join and the planner service price exactly the
+// grid the runtime executes, on the profile of the batch each PE sees.
 func TestPlanConfigRoundTrip(t *testing.T) {
-	base, err := core.ConfigRef{Model: "resnet50", D: 1 << 20, B: 512, P: 1}.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, sys := model.ResNet50(), cluster.Default()
+	dev := profile.NewDevice(sys.GPU)
+	const d, b = 1 << 20, 512
+	var memo core.ProfileMemo
 	for p := 1; p <= 16; p++ {
+		base := core.NewConfig(m, sys, d, b, p, 0, &memo)
+		if want := profile.ProfileModel(dev, m, b/p); !reflect.DeepEqual(base.Times, want) {
+			t.Fatalf("p=%d: NewConfig did not profile at per-PE batch B/P = %d", p, b/p)
+		}
+		if again := core.NewConfig(m, sys, d, b, p, 0, &memo); again.Times != base.Times {
+			t.Fatalf("p=%d: the memo re-profiled an identical (system, model, batch)", p)
+		}
+		wire, err := core.ConfigRef{Model: m.Name, D: d, B: b, P: p}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wire.Ref() != base.Ref() || !reflect.DeepEqual(wire.Times, base.Times) {
+			t.Fatalf("p=%d: ConfigRef.Resolve and NewConfig disagree: %+v vs %+v", p, wire.Ref(), base.Ref())
+		}
 		for _, pl := range dist.SweepPlans(p) {
 			cfg := pl.Apply(base)
 			if cfg.P != p {
@@ -78,6 +97,14 @@ func TestPlanConfigRoundTrip(t *testing.T) {
 				t.Fatalf("PlanFromProjection(Project(%s.Apply(cfg))) = %+v", pl, got)
 			}
 		}
+	}
+	// The default profiling batch never drops below one sample, and an
+	// explicit one wins over B/P.
+	if got := core.NewConfig(m, sys, d, 4, 16, 0, nil); !reflect.DeepEqual(got.Times, profile.ProfileModel(dev, m, 1)) {
+		t.Fatal("B < P must profile at one sample per PE")
+	}
+	if got := core.NewConfig(m, sys, d, b, 16, 8, nil); !reflect.DeepEqual(got.Times, profile.ProfileModel(dev, m, 8)) {
+		t.Fatal("an explicit profiling batch must win over B/P")
 	}
 }
 
@@ -205,6 +232,43 @@ func TestDataPipelineLimits(t *testing.T) {
 	}
 	if _, err := dist.Run(m, batches, dist.Plan{Strategy: core.DataPipeline, P1: 3, P2: 2}); err == nil {
 		t.Fatal("dp: batch 2 over 3 groups must fail")
+	}
+}
+
+// TestInfeasibleErrorMarksPreSpawnRejections: every rejection drive
+// makes before a PE exists — Table 3 widths, pipeline depth, a batch
+// smaller than the group count — is a *dist.InfeasibleError carrying
+// the engine's own message, which is what lets the measured-vs-projected
+// join skip exactly those; a malformed plan and a PE that died in a
+// started world are not.
+func TestInfeasibleErrorMarksPreSpawnRejections(t *testing.T) {
+	m := model.Tiny3D() // G = 7, spatial <= 2, filter/channel <= 4
+	batches := toyBatches(t, m, 2, 2)
+	for _, pl := range []dist.Plan{
+		{Strategy: core.Spatial, P2: 8},
+		{Strategy: core.Filter, P2: 8},
+		{Strategy: core.Channel, P2: 8},
+		{Strategy: core.Pipeline, P2: 8},
+		{Strategy: core.DataSpatial, P1: 2, P2: 4},
+		{Strategy: core.Data, P1: 3}, // batch 2 over 3 groups
+	} {
+		_, err := dist.Run(m, batches, pl)
+		var inf *dist.InfeasibleError
+		if !errors.As(err, &inf) {
+			t.Fatalf("%s: got %v (%T), want *dist.InfeasibleError", pl, err, err)
+		}
+		if inf.Err == nil || err.Error() != inf.Err.Error() {
+			t.Fatalf("%s: wrapper changed the message: %q vs cause %v", pl, err, inf.Err)
+		}
+	}
+	var inf *dist.InfeasibleError
+	if _, err := dist.Run(m, batches, dist.Plan{Strategy: core.Data}); err == nil || errors.As(err, &inf) {
+		t.Fatalf("a malformed plan is a caller bug, not an infeasible width: %v", err)
+	}
+	_, err := dist.Run(m, batches, dist.Plan{Strategy: core.Data, P1: 2}, dist.WithFailAt(1, 1))
+	var pf *dist.PEFailure
+	if !errors.As(err, &pf) || errors.As(err, &inf) {
+		t.Fatalf("a PE death in a started world must stay a *PEFailure, got %v", err)
 	}
 }
 

@@ -16,6 +16,15 @@
 //   - halo exchange rides the slower MPI/PCIe path (§5.3.1), and
 //   - concurrent collectives contend for shared links on the simulated
 //     fabric instead of obeying a closed-form φ.
+//
+// Measure starts from core.Validate, the oracle's own normaliser, so
+// both sides always evaluate the same grid and segment count; Compare
+// returns the (projection, measurement) pair for one config and is what
+// every measured-vs-projected cell is built from — report.evalCell for
+// the paper's figures, workload.Replayer.Replay (the one join that also
+// runs the plan for real) for the scoreboard, the overhead table and
+// PHASES.json. The package knows nothing of the runtime: plans reach it
+// as configs (dist.Plan.Apply).
 package measure
 
 import (
@@ -25,7 +34,6 @@ import (
 	"paradl/internal/cluster"
 	"paradl/internal/collective"
 	"paradl/internal/core"
-	"paradl/internal/dist"
 	"paradl/internal/nn"
 	"paradl/internal/profile"
 	"paradl/internal/simnet"
@@ -62,25 +70,22 @@ func (r *Result) Accuracy(pr *core.Projection) float64 {
 	return 1 - diff/measured
 }
 
-// MeasurePlan measures the runtime plan pl under cfg: the plan's
-// strategy on the plan's grid. cfg.P/P1/P2 are overwritten from the
-// plan geometry so a trace scenario's candidate plan and the measured
-// schedule can never disagree about the grid shape.
-func MeasurePlan(e *Engine, cfg core.Config, pl dist.Plan) (*Result, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
+// Compare evaluates one configuration on both analytic sides — the
+// oracle's projection and the simulator's measurement of the same
+// normalised config — the pair every measured-vs-projected cell holds
+// (the Fig. 3/4 grids directly, the replayed scenarios of
+// internal/workload next to a real run). The error names the side that
+// rejected the config ("oracle: …" / "simulator: …").
+func Compare(e *Engine, cfg core.Config, s core.Strategy) (*core.Projection, *Result, error) {
+	pr, err := core.Project(cfg, s)
+	if err != nil {
+		return nil, nil, fmt.Errorf("oracle: %w", err)
 	}
-	return Measure(e, pl.Apply(cfg), pl.Strategy)
-}
-
-// IterTotal measures one strategy and returns its per-iteration total
-// seconds — a convenience for scaling studies.
-func IterTotal(e *Engine, cfg core.Config, s core.Strategy) (float64, error) {
 	res, err := Measure(e, cfg, s)
 	if err != nil {
-		return 0, err
+		return nil, nil, fmt.Errorf("simulator: %w", err)
 	}
-	return res.Iter.Total(), nil
+	return pr, res, nil
 }
 
 // Engine owns the simulated fabric and device model.
@@ -144,21 +149,8 @@ func (e *Engine) runOp(op *collective.Op) float64 {
 // breakdown. Config semantics match core.Project (weak scaling for
 // data/spatial/hybrids, strong scaling for filter/channel, global B).
 func Measure(e *Engine, cfg core.Config, s core.Strategy) (*Result, error) {
-	if cfg.Model == nil || cfg.Sys == nil {
-		return nil, fmt.Errorf("measure: config requires Model and Sys")
-	}
-	if cfg.B <= 0 || cfg.P <= 0 || cfg.D <= 0 {
-		return nil, fmt.Errorf("measure: D=%d B=%d P=%d must be positive", cfg.D, cfg.B, cfg.P)
-	}
-	if cfg.Segments == 0 {
-		cfg.Segments = 4
-	}
-	if (s == core.DataFilter || s == core.DataSpatial || s == core.DataPipeline) && cfg.P1 == 0 && cfg.P2 == 0 {
-		cfg.P2 = cfg.Sys.GPUsPerNode
-		if cfg.P2 > cfg.P {
-			cfg.P2 = cfg.P
-		}
-		cfg.P1 = cfg.P / cfg.P2
+	if err := core.Validate(&cfg, s); err != nil {
+		return nil, err
 	}
 	r := &Result{Strategy: s, Config: cfg}
 	var err error
@@ -194,10 +186,7 @@ func Measure(e *Engine, cfg core.Config, s core.Strategy) (*Result, error) {
 	// data-parallel path (§5.2, §5.3.3, Fig. 8). The calibrated
 	// efficiency factors below inflate the measured forward/backward
 	// times accordingly; data parallelism runs at full efficiency.
-	f := frameworkEfficiency[s]
-	if f == 0 {
-		f = 1
-	}
+	f := FrameworkEfficiency(s)
 	r.Iter.FW /= f
 	r.Iter.BW /= f
 	// Distributed-iteration overhead: the multi-node training loop adds
@@ -233,6 +222,17 @@ var frameworkEfficiency = map[core.Strategy]float64{
 	core.DataSpatial:  0.90,
 	core.Pipeline:     0.90,
 	core.DataPipeline: 0.90, // torchgpipe bookkeeping inside every group
+}
+
+// FrameworkEfficiency returns the calibrated implementation-efficiency
+// factor Measure divides strategy s's forward/backward times by (1 for
+// a strategy without an entry), so a breakdown that separates kernel
+// time from framework friction (Fig. 8) reads the same table.
+func FrameworkEfficiency(s core.Strategy) float64 {
+	if f, ok := frameworkEfficiency[s]; ok {
+		return f
+	}
+	return 1
 }
 
 func (e *Engine) measureSerial(cfg core.Config) (core.Breakdown, error) {

@@ -1,11 +1,11 @@
 package measure
 
 import (
+	"strings"
 	"testing"
 
 	"paradl/internal/cluster"
 	"paradl/internal/core"
-	"paradl/internal/dist"
 	"paradl/internal/model"
 	"paradl/internal/nn"
 	"paradl/internal/profile"
@@ -326,48 +326,27 @@ func TestSerialMatchesOracleExactly(t *testing.T) {
 	}
 }
 
-// MeasurePlan must be exactly Measure with the grid taken from the
-// plan: bit-identical breakdowns for pure widths and explicit hybrid
-// factorizations, plan validation errors surfaced, and a stale
-// cfg.P/P1/P2 overwritten rather than trusted.
-func TestMeasurePlanMatchesMeasure(t *testing.T) {
+// Measure normalises through core.Validate, the oracle's own
+// normaliser: a hybrid given one grid axis is simulated on the grid the
+// oracle projects (Measure used to fill defaults itself and left the
+// other axis at zero), Compare hands back the pair on one config, and a
+// grid that does not factor P is rejected on both sides alike.
+func TestMeasureSharesTheOracleNormaliser(t *testing.T) {
 	e := engine(t)
-	m := model.ResNet50()
-	cases := []struct {
-		plan      string
-		p, p1, p2 int
-	}{
-		{"data:8", 8, 0, 0},
-		{"pipeline:4", 4, 0, 0},
-		{"df:4x2", 8, 4, 2},
-		{"ds:2x4", 8, 2, 4},
+	cfg := weakCfg(t, model.ResNet50(), 8, 4)
+	cfg.P2 = 2
+	pr, res, err := Compare(e, cfg, core.DataFilter)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		pl, err := dist.ParsePlan(c.plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := weakCfg(t, m, c.p, 4)
-		cfg.P1, cfg.P2 = c.p1, c.p2
-		want, err := Measure(e, cfg, pl.Strategy)
-		if err != nil {
-			t.Fatalf("Measure(%s): %v", c.plan, err)
-		}
-		// Hand MeasurePlan a config with a WRONG grid: the plan must win.
-		stale := cfg
-		stale.P, stale.P1, stale.P2 = 2, 2, 1
-		got, err := MeasurePlan(e, stale, pl)
-		if err != nil {
-			t.Fatalf("MeasurePlan(%s): %v", c.plan, err)
-		}
-		if got.Iter != want.Iter {
-			t.Errorf("%s: MeasurePlan iter %+v != Measure iter %+v", c.plan, got.Iter, want.Iter)
-		}
-		if got.Config.P != c.p {
-			t.Errorf("%s: P = %d, want %d", c.plan, got.Config.P, c.p)
-		}
+	if res.Config.Ref() != pr.Config.Ref() || res.Config.P1 != 4 || res.Config.Segments != 4 {
+		t.Fatalf("simulated %+v, projected %+v", res.Config.Ref(), pr.Config.Ref())
 	}
-	if _, err := MeasurePlan(e, weakCfg(t, m, 4, 4), dist.Plan{Strategy: core.Data}); err == nil {
-		t.Error("invalid plan (zero width axis) accepted")
+	cfg.P1 = 3
+	if _, err := Measure(e, cfg, core.DataFilter); err == nil {
+		t.Fatal("P1·P2 ≠ P simulated")
+	}
+	if _, _, err := Compare(e, cfg, core.DataFilter); err == nil || !strings.HasPrefix(err.Error(), "oracle: ") {
+		t.Fatalf("Compare must name the rejecting side, got %v", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"paradl/internal/data"
 	"paradl/internal/measure"
 	"paradl/internal/model"
-	"paradl/internal/profile"
 )
 
 // cosmoConfig builds a CosmoFlow ds configuration: one sample per node
@@ -16,31 +15,19 @@ import (
 // nodes. Uses the 128³ geometry for tractable in-process evaluation;
 // §5.1's ×8 extrapolation note covers the 256³ full size.
 func (e *Env) cosmoConfig(p int) core.Config {
-	m := model.CosmoFlowAt(128)
 	key := "cosmoflow128"
 	if _, ok := e.models[key]; !ok {
-		e.models[key] = m
+		e.models[key] = model.CosmoFlowAt(128)
 	}
 	p2 := e.Sys.GPUsPerNode
 	if p < p2 {
 		p2 = p
 	}
 	p1 := p / p2
-	lt, ok := e.profiles[key]
-	if !ok {
-		lt = profile.ProfileModel(e.Dev, e.models[key], 1)
-		e.profiles[key] = lt
-	}
-	return core.Config{
-		Model: e.models[key],
-		Sys:   e.Sys,
-		Times: lt,
-		D:     data.CosmoFlow().Samples,
-		B:     p1, // one sample per spatial group
-		P:     p,
-		P1:    p1,
-		P2:    p2,
-	}
+	// One sample per spatial group, profiled at that one sample.
+	cfg := core.NewConfig(e.models[key], e.Sys, data.CosmoFlow().Samples, p1, p, 1, &e.profiles)
+	cfg.P1, cfg.P2 = p1, p2
+	return cfg
 }
 
 // Fig4 evaluates CosmoFlow under Data+Spatial across scales — the
@@ -93,20 +80,20 @@ func (e *Env) Fig5() (baselineEpoch float64, pts []Fig5Point, err error) {
 	// Baseline: pure spatial on one node (1 sample over 4 GPUs — the
 	// paper's 0.25 samples/GPU configuration).
 	base := e.cosmoConfig(e.Sys.GPUsPerNode)
-	baseIter, err := measure.IterTotal(e.Engine, base, core.DataSpatial)
+	baseRes, err := measure.Measure(e.Engine, base, core.DataSpatial)
 	if err != nil {
 		return 0, nil, err
 	}
 	d := float64(base.D)
-	baselineEpoch = d * baseIter // one sample per iteration
+	baselineEpoch = d * baseRes.Iter.Total() // one sample per iteration
 
 	for _, p := range []int{4, 16, 64, 256, 512} {
 		cfg := e.cosmoConfig(p)
-		iter, err := measure.IterTotal(e.Engine, cfg, core.DataSpatial)
+		res, err := measure.Measure(e.Engine, cfg, core.DataSpatial)
 		if err != nil {
 			return 0, nil, err
 		}
-		epoch := d / float64(cfg.B) * iter
+		epoch := d / float64(cfg.B) * res.Iter.Total()
 		pts = append(pts, Fig5Point{P: p, DSEpoch: epoch, Speedup: baselineEpoch / epoch})
 	}
 	return baselineEpoch, pts, nil

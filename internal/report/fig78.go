@@ -27,7 +27,7 @@ func (e *Env) Fig7() []Fig7Row {
 		if name == "cosmoflow" {
 			b = 1
 		}
-		lt := e.Profile(name, b)
+		lt := e.Config(name, 1, b, b).Times // one GPU, profiled at batch b
 		fw := float64(b) * lt.SumFW()
 		bw := float64(b) * lt.SumBW()
 		wu := lt.SumWU()
@@ -95,7 +95,7 @@ func (e *Env) Fig8() ([]Fig8Row, error) {
 			l := &m.Layers[i]
 			conv += e.Dev.LayerFW(l, b, frac) + e.Dev.LayerBW(l, b, frac)
 		}
-		conv /= frameworkEff(core.Filter)
+		conv /= measure.FrameworkEfficiency(core.Filter)
 		total := res.Iter.FW + res.Iter.BW
 		overhead := total - conv
 		if overhead < 0 {
@@ -110,19 +110,6 @@ func (e *Env) Fig8() ([]Fig8Row, error) {
 		})
 	}
 	return rows, nil
-}
-
-// frameworkEff mirrors measure's calibrated implementation-efficiency
-// factor for breakdown decomposition.
-func frameworkEff(s core.Strategy) float64 {
-	switch s {
-	case core.Filter:
-		return 0.88
-	case core.Channel:
-		return 0.82
-	default:
-		return 1
-	}
 }
 
 // WriteFig8 renders the breakdown.

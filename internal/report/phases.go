@@ -5,12 +5,8 @@ import (
 	"io"
 
 	"paradl/internal/core"
-	"paradl/internal/data"
 	"paradl/internal/dist"
-	"paradl/internal/model"
-	"paradl/internal/nn"
-	"paradl/internal/profile"
-	"paradl/internal/trace"
+	"paradl/internal/workload"
 )
 
 // This file is the per-phase refinement of the runtime overhead table:
@@ -22,6 +18,10 @@ import (
 // is on SHARES: compute fraction, exposed-communication fraction, and —
 // measured side only — the overlap-hidden communication the analytic
 // model folds into its overlap factor.
+//
+// Like the overhead table, this is a row-shaper over the repo's one
+// join (workload.Replayer.Replay): each committed (model, plan) cell is
+// a fixed scenario replayed with tracing on.
 
 // PhaseRow is one (model, plan) cell of the measured-vs-projected
 // per-phase table.
@@ -63,38 +63,43 @@ type PhaseRow struct {
 // PhaseBatch/PhaseIters are exported so the PHASES.json emitter can
 // record the workload it measured.
 const (
-	PhaseBatch = 8
+	PhaseBatch = runtimeBatch
 	PhaseIters = 4
-	phaseSeed  = 42
-	phaseLR    = 0.05
 )
 
 // phasePlans is the committed plan matrix: every strategy the model
 // admits, at the widest toy width it admits (tinycnn-nobn takes all
 // eight at p=4; tinyresnet narrows the tensor-parallel widths to 2).
-func phasePlans(m *nn.Model) []dist.Plan {
-	if m.Name == "tinyresnet" {
-		return []dist.Plan{
-			{Strategy: core.Data, P1: 4},
-			{Strategy: core.Spatial, P2: 2},
-			{Strategy: core.Filter, P2: 2},
-			{Strategy: core.Channel, P2: 2},
-			{Strategy: core.Pipeline, P2: 2},
-			{Strategy: core.DataFilter, P1: 2, P2: 2},
-			{Strategy: core.DataSpatial, P1: 2, P2: 2},
-			{Strategy: core.DataPipeline, P1: 2, P2: 2},
-		}
+func phasePlans(modelName string) []dist.Plan {
+	w := 4
+	if modelName == "tinyresnet" {
+		w = 2
 	}
 	return []dist.Plan{
 		{Strategy: core.Data, P1: 4},
-		{Strategy: core.Spatial, P2: 4},
-		{Strategy: core.Filter, P2: 4},
-		{Strategy: core.Channel, P2: 4},
-		{Strategy: core.Pipeline, P2: 4},
+		{Strategy: core.Spatial, P2: w},
+		{Strategy: core.Filter, P2: w},
+		{Strategy: core.Channel, P2: w},
+		{Strategy: core.Pipeline, P2: w},
 		{Strategy: core.DataFilter, P1: 2, P2: 2},
 		{Strategy: core.DataSpatial, P1: 2, P2: 2},
 		{Strategy: core.DataPipeline, P1: 2, P2: 2},
 	}
+}
+
+// phaseScenarios lists the committed cells in row order, one traced
+// scenario per (model, plan) — the matrix mixes widths within a model,
+// and a scenario is one width.
+func (e *Env) phaseScenarios() []workload.Scenario {
+	var scs []workload.Scenario
+	for _, name := range []string{"tinycnn-nobn", "tinyresnet"} {
+		for _, pl := range phasePlans(name) {
+			sc := e.toyScenario("phases-"+name+"-"+pl.String(), name, PhaseIters, true, pl)
+			sc.Trace = true
+			scs = append(scs, sc)
+		}
+	}
+	return scs
 }
 
 // PhaseBreakdown traces every plan of the committed matrix on the real
@@ -103,60 +108,45 @@ func phasePlans(m *nn.Model) []dist.Plan {
 // matrix must run AND project — a width the runtime rejects is a matrix
 // bug, not a row to skip.
 func (e *Env) PhaseBreakdown() ([]PhaseRow, error) {
+	r, err := workload.NewReplayer(1)
+	if err != nil {
+		return nil, err
+	}
 	var rows []PhaseRow
-	for _, m := range []*nn.Model{model.TinyCNNNoBN(), model.TinyResNet()} {
-		batches := data.Toy(m, int64(PhaseIters*PhaseBatch)).Batches(PhaseIters, PhaseBatch)
-		for _, pl := range phasePlans(m) {
-			rec := trace.NewRecorder()
-			_, err := dist.Run(m, batches, pl,
-				dist.WithSeed(phaseSeed), dist.WithLR(phaseLR),
-				dist.WithOverlap(true), dist.WithBucketBytes(dist.BenchOverlapBucketBytes),
-				dist.WithTrace(rec))
-			if err != nil {
-				return nil, fmt.Errorf("report: tracing %s on %s: %w", pl, m.Name, err)
-			}
-			sum := rec.Summarize()
-
-			perPE := PhaseBatch / pl.P()
-			if perPE < 1 {
-				perPE = 1
-			}
-			proj, err := core.Project(pl.Apply(core.Config{
-				Model: m, Sys: e.Sys,
-				Times:    profile.ProfileModel(e.Dev, m, perPE),
-				D:        PhaseBatch,
-				B:        PhaseBatch,
-				Segments: 4,
-			}), pl.Strategy)
-			if err != nil {
-				return nil, fmt.Errorf("report: projecting %s on %s (the runtime executed it): %w", pl, m.Name, err)
-			}
-
-			row := PhaseRow{
-				Model:        m.Name,
-				Plan:         pl.String(),
-				P:            pl.P(),
-				WallMS:       float64(sum.WallNS) / 1e6,
-				Iters:        sum.Iters,
-				Coverage:     sum.Coverage,
-				PhaseMS:      map[string]float64{},
-				HiddenCommMS: float64(sum.AsyncNS) / 1e6,
-			}
-			for ph, ns := range sum.PhaseNS {
-				row.PhaseMS[ph] = float64(ns) / 1e6
-			}
-			if work := sum.ComputeNS() + sum.CommNS(); work > 0 {
-				row.MeasuredComputeShare = float64(sum.ComputeNS()) / float64(work)
-				row.MeasuredCommShare = float64(sum.CommNS()) / float64(work)
-				row.MeasuredHiddenShare = float64(sum.AsyncNS) / float64(work)
-			}
-			it := proj.Iter()
-			if t := it.Total(); t > 0 {
-				row.ProjectedComputeShare = it.Comp() / t
-				row.ProjectedCommShare = it.Comm() / t
-			}
-			rows = append(rows, row)
+	for _, sc := range e.phaseScenarios() {
+		res, err := r.Replay(sc)
+		if err != nil {
+			return nil, fmt.Errorf("report: tracing %s on %s: %w", sc.Plans[0], sc.Model, err)
 		}
+		if len(res.Skipped) > 0 {
+			return nil, fmt.Errorf("report: %s on %s is in the committed matrix but was skipped: %s", sc.Plans[0], sc.Model, res.Skipped[0].Reason)
+		}
+		c := res.Candidates[0]
+		sum := c.Trace
+		row := PhaseRow{
+			Model:        sc.Model,
+			Plan:         c.Plan,
+			P:            sc.P,
+			WallMS:       float64(sum.WallNS) / 1e6,
+			Iters:        sum.Iters,
+			Coverage:     sum.Coverage,
+			PhaseMS:      map[string]float64{},
+			HiddenCommMS: float64(sum.AsyncNS) / 1e6,
+		}
+		for ph, ns := range sum.PhaseNS {
+			row.PhaseMS[ph] = float64(ns) / 1e6
+		}
+		if work := sum.ComputeNS() + sum.CommNS(); work > 0 {
+			row.MeasuredComputeShare = float64(sum.ComputeNS()) / float64(work)
+			row.MeasuredCommShare = float64(sum.CommNS()) / float64(work)
+			row.MeasuredHiddenShare = float64(sum.AsyncNS) / float64(work)
+		}
+		it := c.Projection.Iter()
+		if t := it.Total(); t > 0 {
+			row.ProjectedComputeShare = it.Comp() / t
+			row.ProjectedCommShare = it.Comm() / t
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

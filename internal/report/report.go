@@ -2,7 +2,18 @@
 // evaluation (§5): the oracle-vs-measured breakdowns of Fig. 3/4, the
 // ds scaling study of Fig. 5, the congestion scatter of Fig. 6, the
 // compute breakdowns of Fig. 7/8, and Tables 3, 5 and 6 — each as a
-// structured result set plus a text rendering, indexed in DESIGN.md.
+// structured result set plus a text rendering, indexed by cmd/paraexp's
+// experiment registry and the README's "Measured vs projected" section.
+//
+// Those artefacts compare the oracle with the simulator, one
+// measure.Compare per cell (evalCell). The two tables that also run the
+// plan on the real runtime — the overhead table (runtime.go) and the
+// per-phase table behind PHASES.json (phases.go) — own no run, projection
+// or config of their own: each is a list of fixed workload.Scenario
+// values plus a row-shaper over workload.Replayer.Replay, the repo's one
+// measured-vs-projected join, and inherits its skip policy (only a
+// *dist.InfeasibleError drops an overhead row; a PHASES cell may not be
+// skipped at all).
 package report
 
 import (
@@ -27,7 +38,7 @@ type Env struct {
 	Engine *measure.Engine
 
 	models    map[string]*nn.Model
-	profiles  map[string]*profile.LayerTimes
+	profiles  core.ProfileMemo
 	fig3Cache []Cell
 }
 
@@ -36,11 +47,10 @@ type Env struct {
 func NewEnv() *Env {
 	sys := cluster.Default()
 	return &Env{
-		Sys:      sys,
-		Dev:      profile.NewDevice(sys.GPU),
-		Engine:   measure.NewEngine(sys),
-		models:   map[string]*nn.Model{},
-		profiles: map[string]*profile.LayerTimes{},
+		Sys:    sys,
+		Dev:    profile.NewDevice(sys.GPU),
+		Engine: measure.NewEngine(sys),
+		models: map[string]*nn.Model{},
 	}
 }
 
@@ -57,18 +67,6 @@ func (e *Env) Model(name string) *nn.Model {
 	return m
 }
 
-// Profile returns (and caches) the per-layer time profile of a model at
-// per-GPU batch b.
-func (e *Env) Profile(name string, b int) *profile.LayerTimes {
-	key := fmt.Sprintf("%s@%d", name, b)
-	if lt, ok := e.profiles[key]; ok {
-		return lt
-	}
-	lt := profile.ProfileModel(e.Dev, e.Model(name), b)
-	e.profiles[key] = lt
-	return lt
-}
-
 // Config assembles a core.Config for a model. b is the GLOBAL batch;
 // perPE sets the profiling batch granularity.
 func (e *Env) Config(name string, p, b, perPE int) core.Config {
@@ -76,14 +74,7 @@ func (e *Env) Config(name string, p, b, perPE int) core.Config {
 	if err != nil {
 		panic(err)
 	}
-	return core.Config{
-		Model: e.Model(name),
-		Sys:   e.Sys,
-		Times: e.Profile(name, perPE),
-		D:     ds.Samples,
-		B:     b,
-		P:     p,
-	}
+	return core.NewConfig(e.Model(name), e.Sys, ds.Samples, b, p, perPE, &e.profiles)
 }
 
 // Cell is one oracle-vs-measured grid point (one bar pair of Fig. 3).
@@ -99,13 +90,9 @@ type Cell struct {
 
 // evalCell runs both sides for one configuration.
 func (e *Env) evalCell(name string, s core.Strategy, cfg core.Config) (Cell, error) {
-	pr, err := core.Project(cfg, s)
+	pr, res, err := measure.Compare(e.Engine, cfg, s)
 	if err != nil {
-		return Cell{}, fmt.Errorf("report: projecting %s/%v: %w", name, s, err)
-	}
-	res, err := measure.Measure(e.Engine, cfg, s)
-	if err != nil {
-		return Cell{}, fmt.Errorf("report: measuring %s/%v: %w", name, s, err)
+		return Cell{}, fmt.Errorf("report: %s/%v: %w", name, s, err)
 	}
 	return Cell{
 		Model:    name,

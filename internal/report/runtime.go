@@ -1,16 +1,13 @@
 package report
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"strings"
-	"time"
 
 	"paradl/internal/core"
-	"paradl/internal/data"
 	"paradl/internal/dist"
-	"paradl/internal/model"
-	"paradl/internal/profile"
+	"paradl/internal/workload"
 )
 
 // This file closes the ROADMAP "scenario diversity" loop: the dist
@@ -21,6 +18,11 @@ import (
 // RATIO — strategy iteration time over sequential iteration time — is
 // scale-free on both sides, which is exactly the quantity the paper's
 // measured-vs-projected methodology compares (§5.2).
+//
+// The table is a row-shaper over the repo's one join
+// (workload.Replayer.Replay): fixed scenarios — the serial baseline,
+// the width-p candidates with overlap on, the same with overlap off —
+// are replayed, and each row divides a candidate by the baseline.
 
 // RuntimeRow is one strategy's measured-vs-projected overhead at width
 // p. P1/P2 are zero except for the hybrids.
@@ -48,6 +50,7 @@ type RuntimeRow struct {
 // strategy admits it), global batch 8, 2 iterations per run, 3 timed
 // runs after one warm-up.
 const (
+	runtimeModel   = "tinycnn-nobn"
 	runtimeBatch   = 8
 	runtimeIters   = 2
 	runtimeRepeats = 3
@@ -55,24 +58,21 @@ const (
 	runtimeLR      = 0.05
 )
 
-// isWidthLimit reports whether err is a Table 3 scaling-limit
-// rejection from the dist engines (every such error cites the table).
-func isWidthLimit(err error) bool {
-	return strings.Contains(err.Error(), "(Table 3)")
-}
-
-// timeRun measures seconds per training iteration of one runner.
-func timeRun(run func() error) (float64, error) {
-	if err := run(); err != nil { // warm-up; also surfaces infeasibility
-		return 0, err
+// toyScenario is the fixed toy workload both measured tables replay:
+// the runtime-overhead hyperparameters on the Env's machine. Both
+// overlap columns pin the toy A/B bucket size: at the 256 KiB default
+// no toy-scale bucket ever fills mid-backward, so the on/off pair would
+// time identical executions (see BenchOverlapBucketBytes).
+func (e *Env) toyScenario(id, modelName string, iters int, overlap bool, plans ...dist.Plan) workload.Scenario {
+	sc := workload.Scenario{
+		ID: id, Seed: runtimeSeed, Model: modelName, Cluster: e.Sys.Name,
+		Batch: runtimeBatch, Iters: iters, P: plans[0].P(), LR: runtimeLR,
+		Overlap: overlap, BucketBytes: dist.BenchOverlapBucketBytes, Footnote2: true,
 	}
-	start := time.Now()
-	for i := 0; i < runtimeRepeats; i++ {
-		if err := run(); err != nil {
-			return 0, err
-		}
+	for _, pl := range plans {
+		sc.Plans = append(sc.Plans, pl.String())
 	}
-	return time.Since(start).Seconds() / float64(runtimeRepeats*runtimeIters), nil
+	return sc
 }
 
 // RuntimeOverhead measures every strategy the toy model admits at width
@@ -85,47 +85,8 @@ func (e *Env) RuntimeOverhead(p int) ([]RuntimeRow, error) {
 	if p < 2 || p > 8 {
 		return nil, fmt.Errorf("report: runtime overhead is toy-scale, need 2 <= p <= 8, got %d", p)
 	}
-	m := model.TinyCNNNoBN()
-	batches := data.Toy(m, int64(runtimeIters*runtimeBatch)).Batches(runtimeIters, runtimeBatch)
-
-	// Both overlap columns pin the toy A/B bucket size: at the 256 KiB
-	// default no toy-scale bucket ever fills mid-backward, so the on/off
-	// pair would time identical executions (see BenchOverlapBucketBytes).
-	runPlan := func(pl dist.Plan, overlap bool) func() error {
-		return func() error {
-			_, err := dist.Run(m, batches, pl, dist.WithSeed(runtimeSeed), dist.WithLR(runtimeLR),
-				dist.WithOverlap(overlap), dist.WithBucketBytes(dist.BenchOverlapBucketBytes))
-			return err
-		}
-	}
-	seqSec, err := timeRun(runPlan(dist.Plan{Strategy: core.Serial}, true))
-	if err != nil {
-		return nil, err
-	}
-	projCfg := func(pl dist.Plan) core.Config {
-		perPE := runtimeBatch / pl.P()
-		if perPE < 1 {
-			perPE = 1
-		}
-		return pl.Apply(core.Config{
-			Model:    m,
-			Sys:      e.Sys,
-			Times:    profile.ProfileModel(e.Dev, m, perPE),
-			D:        runtimeBatch,
-			B:        runtimeBatch,
-			Segments: 4,
-		})
-	}
-	serialProj, err := core.Project(projCfg(dist.Plan{Strategy: core.Serial}), core.Serial)
-	if err != nil {
-		return nil, err
-	}
-	serialIter := serialProj.Iter().Total()
-
 	// The candidate plans: every pure strategy at width p, plus the 2-D
-	// hybrids on a (p/2)×2 grid when p admits one. The measured side
-	// dispatches through the same Plan registry every other runtime
-	// client uses, so this table exercises the real entry path.
+	// hybrids on a (p/2)×2 grid when p admits one.
 	cands := []dist.Plan{
 		{Strategy: core.Data, P1: p},
 		{Strategy: core.Spatial, P2: p},
@@ -141,34 +102,59 @@ func (e *Env) RuntimeOverhead(p int) ([]RuntimeRow, error) {
 		)
 	}
 
+	r, err := workload.NewReplayer(runtimeRepeats)
+	if err != nil {
+		return nil, err
+	}
+	replay := func(id string, overlap bool, plans ...dist.Plan) (*workload.ScenarioResult, error) {
+		res, err := r.Replay(e.toyScenario(id, runtimeModel, runtimeIters, overlap, plans...))
+		if err != nil {
+			return nil, fmt.Errorf("report: measuring p=%d: %w", p, err)
+		}
+		// Only a runtime width limit legitimately drops a row; a plan the
+		// runtime executed but the oracle or simulator rejected must
+		// surface — this table exists to expose such discrepancies.
+		for _, sk := range res.Skipped {
+			var inf *dist.InfeasibleError
+			if !errors.As(sk.Err, &inf) {
+				return nil, fmt.Errorf("report: %s at p=%d (the runtime executed it): %s", sk.Plan, p, sk.Reason)
+			}
+		}
+		return res, nil
+	}
+	seq, err := replay("overhead-serial", true, dist.Plan{Strategy: core.Serial})
+	if err != nil {
+		return nil, err
+	}
+	if len(seq.Candidates) != 1 {
+		return nil, fmt.Errorf("report: the serial baseline did not run: %+v", seq.Skipped)
+	}
+	on, err := replay("overhead-overlap", true, cands...)
+	if err != nil {
+		return nil, err
+	}
+	off, err := replay("overhead-blocking", false, cands...)
+	if err != nil {
+		return nil, err
+	}
+	if len(off.Candidates) != len(on.Candidates) {
+		return nil, fmt.Errorf("report: p=%d ran %d plans with overlap on but %d with it off", p, len(on.Candidates), len(off.Candidates))
+	}
+
+	// Replay times whole runs; the table is per iteration.
+	base := seq.Candidates[0]
+	seqSec := base.MeasuredSec / runtimeIters
 	rows := []RuntimeRow{{
 		Strategy: core.Serial, P: 1,
 		MeasuredSec: seqSec, MeasuredOverhead: 1,
 		BlockingSec: seqSec, BlockingOverhead: 1,
 		ProjectedOverhead: 1,
 	}}
-	for _, c := range cands {
-		sec, err := timeRun(runPlan(c, true))
-		if err != nil {
-			// Only a Table 3 scaling limit legitimately drops a row; any
-			// other failure (a runtime bug, a wedged collective) must
-			// surface — this table exists to expose such discrepancies.
-			if isWidthLimit(err) {
-				continue
-			}
-			return nil, fmt.Errorf("report: measuring %v at p=%d: %w", c.Strategy, p, err)
-		}
-		blockSec, err := timeRun(runPlan(c, false))
-		if err != nil {
-			return nil, fmt.Errorf("report: measuring %v at p=%d with overlap off: %w", c.Strategy, p, err)
-		}
-		cfg := projCfg(c)
-		proj, err := core.Project(cfg, c.Strategy)
-		if err != nil {
-			return nil, fmt.Errorf("report: projecting %v at p=%d (the runtime executed it): %w", c.Strategy, p, err)
-		}
+	for i, c := range on.Candidates {
+		cfg := c.Projection.Config
+		sec, blockSec := c.MeasuredSec/runtimeIters, off.Candidates[i].MeasuredSec/runtimeIters
 		rows = append(rows, RuntimeRow{
-			Strategy:          c.Strategy,
+			Strategy:          c.Projection.Strategy,
 			P:                 p,
 			P1:                cfg.P1,
 			P2:                cfg.P2,
@@ -176,7 +162,7 @@ func (e *Env) RuntimeOverhead(p int) ([]RuntimeRow, error) {
 			MeasuredOverhead:  sec / seqSec,
 			BlockingSec:       blockSec,
 			BlockingOverhead:  blockSec / seqSec,
-			ProjectedOverhead: proj.Iter().Total() / serialIter,
+			ProjectedOverhead: c.OracleSec / base.OracleSec,
 		})
 	}
 	return rows, nil
@@ -188,7 +174,7 @@ func (e *Env) WriteRuntimeOverhead(w io.Writer, p int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "Measured vs projected strategy overhead — %s, global batch %d, p=%d\n", "tinycnn-nobn", runtimeBatch, p)
+	fmt.Fprintf(w, "Measured vs projected strategy overhead — %s, global batch %d, p=%d\n", runtimeModel, runtimeBatch, p)
 	fmt.Fprintf(w, "(overhead = iteration time / sequential iteration time; measured side is the\n real internal/dist runtime at toy scale — overlap: nonblocking bucketed gradient\n exchange, blocking: the same exchange synchronous — projected side is the oracle)\n")
 	tw := newTable(w)
 	fmt.Fprintln(tw, "strategy\tgrid\toverlap ms/iter\tblocking ms/iter\tmeasured overhead\tblocking overhead\tprojected overhead")

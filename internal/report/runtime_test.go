@@ -38,6 +38,27 @@ func TestRuntimeOverheadRows(t *testing.T) {
 	}
 }
 
+// TestRuntimeOverheadDropsInfeasibleWidth: a plan the runtime rejects
+// before spawning (spatial:6 on the 4-wide toy input — a typed
+// *dist.InfeasibleError skip in the join) drops its row from both
+// overlap passes alike; everything that ran keeps both columns.
+func TestRuntimeOverheadDropsInfeasibleWidth(t *testing.T) {
+	rows, err := NewEnv().RuntimeOverhead(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[core.Strategy]bool{}
+	for _, r := range rows {
+		seen[r.Strategy] = true
+		if r.MeasuredSec <= 0 || r.BlockingSec <= 0 || r.ProjectedOverhead <= 0 {
+			t.Fatalf("%v: incomplete row %+v", r.Strategy, r)
+		}
+	}
+	if seen[core.Spatial] || !seen[core.Data] || !seen[core.DataPipeline] {
+		t.Fatalf("p=6 must drop spatial and keep data and dp 3×2, got %v", seen)
+	}
+}
+
 // TestRuntimeOverheadBounds: widths outside toy scale are rejected.
 func TestRuntimeOverheadBounds(t *testing.T) {
 	e := NewEnv()

@@ -36,7 +36,6 @@ import (
 	"paradl/internal/dist"
 	"paradl/internal/metrics"
 	"paradl/internal/model"
-	"paradl/internal/profile"
 )
 
 // DefaultCacheEntries bounds the LRU projection cache.
@@ -326,16 +325,7 @@ func sweepGrid(req Request) (*SweepResponse, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	dev := profile.NewDevice(sys.GPU)
-	times := map[int]*profile.LayerTimes{}
-	profileAt := func(perPE int) *profile.LayerTimes {
-		if lt, ok := times[perPE]; ok {
-			return lt
-		}
-		lt := profile.ProfileModel(dev, m, perPE)
-		times[perPE] = lt
-		return lt
-	}
+	var profiles core.ProfileMemo // one per request: nothing outlives it
 
 	resp := &SweepResponse{Model: m.Name, Cluster: sys.Name}
 	projections := 0
@@ -344,17 +334,10 @@ func sweepGrid(req Request) (*SweepResponse, int, error) {
 		if b == 0 {
 			b = req.Batch * p
 		}
-		perPE := b / p
-		if perPE < 1 {
-			perPE = 1
-		}
 		for _, pl := range dist.SweepPlans(p) {
-			cfg := pl.Apply(core.Config{
-				Model: m, Sys: sys, Times: profileAt(perPE),
-				D: req.D, B: b,
-				Segments: req.Segments, Phi: req.Phi,
-				OptimizerExtraState: req.OptimizerExtraState,
-			})
+			cfg := pl.Apply(core.NewConfig(m, sys, req.D, b, p, 0, &profiles))
+			cfg.Segments, cfg.Phi = req.Segments, req.Phi
+			cfg.OptimizerExtraState = req.OptimizerExtraState
 			point := SweepPoint{Plan: pl.String(), P: p}
 			pr, err := core.Project(cfg, pl.Strategy)
 			if err != nil {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -11,8 +12,7 @@ import (
 	"paradl/internal/dist"
 	"paradl/internal/measure"
 	"paradl/internal/model"
-	"paradl/internal/nn"
-	"paradl/internal/profile"
+	"paradl/internal/trace"
 )
 
 // Candidate is one plan's replay record inside a scenario: the three
@@ -27,7 +27,7 @@ type Candidate struct {
 	// ordering IS per-iteration ordering.
 	MeasuredSec float64 `json:"measured_sec"`
 	// SimSec is the measured simulator's per-iteration total
-	// (measure.MeasurePlan) on the scenario's cluster geometry.
+	// (measure.Measure) on the scenario's cluster geometry.
 	SimSec float64 `json:"sim_sec"`
 	// OracleSec is the oracle's projected per-iteration total
 	// (core.Project) for the same config.
@@ -39,14 +39,27 @@ type Candidate struct {
 	OracleRank int `json:"oracle_rank"`
 	// Losses is the real run's per-iteration loss series.
 	Losses []float64 `json:"losses"`
+
+	// The join's in-memory products, for consumers that shape their own
+	// rows from a replay (internal/report); SCOREBOARD.json carries only
+	// the scalars above. Projection and Sim are the oracle's and the
+	// simulator's full answers for the plan's config; Trace is the
+	// warm-up run's phase summary when the scenario asked for one.
+	Projection *core.Projection `json:"-"`
+	Sim        *measure.Result  `json:"-"`
+	Trace      trace.Summary    `json:"-"`
 }
 
 // Skip records a candidate plan excluded from a scenario's orderings,
 // and why — e.g. a Table 3 width limit rejecting channel:4 on a
-// 3-channel input, or an unsatisfiable pipeline depth.
+// 3-channel input, or an unsatisfiable pipeline depth. Reason is the
+// rejecting side ("runtime", "oracle", "simulator") and its message;
+// Err is the rejection itself (a *dist.InfeasibleError on the runtime
+// side).
 type Skip struct {
 	Plan   string `json:"plan"`
 	Reason string `json:"reason"`
+	Err    error  `json:"-"`
 }
 
 // ScenarioResult is one replayed scenario: its trace record, the
@@ -70,12 +83,9 @@ type Replayer struct {
 	Iters int
 
 	engines  map[string]*measure.Engine
-	profiles map[profileKey]*profile.LayerTimes
-}
-
-type profileKey struct {
-	cluster, model string
-	perPE          int
+	profiles core.ProfileMemo
+	// runOpts are appended to every real run; tests inject faults here.
+	runOpts []dist.Option
 }
 
 // NewReplayer builds a replay engine running `iters` timed runs per
@@ -84,11 +94,7 @@ func NewReplayer(iters int) (*Replayer, error) {
 	if iters < 1 {
 		return nil, fmt.Errorf("workload: replayer needs iters >= 1, got %d", iters)
 	}
-	return &Replayer{
-		Iters:    iters,
-		engines:  map[string]*measure.Engine{},
-		profiles: map[profileKey]*profile.LayerTimes{},
-	}, nil
+	return &Replayer{Iters: iters, engines: map[string]*measure.Engine{}}, nil
 }
 
 func (r *Replayer) engine(name string) (*measure.Engine, error) {
@@ -104,23 +110,20 @@ func (r *Replayer) engine(name string) (*measure.Engine, error) {
 	return e, nil
 }
 
-func (r *Replayer) profile(e *measure.Engine, clusterName string, m *nn.Model, perPE int) *profile.LayerTimes {
-	k := profileKey{clusterName, m.Name, perPE}
-	if lt, ok := r.profiles[k]; ok {
-		return lt
-	}
-	lt := profile.ProfileModel(e.Dev, m, perPE)
-	r.profiles[k] = lt
-	return lt
-}
-
-// Replay executes one scenario: every candidate plan runs on the real
-// runtime with the scenario's knobs and seed, through the measured
-// simulator on the scenario's cluster, and through the oracle; plans
-// any side rejects are recorded as skips, the rest become comparable
-// candidates ranked by the oracle's ordering. The scenario's scores
-// are filled in by the caller (ScoreScenario) so replay and grading
-// stay separable.
+// Replay is the repo's one measured-vs-projected join: every candidate
+// plan of the scenario runs on the real runtime with the scenario's
+// knobs and seed, through the measured simulator on the scenario's
+// cluster, and through the oracle, all three on one Config. The
+// overhead table and PHASES.json (internal/report) and the scoreboard
+// are row-shapers over its result.
+//
+// Skip policy: a plan the runtime rejects before spawning a PE
+// (*dist.InfeasibleError) or that the oracle or simulator rejects is
+// recorded as a skip naming the side; the rest become comparable
+// candidates ranked by the oracle's ordering. Any other runtime error —
+// a PE that panicked, an aborted world — fails the replay: a crash is a
+// finding, not a row to drop. The scenario's scores are filled in by
+// the caller (ScoreScenario) so replay and grading stay separable.
 func (r *Replayer) Replay(sc Scenario) (*ScenarioResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -133,7 +136,8 @@ func (r *Replayer) Replay(sc Scenario) (*ScenarioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	batches := data.Toy(m, int64(sc.Iters*sc.Batch)).Batches(sc.Iters, sc.Batch)
+	samples := int64(sc.Iters * sc.Batch)
+	batches := data.Toy(m, samples).Batches(sc.Iters, sc.Batch)
 	opts := []dist.Option{
 		dist.WithSeed(sc.Seed), dist.WithLR(sc.LR),
 		dist.WithOverlap(sc.Overlap), dist.WithBucketBytes(sc.BucketBytes),
@@ -141,24 +145,29 @@ func (r *Replayer) Replay(sc Scenario) (*ScenarioResult, error) {
 	if !sc.Footnote2 {
 		opts = append(opts, dist.WithInputGradAllReduce())
 	}
-	perPE := sc.Batch / sc.P
-	if perPE < 1 {
-		perPE = 1
-	}
-	times := r.profile(eng, sc.Cluster, m, perPE)
+	opts = append(opts, r.runOpts...)
+	base := core.NewConfig(m, eng.Sys, samples, sc.Batch, sc.P, 0, &r.profiles)
 
 	res := &ScenarioResult{Scenario: sc}
-	var projections []*core.Projection
 	for _, ps := range sc.Plans {
 		pl, err := dist.ParsePlan(ps)
 		if err != nil {
 			return nil, err // Validate already parsed these; a failure here is a bug
 		}
-		// Real runtime: warm-up run records losses and surfaces
-		// rejections; the timed runs measure the identical execution.
-		first, err := dist.Run(m, batches, pl, opts...)
+		// Real runtime: the warm-up run records losses (and the trace,
+		// when asked) and surfaces rejections; the timed runs measure the
+		// identical execution untraced.
+		var rec *trace.Recorder // nil: tracing off
+		if sc.Trace {
+			rec = trace.NewRecorder()
+		}
+		first, err := dist.Run(m, batches, pl, append(opts[:len(opts):len(opts)], dist.WithTrace(rec))...)
 		if err != nil {
-			res.Skipped = append(res.Skipped, Skip{Plan: ps, Reason: "runtime: " + err.Error()})
+			var inf *dist.InfeasibleError
+			if !errors.As(err, &inf) {
+				return nil, fmt.Errorf("workload: %s: %s failed on the runtime: %w", sc.ID, ps, err)
+			}
+			res.Skipped = append(res.Skipped, Skip{Plan: ps, Reason: "runtime: " + err.Error(), Err: err})
 			continue
 		}
 		start := time.Now()
@@ -169,41 +178,37 @@ func (r *Replayer) Replay(sc Scenario) (*ScenarioResult, error) {
 		}
 		measuredSec := time.Since(start).Seconds() / float64(r.Iters)
 
-		cfg := pl.Apply(core.Config{
-			Model: m, Sys: eng.Sys, Times: times,
-			D: int64(sc.Iters * sc.Batch), B: sc.Batch,
-			Segments: 4,
-		})
-		pr, err := core.Project(cfg, pl.Strategy)
+		pr, sim, err := measure.Compare(eng, pl.Apply(base), pl.Strategy)
 		if err != nil {
-			res.Skipped = append(res.Skipped, Skip{Plan: ps, Reason: "oracle: " + err.Error()})
+			// Compare's error already names its side.
+			res.Skipped = append(res.Skipped, Skip{Plan: ps, Reason: err.Error(), Err: err})
 			continue
 		}
-		sim, err := measure.MeasurePlan(eng, cfg, pl)
-		if err != nil {
-			res.Skipped = append(res.Skipped, Skip{Plan: ps, Reason: "simulator: " + err.Error()})
-			continue
-		}
-		res.Candidates = append(res.Candidates, Candidate{
+		c := Candidate{
 			Plan:           ps,
 			MeasuredSec:    measuredSec,
 			SimSec:         sim.Iter.Total(),
 			OracleSec:      pr.Iter().Total(),
 			OracleFeasible: pr.Feasible,
 			Losses:         first.Losses,
-		})
-		projections = append(projections, pr)
+			Projection:     pr,
+			Sim:            sim,
+		}
+		if rec != nil {
+			c.Trace = rec.Summarize()
+		}
+		res.Candidates = append(res.Candidates, c)
 	}
 
 	// Oracle ranks over the comparable set, by the SAME comparator
 	// Advise uses — "the oracle's pick" here and over the planner
 	// service is one definition.
-	order := make([]int, len(projections))
+	order := make([]int, len(res.Candidates))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return core.LessProjection(projections[order[a]], projections[order[b]])
+		return core.LessProjection(res.Candidates[order[a]].Projection, res.Candidates[order[b]].Projection)
 	})
 	for rank, idx := range order {
 		res.Candidates[idx].OracleRank = rank + 1

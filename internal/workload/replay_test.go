@@ -1,9 +1,14 @@
 package workload
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"paradl/internal/core"
+	"paradl/internal/dist"
+	"paradl/internal/measure"
 )
 
 // testScenario is a cheap handcrafted scenario: tinycnn-nobn at p=4
@@ -143,6 +148,14 @@ func TestReplayRecordsSkips(t *testing.T) {
 			t.Errorf("%s: skip reason %q does not name the failing side", plan, reason)
 		}
 	}
+	// The one skip policy: a runtime-side skip is a typed pre-spawn
+	// rejection, never a started world that died.
+	for _, sk := range res.Skipped {
+		var inf *dist.InfeasibleError
+		if strings.HasPrefix(sk.Reason, "runtime:") && !errors.As(sk.Err, &inf) {
+			t.Errorf("%s: runtime skip carries %T, want *dist.InfeasibleError", sk.Plan, sk.Err)
+		}
+	}
 	if len(res.Candidates) < 2 {
 		t.Fatalf("tiny3d p=8 left %d comparable candidates", len(res.Candidates))
 	}
@@ -151,5 +164,76 @@ func TestReplayRecordsSkips(t *testing.T) {
 func TestNewReplayerRejectsZeroIters(t *testing.T) {
 	if _, err := NewReplayer(0); err == nil {
 		t.Error("iters=0 accepted")
+	}
+}
+
+// A PE that dies mid-run is a failure of the replay, not a skip: before
+// the typed skip policy the warm-up swallowed ANY runtime error into a
+// "runtime: …" skip and the scoreboard silently lost the candidate.
+func TestReplayFailsOnRuntimeCrash(t *testing.T) {
+	r, err := NewReplayer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.runOpts = []dist.Option{dist.WithFailAt(1, 1)}
+	res, err := r.Replay(testScenario())
+	if err == nil {
+		t.Fatalf("a PE death during replay was recorded as %d candidates + %d skips", len(res.Candidates), len(res.Skipped))
+	}
+	var pf *dist.PEFailure
+	if !errors.As(err, &pf) || pf.PE != 1 || pf.Iter != 1 {
+		t.Fatalf("replay error %v does not carry the injected PE failure", err)
+	}
+}
+
+// The candidate's plan decides the grid on every side of the join: the
+// scenario's config carries no P1×P2, and a hybrid must be priced on
+// the plan's 4×2 — not on the node-sized 2×4 the normaliser would
+// derive for a gridless config on a 4-GPU-per-node machine. (Moved here
+// from measure.MeasurePlan's "stale grid loses to the plan" test when
+// that wrapper went.)
+func TestReplayPlanGridWins(t *testing.T) {
+	sc := testScenario()
+	sc.P = 8
+	sc.Plans = []string{"data:8", "df:4x2", "ds:4x2", "dp:4x2"}
+	r, err := NewReplayer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Replay(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Skipped) != 0 {
+		t.Fatalf("unexpected skips: %+v", res.Skipped)
+	}
+	for _, c := range res.Candidates {
+		pl, err := dist.ParsePlan(c.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for side, cfg := range map[string]core.Config{"oracle": c.Projection.Config, "simulator": c.Sim.Config} {
+			if cfg.P != 8 {
+				t.Errorf("%s: %s priced P=%d, want 8", c.Plan, side, cfg.P)
+			}
+			if pl.Strategy != core.Data && (cfg.P1 != 4 || cfg.P2 != 2) {
+				t.Errorf("%s: %s priced a %d×%d grid, want the plan's 4×2", c.Plan, side, cfg.P1, cfg.P2)
+			}
+		}
+		if pl.Strategy == core.Data {
+			continue
+		}
+		gridless := c.Sim.Config
+		gridless.P1, gridless.P2 = 0, 0
+		def, err := measure.Measure(measure.NewEngine(gridless.Sys), gridless, pl.Strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.Config.P1 != 2 || def.Config.P2 != 4 {
+			t.Fatalf("%s: gridless default is %d×%d, the test assumes 2×4", c.Plan, def.Config.P1, def.Config.P2)
+		}
+		if def.Iter == c.Sim.Iter {
+			t.Errorf("%s: simulator total equals the default-grid one; the plan's grid did not reach it", c.Plan)
+		}
 	}
 }

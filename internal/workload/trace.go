@@ -7,6 +7,17 @@
 // FIDELITY — does core.Project order the strategies the way the
 // measurements do? Kendall-τ, top-1 agreement, and regret per scenario,
 // aggregated over the sweep into the committed SCOREBOARD.json.
+//
+// Replayer.Replay is also the repo's ONE measured-vs-projected join:
+// the only function that runs a (model, plan, batch, machine) on
+// dist.Run and has the same core.Config projected and simulated
+// (measure.Compare). Its callers are the scoreboard (ScoreTrace) and
+// internal/report's overhead and per-phase tables, which replay fixed
+// scenarios and shape rows from the Candidates — each holding the three
+// timings, the loss series and, in memory, the full projection,
+// simulator result and trace summary. A candidate is skipped only on a
+// pre-spawn *dist.InfeasibleError or an oracle/simulator rejection;
+// any other runtime error fails the replay.
 package workload
 
 import (
@@ -71,6 +82,11 @@ type Scenario struct {
 	// Plans are the candidate plan strings (dist.ParsePlan syntax), the
 	// dist.SweepPlans enumeration at width P.
 	Plans []string `json:"plans"`
+
+	// Trace asks the replay to record each candidate's warm-up run under
+	// the trace recorder (Candidate.Trace). It is a property of who
+	// replays, not of the sweep point, so it stays off the wire.
+	Trace bool `json:"-"`
 }
 
 // Validate checks a scenario is replayable: resolvable model and

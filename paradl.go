@@ -37,7 +37,6 @@ import (
 	"paradl/internal/measure"
 	"paradl/internal/model"
 	"paradl/internal/nn"
-	"paradl/internal/profile"
 )
 
 // Strategy re-exports the parallelization strategies of §3.
@@ -87,32 +86,18 @@ func DefaultSystem() *System { return cluster.Default() }
 // default system, with per-layer times profiled on the default device
 // model.
 func WeakScalingConfig(m *NetModel, gpus, perGPU int) Config {
-	sys := cluster.Default()
-	dev := profile.NewDevice(sys.GPU)
+	return StrongScalingConfig(m, gpus, perGPU*gpus)
+}
+
+// StrongScalingConfig assembles a fixed-global-batch configuration (the
+// paper's filter/channel mode), profiled at the per-GPU batch
+// max(1, globalBatch/gpus).
+func StrongScalingConfig(m *NetModel, gpus, globalBatch int) Config {
 	d := int64(1 << 20)
 	if ds, err := data.ForModel(m.Name); err == nil {
 		d = ds.Samples
 	}
-	return Config{
-		Model: m,
-		Sys:   sys,
-		Times: profile.ProfileModel(dev, m, perGPU),
-		D:     d,
-		B:     perGPU * gpus,
-		P:     gpus,
-	}
-}
-
-// StrongScalingConfig assembles a fixed-global-batch configuration (the
-// paper's filter/channel mode).
-func StrongScalingConfig(m *NetModel, gpus, globalBatch int) Config {
-	perGPU := globalBatch / gpus
-	if perGPU < 1 {
-		perGPU = 1
-	}
-	cfg := WeakScalingConfig(m, gpus, perGPU)
-	cfg.B = globalBatch
-	return cfg
+	return core.NewConfig(m, cluster.Default(), d, globalBatch, gpus, 0, nil)
 }
 
 // Project evaluates the analytical model for one strategy.
