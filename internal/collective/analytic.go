@@ -44,46 +44,13 @@ func ReduceScatter(ab AB, p int, m float64) float64 {
 	return float64(p-1) * (ab.Alpha + m/float64(p)*ab.Beta)
 }
 
-// TwoTreeAllreduce returns 2(log₂(p)+k)(α + m/(2k)·β): the pipelined
-// double-binary-tree algorithm the paper's footnote 4 cites for small
-// messages, with each half of the message divided into k chunks. The
-// trees themselves — the ones the executable runtime walks — are built
-// by TwoTreeParents; TwoTreeAllreduceOp is the schedule counterpart.
-func TwoTreeAllreduce(ab AB, p int, m float64, k int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	if k < 1 {
-		k = 1
-	}
-	return 2 * (math.Log2(float64(p)) + float64(k)) * (ab.Alpha + m/(2*float64(k))*ab.Beta)
-}
-
-// AllreduceAuto picks the ring algorithm for large messages and the
-// two-tree algorithm for small ones, as NCCL does (§4.3). The crossover
-// is where the two cost models intersect for the given α/β.
-func AllreduceAuto(ab AB, p int, m float64) float64 {
-	ring := RingAllreduce(ab, p, m)
-	tree := TwoTreeAllreduce(ab, p, m, TwoTreeChunks)
-	return math.Min(ring, tree)
-}
-
-// Bcast returns log₂(p)·(α + m·β): binomial-tree broadcast.
+// Bcast returns ⌈log₂(p)⌉·(α + m·β): a binomial-tree broadcast, or the
+// mirrored tree reduce (the ds leader hierarchy, §5.3.1).
 func Bcast(ab AB, p int, m float64) float64 {
 	if p <= 1 {
 		return 0
 	}
 	return math.Ceil(math.Log2(float64(p))) * (ab.Alpha + m*ab.Beta)
-}
-
-// Scatter returns (p−1)(α + m/p·β) for scattering an m-byte buffer into
-// p chunks (linear scatter, leader-rooted — the spatial strategy's
-// sample distribution).
-func Scatter(ab AB, p int, m float64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return float64(p-1) * (ab.Alpha + m/float64(p)*ab.Beta)
 }
 
 // P2P returns α + m·β.

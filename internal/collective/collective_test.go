@@ -40,19 +40,6 @@ func TestReduceScatterHalfOfAllreduce(t *testing.T) {
 	}
 }
 
-func TestAllreduceAutoPicksTreeForSmall(t *testing.T) {
-	p := 512
-	small := 1e3
-	large := 1e9
-	if AllreduceAuto(ab, p, small) >= RingAllreduce(ab, p, small) {
-		t.Fatal("small messages should use the tree algorithm")
-	}
-	ringLarge := RingAllreduce(ab, p, large)
-	if math.Abs(AllreduceAuto(ab, p, large)-ringLarge) > ringLarge*0.5 {
-		t.Fatal("large messages should be near the ring cost")
-	}
-}
-
 func TestContentionScalesBeta(t *testing.T) {
 	c := WithContention(ab, 2)
 	if c.Beta != 2*ab.Beta || c.Alpha != ab.Alpha {

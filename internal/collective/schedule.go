@@ -86,9 +86,8 @@ func ReduceScatterOp(pes []int, m float64) *Op {
 // assigned to one of the TwoTreeParents trees and streams through it in
 // k chunks of m/(2k) bytes. Chunk c ascends the edge below a node at
 // depth d in round c + (D − d) (D the tree depth) and descends it in
-// round (k + D − 1) + c + (d − 1), so both trees' flows share rounds —
-// the concurrent streaming the TwoTreeAllreduce closed form prices with
-// its 2(log₂p + k) round count. Total bytes on the wire equal the ring
+// round (k + D − 1) + c + (d − 1), so both trees' flows share rounds:
+// 2(log₂p + k) of them, up to rounding. Total bytes on the wire equal the ring
 // allreduce's 2(p−1)·m: the two-tree trades none of the ring's
 // bandwidth optimality, it only collapses the 2(p−1) latency terms to
 // O(log p + k).

@@ -19,9 +19,9 @@ package collective
 // in ascending rank order, determined by the tree shape alone.
 
 // TwoTreeChunks is the pipelining depth of the two-tree allreduce: each
-// half of the buffer streams through its tree in this many chunks, the
-// k of the TwoTreeAllreduce closed form. Shared by the executable and
-// analytic sides so both price the same schedule.
+// half of the buffer streams through its tree in this many chunks.
+// Shared by the executable runtime and the simulated schedule so both
+// run the same pipeline.
 const TwoTreeChunks = 4
 
 // TwoTreeParents returns the two rooted trees of the double-binary-tree

@@ -115,8 +115,7 @@ func TestTwoTreeAllreduceOpConservation(t *testing.T) {
 
 // TestSimTwoTreeFasterThanRingForSmall: on the simulated fabric the
 // pipelined two-tree beats the ring for a latency-bound message at
-// p=16, the regime the executable runtime switches algorithms in, and
-// stays within a small factor of the TwoTreeAllreduce closed form.
+// p=16, the regime the executable runtime switches algorithms in.
 func TestSimTwoTreeFasterThanRingForSmall(t *testing.T) {
 	topo, _ := testTopo()
 	pes := make([]int, 16)

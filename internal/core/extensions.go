@@ -20,32 +20,22 @@ package core
 // (§5.3.2). On the wire: reduce-scatter of gradients plus two weight
 // Allgathers = 3(p−1) chunk rounds vs the ring Allreduce's 2(p−1).
 func ProjectZeRO(cfg Config) (*Projection, error) {
-	if err := Validate(&cfg, Data); err != nil {
+	pr, g, err := projectBase(cfg, Data)
+	if err != nil {
 		return nil, err
 	}
-	pr := &Projection{Strategy: Data, Config: cfg, Feasible: true}
-	projectData(cfg, pr)
-
-	p := float64(cfg.P)
+	p := float64(pr.Config.P)
 	// Sharded update: each PE updates its 1/p slice.
 	pr.Epoch.WU /= p
 	// +50% communication.
 	pr.Epoch.GE *= 1.5
-
 	// Memory: activations like data parallelism, weight+gradient+
 	// optimizer state all sharded 1/p.
-	gamma, delta := cfg.Sys.MemReuseFactor, cfg.Sys.BytesPerItem
-	b := float64(cfg.B)
-	wVars := 2 + float64(cfg.OptimizerExtraState)
-	items := 0.0
-	for i := range cfg.Model.Layers {
-		l := &cfg.Model.Layers[i]
-		items += 2*b/p*float64(l.InSize()+l.OutSize()) + wVars*float64(l.WeightSize())/p + float64(l.BiasSize())
-	}
-	pr.MemoryPerPE = gamma * delta * items
-	pr.MaxPE = cfg.B
+	sh := g.Shares()
+	sh.Weight = p
+	pr.MemoryPerPE = memoryBytes(pr.Config, float64(pr.Config.B), sh, nil)
 	pr.Notes = append(pr.Notes, "ZeRO: weights, gradients and optimizer state partitioned across PEs")
-	finish(cfg, pr)
+	finish(pr.Config, pr)
 	return pr, nil
 }
 
@@ -56,16 +46,13 @@ func ProjectZeRO(cfg Config) (*Projection, error) {
 // Allreduce (RS + AG = 2(p−1) chunk rounds) while WU time drops to 1/p
 // — the fix for VGG16's 15% WU share.
 func ProjectWUSharded(cfg Config) (*Projection, error) {
-	if err := Validate(&cfg, Data); err != nil {
+	pr, _, err := projectBase(cfg, Data)
+	if err != nil {
 		return nil, err
 	}
-	pr := &Projection{Strategy: Data, Config: cfg, Feasible: true}
-	projectData(cfg, pr)
-	pr.Epoch.WU /= float64(cfg.P)
-	pr.MemoryPerPE = MemoryPerPE(cfg, Data)
-	pr.MaxPE = cfg.B
+	pr.Epoch.WU /= float64(pr.Config.P)
 	pr.Notes = append(pr.Notes, "weight update sharded across replicas (reduce-scatter + allgather)")
-	finish(cfg, pr)
+	finish(pr.Config, pr)
 	return pr, nil
 }
 
@@ -74,17 +61,15 @@ func ProjectWUSharded(cfg Config) (*Projection, error) {
 // Reduce-Scatter (each preceding layer only needs one partition of the
 // gradients), cutting the layer-wise rounds from 3(p−1) to 2(p−1).
 func ProjectFilterRS(cfg Config) (*Projection, error) {
-	if err := Validate(&cfg, Filter); err != nil {
+	pr, _, err := projectBase(cfg, Filter)
+	if err != nil {
 		return nil, err
 	}
-	pr := &Projection{Strategy: Filter, Config: cfg, Feasible: true}
-	projectFilterChannel(cfg, Filter, pr)
 	// 2/3 of the 3(p−1)-round cost: Allgather forward + Reduce-Scatter
 	// backward.
 	pr.Epoch.FBComm *= 2.0 / 3.0
-	pr.MemoryPerPE = MemoryPerPE(cfg, Filter)
 	pr.Notes = append(pr.Notes, "reduce-scatter backward (footnote 2): 2(p−1) rounds per boundary")
-	finish(cfg, pr)
+	finish(pr.Config, pr)
 	return pr, nil
 }
 
@@ -94,41 +79,17 @@ func ProjectFilterRS(cfg Config) (*Projection, error) {
 // memory shrinks by ≈1/S), paid for by recomputing the forward pass
 // inside each partition during backward (FW compute doubles).
 func ProjectPipelineCheckpointed(cfg Config) (*Projection, error) {
-	if err := Validate(&cfg, Pipeline); err != nil {
+	pr, g, err := projectBase(cfg, Pipeline)
+	if err != nil {
 		return nil, err
 	}
-	pr := &Projection{Strategy: Pipeline, Config: cfg, Feasible: true}
-	projectPipeline(cfg, pr)
 	pr.Epoch.FW *= 2 // recompute inside each partition
-	base := MemoryPerPE(cfg, Pipeline)
-	// Activation term shrinks to ~1/S; parameters unchanged. Estimate
-	// the parameter share to keep the bound honest.
-	paramBytes := paramBytesLargestStage(cfg)
-	actBytes := base - paramBytes
-	if actBytes < 0 {
-		actBytes = 0
-	}
-	pr.MemoryPerPE = paramBytes + actBytes/float64(cfg.Segments)
-	pr.MaxPE = cfg.Model.G()
+	// Activation term shrinks to ~1/S; parameters (the column at batch
+	// 0, over the largest stage) unchanged, to keep the bound honest.
+	paramBytes := memoryBytes(pr.Config, 0, g.Shares(), g.Stages)
+	actBytes := max(0, pr.MemoryPerPE-paramBytes)
+	pr.MemoryPerPE = paramBytes + actBytes/float64(pr.Config.Segments)
 	pr.Notes = append(pr.Notes, "gradient checkpointing at partition boundaries (FW recompute)")
-	finish(cfg, pr)
+	finish(pr.Config, pr)
 	return pr, nil
-}
-
-func paramBytesLargestStage(cfg Config) float64 {
-	groups := PartitionPipeline(cfg.Times, cfg.P)
-	gamma, delta := cfg.Sys.MemReuseFactor, cfg.Sys.BytesPerItem
-	wVars := 2 + float64(cfg.OptimizerExtraState)
-	maxB := 0.0
-	for _, g := range groups {
-		b := 0.0
-		for l := g.Start; l < g.End; l++ {
-			ly := &cfg.Model.Layers[l]
-			b += wVars*float64(ly.WeightSize()) + float64(ly.BiasSize())
-		}
-		if b > maxB {
-			maxB = b
-		}
-	}
-	return gamma * delta * maxB
 }

@@ -1,90 +1,38 @@
 package core
 
-import "paradl/internal/nn"
+import "paradl/internal/strategy"
 
 // MemoryPerPE evaluates the "Maximum Memory Per PE" column of Table 3
 // in bytes: the γ-scaled practical estimate (§4.2) over the naive
 // per-layer aggregation of inputs, activations, weights, biases and
-// their gradients.
+// their gradients. cfg must be validated (Validate) for s.
 func MemoryPerPE(cfg Config, s Strategy) float64 {
-	m := cfg.Model
-	gamma := cfg.Sys.MemReuseFactor
-	delta := cfg.Sys.BytesPerItem
-	b := float64(cfg.B)
-	p := float64(cfg.P)
-	// Weight-side variables per parameter: the weight and its gradient
-	// (Table 3's 2|w|) plus any persistent optimizer state (§5.3.3:
-	// ADAM keeps two extra moments per weight). Optimizer state shards
-	// exactly like the weights do.
-	wVars := 2 + float64(cfg.OptimizerExtraState)
-
-	var items float64
-	switch s {
-	case Serial:
-		for i := range m.Layers {
-			l := &m.Layers[i]
-			items += 2*b*float64(l.InSize()+l.OutSize()) + wVars*float64(l.WeightSize()) + float64(l.BiasSize())
-		}
-	case Data:
-		for i := range m.Layers {
-			l := &m.Layers[i]
-			items += 2*b/p*float64(l.InSize()+l.OutSize()) + wVars*float64(l.WeightSize()) + float64(l.BiasSize())
-		}
-	case Spatial, DataSpatial:
-		// Activations divided by p (spatial × microbatch); weights
-		// replicated — the memory-redundancy limitation of §5.3.2.
-		for i := range m.Layers {
-			l := &m.Layers[i]
-			items += 2*b*float64(l.InSize()+l.OutSize())/p + wVars*float64(l.WeightSize()) + float64(l.BiasSize())
-		}
-	case Filter, Channel:
-		for i := range m.Layers {
-			l := &m.Layers[i]
-			items += 2*b*float64(l.InSize()+l.OutSize()) + wVars*float64(l.WeightSize())/p + float64(l.BiasSize())
-		}
-	case DataFilter:
-		p1, p2 := float64(cfg.P1), float64(cfg.P2)
-		for i := range m.Layers {
-			l := &m.Layers[i]
-			items += 2*b/p1*float64(l.InSize()+l.OutSize()) + wVars*float64(l.WeightSize())/p2 + float64(l.BiasSize())
-		}
-	case Pipeline, DataPipeline:
-		// Each PE stores only its composite layer group; the bound is
-		// the largest group (Table 3, eq. 14). Under dp the group's
-		// stages see the batch shard B/p1.
-		stages, bEff := cfg.P, b
-		if s == DataPipeline {
-			stages = cfg.P2
-			if cfg.P1 > 1 {
-				bEff = b / float64(cfg.P1)
-			}
-		}
-		groups := PartitionPipeline(cfg.Times, stages)
-		maxItems := 0.0
-		for _, g := range groups {
-			gi := 0.0
-			for l := g.Start; l < g.End; l++ {
-				ly := &m.Layers[l]
-				gi += 2*bEff*float64(ly.InSize()+ly.OutSize()) + wVars*float64(ly.WeightSize()) + float64(ly.BiasSize())
-			}
-			if gi > maxItems {
-				maxItems = gi
-			}
-		}
-		items = maxItems
-	}
-	return gamma * delta * items
+	g := Grid(cfg, s)
+	return memoryBytes(cfg, float64(cfg.B), g.Shares(), g.Stages)
 }
 
-// LargestLayerActivationBytes returns max_l B·|y_l|·δ — the single-
-// layer activation bound that makes pipeline infeasible for models like
-// CosmoFlow (§5.3.2: the first conv layer at 4×512³ generates >10 GB).
-func LargestLayerActivationBytes(m *nn.Model, b int, delta float64) float64 {
-	maxOut := int64(0)
-	for i := range m.Layers {
-		if o := m.Layers[i].OutSize(); o > maxOut {
-			maxOut = o
-		}
+// memoryBytes is the column for batch b under a row's shares. Each PE
+// stores its share of every layer of its stage — the whole model when
+// stages is nil — and the bound is the largest stage (eq. 14).
+// Activations are divided as the row says (the replicated weights of
+// the Spatial row are the memory redundancy of §5.3.2); the weight-side
+// variables per parameter — the weight and its gradient (Table 3's 2|w|)
+// plus any persistent optimizer state (§5.3.3: ADAM keeps two extra
+// moments) — shard with the weights.
+func memoryBytes(cfg Config, b float64, sh strategy.Shares, stages []strategy.Range) float64 {
+	whole := [1]strategy.Range{{Start: 0, End: cfg.Model.G()}}
+	if stages == nil {
+		stages = whole[:]
 	}
-	return float64(b) * float64(maxOut) * delta
+	wVars := 2 + float64(cfg.OptimizerExtraState)
+	maxItems := 0.0
+	for _, st := range stages {
+		items := 0.0
+		for i := st.Start; i < st.End; i++ {
+			l := &cfg.Model.Layers[i]
+			items += 2*b/sh.Batch*float64(l.InSize()+l.OutSize())/sh.Act + wVars*float64(l.WeightSize())/sh.Weight + float64(l.BiasSize())
+		}
+		maxItems = max(maxItems, items)
+	}
+	return cfg.Sys.MemReuseFactor * cfg.Sys.BytesPerItem * maxItems
 }

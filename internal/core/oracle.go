@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"paradl/internal/cluster"
 	"paradl/internal/collective"
 	"paradl/internal/nn"
 	"paradl/internal/profile"
+	"paradl/internal/strategy"
 )
 
 // Config is everything ParaDL knows beforehand (Fig. 2): the model, the
@@ -131,35 +131,175 @@ func (p *Projection) WithCongestionFactor(factor float64) *Projection {
 	return &out
 }
 
+// table3 places each strategy on its Table-3 row (strategy.Family): data
+// and model say which grid axes its P PEs span — both for the hybrids,
+// whose split comes from Config.P1/P2, neither for serial.
+var table3 = [...]struct {
+	family      strategy.Family
+	data, model bool
+}{
+	Serial:       {strategy.Tensor, false, false},
+	Data:         {strategy.Tensor, true, false},
+	Filter:       {strategy.Tensor, false, true},
+	Channel:      {strategy.Tensor, false, true},
+	DataFilter:   {strategy.Tensor, true, true},
+	Spatial:      {strategy.Spatial, false, true},
+	DataSpatial:  {strategy.Spatial, true, true},
+	Pipeline:     {strategy.Pipeline, false, true},
+	DataPipeline: {strategy.Pipeline, true, true},
+}
+
+// Grid returns the Table-3 geometry of strategy s under a validated
+// cfg, with the oracle's stage partition on the Pipeline row. It is the
+// one row lookup under Project, MemoryPerPE and measure.Measure.
+func Grid(cfg Config, s Strategy) strategy.Grid {
+	row := table3[s]
+	g := strategy.Grid{
+		Family: row.family, P1: 1, P2: 1, B: cfg.B, S: cfg.Segments,
+		Model: cfg.Model, Delta: cfg.Sys.BytesPerItem,
+		Channel: s == Channel, Hierarchical: s == DataSpatial,
+	}
+	switch {
+	case row.data && row.model:
+		g.P1, g.P2 = cfg.P1, cfg.P2
+	case row.data:
+		g.P1 = cfg.P
+	case row.model:
+		g.P2 = cfg.P
+	}
+	if g.Family == strategy.Pipeline {
+		g.Stages = PartitionPipeline(cfg.Times, g.P2)
+	}
+	return g
+}
+
 // Project evaluates the analytical model of Table 3 for one strategy.
 func Project(cfg Config, s Strategy) (*Projection, error) {
-	if err := Validate(&cfg, s); err != nil {
+	pr, _, err := projectBase(cfg, s)
+	if err != nil {
 		return nil, err
 	}
-	pr := &Projection{Strategy: s, Config: cfg, Feasible: true}
-	switch s {
-	case Serial:
-		projectSerial(cfg, pr)
-	case Data:
-		projectData(cfg, pr)
-	case Spatial:
-		projectSpatial(cfg, pr)
-	case Pipeline:
-		projectPipeline(cfg, pr)
-	case Filter, Channel:
-		projectFilterChannel(cfg, s, pr)
-	case DataFilter:
-		projectDataFilter(cfg, pr)
-	case DataSpatial:
-		projectDataSpatial(cfg, pr)
-	case DataPipeline:
-		projectDataPipeline(cfg, pr)
-	default:
-		return nil, fmt.Errorf("core: cannot project strategy %v", s)
-	}
-	pr.MemoryPerPE = MemoryPerPE(cfg, s)
-	finish(cfg, pr)
+	finish(pr.Config, pr)
 	return pr, nil
+}
+
+// projectBase validates cfg and projects strategy s — time, memory and
+// scaling limit — up to finish, which Project applies at once and an
+// extension projection after amending the result.
+func projectBase(cfg Config, s Strategy) (*Projection, strategy.Grid, error) {
+	if err := Validate(&cfg, s); err != nil {
+		return nil, strategy.Grid{}, err
+	}
+	pr := &Projection{Strategy: s, Config: cfg, Feasible: true}
+	g := Grid(cfg, s)
+	project(cfg, &g, pr)
+	pr.MemoryPerPE = memoryBytes(cfg, float64(cfg.B), g.Shares(), g.Stages)
+	return pr, g, nil
+}
+
+// project fills pr's epoch breakdown, scaling limit and limit notes
+// from the row: compute from the shares, communication as the sum of
+// the α–β closed forms over the row's Table-3 exchanges.
+func project(cfg Config, g *strategy.Grid, pr *Projection) {
+	// An epoch is d/b iterations. The Pipeline row is eq. 12–13 inside
+	// one group, on its dataset share ⌊D/P1⌋ at its batch share; only
+	// the cross-group gradient exchange counts global iterations.
+	d, b := float64(cfg.D), float64(cfg.B)
+	dg, bg := d, b
+	if g.Family == strategy.Pipeline {
+		dg, bg = float64(cfg.D/int64(g.P1)), float64(g.GroupBatch())
+		var fw, bw, wu float64 // the bottleneck stage
+		for _, st := range g.Stages {
+			var f, w, u float64
+			for l := st.Start; l < st.End; l++ {
+				f += cfg.Times.FW[l]
+				w += cfg.Times.BW[l]
+				u += cfg.Times.WU[l]
+			}
+			fw, bw, wu = max(fw, f), max(bw, w), max(wu, u)
+		}
+		s := float64(g.S)
+		slots := float64(g.P2) + s - 1 // p+S−1 stage slots, eq. 12
+		pr.Epoch.FW = dg * slots / s * fw
+		pr.Epoch.BW = dg * slots / s * bw
+		pr.Epoch.WU = dg / bg * wu
+	} else {
+		p := float64(g.P1 * g.P2)
+		pr.Epoch.FW = d / p * cfg.Times.SumFW()
+		pr.Epoch.BW = d / p * cfg.Times.SumBW()
+		pr.Epoch.WU = d / b / g.Shares().Weight * cfg.Times.SumWU()
+	}
+
+	// Per phase: Σ closed forms of one occurrence, then × occurrences per
+	// epoch (a phase's exchanges all repeat alike).
+	var sum, repeat [strategy.PhaseGather + 1]float64
+	slowest := 0.0 // over the concurrent segments seen so far
+	for x := range g.Exchanges {
+		if !x.InTable3 {
+			continue
+		}
+		slowest = max(slowest, closedForm(&cfg, pr.Strategy, &x))
+		if x.Segment+1 == x.Segments {
+			sum[x.Phase] += slowest
+			repeat[x.Phase] = float64(x.Repeat)
+			slowest = 0
+		}
+	}
+	pr.Epoch.GE = d * repeat[strategy.PhaseGE] / b * sum[strategy.PhaseGE]
+	pr.Epoch.FBComm = dg * repeat[strategy.PhaseFB] / bg * sum[strategy.PhaseFB]
+	pr.Epoch.Halo = dg * repeat[strategy.PhaseHalo] / bg * sum[strategy.PhaseHalo]
+	pr.Epoch.PipeP2P = dg * repeat[strategy.PhaseP2P] / bg * sum[strategy.PhaseP2P]
+
+	// Table 3's last column: B groups on the data axis times the model
+	// extent on the model axis, over the axes the strategy spans.
+	row := table3[pr.Strategy]
+	pr.MaxPE = 1
+	if row.data {
+		pr.MaxPE = cfg.B
+	}
+	if row.model {
+		_, limit := g.ModelLimit()
+		pr.MaxPE *= limit
+	}
+	// finish reports a pure strategy's limit as P > MaxPE; a hybrid's
+	// binding axis is named here.
+	if row.data && row.model {
+		if lim := g.Limits(); lim != nil {
+			pr.Feasible = false
+			pr.Notes = append(pr.Notes, lim.Error())
+		}
+	}
+}
+
+// closedForm prices one exchange in the Hockney α–β model (§4.3), with
+// the contention φ between concurrent segments dividing bandwidth.
+func closedForm(cfg *Config, s Strategy, x *strategy.Exchange) float64 {
+	hop := cfg.Sys.CollectiveAB(0, x.Span)
+	if x.MPI {
+		hop = cfg.Sys.MPIAB(0, x.Span)
+	}
+	ab := collective.AB{Alpha: hop.Alpha, Beta: hop.Beta}
+	if x.Segments > 1 {
+		phi := cfg.Phi
+		if phi == 0 {
+			phi = EstimatePhi(cfg.Sys, s, x.Segments)
+		}
+		ab = collective.WithContention(ab, phi)
+	}
+	switch x.Kind {
+	case strategy.RingAllreduce:
+		return collective.RingAllreduce(ab, x.Size, x.Bytes)
+	case strategy.RingAllgather:
+		return collective.RingAllgather(ab, x.Size, x.Bytes)
+	case strategy.RingBoundary:
+		return float64(3*(x.Size-1)) * collective.P2P(ab, x.Bytes)
+	case strategy.Halo:
+		return collective.HaloExchange(ab, x.Bytes)
+	case strategy.P2P:
+		return collective.P2P(ab, x.Bytes)
+	default: // TreeReduce, TreeBcast
+		return collective.Bcast(ab, x.Size, x.Bytes)
+	}
 }
 
 // Validate is the one normaliser of a (Config, strategy) pair: it
@@ -173,8 +313,14 @@ func Validate(cfg *Config, s Strategy) error {
 	if cfg.Model == nil || cfg.Sys == nil || cfg.Times == nil {
 		return fmt.Errorf("core: config requires Model, Sys, and Times")
 	}
+	if s < 0 || int(s) >= len(table3) {
+		return fmt.Errorf("core: cannot project strategy %v", s)
+	}
 	if cfg.D <= 0 || cfg.B <= 0 || cfg.P <= 0 {
 		return fmt.Errorf("core: D=%d B=%d P=%d must be positive", cfg.D, cfg.B, cfg.P)
+	}
+	if cfg.P1 < 0 || cfg.P2 < 0 {
+		return fmt.Errorf("core: P1=%d P2=%d must not be negative", cfg.P1, cfg.P2)
 	}
 	if len(cfg.Times.FW) != cfg.Model.G() {
 		return fmt.Errorf("core: profile covers %d layers, model has %d", len(cfg.Times.FW), cfg.Model.G())
@@ -212,276 +358,6 @@ func Validate(cfg *Config, s Strategy) error {
 		}
 	}
 	return nil
-}
-
-// ab returns the α/β pair for a ring collective over a contiguous span
-// of p PEs.
-func ab(sys *cluster.System, p int) collective.AB {
-	x := sys.CollectiveAB(0, p)
-	return collective.AB{Alpha: x.Alpha, Beta: x.Beta}
-}
-
-// abMPI is the through-host pair (halo exchange path).
-func abMPI(sys *cluster.System, p int) collective.AB {
-	x := sys.MPIAB(0, p)
-	return collective.AB{Alpha: x.Alpha, Beta: x.Beta}
-}
-
-// weightBytes returns δ·Σ|w_l| — the gradient-exchange message size.
-func weightBytes(cfg Config) float64 {
-	return float64(cfg.Model.TotalWeights()) * cfg.Sys.BytesPerItem
-}
-
-// ---- Serial (Appendix A.1, eq. 3) ----
-
-func projectSerial(cfg Config, pr *Projection) {
-	d := float64(cfg.D)
-	iters := d / float64(cfg.B)
-	pr.Epoch.FW = d * cfg.Times.SumFW()
-	pr.Epoch.BW = d * cfg.Times.SumBW()
-	pr.Epoch.WU = iters * cfg.Times.SumWU()
-	pr.MaxPE = 1
-}
-
-// ---- Data parallelism (eq. 5–7) ----
-
-func projectData(cfg Config, pr *Projection) {
-	d := float64(cfg.D)
-	p := float64(cfg.P)
-	iters := d / float64(cfg.B)
-	pr.Epoch.FW = d / p * cfg.Times.SumFW()
-	pr.Epoch.BW = d / p * cfg.Times.SumBW()
-	pr.Epoch.WU = iters * cfg.Times.SumWU()
-	pr.Epoch.GE = iters * collective.RingAllreduce(ab(cfg.Sys, cfg.P), cfg.P, weightBytes(cfg))
-	pr.MaxPE = cfg.B
-}
-
-// ---- Spatial parallelism (eq. 8–10) ----
-
-func projectSpatial(cfg Config, pr *Projection) {
-	d := float64(cfg.D)
-	p := float64(cfg.P)
-	iters := d / float64(cfg.B)
-	pr.Epoch.FW = d / p * cfg.Times.SumFW()
-	pr.Epoch.BW = d / p * cfg.Times.SumBW()
-	pr.Epoch.WU = iters * cfg.Times.SumWU()
-	pr.Epoch.GE = iters * collective.RingAllreduce(ab(cfg.Sys, cfg.P), cfg.P, weightBytes(cfg))
-	pr.Epoch.Halo = iters * spatialHaloPerIter(cfg, cfg.P, cfg.B)
-	pr.MaxPE = cfg.Model.MinSpatial()
-}
-
-// spatialHaloPerIter evaluates Σ_l (2α + B(halo(x_l)+halo(dy_l))δβ)
-// over the MPI path (§5.1: halo exchange could not use NCCL).
-func spatialHaloPerIter(cfg Config, p, b int) float64 {
-	mpi := abMPI(cfg.Sys, p)
-	t := 0.0
-	for i := range cfg.Model.Layers {
-		l := &cfg.Model.Layers[i]
-		halo := l.HaloSize(0, p) + l.HaloSizeOut(0, p)
-		if halo == 0 {
-			continue
-		}
-		bytes := float64(b) * float64(halo) * cfg.Sys.BytesPerItem
-		t += collective.HaloExchange(mpi, bytes)
-	}
-	return t
-}
-
-// ---- Pipeline parallelism (eq. 12–13) ----
-
-func projectPipeline(cfg Config, pr *Projection) {
-	d := float64(cfg.D)
-	s := float64(cfg.Segments)
-	iters := d / float64(cfg.B)
-	groups := PartitionPipeline(cfg.Times, cfg.P)
-
-	maxFW, maxBW, maxWU, maxBoundary := 0.0, 0.0, 0.0, 0.0
-	for gi, g := range groups {
-		var fw, bw, wu float64
-		for l := g.Start; l < g.End; l++ {
-			fw += cfg.Times.FW[l]
-			bw += cfg.Times.BW[l]
-			wu += cfg.Times.WU[l]
-		}
-		maxFW = math.Max(maxFW, fw)
-		maxBW = math.Max(maxBW, bw)
-		maxWU = math.Max(maxWU, wu)
-		if gi < len(groups)-1 {
-			out := float64(cfg.Model.Layers[g.End-1].OutSize())
-			maxBoundary = math.Max(maxBoundary, out)
-		}
-	}
-	stageAmp := float64(cfg.P) + s - 1
-	pr.Epoch.FW = d * stageAmp / s * maxFW
-	pr.Epoch.BW = d * stageAmp / s * maxBW
-	pr.Epoch.WU = iters * maxWU
-
-	// P2P: 2·D(p+S−2)/B · max(α + B/S·|y_Gi|δβ), eq. 13.
-	x := ab(cfg.Sys, cfg.P)
-	seg := float64(cfg.B) / s * maxBoundary * cfg.Sys.BytesPerItem
-	pr.Epoch.PipeP2P = 2 * d * (float64(cfg.P) + s - 2) / float64(cfg.B) * collective.P2P(x, seg)
-	pr.MaxPE = cfg.Model.G()
-}
-
-// ---- Filter / Channel parallelism (eq. 15–19) ----
-
-func projectFilterChannel(cfg Config, s Strategy, pr *Projection) {
-	d := float64(cfg.D)
-	p := float64(cfg.P)
-	iters := d / float64(cfg.B)
-	pr.Epoch.FW = d / p * cfg.Times.SumFW()
-	pr.Epoch.BW = d / p * cfg.Times.SumBW()
-	// Weight update is sharded: each PE updates |w|/p (GE is skipped).
-	pr.Epoch.WU = iters / p * cfg.Times.SumWU()
-
-	// 3·D/B·(p−1)·Σ_{l<G}(α + B|y_l|/p·δβ): one Allgather (forward) and
-	// one Allreduce (backward) per layer boundary.
-	x := ab(cfg.Sys, cfg.P)
-	comm := 0.0
-	for i := 0; i < cfg.Model.G()-1; i++ {
-		chunk := float64(cfg.B) * float64(cfg.Model.Layers[i].OutSize()) / p * cfg.Sys.BytesPerItem
-		comm += 3 * (p - 1) * (x.Alpha + chunk*x.Beta)
-	}
-	pr.Epoch.FBComm = iters * comm
-
-	if s == Filter {
-		pr.MaxPE = cfg.Model.MinFilters()
-	} else {
-		pr.MaxPE = cfg.Model.MinChannels()
-	}
-}
-
-// ---- Data+Filter hybrid (eq. 20–22) ----
-
-func projectDataFilter(cfg Config, pr *Projection) {
-	d := float64(cfg.D)
-	p := float64(cfg.P)
-	p2 := float64(cfg.P2)
-	iters := d / float64(cfg.B)
-
-	pr.Epoch.FW = d / p * cfg.Times.SumFW()
-	pr.Epoch.BW = d / p * cfg.Times.SumBW()
-	pr.Epoch.WU = iters / p2 * cfg.Times.SumWU()
-
-	// Intra-group filter collectives on microbatch B/p1 with chunk
-	// |y|/p2 → B|y|/p per Table 3.
-	intra := ab(cfg.Sys, cfg.P2)
-	comm := 0.0
-	for i := 0; i < cfg.Model.G()-1; i++ {
-		chunk := float64(cfg.B) * float64(cfg.Model.Layers[i].OutSize()) / p * cfg.Sys.BytesPerItem
-		comm += 3 * (p2 - 1) * (intra.Alpha + chunk*intra.Beta)
-	}
-	pr.Epoch.FBComm = iters * comm
-
-	// Inter-group segmented Allreduce of the weight shard Σ|w|/p2 among
-	// p1 groups, with contention φ between the p2 concurrent segments.
-	phi := cfg.Phi
-	if phi == 0 {
-		phi = EstimatePhi(cfg.Sys, DataFilter, cfg.P2)
-	}
-	inter := collective.WithContention(ab(cfg.Sys, cfg.P), phi)
-	shard := weightBytes(cfg) / p2
-	pr.Epoch.GE = iters * collective.RingAllreduce(inter, cfg.P1, shard)
-
-	limit := cfg.Model.MinFilters()
-	pr.MaxPE = cfg.B * limit
-	if cfg.P2 > limit {
-		pr.Feasible = false
-		pr.Notes = append(pr.Notes, fmt.Sprintf("P2=%d exceeds filter limit %d", cfg.P2, limit))
-	}
-}
-
-// ---- Data+Spatial hybrid (§4.5.1, §5.3.1) ----
-
-func projectDataSpatial(cfg Config, pr *Projection) {
-	d := float64(cfg.D)
-	p := float64(cfg.P)
-	iters := d / float64(cfg.B)
-
-	pr.Epoch.FW = d / p * cfg.Times.SumFW()
-	pr.Epoch.BW = d / p * cfg.Times.SumBW()
-	pr.Epoch.WU = iters * cfg.Times.SumWU()
-
-	// Halo exchange inside each spatial group on microbatch B/p1.
-	micro := cfg.B / cfg.P1
-	if micro < 1 {
-		micro = 1
-	}
-	pr.Epoch.Halo = iters * spatialHaloPerIter(cfg, cfg.P2, micro)
-
-	// Hierarchical Allreduce (§5.3.1): tree-reduce to the node leader,
-	// ring Allreduce among the p1 leaders, tree-broadcast back. The
-	// local phases move the FULL buffer over NVLink, which is why the
-	// paper measured ds gradient exchange at >2× plain data.
-	m := weightBytes(cfg)
-	local := ab(cfg.Sys, cfg.P2)
-	leaders := ab(cfg.Sys, cfg.P)
-	localRounds := math.Ceil(math.Log2(float64(cfg.P2)))
-	localReduce := localRounds * (local.Alpha + m*local.Beta)
-	localBcast := localRounds * (local.Alpha + m*local.Beta)
-	global := collective.RingAllreduce(leaders, cfg.P1, m)
-	pr.Epoch.GE = iters * (localReduce + global + localBcast)
-
-	limit := cfg.Model.MinSpatial()
-	pr.MaxPE = cfg.B * limit
-	if cfg.P2 > limit {
-		pr.Feasible = false
-		pr.Notes = append(pr.Notes, fmt.Sprintf("P2=%d exceeds spatial limit %d", cfg.P2, limit))
-	}
-}
-
-// ---- Data+Pipeline hybrid (no Table 3 entry; §3.6 composition) ----
-
-// projectDataPipeline composes the pipeline model (eq. 12–13 applied
-// inside each of the p1 data-parallel groups, on the group's batch
-// shard B/p1) with a segmented cross-group gradient exchange: stage k
-// of every group owns the same layers, so the p2 concurrent Allreduces
-// — one per stage's weight shard, over the p1 groups — share each
-// node's uplinks with contention φ, exactly like the df segmentation.
-// This is the analytic counterpart of the runtime's dp engine
-// (internal/dist dataPipelineEngine), which Table 3 never modeled.
-func projectDataPipeline(cfg Config, pr *Projection) {
-	// One group's workload IS the pure pipeline model: depth p2 on the
-	// batch shard B/p1 over the dataset share D/p1 (iteration count and
-	// P2P round count are ratios, so the rescale preserves eq. 12–13 —
-	// the p1=1 edge is exactly projectPipeline, pinned by test).
-	stage := cfg
-	stage.P = cfg.P2
-	stage.B = cfg.B / cfg.P1
-	if stage.B < 1 {
-		stage.B = 1
-	}
-	stage.D = cfg.D / int64(cfg.P1)
-	projectPipeline(stage, pr)
-
-	// Segmented cross-group exchange of the bottleneck stage's weights:
-	// stage k of every group owns the same layers, so the p2 concurrent
-	// per-stage Allreduces over the p1 groups share each node's uplinks
-	// with contention φ, exactly like the df segmentation.
-	if cfg.P1 > 1 {
-		maxShardW := 0.0
-		for _, g := range PartitionPipeline(cfg.Times, cfg.P2) {
-			shardW := 0.0
-			for l := g.Start; l < g.End; l++ {
-				shardW += float64(cfg.Model.Layers[l].WeightSize())
-			}
-			maxShardW = math.Max(maxShardW, shardW)
-		}
-		phi := cfg.Phi
-		if phi == 0 {
-			phi = EstimatePhi(cfg.Sys, DataPipeline, cfg.P2)
-		}
-		inter := collective.WithContention(ab(cfg.Sys, cfg.P), phi)
-		iters := float64(cfg.D) / float64(cfg.B)
-		pr.Epoch.GE = iters * collective.RingAllreduce(inter, cfg.P1, maxShardW*cfg.Sys.BytesPerItem)
-	}
-
-	limit := cfg.Model.G()
-	pr.MaxPE = cfg.B * limit
-	if cfg.P2 > limit {
-		pr.Feasible = false
-		pr.Notes = append(pr.Notes, fmt.Sprintf("P2=%d exceeds the G=%d stage limit", cfg.P2, limit))
-	}
 }
 
 // EstimatePhi returns the automatic self-contention coefficient φ

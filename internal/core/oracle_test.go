@@ -292,7 +292,7 @@ func TestCosmoFlowDataParallelOOM(t *testing.T) {
 	if pr.Feasible {
 		t.Fatalf("CosmoFlow-512 data parallelism must be memory-infeasible (got %.1f GB)", pr.MemoryPerPE/1e9)
 	}
-	if bytes := LargestLayerActivationBytes(m, 1, sys.BytesPerItem); bytes < 8e9 {
+	if bytes := float64(m.Layers[0].OutSize()) * sys.BytesPerItem; bytes < 8e9 {
 		t.Fatalf("first conv activation %.1f GB, expected >8 GB at 512³", bytes/1e9)
 	}
 	// ds with one sample spread over 8 GPUs (the paper ran CosmoFlow at
@@ -352,6 +352,46 @@ func TestProjectValidation(t *testing.T) {
 	bad2.P1, bad2.P2 = 3, 5 // ≠ 16
 	if _, err := Project(bad2, DataFilter); err == nil {
 		t.Fatal("P1·P2≠P must be rejected")
+	}
+	// −4·−4 = 16 factors P, but is no grid: it used to project negative
+	// WU and memory (df), GE = NaN (ds) and negative FW/BW (dp).
+	for _, s := range []Strategy{DataFilter, DataSpatial, DataPipeline} {
+		for _, axes := range [][2]int{{-4, -4}, {-4, 0}, {0, -4}} {
+			neg := cfg
+			neg.P1, neg.P2 = axes[0], axes[1]
+			if pr, err := Project(neg, s); err == nil {
+				t.Fatalf("%v on a %d×%d grid must be rejected, projected %+v", s, axes[0], axes[1], pr.Epoch)
+			}
+		}
+	}
+	if _, err := Project(cfg, Strategy(42)); err == nil {
+		t.Fatal("an unknown strategy must be rejected")
+	}
+}
+
+// Every planner request runs Project, so walking a row's exchanges must
+// not allocate per layer: the counts are pinned at the per-strategy
+// functions' (5 each before the rows: the Projection, its notes and
+// their formatting), whatever the model's depth.
+func TestProjectAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	m := model.ResNet152()
+	for _, c := range []struct {
+		s            Strategy
+		b, p, p1, p2 int
+	}{{Data, 32 * 64, 64, 0, 0}, {Filter, 32, 64, 0, 0}, {DataFilter, 8 * 64, 64, 16, 4}} {
+		cfg := NewConfig(m, cluster.Default(), model.ImageNetSamples, c.b, c.p, 0, nil)
+		cfg.P1, cfg.P2 = c.p1, c.p2
+		n := testing.AllocsPerRun(200, func() {
+			if _, err := Project(cfg, c.s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 5 {
+			t.Errorf("Project(%v@%d) allocates %.0f times, want ≤ 5", c.s, c.p, n)
+		}
 	}
 }
 

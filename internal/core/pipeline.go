@@ -1,19 +1,17 @@
 package core
 
-import "paradl/internal/profile"
-
-// LayerGroup is a contiguous composite layer [Start, End) assigned to
-// one pipeline stage.
-type LayerGroup struct {
-	Start, End int
-}
+import (
+	"paradl/internal/profile"
+	"paradl/internal/strategy"
+)
 
 // PartitionPipeline splits the model's layers into p contiguous groups
+// (composite layers [Start, End), one per pipeline stage)
 // minimizing the bottleneck stage's FW+BW time — the workload-balancing
 // problem of §5.3.3 ("the training time of a pipeline is limited by the
 // slowest stage"). Classic linear-partition via binary search on the
 // bottleneck value with a greedy feasibility check.
-func PartitionPipeline(times *profile.LayerTimes, p int) []LayerGroup {
+func PartitionPipeline(times *profile.LayerTimes, p int) []strategy.Range {
 	g := len(times.FW)
 	if p > g {
 		p = g
@@ -58,18 +56,18 @@ func PartitionPipeline(times *profile.LayerTimes, p int) []LayerGroup {
 	// Emit groups greedily at the found bottleneck, then pad with empty
 	// trailing splits merged backward so exactly min(p, g) non-empty
 	// groups result.
-	var groups []LayerGroup
+	var groups []strategy.Range
 	start := 0
 	cur := 0.0
 	for i, x := range w {
 		if cur+x > hi && i > start {
-			groups = append(groups, LayerGroup{Start: start, End: i})
+			groups = append(groups, strategy.Range{Start: start, End: i})
 			start = i
 			cur = 0
 		}
 		cur += x
 	}
-	groups = append(groups, LayerGroup{Start: start, End: g})
+	groups = append(groups, strategy.Range{Start: start, End: g})
 
 	// Greedy can under-produce; split the largest groups until we have
 	// exactly p (each group needs ≥1 layer).
@@ -86,13 +84,13 @@ func PartitionPipeline(times *profile.LayerTimes, p int) []LayerGroup {
 		}
 		gr := groups[best]
 		mid := (gr.Start + gr.End) / 2
-		groups = append(groups[:best], append([]LayerGroup{{gr.Start, mid}, {mid, gr.End}}, groups[best+1:]...)...)
+		groups = append(groups[:best], append([]strategy.Range{{Start: gr.Start, End: mid}, {Start: mid, End: gr.End}}, groups[best+1:]...)...)
 	}
 	return groups
 }
 
 // BottleneckTime returns the largest per-sample FW+BW time among groups.
-func BottleneckTime(times *profile.LayerTimes, groups []LayerGroup) float64 {
+func BottleneckTime(times *profile.LayerTimes, groups []strategy.Range) float64 {
 	maxT := 0.0
 	for _, g := range groups {
 		t := 0.0

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"paradl/internal/core"
+	"paradl/internal/strategy"
 )
 
 // fig3Point is one x-axis position of one Fig. 3 panel.
@@ -62,33 +63,21 @@ func (e *Env) Fig3() ([]Cell, error) {
 	}
 	var cells []Cell
 	for _, name := range Fig3Models() {
-		m := e.Model(name)
 		for _, pt := range fig3Grid() {
-			// Skip points beyond the model's shape limits (the paper
-			// plots each strategy only up to its scaling limit).
-			switch pt.strategy {
-			case core.Filter:
-				if pt.p > m.MinFilters() {
-					continue
-				}
-			case core.Channel:
-				if pt.p > m.MinChannels() {
-					continue
-				}
-			case core.Spatial:
-				if pt.p > m.MinSpatial() {
-					continue
-				}
-			}
 			b := pt.b
 			perPE := pt.b
 			if !pt.global {
 				b = pt.b * pt.p
 			} else if pt.strategy == core.Spatial || pt.strategy == core.Pipeline {
-				perPE = maxI(1, pt.b/pt.p)
+				perPE = max(1, pt.b/pt.p)
 			}
 			cfg := e.Config(name, pt.p, b, perPE)
 			cfg.P1, cfg.P2 = pt.p1, pt.p2
+			// Skip points beyond the model's Table-3 limits (the paper
+			// plots each strategy only up to its scaling limit).
+			if limit(cfg, pt.strategy) != nil {
+				continue
+			}
 			cell, err := e.evalCell(name, pt.strategy, cfg)
 			if err != nil {
 				return nil, err
@@ -120,9 +109,11 @@ func (e *Env) WriteFig3(w io.Writer) error {
 	return tw.Flush()
 }
 
-func maxI(a, b int) int {
-	if a > b {
-		return a
+// limit returns the Table-3 scaling limit cfg violates under s, if any.
+func limit(cfg core.Config, s core.Strategy) *strategy.Limit {
+	if core.Validate(&cfg, s) != nil {
+		return nil // evaluating the cell reports it
 	}
-	return b
+	g := core.Grid(cfg, s)
+	return g.Limits()
 }

@@ -89,3 +89,57 @@ func TestJoinMatchesDirectOracleAndSimulator(t *testing.T) {
 		}
 	}
 }
+
+// TestArtefactCellsHoldASamplePerGroup: B < P1 is now an infeasibility
+// on the oracle and an error on the simulator (the row's Limits), where
+// ds and dp used to clamp the group batch to one sample — and no cell of
+// Fig. 3/4/5, of the committed 60-scenario seed-1 scoreboard trace or of
+// the PHASES matrix is below one sample per group, so no artefact moved.
+func TestArtefactCellsHoldASamplePerGroup(t *testing.T) {
+	e := NewEnv()
+	check := func(id string, cfg core.Config, s core.Strategy) {
+		t.Helper()
+		if err := core.Validate(&cfg, s); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if g := core.Grid(cfg, s); g.B < g.P1 {
+			t.Errorf("%s: %v has B=%d < P1=%d", id, s, g.B, g.P1)
+		}
+	}
+	for _, name := range Fig3Models() {
+		for _, pt := range fig3Grid() {
+			b := pt.b
+			if !pt.global {
+				b *= pt.p
+			}
+			cfg := e.Config(name, pt.p, b, 1)
+			cfg.P1, cfg.P2 = pt.p1, pt.p2
+			check("fig3/"+name, cfg, pt.strategy)
+		}
+	}
+	for _, p := range []int{4, 16, 64, 256, 512} {
+		check("fig4/5", e.cosmoConfig(p), core.DataSpatial)
+	}
+	scs, err := workload.Generate(workload.GenSpec{Seed: 1, N: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range append(scs, e.phaseScenarios()...) {
+		m, err := model.ByName(sc.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := cluster.ByName(sc.Cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := core.NewConfig(m, sys, int64(sc.Iters*sc.Batch), sc.Batch, sc.P, 0, &e.profiles)
+		for _, ps := range sc.Plans {
+			pl, err := dist.ParsePlan(ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(sc.ID+"/"+ps, pl.Apply(base), pl.Strategy)
+		}
+	}
+}

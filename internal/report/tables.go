@@ -31,22 +31,12 @@ func (e *Env) Table3(name string, p, perPE int) ([]Table3Row, error) {
 			cfg.P = 1
 			cfg.B = perPE
 		case core.Filter, core.Channel, core.Pipeline:
-			// strong scaling / stage limits
+			// strong scaling, up to the scaling limit (pipeline: 4 stages)
 			cfg.B = 32
-			m := e.Model(name)
-			switch s {
-			case core.Filter:
-				if cfg.P > m.MinFilters() {
-					cfg.P = m.MinFilters()
-				}
-			case core.Channel:
-				if cfg.P > m.MinChannels() {
-					cfg.P = m.MinChannels()
-				}
-			case core.Pipeline:
-				if cfg.P > 4 {
-					cfg.P = 4
-				}
+			if s == core.Pipeline {
+				cfg.P = min(cfg.P, 4)
+			} else if lim := limit(cfg, s); lim != nil {
+				cfg.P = lim.Max
 			}
 		}
 		pr, err := core.Project(cfg, s)
@@ -131,21 +121,18 @@ type Table6Row struct {
 // for a model at scale, reproducing the summary of Table 6.
 func (e *Env) Table6(name string, p, perPE int) ([]Table6Row, error) {
 	var rows []Table6Row
-	m := e.Model(name)
 	for _, s := range core.Strategies() {
 		cfg := e.Config(name, p, perPE*p, perPE)
+		// The strong-scaling strategies run at B=32, at their scaling
+		// limit when p exceeds it (pipeline: 4 stages).
 		switch s {
-		case core.Filter:
-			cfg.P, cfg.B = m.MinFilters(), 32
-		case core.Channel:
-			cfg.P, cfg.B = m.MinChannels(), 32
+		case core.Filter, core.Channel, core.Spatial:
+			cfg.B = 32
+			if lim := limit(cfg, s); lim != nil {
+				cfg.P = lim.Max
+			}
 		case core.Pipeline:
 			cfg.P, cfg.B = 4, 32
-		case core.Spatial:
-			if cfg.P > m.MinSpatial() {
-				cfg.P = m.MinSpatial()
-			}
-			cfg.B = 32
 		}
 		pr, err := core.Project(cfg, s)
 		if err != nil {

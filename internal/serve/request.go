@@ -76,7 +76,7 @@ func (r Request) normalize(endpoint string) (Request, error) {
 		return r, err
 	}
 	r.Cluster = sys.Name
-	if r.BatchGlobal < 0 || r.Batch < 0 || r.GPUs < 0 || r.D < 0 {
+	if r.BatchGlobal < 0 || r.Batch < 0 || r.GPUs < 0 || r.D < 0 || r.P1 < 0 || r.P2 < 0 {
 		return r, fmt.Errorf("serve: negative batch/gpus/d")
 	}
 	if r.BatchGlobal > 0 {

@@ -326,6 +326,8 @@ func TestRequestErrors(t *testing.T) {
 		{"/project", `{"model":"resnet50","gpus":4,"strategy":"x"}`}, // bad strategy
 		{"/sweep", `{"model":"resnet50","ps":[0,-3]}`},               // no positive widths
 		{"/advise", `{"model":"resnet50","gpus":4,"cluster":"x"}`},   // unknown cluster
+		// negative grid axes whose product is still gpus
+		{"/project", `{"model":"resnet50","gpus":4,"strategy":"df","p1":-2,"p2":-2}`},
 	}
 	for _, c := range cases {
 		code, b := post(t, ts.URL+c.endpoint, c.body)

@@ -1,9 +1,17 @@
 // Package strategy encodes how each parallelization strategy of §3
-// arranges PEs and partitions tensors: data-parallel replica groups,
-// filter/channel groups with segmented cross-groups, spatial neighbour
-// chains, and pipeline stages. Both the measured-execution engine
-// (internal/measure) and the real distributed runtime (internal/dist)
-// consume these plans, so the two sides cannot drift apart.
+// arranges PEs and partitions tensors, below the oracle, the simulator
+// and the runtime alike.
+//
+// table3.go is the paper's Table 3, written once: three P1×P2 grid rows
+// (Family) of which every strategy is an edge, each yielding its shares,
+// its scaling limits and its per-iteration exchanges for a Grid.
+// internal/core prices a row in closed form, internal/measure on the
+// simulated fabric, so the two cannot drift apart; what the simulator
+// alone knows (device pricing, framework overheads) stays there.
+//
+// This file is the PE arrangement the runtime (internal/dist) shares:
+// data-parallel replica groups, filter/channel shards with segmented
+// cross-groups, spatial ranges and pipeline stages.
 package strategy
 
 import (
@@ -109,30 +117,6 @@ func SpatialShards(h, p int) ([]Range, error) {
 		return nil, fmt.Errorf("strategy: spatial extent %d smaller than p=%d", h, p)
 	}
 	return PartitionDim(h, p), nil
-}
-
-// SpatialHalo describes the rows PE i must receive from its neighbours
-// to compute a convolution with kernel k and stride s: lo rows from the
-// predecessor, hi rows from the successor (§3.2).
-type SpatialHalo struct {
-	Lo, Hi int
-}
-
-// HaloFor returns the halo requirement of PE i of p under a kernel of
-// size k with padding pad. Boundary PEs take padding instead of a
-// neighbour on the outer side.
-func HaloFor(i, p, k int) SpatialHalo {
-	if p <= 1 || k <= 1 {
-		return SpatialHalo{}
-	}
-	h := SpatialHalo{Lo: k / 2, Hi: k / 2}
-	if i == 0 {
-		h.Lo = 0
-	}
-	if i == p-1 {
-		h.Hi = 0
-	}
-	return h
 }
 
 // PipelineStages assigns layers to p contiguous stages given per-layer

@@ -145,26 +145,6 @@ func TestSpatialShards(t *testing.T) {
 	}
 }
 
-func TestHaloFor(t *testing.T) {
-	// middle PE gets halo on both sides; edge PEs only inward
-	h := HaloFor(1, 4, 3)
-	if h.Lo != 1 || h.Hi != 1 {
-		t.Fatalf("middle halo %+v", h)
-	}
-	if h := HaloFor(0, 4, 3); h.Lo != 0 || h.Hi != 1 {
-		t.Fatalf("first halo %+v", h)
-	}
-	if h := HaloFor(3, 4, 3); h.Lo != 1 || h.Hi != 0 {
-		t.Fatalf("last halo %+v", h)
-	}
-	if h := HaloFor(1, 1, 3); h.Lo != 0 || h.Hi != 0 {
-		t.Fatal("p=1 needs no halo")
-	}
-	if h := HaloFor(1, 4, 1); h.Lo != 0 || h.Hi != 0 {
-		t.Fatal("1×1 kernels need no halo")
-	}
-}
-
 func TestAllPEs(t *testing.T) {
 	pes := AllPEs(4)
 	for i, pe := range pes {
@@ -178,5 +158,69 @@ func TestContiguousStages(t *testing.T) {
 	st := ContiguousStages([]Range{{0, 3}, {3, 7}})
 	if len(st) != 2 || st[1].Start != 3 || st[1].PE != 1 {
 		t.Fatalf("stages %v", st)
+	}
+}
+
+// Limits names the binding limit: the model axis by the extent that
+// bounds it on each row, then the data axis by the batch.
+func TestGridLimitsByName(t *testing.T) {
+	m := model.Tiny3D() // min F = 4, min C = 4, min extent 4³, G = 7
+	for _, c := range []struct {
+		g    Grid
+		want string
+	}{
+		{Grid{Family: Tensor, P1: 2, P2: 4, B: 2}, ""},
+		{Grid{Family: Tensor, P1: 1, P2: 8, B: 2}, "filter"},
+		{Grid{Family: Tensor, P1: 1, P2: 8, B: 2, Channel: true}, "channel"},
+		{Grid{Family: Spatial, P1: 1, P2: 4, B: 2}, ""},
+		{Grid{Family: Spatial, P1: 1, P2: 128, B: 2}, "spatial"},
+		{Grid{Family: Pipeline, P1: 1, P2: 8, B: 2}, "stage"},
+		{Grid{Family: Pipeline, P1: 4, P2: 2, B: 2}, "batch"},
+		{Grid{Family: Tensor, P1: 4, P2: 8, B: 2}, "filter"}, // model axis first
+	} {
+		c.g.Model = m
+		got := ""
+		if lim := c.g.Limits(); lim != nil {
+			got = lim.Name
+		}
+		if got != c.want {
+			t.Errorf("%dx%d B=%d: limit %q, want %q", c.g.P1, c.g.P2, c.g.B, got, c.want)
+		}
+	}
+}
+
+// Every row's exchanges address PEs of the P1×P2 grid, close their
+// concurrent-segment sets, and mark only the spatial Allgatherv as
+// outside Table 3.
+func TestGridExchangesWellFormed(t *testing.T) {
+	m := model.Tiny3D()
+	for _, g := range []Grid{
+		{Family: Tensor, P1: 2, P2: 2}, {Family: Tensor, P1: 4, P2: 1}, {Family: Tensor, P1: 1, P2: 4, Channel: true},
+		{Family: Spatial, P1: 1, P2: 2}, {Family: Spatial, P1: 2, P2: 2, Hierarchical: true},
+		{Family: Pipeline, P1: 1, P2: 2}, {Family: Pipeline, P1: 2, P2: 2, Whole: true},
+	} {
+		g.Model, g.Delta, g.B, g.S = m, 4, 8, 2
+		g.Stages = []Range{{0, 3}, {3, m.G()}}
+		n, open := 0, 0
+		for x := range g.Exchanges {
+			n++
+			for _, pe := range x.PEs() {
+				if pe < 0 || pe >= g.P1*g.P2 {
+					t.Errorf("%+v: exchange %+v reaches PE %d", g, x, pe)
+				}
+			}
+			if x.Segment != open || x.Repeat < 1 || x.Bytes < 0 {
+				t.Errorf("%+v: malformed exchange %+v (segment %d expected)", g, x, open)
+			}
+			if open++; open == x.Segments {
+				open = 0
+			}
+			if x.InTable3 == (x.Kind == RingAllgather) {
+				t.Errorf("%+v: %+v: only the Allgatherv is outside Table 3", g, x)
+			}
+		}
+		if n == 0 || open != 0 {
+			t.Errorf("%+v: %d exchanges, %d segments left open", g, n, open)
+		}
 	}
 }
