@@ -34,6 +34,10 @@ const (
 	ringMinElems    = 256
 )
 
+// ringSized reports whether an n-element buffer travels the ring on p
+// PEs: bandwidth-bound, and with at least one element per chunk.
+func ringSized(n, p int) bool { return n >= ringMinElems && n >= p }
+
 // message is one mailbox payload: a tensor, or (t == nil) a bare
 // scalar, so scalar reductions never allocate a 1-element tensor.
 type message struct {
@@ -265,11 +269,10 @@ func (c *Comm) Send(dst int, t *tensor.Tensor) {
 // contracts. Ownership transfer — the halo, pipeline, tree and
 // reduce-scatter hops of a buffer that is handed off anyway: the sender
 // must not read or write t afterwards and the receiver may do with it
-// as it likes. View — ringAllReduce's chunks of the caller's buffer and
+// as it likes. View — the ring's chunks of the caller's buffers and
 // AllGather's forwarded shards, memory the sender keeps: the receiver
 // only ever reads it, and the sender does not write the viewed region
-// until it knows the receiver is done reading (ringAllReduce spells out
-// how). Cloning is reserved for true aliasing boundaries (public Send,
+// until it knows the receiver is done reading (ring spells out how). Cloning is reserved for true aliasing boundaries (public Send,
 // tree broadcast fan-out).
 func (c *Comm) sendOwned(dst int, t *tensor.Tensor) {
 	c.send(dst, message{t: t})
@@ -327,7 +330,7 @@ func (c *Comm) AllReduceSum(t *tensor.Tensor) *tensor.Tensor {
 		return t
 	}
 	switch n := t.Len(); {
-	case n >= ringMinElems && n >= p:
+	case ringSized(n, p):
 		return c.ringAllReduce(t)
 	case n >= twoTreeMinElems:
 		return c.twoTreeAllReduce(t)
@@ -336,12 +339,22 @@ func (c *Comm) AllReduceSum(t *tensor.Tensor) *tensor.Tensor {
 	}
 }
 
-// ringAllReduce reduces t in place over the flat element range: a
-// (p−1)-step ring reduce-scatter leaves rank owning the fully reduced
-// chunk `rank`, then a (p−1)-step ring allgather circulates the reduced
-// chunks and writes them into place. Per PE it moves 2(p−1)·n/p
-// elements — the bandwidth-optimal schedule — versus the O(p·n) the
-// serialized rank-0 hub shipped.
+// ringAllReduce reduces t in place over the flat element range — the
+// ring with nothing between its two phases and one buffer for both.
+func (c *Comm) ringAllReduce(t *tensor.Tensor) *tensor.Tensor {
+	c.ring(t.Data(), t.Data(), nil)
+	return t
+}
+
+// ring runs the two ring phases over the flat element ranges of reduce
+// and gather (equal lengths; the same buffer for a plain allreduce): a
+// (p−1)-step reduce-scatter of reduce leaves this rank owning the fully
+// reduced chunk `rank`; between, when set, then runs on this PE alone —
+// the gradient exchanger's sharded weight update turns its gradient
+// chunk into its parameter chunk there (overlap.go); and a (p−1)-step
+// allgather circulates every rank's chunk `rank` of gather and writes
+// it into place. Per PE it moves 2(p−1)·n/p elements, the
+// bandwidth-optimal schedule.
 //
 // Buffer discipline: no payload is allocated or snapshotted. The ring
 // circulates views (sendOwned) of the PEs' own buffers, the
@@ -350,45 +363,52 @@ func (c *Comm) AllReduceSum(t *tensor.Tensor) *tensor.Tensor {
 // and adds the predecessor's view into own chunk rc; an allgather step
 // sends a view of the chunk completed the step before and copies the
 // predecessor's view into own chunk rc. A PE writes only its own
-// buffer and only reads the views it receives; each byte is touched
-// once per hop. Two orderings keep a chunk from being written while
-// the successor may still read it:
+// buffers and only reads the views it receives. Two orderings keep a
+// chunk from being written while the successor may still read it:
 //
 //   - inside the call, the ring's dependency chain: chunk k reaches this
 //     PE for its allgather write only after travelling successor → … →
 //     owner → … → predecessor, and the successor forwarded its partial
 //     sum of k only after reading this PE's reduce-scatter view of k.
-//     Within either phase a chunk is sent after its single write;
+//     Within either phase a chunk is sent after its single write, and
+//     between touches only chunk `rank`, which no view of this call has
+//     named yet: the reduce-scatter never sends it, the allgather sends
+//     it first thing afterwards;
 //   - across the return, the closing ack: each PE tells its predecessor
-//     it has read its last view, and returns only after hearing the same
-//     from its successor — so the caller (blocking, or through
-//     Handle.Wait) gets back a buffer no peer is still reading. The ack
+//     it has read its last view — of either buffer: the ack follows the
+//     last allgather read in program order, and every reduce-scatter
+//     read came before that — and returns only after hearing the same
+//     from its successor, so the caller (blocking, or through
+//     Handle.Wait) gets back buffers no peer is still reading. The ack
 //     travels on the collective's own stream, FIFO behind the data, so a
 //     recycled stream sees it before any later traffic, and a world
 //     abort unblocks the wait with errAborted like any other receive.
-func (c *Comm) ringAllReduce(t *tensor.Tensor) *tensor.Tensor {
+func (c *Comm) ring(reduce, gather []float64, between func()) {
 	p := c.Size()
-	data := t.Data()
-	offs, sizes := collective.Chunks(len(data), p)
-	chunk := func(i int) []float64 { return data[offs[i] : offs[i]+sizes[i]] }
+	offs, sizes := collective.Chunks(len(reduce), p)
+	chunk := func(data []float64, i int) *tensor.Tensor {
+		return tensor.FromSlice(data[offs[i]:offs[i]+sizes[i]], sizes[i])
+	}
 	next, prev := (c.rank+1)%p, (c.rank+p-1)%p
 	for s := 0; s < p-1; s++ {
 		sc, rc := collective.RingReduceScatterStep(c.rank, s, p)
-		c.sendOwned(next, tensor.FromSlice(chunk(sc), sizes[sc]))
+		c.sendOwned(next, chunk(reduce, sc))
 		in := c.Recv(prev).Data()
-		own := chunk(rc)[:len(in)]
+		own := reduce[offs[rc]:][:len(in)]
 		for i, v := range in {
 			own[i] += v
 		}
 	}
+	if between != nil {
+		between()
+	}
 	for s := 0; s < p-1; s++ {
 		sc, rc := collective.RingAllGatherStep(c.rank, s, p)
-		c.sendOwned(next, tensor.FromSlice(chunk(sc), sizes[sc]))
-		copy(chunk(rc), c.Recv(prev).Data())
+		c.sendOwned(next, chunk(gather, sc))
+		copy(gather[offs[rc]:offs[rc]+sizes[rc]], c.Recv(prev).Data())
 	}
 	c.sendScalar(prev, 0)
 	c.recvScalar(next)
-	return t
 }
 
 // chunkCopy snapshots [off, off+n) of data as a rank-1 tensor — the

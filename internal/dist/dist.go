@@ -201,23 +201,29 @@ func checkBatches(m *nn.Model, batches []Batch, p1 int) error {
 	return nil
 }
 
-// addInto accumulates src into dst, adopting src when dst is nil.
-func addInto(dst, src *tensor.Tensor) *tensor.Tensor {
+// accumulate folds src — a view the next backward overwrites — into the
+// persistent accumulator dst, created on first use: a flush's first
+// micro-batch overwrites what the last iteration left, later ones add.
+func accumulate(dst, src *tensor.Tensor, first bool) *tensor.Tensor {
 	if src == nil {
 		return dst
 	}
 	if dst == nil {
-		return src
+		dst = tensor.New(src.Shape()...)
 	}
-	dst.Add(src)
+	if first {
+		copy(dst.Data(), src.Data())
+	} else {
+		dst.Add(src)
+	}
 	return dst
 }
 
 // accumulateGrads folds one microbatch's gradients into the running
 // per-layer accumulator.
-func accumulateGrads(dst *nn.Grads, g nn.Grads) {
-	dst.W = addInto(dst.W, g.W)
-	dst.B = addInto(dst.B, g.B)
-	dst.Gamma = addInto(dst.Gamma, g.Gamma)
-	dst.Beta = addInto(dst.Beta, g.Beta)
+func accumulateGrads(dst *nn.Grads, g nn.Grads, first bool) {
+	dst.W = accumulate(dst.W, g.W, first)
+	dst.B = accumulate(dst.B, g.B, first)
+	dst.Gamma = accumulate(dst.Gamma, g.Gamma, first)
+	dst.Beta = accumulate(dst.Beta, g.Beta, first)
 }

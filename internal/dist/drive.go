@@ -81,13 +81,9 @@ func drive(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, erro
 			}
 			if cfg.snapshotDue(bi) {
 				tr.Begin(trace.CheckpointPut)
-				// The groups are bit-identical replicas of the canonical
-				// state, so group 0 alone assembles it, on the result rank.
-				if seg.Rank() == 0 {
-					params, vel := gatherState(group, eng.resultRank, own, pe.step.mom)
-					if reports {
-						cfg.emit(m.Name, bi, out, params, vel)
-					}
+				params, vel := gatherState(pe, eng.resultRank, own)
+				if reports {
+					cfg.emit(m.Name, bi, out, params, vel)
 				}
 				// Checkpoint barrier: no PE may start the next iteration
 				// until the snapshot is durable, or a failure injected

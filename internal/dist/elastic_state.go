@@ -43,12 +43,16 @@ const (
 // ownedField is one PE's holding of one parameter tensor of one layer:
 // the live tensor the PE steps (nil when the layer has no such
 // parameter — identically on every PE, geometry comes from the model
-// spec) and where it sits in the canonical tensor.
+// spec) and where it sits in the canonical tensor. chunk qualifies the
+// velocity: when set, live is updated inside the gradient exchange's
+// ring and of live's velocity this PE holds the flat chunk the
+// qualifier names, on its ring rank, instead of the whole.
 type ownedField struct {
 	live              *tensor.Tensor
 	how               holding
 	stage             int // oneStage: the holder's group rank
 	axis, start, size int // sliced: live is canonical.Narrow(axis, start, size)
+	chunk             *paramChunk
 }
 
 // ownership is a PE's table of holdings, per layer × {W, B, Gamma,
@@ -131,8 +135,10 @@ func restoreField(dst, src *tensor.Tensor, l int, name string) error {
 // seedVelocities re-seeds momentum state after a restore: every tensor
 // this PE (group rank `rank`) holds takes its own private part of the
 // canonical velocity — the Narrow slice with the geometry its shard was
-// carved by, or a clone of the whole. Tensors another stage holds are
-// never stepped here and keep no velocity.
+// carved by, or a clone of the whole; narrowed once more to the flat
+// chunk this PE steps when the tensor is updated inside the ring.
+// Tensors another stage holds are never stepped here and keep no
+// velocity.
 func seedVelocities(cfg *runConfig, mom *nn.Momentum, rank int, own ownership) {
 	if mom == nil || cfg.initState == nil || cfg.initState.Vel == nil {
 		return
@@ -140,12 +146,18 @@ func seedVelocities(cfg *runConfig, mom *nn.Momentum, rank int, own ownership) {
 	for l := range own {
 		for f, vel := range paramFields(&cfg.initState.Vel[l]) {
 			o, v := &own[l][f], *vel
-			switch {
-			case o.live == nil || v == nil || (o.how == oneStage && o.stage != rank):
-			case o.how == sliced:
-				mom.SeedVelocity(o.live, v.Narrow(o.axis, o.start, o.size))
-			default:
-				mom.SeedVelocity(o.live, v.Clone())
+			if o.live == nil || v == nil || (o.how == oneStage && o.stage != rank) {
+				continue
+			}
+			if o.how == sliced {
+				v = v.Narrow(o.axis, o.start, o.size) // a copy already
+			} else if o.chunk == nil {
+				v = v.Clone()
+			}
+			if ch := o.chunk; ch != nil {
+				ch.v = tensor.FromSlice(append([]float64(nil), v.Data()[ch.off:ch.off+ch.n]...), ch.n)
+			} else {
+				mom.SeedVelocity(o.live, v)
 			}
 		}
 	}
@@ -153,11 +165,14 @@ func seedVelocities(cfg *runConfig, mom *nn.Momentum, rank int, own ownership) {
 
 // gatherState assembles the canonical unsharded training state — full
 // parameters and, under momentum, full velocities — on group rank root
-// from the holdings of one group. Every rank of the group calls it
-// (SPMD: the traffic order is the table order, parameter then velocity
-// per field); ranks other than root get back an incomplete state they
-// must not use. vel is nil for plain-SGD runs.
-func gatherState(group *Comm, root int, own ownership, mom *nn.Momentum) (params, vel []nn.Params) {
+// of group 0: the groups are bit-identical replicas, so one assembles
+// it. Every PE of the world calls it (SPMD: the traffic order is the
+// table order; per field a chunked velocity is first made whole by one
+// Allgather over the ring that sharded it, then group 0 moves parameter
+// and velocity); every PE but that root gets back an incomplete state
+// it must not use. vel is nil for plain-SGD runs.
+func gatherState(pe *peCtx, root int, own ownership) (params, vel []nn.Params) {
+	mom := pe.step.mom
 	params = make([]nn.Params, len(own))
 	if mom != nil {
 		vel = make([]nn.Params, len(own))
@@ -169,48 +184,64 @@ func gatherState(group *Comm, root int, own ownership, mom *nn.Momentum) (params
 			if o.live == nil {
 				continue
 			}
-			*dst[f] = o.gather(group, root, nil)
+			var v *tensor.Tensor
 			if mom != nil {
-				*paramFields(&vel[l])[f] = o.gather(group, root, mom)
+				v = o.velocity(mom)
+			}
+			if pe.seg.Rank() != 0 {
+				continue
+			}
+			*dst[f] = o.gather(pe.group, root, o.live)
+			if mom != nil {
+				*paramFields(&vel[l])[f] = o.gather(pe.group, root, v)
 			}
 		}
 	}
 	return params, vel
 }
 
-// gather moves one held tensor — the parameter itself, or with mom set
-// its momentum velocity — to root over the transport its holding calls
+// velocity returns the momentum velocity of the held tensor, nil when
+// no update has created one yet (lazy creation makes absence ≡ zeros,
+// and presence is SPMD-deterministic, so every PE of a gather agrees on
+// the geometry). A chunked velocity is Allgathered over its ring — every
+// member calls, every member receives the whole.
+func (o *ownedField) velocity(mom *nn.Momentum) *tensor.Tensor {
+	ch := o.chunk
+	if ch == nil {
+		return mom.Velocity(o.live)
+	}
+	v := tensor.New(ch.n)
+	if ch.v != nil {
+		v = ch.v.Clone()
+	}
+	return ch.ring.AllGather(v, 0).Reshape(o.live.Shape()...)
+}
+
+// gather moves one held tensor — the parameter itself, or its velocity
+// (nil: none yet, zeros) — to root over the transport its holding calls
 // for: slices Allgather along their axis (the exact inverse of the
 // Narrow that carved them; every rank receives the whole), a stage's
 // tensor travels point-to-point from its holder, and what every rank
-// holds is simply cloned on root.
-func (o *ownedField) gather(group *Comm, root int, mom *nn.Momentum) *tensor.Tensor {
+// holds is simply cloned on root. What travels is a private copy.
+func (o *ownedField) gather(group *Comm, root int, held *tensor.Tensor) *tensor.Tensor {
+	snapshot := func() *tensor.Tensor {
+		if held == nil {
+			return tensor.New(o.live.Shape()...)
+		}
+		return held.Clone()
+	}
 	rank := group.Rank()
 	switch {
 	case o.how == sliced:
-		return group.AllGather(o.snapshot(mom), o.axis)
+		return group.AllGather(snapshot(), o.axis)
 	case o.how == oneStage && o.stage != root:
 		if rank == o.stage {
-			group.sendOwned(root, o.snapshot(mom))
+			group.sendOwned(root, snapshot())
 		} else if rank == root {
 			return group.Recv(o.stage)
 		}
 	case rank == root:
-		return o.snapshot(mom)
+		return snapshot()
 	}
 	return nil
-}
-
-// snapshot returns a private copy of the held parameter (mom nil) or of
-// its velocity — a zero tensor when no update has created one yet (lazy
-// creation makes absence ≡ zeros, and presence is SPMD-deterministic, so
-// every PE of a gather agrees on the geometry).
-func (o *ownedField) snapshot(mom *nn.Momentum) *tensor.Tensor {
-	if mom == nil {
-		return o.live.Clone()
-	}
-	if v := mom.Velocity(o.live); v != nil {
-		return v.Clone()
-	}
-	return tensor.New(o.live.Shape()...)
 }

@@ -4,6 +4,7 @@
 package dist_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -36,12 +37,53 @@ func mustPlan(t *testing.T, s string) dist.Plan {
 // within 1e-9 of serial's — and (4) resuming each snapshot under each
 // OTHER plan must finish within 1e-6 of the straight serial run. The
 // residual model repeats all four on the DAG executor's sharded
-// branch weights.
+// branch weights; the fcnet-shaped one on an FC weight large enough
+// (640 KiB, 320 KiB per filter shard) to be updated inside the ring by
+// every plan with a data axis, which then holds its velocity in flat
+// chunks — the ownership table's velocity qualifier — at even (p1 = 2,
+// 4) and uneven (p1 = 3) chunk sizes.
 func TestResumeBitIdenticalAllPlans(t *testing.T) {
 	cross := []string{"serial", "data:2", "filter:2", "channel:2", "spatial:2", "pipeline:2", "df:2x2", "ds:2x2", "dp:2x2"}
 	resumeMatrix(t, model.TinyCNNNoBN(), append(cross,
 		"data:4", "spatial:4", "filter:4", "channel:4", "pipeline:4"), cross)
 	t.Run("tinyresnet", func(t *testing.T) { resumeMatrix(t, model.TinyResNet(), cross, cross) })
+	t.Run("fcnet-shaped", func(t *testing.T) {
+		sharded := []string{"serial", "filter:2", "data:2", "data:3", "data:4", "df:2x2", "ds:2x2", "dp:2x2"}
+		resumeMatrix(t, dist.FCNetShapedForTest(640, 4), sharded, sharded)
+	})
+}
+
+// TestShardedUpdateCheckpointsMatchSerial: under momentum, with the big
+// weight's velocity held in chunks, a checkpoint after EVERY iteration
+// still assembles the canonical state — Params and Vel within 1e-9 of
+// the serial run's snapshot of the same iteration — at the default
+// bucket (the FC weight alone is sharded) and at 1 byte (every
+// ring-sized tensor is).
+func TestShardedUpdateCheckpointsMatchSerial(t *testing.T) {
+	m := dist.FCNetShapedForTest(640, 4)
+	batches := toyBatches(t, m, 4, 8)
+	snapshots := func(ps string, bucket int) []*ckpt.State {
+		var snaps []*ckpt.State
+		_, err := dist.Run(m, batches, mustPlan(t, ps), dist.WithSeed(seed), dist.WithLR(lr), dist.WithMomentum(0.9),
+			dist.WithBucketBytes(bucket), dist.WithCheckpoint(1, func(st *ckpt.State) { snaps = append(snaps, st) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snaps) != len(batches) {
+			t.Fatalf("%s: %d snapshots, want one per iteration (%d)", ps, len(snaps), len(batches))
+		}
+		return snaps
+	}
+	want := snapshots("serial", 256<<10)
+	for _, ps := range []string{"data:2", "data:3", "data:4", "df:2x2", "ds:2x2", "dp:2x2"} {
+		for _, bucket := range []int{1, 256 << 10} {
+			for i, st := range snapshots(ps, bucket) {
+				what := fmt.Sprintf("%s bucket=%d iteration-%d snapshot", ps, bucket, st.Iter)
+				assertStateNear(t, what, st.Params, want[i].Params)
+				assertStateNear(t, what+" velocity", st.Vel, want[i].Vel)
+			}
+		}
+	}
 }
 
 func resumeMatrix(t *testing.T, m *nn.Model, plans, cross []string) {

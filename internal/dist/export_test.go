@@ -21,3 +21,16 @@ func ScatterableForTest(m *nn.Model, p2 int) []bool {
 	cfg := defaultConfig()
 	return scatterableInputGrads(m, p2, &cfg)
 }
+
+// FCNetShapedForTest builds the bench-fcnet shape at test scale: one FC
+// weight of width KiB (128 inputs × width outputs) — at 320 above even
+// the default 256 KiB bucket, so it is exchanged alone and updated
+// inside the ring — among tiny conv, bias and classifier gradients.
+func FCNetShapedForTest(width, classes int) *nn.Model {
+	b := nn.NewBuilder("fcnet-shaped", 4, []int{8, 8})
+	b.Conv(8, 3, 1, 1).ReLU()
+	b.Pool(nn.MaxPool, 2, 2, 0)
+	b.FC(width).ReLU()
+	b.FC(classes)
+	return b.MustBuild()
+}

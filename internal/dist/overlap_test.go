@@ -274,42 +274,65 @@ func TestRingAllReduceAbortUnblocksAckWait(t *testing.T) {
 	}
 }
 
-// exchangerFor builds one PE's gradient exchanger with a 1 KiB bucket.
-func exchangerFor(c *Comm, overlap bool) *gradExchanger {
-	return newGradExchanger(c, &runConfig{overlap: overlap, bucketBytes: 1 << 10})
+// exchangerFor builds one PE's gradient exchanger with a 1 KiB bucket,
+// stepping plain SGD at lr 1 — so a zero parameter ends as minus its
+// gradient's cross-PE sum — and declares every parameter to it the way
+// an engine's build does.
+func exchangerFor(c *Comm, overlap bool, params []ownedField) *gradExchanger {
+	cfg := &runConfig{lr: 1, overlap: overlap, bucketBytes: 1 << 10}
+	ex := newGradExchanger(c, newStepper(cfg), cfg)
+	for i := range params {
+		ex.shard(&params[i])
+	}
+	return ex
+}
+
+// zerosLike returns one held zero parameter per gradient.
+func zerosLike(gs []*tensor.Tensor) []ownedField {
+	ws := make([]ownedField, len(gs))
+	for i, g := range gs {
+		ws[i].live = tensor.New(g.Shape()...)
+	}
+	return ws
 }
 
 // TestExchangerOversizedTensorTravelsAlone: a tensor of bucketBytes or
 // more is never packed — push first flushes the small tensors queued
 // before it as their own packed bucket, in push order, then exchanges
-// the big one by itself in its own backing array; the tensors after it
-// start a fresh bucket. Every gradient still comes back summed.
+// the big one by itself in its own backing array, updating its
+// parameter inside the ring; the tensors after it start a fresh bucket.
+// Every parameter still ends stepped by the cross-PE gradient sum.
 func TestExchangerOversizedTensorTravelsAlone(t *testing.T) {
 	const p, big = 2, 4 * ringMinElems // 8 KiB against the 1 KiB bucket
 	for _, overlap := range []bool{false, true} {
 		eachRank(t, p, func(c *Comm) *tensor.Tensor {
-			ex := exchangerFor(c, overlap)
-			ts := []*tensor.Tensor{rankInput(c.Rank(), 10), rankInput(c.Rank(), 20), rankInput(c.Rank(), big), rankInput(c.Rank(), 30)}
-			backing := &ts[2].Data()[0]
-			ex.push(ts...)
-			if len(ex.flights) != 2 || len(ex.queued) != 1 || ex.queued[0] != ts[3] {
+			gs := []*tensor.Tensor{rankInput(c.Rank(), 10), rankInput(c.Rank(), 20), rankInput(c.Rank(), big), rankInput(c.Rank(), 30)}
+			ws := zerosLike(gs)
+			ex := exchangerFor(c, overlap, ws)
+			backing, wBacking := &gs[2].Data()[0], &ws[2].live.Data()[0]
+			for i := range gs {
+				ex.push(&ws[i], gs[i])
+			}
+			if len(ex.flights) != 2 || len(ex.queued) != 1 || ex.queued[0].g != gs[3] {
 				t.Errorf("overlap=%v: %d flights, %d queued after push; want the small bucket and the big tensor in flight, the last tensor queued", overlap, len(ex.flights), len(ex.queued))
 				return nil
 			}
-			if small := ex.flights[0].ts; len(small) != 2 || small[0] != ts[0] || small[1] != ts[1] {
-				t.Errorf("overlap=%v: first flight is not the two small tensors in push order", overlap)
+			if small := ex.flights[0].pairs; len(small) != 2 || small[0].g != gs[0] || small[1].g != gs[1] || ex.flights[0].inRing {
+				t.Errorf("overlap=%v: first flight is not the two small tensors in push order, packed", overlap)
 			}
-			if alone := ex.flights[1]; len(alone.ts) != 1 || alone.ts[0] != ts[2] || (!overlap && alone.flat != ts[2]) {
-				t.Errorf("overlap=%v: the oversized tensor was not exchanged by itself, in place", overlap)
+			if alone := ex.flights[1]; len(alone.pairs) != 1 || alone.pairs[0].g != gs[2] || !alone.inRing {
+				t.Errorf("overlap=%v: the oversized tensor was not exchanged by itself, inside the ring", overlap)
 			}
 			ex.drain()
-			if &ts[2].Data()[0] != backing {
-				t.Errorf("overlap=%v: oversized gradient moved to a new backing array", overlap)
+			if &gs[2].Data()[0] != backing || &ws[2].live.Data()[0] != wBacking {
+				t.Errorf("overlap=%v: oversized gradient or parameter moved to a new backing array", overlap)
 			}
 			for i, n := range []int{10, 20, big, 30} {
 				// p=2 sums are commutative, hence exact in either order.
-				if want := hubSum(p, n); !ts[i].AllClose(want, 0) {
-					t.Errorf("overlap=%v rank %d: tensor %d is not the cross-PE sum", overlap, c.Rank(), i)
+				want := hubSum(p, n)
+				want.Scale(-1)
+				if !ws[i].live.AllClose(want, 0) {
+					t.Errorf("overlap=%v rank %d: parameter %d was not stepped by the cross-PE gradient sum", overlap, c.Rank(), i)
 				}
 			}
 			return nil
@@ -318,23 +341,28 @@ func TestExchangerOversizedTensorTravelsAlone(t *testing.T) {
 }
 
 // TestExchangerOversizedTensorAllocatesNoFlatBuffer: exchanging a
-// 1 MiB gradient behind a few tiny ones allocates headers and the tiny
-// packed bucket only — under 4 KiB per PE per exchange — where packing
-// it cost a 1 MiB flat buffer on top of the ring's chunk. Averaged over
-// rounds, so a stray allocation elsewhere in the test binary (the
-// counter is process-wide) cannot trip the ceiling.
+// 1 MiB gradient behind a few tiny ones allocates headers only — under
+// 4 KiB per PE per exchange — where packing it cost a 1 MiB flat buffer
+// on top of the ring's chunk; the tiny packed bucket's buffer is kept
+// from the first exchange on. Averaged over rounds, so a stray
+// allocation elsewhere in the test binary (the counter is process-wide)
+// cannot trip the ceiling.
 func TestExchangerOversizedTensorAllocatesNoFlatBuffer(t *testing.T) {
 	const p, big, rounds, ceiling = 2, 1 << 17, 8, 4 << 10
 	w := NewWorld(p)
 	grads := make([][]*tensor.Tensor, p)
+	params := make([][]ownedField, p)
 	for r := range grads {
 		grads[r] = []*tensor.Tensor{rankInput(r, 10), rankInput(r, 20), rankInput(r, big), rankInput(r, 30)}
+		params[r] = zerosLike(grads[r])
 	}
 	run := func(rounds int) {
 		onWorld(w, func(c *Comm) {
+			ex := exchangerFor(c, false, params[c.Rank()])
 			for i := 0; i < rounds; i++ {
-				ex := exchangerFor(c, false)
-				ex.push(grads[c.Rank()]...)
+				for j, g := range grads[c.Rank()] {
+					ex.push(&params[c.Rank()][j], g)
+				}
 				ex.drain()
 			}
 		})

@@ -110,7 +110,8 @@ func TestOverlapTrainingBucketSizes(t *testing.T) {
 }
 
 // TestOverlapTrainingMomentum: velocity state composes with the
-// overlapped exchange (the optimizer steps strictly after drain).
+// overlapped exchange (the optimizer steps inside drain, or inside the
+// ring on a flight's worker, never on a gradient still in flight).
 func TestOverlapTrainingMomentum(t *testing.T) {
 	m := model.TinyCNNNoBN()
 	batches := toyBatches(t, m, 3, 8)
@@ -125,12 +126,7 @@ func TestOverlapTrainingMomentum(t *testing.T) {
 // 4 KiB: the second FC weight oversized too; default), and every
 // setting keeps value parity with sequential SGD.
 func TestExchangerTrainingOversizedGradient(t *testing.T) {
-	b := nn.NewBuilder("fcnet-shaped", 4, []int{8, 8})
-	b.Conv(8, 3, 1, 1).ReLU()
-	b.Pool(nn.MaxPool, 2, 2, 0)
-	b.FC(320).ReLU()
-	b.FC(10)
-	m := b.MustBuild()
+	m := dist.FCNetShapedForTest(320, 10)
 	batches := toyBatches(t, m, 3, 8)
 	seq := serial(t, m, batches)
 	for _, bb := range []int{1, 4 << 10, 256 << 10} {

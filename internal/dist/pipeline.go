@@ -52,19 +52,25 @@ func dataPipelineEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*en
 	stages := strategy.ContiguousStages(bounds)
 	// Group 0's last stage reports: the first PE to own a global loss.
 	return &engine{resultRank: p2 - 1, build: func(pe *peCtx) (stepFunc, ownership, error) {
-		ex := newGradExchanger(pe.seg, cfg)
+		ex := newGradExchanger(pe.seg, pe.step, cfg)
 		own := wholeOwnership(pe.net)
 		for _, st := range stages {
 			for l := st.Start; l < st.End; l++ {
 				for f := range own[l] {
 					own[l][f].how, own[l][f].stage = oneStage, st.PE
+					if st.PE == pe.group.Rank() {
+						ex.shard(&own[l][f])
+					}
 				}
 			}
 		}
 		st := stages[pe.group.Rank()]
 		lastStage := pe.group.Rank() == p2-1
+		// The stage's gradient accumulator over a flush's micro-batches,
+		// kept across iterations like every other gradient buffer.
+		acc := make([]nn.Grads, st.End-st.Start)
 		return func(x *tensor.Tensor, labels []int, weight float64) float64 {
-			loss := dataPipelineStep(pe, ex, st, x, labels, weight)
+			loss := dataPipelineStep(pe, ex, own, st, acc, x, labels, weight)
 			if lastStage {
 				// The last-stage segment sums the per-group weighted
 				// losses into the global mean loss.
@@ -159,14 +165,15 @@ func abs(x int) int {
 
 // dataPipelineStep pushes this group's batch shard x (weighted n_g/B in
 // the global loss) through the group's pipeline as microbatches,
-// exchanges the accumulated stage gradients across the segment, and
-// applies this stage's optimizer step. It returns the group's weighted
-// shard loss on the last stage (0 elsewhere). The stage-gradient
-// exchange is bucketed (ex): a layer's accumulated gradient is final
-// once the LAST microbatch's backward has passed it, so it enters the
-// segment exchange right there, overlapping the rest of the flush.
-func dataPipelineStep(pe *peCtx, ex *gradExchanger, st strategy.PipelineStage, x *tensor.Tensor, labels []int, weight float64) float64 {
-	c, net, step, tr := pe.group, pe.net, pe.step, pe.tr
+// and exchanges the accumulated stage gradients (acc) across the
+// segment, which steps this stage's layers. It returns the group's
+// weighted shard loss on the last stage (0 elsewhere). The
+// stage-gradient exchange is bucketed (ex): a layer's accumulated
+// gradient is final once the LAST microbatch's backward has passed it,
+// so it enters the segment exchange right there, overlapping the rest
+// of the flush.
+func dataPipelineStep(pe *peCtx, ex *gradExchanger, own ownership, st strategy.PipelineStage, acc []nn.Grads, x *tensor.Tensor, labels []int, weight float64) float64 {
+	c, net, tr := pe.group, pe.net, pe.tr
 	rank, p := c.Rank(), c.Size()
 	total := x.Dim(0)
 	nm := min(p, total)
@@ -212,7 +219,6 @@ func dataPipelineStep(pe *peCtx, ex *gradExchanger, st strategy.PipelineStage, x
 	// Backward flush in reverse microbatch order, accumulating this
 	// stage's gradients across microbatches.
 	tr.Begin(trace.ComputeBackward)
-	acc := make([]nn.Grads, st.End-st.Start)
 	loss := 0.0
 	for mb := nm - 1; mb >= 0; mb-- {
 		var dy *tensor.Tensor
@@ -230,12 +236,12 @@ func dataPipelineStep(pe *peCtx, ex *gradExchanger, st strategy.PipelineStage, x
 		}
 		dy = gph.BackwardRange(st.Start, st.End, dy, func(l int, d *tensor.Tensor) *tensor.Tensor {
 			dx, g := net.BackwardLayer(l, d, states[mb][l-st.Start])
-			accumulateGrads(&acc[l-st.Start], g)
+			accumulateGrads(&acc[l-st.Start], g, mb == nm-1)
 			if mb == 0 {
 				// The reverse-order flush visits microbatch 0 last, so
 				// this layer's accumulation is complete: its exchange can
 				// launch while the flush continues below it.
-				ex.pushGrads(&acc[l-st.Start])
+				ex.pushGrads(&own[l], &acc[l-st.Start])
 			}
 			return dx
 		})
@@ -249,14 +255,9 @@ func dataPipelineStep(pe *peCtx, ex *gradExchanger, st strategy.PipelineStage, x
 	// Cross-group gradient exchange (§4.5.1, segmented): stage k of
 	// every group owns the same layers, so segment k's buckets sum the
 	// per-group contributions into the global mean gradient; drain is
-	// the pre-step barrier. With p1=1 — pure pipeline — the segment is
-	// singleton, ex is nil, and there is no exchange at all.
+	// the barrier, and steps the layers this stage owns exclusively
+	// within the group. With p1=1 — pure pipeline — the segment is
+	// singleton and there is no exchange at all, only the step.
 	ex.drain()
-
-	// This stage owns its layers exclusively within the group: step them
-	// locally.
-	grads := make([]nn.Grads, net.Model.G())
-	copy(grads[st.Start:st.End], acc)
-	step.stepNet(net, grads)
 	return loss
 }

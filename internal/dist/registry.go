@@ -247,12 +247,13 @@ func (c *runConfig) emit(modelName string, bi int, tail []float64, params, vel [
 	})
 }
 
-// stepper adapts the configured optimizer to the runtime's two update
-// surfaces: whole networks (stepNet) and bare parameter shards (step) —
+// stepper adapts the configured optimizer to the runtime's three update
+// surfaces: whole networks (stepNet), bare parameter shards (step) —
 // filter/channel slices and pipeline stages never appear in a
-// []nn.Params. With zero momentum it is plain SGD; otherwise it wraps
-// one nn.Momentum per PE, whose identity-keyed velocities give each
-// shard its own slice of the global velocity.
+// []nn.Params — and the flat chunk of a parameter a PE updates inside
+// the ring (stepChunk). With zero momentum it is plain SGD; otherwise it
+// wraps one nn.Momentum per PE, whose identity-keyed velocities give
+// each shard its own slice of the global velocity.
 type stepper struct {
 	lr  float64
 	mom *nn.Momentum // nil for plain SGD
@@ -276,6 +277,20 @@ func (s *stepper) step(w, g *tensor.Tensor) {
 		return
 	}
 	tensor.SGDStep(w, g, s.lr)
+}
+
+// stepChunk updates the chunk ch names from g, the matching chunk of
+// the reduced gradient. It runs on a collective's worker goroutine and
+// touches nothing but the chunk: the velocity lives in ch, not the map.
+func (s *stepper) stepChunk(ch *paramChunk, g *tensor.Tensor) {
+	if s.mom == nil {
+		tensor.SGDStep(ch.w, g, s.lr)
+		return
+	}
+	if ch.v == nil {
+		ch.v = tensor.New(ch.n)
+	}
+	s.mom.UpdateWith(ch.v, ch.w, g)
 }
 
 // stepNet applies the update to every (param, grad) pair of the

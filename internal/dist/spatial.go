@@ -249,11 +249,20 @@ func dataSpatialEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*eng
 	return &engine{build: func(pe *peCtx) (stepFunc, ownership, error) {
 		// Two bucketed exchanges per PE: trunk conv gradients sum over
 		// the whole world, head gradients over the segment.
-		exWorld := newGradExchanger(pe.world, cfg)
-		exSeg := newGradExchanger(pe.seg, cfg)
+		exWorld := newGradExchanger(pe.world, pe.step, cfg)
+		exSeg := newGradExchanger(pe.seg, pe.step, cfg)
+		own := wholeOwnership(pe.net)
+		for l := range own {
+			ex := exSeg
+			if l < fcStart {
+				ex = exWorld
+			}
+			ex.shard(&own[l][fieldW])
+			ex.shard(&own[l][fieldB])
+		}
 		return func(x *tensor.Tensor, labels []int, weight float64) float64 {
-			return dataSpatialStep(pe, exWorld, exSeg, x, labels, weight, plans, fcStart)
-		}, wholeOwnership(pe.net), nil
+			return dataSpatialStep(pe, exWorld, exSeg, own, x, labels, weight, plans, fcStart)
+		}, own, nil
 	}}, nil
 }
 
@@ -266,7 +275,7 @@ func dataSpatialEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*eng
 // backward produces them (overlapping the whole trunk backward), trunk
 // conv gradients enter exWorld layer by layer (overlapping the backward
 // of the layers below); draining both is the pre-step barrier.
-func dataSpatialStep(pe *peCtx, exWorld, exSeg *gradExchanger, x *tensor.Tensor, labels []int, weight float64, plans []*layerPlan, fcStart int) float64 {
+func dataSpatialStep(pe *peCtx, exWorld, exSeg *gradExchanger, own ownership, x *tensor.Tensor, labels []int, weight float64, plans []*layerPlan, fcStart int) float64 {
 	world, group, seg, net, step, tr := pe.world, pe.group, pe.seg, pe.net, pe.step, pe.tr
 	model := net.Model
 	rank, p := group.Rank(), group.Size()
@@ -365,8 +374,9 @@ func dataSpatialStep(pe *peCtx, exWorld, exSeg *gradExchanger, x *tensor.Tensor,
 			dy = dx
 			continue
 		}
-		dy, grads[l] = net.BackwardLayer(l, dy, states[l])
-		exSeg.pushGrads(&grads[l])
+		var gr nn.Grads
+		dy, gr = net.BackwardLayer(l, dy, states[l])
+		exSeg.pushGrads(&own[l], &gr)
 	}
 
 	// Back into the trunk: keep only the gradient rows of this PE's
@@ -382,9 +392,9 @@ func dataSpatialStep(pe *peCtx, exWorld, exSeg *gradExchanger, x *tensor.Tensor,
 				cs := tensor.ConvSpec{Stride: spec.Stride, Pad: zeroAxis(spec.Pad)}
 				block := states[l].X
 				dxBlock := tensor.ConvBackwardData(dy, net.Params[l].W, block.Shape(), cs)
-				dw, db := tensor.ConvBackwardWeight(dy, block, net.Params[l].W.Shape(), cs)
-				grads[l] = nn.Grads{W: dw, B: db}
-				exWorld.push(dw, db)
+				gr := net.GradBuffers(l)
+				tensor.ConvBackwardWeightInto(gr.W, gr.B, dy, block, cs)
+				exWorld.pushGrads(&own[l], &gr)
 				tr.Begin(trace.Halo)
 				out := haloScatter(group, dxBlock, plans[l])
 				tr.Begin(trace.ComputeBackward)
@@ -418,8 +428,9 @@ func dataSpatialStep(pe *peCtx, exWorld, exSeg *gradExchanger, x *tensor.Tensor,
 	// sums over this PE's (batch shard, output rows) block and were
 	// pushed into the world-wide bucketed exchange above; head gradients
 	// are identical within a group and were pushed into the segmented
-	// one; sync-BN gradients are already global. Draining both waits
-	// every in-flight bucket and writes the sums back in place.
+	// one. Draining both waits every in-flight bucket and steps what it
+	// exchanged; grads holds what needs no exchange — sync-BN gradients
+	// are already global — and stepNet applies it.
 	exWorld.drain()
 	exSeg.drain()
 	step.stepNet(net, grads)

@@ -9,10 +9,18 @@ import (
 	"paradl/internal/trace"
 )
 
-// weightShard is one PE's slice of a weighted layer's parameters.
+// weightShard is one PE's slice of a weighted layer's parameters, with
+// the gradient buffers the backward kernels write that slice's
+// gradients into (overwritten by the layer's next backward).
 type weightShard struct {
-	w, b *tensor.Tensor
-	rng  strategy.Range
+	w, b   *tensor.Tensor
+	dw, db *tensor.Tensor
+	rng    strategy.Range
+}
+
+// newWeightShard pairs a parameter slice with its gradient buffers.
+func newWeightShard(w, b *tensor.Tensor, rng strategy.Range) *weightShard {
+	return &weightShard{w: w, b: b, dw: tensor.New(w.Shape()...), db: tensor.New(w.Dim(0)), rng: rng}
 }
 
 // dataFilterEngine is the shared engine behind the data (p2=1), filter
@@ -51,14 +59,20 @@ func dataFilterEngine(m *nn.Model, pl Plan, _ string, cfg *runConfig) (*engine, 
 	}
 	rsOK := scatterableInputGrads(m, p2, cfg)
 	return &engine{build: func(pe *peCtx) (stepFunc, ownership, error) {
-		ex := newGradExchanger(pe.seg, cfg)
+		ex := newGradExchanger(pe.seg, pe.step, cfg)
 		own := wholeOwnership(pe.net)
 		shards, err := filterShards(pe.net, pe.group.Rank(), p2, own)
 		if err != nil {
 			return nil, nil, err
 		}
+		for l := range shards {
+			if shards[l] != nil {
+				ex.shard(&own[l][fieldW])
+				ex.shard(&own[l][fieldB])
+			}
+		}
 		return func(x *tensor.Tensor, labels []int, weight float64) float64 {
-			return dataFilterStep(pe, ex, shards, rsOK, x, labels, weight)
+			return dataFilterStep(pe, ex, own, shards, rsOK, x, labels, weight)
 		}, own, nil
 	}}, nil
 }
@@ -126,14 +140,10 @@ func filterShards(net *nn.Network, rank, p int, own ownership) ([]*weightShard, 
 			// Degenerate width (the data-parallel grid edge): the shard
 			// IS the whole parameter — alias it instead of Narrow-copying
 			// every weight tensor per replica; own already says "whole".
-			shards[l] = &weightShard{w: net.Params[l].W, b: net.Params[l].B, rng: rng}
+			shards[l] = newWeightShard(net.Params[l].W, net.Params[l].B, rng)
 			continue
 		}
-		sh := &weightShard{
-			w:   net.Params[l].W.Narrow(0, rng.Start, rng.Size()),
-			b:   net.Params[l].B.Narrow(0, rng.Start, rng.Size()),
-			rng: rng,
-		}
+		sh := newWeightShard(net.Params[l].W.Narrow(0, rng.Start, rng.Size()), net.Params[l].B.Narrow(0, rng.Start, rng.Size()), rng)
 		own.slice(l, fieldW, sh.w, 0, rng.Start, rng.Size())
 		own.slice(l, fieldB, sh.b, 0, rng.Start, rng.Size())
 		shards[l] = sh
@@ -169,10 +179,11 @@ func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
 // materializing the full tensor.
 //
 // The cross-group exchange is bucketed (ex): each sharded layer's
-// weight/bias gradients are pushed the moment its backward completes,
-// so with overlap on the segment allreduce of layer l hides behind the
+// weight/bias gradients are pushed the moment its backward completes —
+// the whole of it: the exchange may rewrite the weights from then on —
+// so with overlap on the segment exchange of layer l hides behind the
 // backward compute of the layers below it.
-func dataFilterStep(pe *peCtx, ex *gradExchanger, shards []*weightShard, rsOK []bool, x *tensor.Tensor, labels []int, weight float64) float64 {
+func dataFilterStep(pe *peCtx, ex *gradExchanger, own ownership, shards []*weightShard, rsOK []bool, x *tensor.Tensor, labels []int, weight float64) float64 {
 	group, seg, net, step, tr := pe.group, pe.seg, pe.net, pe.step, pe.tr
 	layers := net.Model.Layers
 	gph := net.Graph()
@@ -226,7 +237,6 @@ func dataFilterStep(pe *peCtx, ex *gradExchanger, shards []*weightShard, rsOK []
 	tr.Begin(trace.ComputeBackward)
 
 	grads := make([]nn.Grads, g)
-	shardGrads := make([]weightShard, g)
 	dySliced := false // the main-path gradient holds only this PE's channel slice
 	gph.BackwardRange(0, g, dy, func(l int, dy *tensor.Tensor) *tensor.Tensor {
 		spec := &layers[l]
@@ -239,16 +249,20 @@ func dataFilterStep(pe *peCtx, ex *gradExchanger, shards []*weightShard, rsOK []
 			if !dySliced {
 				dySh = shardGrad(dy, sh, group)
 			}
-			dw, db := tensor.ConvBackwardWeight(dySh, xl, sh.w.Shape(), cs)
-			shardGrads[l] = weightShard{w: dw, b: db}
-			ex.push(dw, db)
-			if gph.Src(l) < 0 {
-				// No consumer for the input gradient — the bottom layer,
-				// or a shortcut tapping the network input: skip the data
-				// backward and its group-wide exchange.
+			tensor.ConvBackwardWeightInto(sh.dw, sh.db, dySh, xl, cs)
+			// No consumer for the input gradient — the bottom layer, or
+			// a shortcut tapping the network input — skips the data
+			// backward and its group-wide exchange. The push comes after
+			// the last read of sh.w either way.
+			var dxPart *tensor.Tensor
+			if gph.Src(l) >= 0 {
+				dxPart = tensor.ConvBackwardData(dySh, sh.w, xl.Shape(), cs)
+			}
+			ex.push(&own[l][fieldW], sh.dw)
+			ex.push(&own[l][fieldB], sh.db)
+			if dxPart == nil {
 				return nil
 			}
-			dxPart := tensor.ConvBackwardData(dySh, sh.w, xl.Shape(), cs)
 			tr.Begin(trace.CollectiveWait)
 			out, sliced := exchangeInputGrad(group, dxPart, rsOK[l])
 			tr.Begin(trace.ComputeBackward)
@@ -264,9 +278,9 @@ func dataFilterStep(pe *peCtx, ex *gradExchanger, shards []*weightShard, rsOK []
 			if !dySliced {
 				dySh = shardGrad(dy, sh, group)
 			}
-			dxPart, dw, db := tensor.FCBackward(dySh, flat, sh.w, xl.Shape())
-			shardGrads[l] = weightShard{w: dw, b: db}
-			ex.push(dw, db)
+			dxPart := tensor.FCBackwardInto(sh.dw, sh.db, dySh, flat, sh.w, xl.Shape())
+			ex.push(&own[l][fieldW], sh.dw)
+			ex.push(&own[l][fieldB], sh.db)
 			if gph.Src(l) < 0 {
 				return nil
 			}
@@ -300,23 +314,17 @@ func dataFilterStep(pe *peCtx, ex *gradExchanger, shards []*weightShard, rsOK []
 	// gradient is this group's batch-shard contribution to the global
 	// mean gradient and sums over the segment, in the size-bounded
 	// buckets pushed above as each layer's backward completed — drain is
-	// the barrier that synchronizes every in-flight bucket before the
-	// optimizer step. Within a group the exchange is free (filter shards
-	// are exact for their own filters). No other parameters need
+	// the barrier that synchronizes every in-flight bucket and leaves
+	// every shard stepped. Within a group the exchange is free (filter
+	// shards are exact for their own filters). No other parameters need
 	// traffic: every Conv/FC is sharded, the parameterless layers
 	// contribute empty grads, and BN — the only replicated parameterized
 	// layer — is segment-synchronized whenever the segment is wider than
-	// one, so its gradients are already global. With p1=1 — pure filter
-	// — the segment is singleton and ex is nil: no exchange at all.
+	// one, so its gradients are already global and stepNet applies them.
+	// With p1=1 — pure filter — the segment is singleton: no exchange at
+	// all, drain only steps.
 	ex.drain()
 	step.stepNet(net, grads)
-	for l := range shards {
-		if shards[l] == nil {
-			continue
-		}
-		step.step(shards[l].w, shardGrads[l].w)
-		step.step(shards[l].b, shardGrads[l].b)
-	}
 	tr.Begin(trace.CollectiveWait)
 	global := seg.AllReduceScalar(loss * weight)
 	tr.Begin(trace.ComputeBackward)
@@ -394,7 +402,7 @@ func channelShards(net *nn.Network, rank, p int, own ownership) ([]*weightShard,
 		if spec.Kind == nn.FC {
 			vol = int(spec.InSize()) / spec.C
 		}
-		sh := &weightShard{w: net.Params[l].W.Narrow(1, rng.Start*vol, rng.Size()*vol), rng: rng}
+		sh := newWeightShard(net.Params[l].W.Narrow(1, rng.Start*vol, rng.Size()*vol), nil, rng)
 		own.slice(l, fieldW, sh.w, 1, rng.Start*vol, rng.Size()*vol)
 		shards[l] = sh
 	}
@@ -449,7 +457,6 @@ func channelStep(pe *peCtx, shards []*weightShard, x *tensor.Tensor, labels []in
 	tr.Begin(trace.ComputeBackward)
 
 	grads := make([]nn.Grads, g)
-	shardGrads := make([]weightShard, g)
 	gph.BackwardRange(0, g, dy, func(l int, dy *tensor.Tensor) *tensor.Tensor {
 		spec := &layers[l]
 		sh := shards[l]
@@ -458,8 +465,7 @@ func channelStep(pe *peCtx, shards []*weightShard, x *tensor.Tensor, labels []in
 			cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
 			xSh := states[l].X
 			dxSh := tensor.ConvBackwardData(dy, sh.w, xSh.Shape(), cs)
-			dw, db := tensor.ConvBackwardWeight(dy, xSh, sh.w.Shape(), cs)
-			shardGrads[l] = weightShard{w: dw, b: db}
+			tensor.ConvBackwardWeightInto(sh.dw, sh.db, dy, xSh, cs)
 			tr.Begin(trace.CollectiveWait)
 			out := c.AllGather(dxSh, 1)
 			tr.Begin(trace.ComputeBackward)
@@ -468,8 +474,7 @@ func channelStep(pe *peCtx, shards []*weightShard, x *tensor.Tensor, labels []in
 			xSh := states[l].X
 			n := xSh.Dim(0)
 			flat := xSh.Reshape(n, xSh.Len()/n)
-			dxSh, dw, db := tensor.FCBackward(dy, flat, sh.w, xSh.Shape())
-			shardGrads[l] = weightShard{w: dw, b: db}
+			dxSh := tensor.FCBackwardInto(sh.dw, sh.db, dy, flat, sh.w, xSh.Shape())
 			tr.Begin(trace.CollectiveWait)
 			out := c.AllGather(dxSh, 1)
 			tr.Begin(trace.ComputeBackward)
@@ -489,8 +494,8 @@ func channelStep(pe *peCtx, shards []*weightShard, x *tensor.Tensor, labels []in
 		if shards[l] == nil {
 			continue
 		}
-		step.step(shards[l].w, shardGrads[l].w)
-		step.step(net.Params[l].B, shardGrads[l].b)
+		step.step(shards[l].w, shards[l].dw)
+		step.step(net.Params[l].B, shards[l].db)
 	}
 	return loss
 }

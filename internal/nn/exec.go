@@ -29,6 +29,7 @@ type Network struct {
 	Model  *Model
 	Params []Params
 	graph  *Graph
+	grads  []Grads // per-layer gradient buffers, see GradBuffers
 }
 
 // NewNetwork allocates parameters for every layer, initialized from rng
@@ -41,7 +42,7 @@ func NewNetwork(m *Model, rng *rand.Rand) *Network {
 	if err != nil {
 		panic(err)
 	}
-	net := &Network{Model: m, Params: make([]Params, len(m.Layers)), graph: g}
+	net := &Network{Model: m, Params: make([]Params, len(m.Layers)), graph: g, grads: make([]Grads, len(m.Layers))}
 	for i := range m.Layers {
 		l := &m.Layers[i]
 		switch l.Kind {
@@ -102,33 +103,52 @@ func (n *Network) ForwardLayer(l int, x *tensor.Tensor) (*tensor.Tensor, *LayerS
 	}
 }
 
+// GradBuffers returns layer l's gradient buffers: one tensor per
+// parameter the layer has, shaped like it. The network owns them — they
+// are created on first use and live as long as the replica — and the
+// layer's backward kernels overwrite them in place, so what they hold
+// is valid until the layer's next backward.
+func (n *Network) GradBuffers(l int) Grads {
+	g, p := &n.grads[l], n.Params[l]
+	like := func(buf **tensor.Tensor, param *tensor.Tensor) {
+		if *buf == nil && param != nil {
+			*buf = tensor.New(param.Shape()...)
+		}
+	}
+	like(&g.W, p.W)
+	like(&g.B, p.B)
+	like(&g.Gamma, p.Gamma)
+	like(&g.Beta, p.Beta)
+	return *g
+}
+
 // BackwardLayer propagates dy through layer l given the forward state,
-// returning the input gradient and the parameter gradients.
+// returning the input gradient and the parameter gradients — views of
+// the layer's GradBuffers, valid until its next backward.
 func (n *Network) BackwardLayer(l int, dy *tensor.Tensor, st *LayerState) (*tensor.Tensor, Grads) {
 	spec := &n.Model.Layers[l]
 	p := n.Params[l]
-	var g Grads
 	switch spec.Kind {
 	case Conv:
+		g := n.GradBuffers(l)
 		cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
 		dx := tensor.ConvBackwardData(dy, p.W, st.X.Shape(), cs)
-		g.W, g.B = tensor.ConvBackwardWeight(dy, st.X, p.W.Shape(), cs)
+		tensor.ConvBackwardWeightInto(g.W, g.B, dy, st.X, cs)
 		return dx, g
 	case Pool:
 		ps := tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: spec.Pad}
-		return tensor.PoolBackward(dy, st.X.Shape(), ps, st.Argmax), g
+		return tensor.PoolBackward(dy, st.X.Shape(), ps, st.Argmax), Grads{}
 	case FC:
+		g := n.GradBuffers(l)
 		nBatch := st.X.Dim(0)
 		flat := st.X.Reshape(nBatch, st.X.Len()/nBatch)
-		dx, dw, db := tensor.FCBackward(dy, flat, p.W, st.X.Shape())
-		g.W, g.B = dw, db
-		return dx, g
+		return tensor.FCBackwardInto(g.W, g.B, dy, flat, p.W, st.X.Shape()), g
 	case ReLU:
-		return tensor.ReLUBackward(dy, st.X), g
+		return tensor.ReLUBackward(dy, st.X), Grads{}
 	case BatchNorm:
-		dx, dgamma, dbeta := tensor.BNBackward(dy, p.Gamma, st.BN)
-		g.Gamma, g.Beta = dgamma, dbeta
-		return dx, g
+		g := n.GradBuffers(l)
+		tensor.BNBackwardReduceInto(g.Gamma, g.Beta, dy, st.BN)
+		return tensor.BNBackwardApply(dy, p.Gamma, st.BN, g.Gamma, g.Beta), g
 	default:
 		panic(fmt.Sprintf("nn: cannot execute layer kind %v", spec.Kind))
 	}
@@ -154,7 +174,7 @@ func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, []*LayerState) {
 // Backward runs the full backward pass from dLogits through the
 // execution graph — merge gradients fan into both paths, branch input
 // gradients accumulate at their taps — returning the gradient of the
-// network input and all parameter gradients.
+// network input and all parameter gradients (views, see BackwardLayer).
 func (n *Network) Backward(dLogits *tensor.Tensor, states []*LayerState) (*tensor.Tensor, []Grads) {
 	grads := make([]Grads, len(n.Model.Layers))
 	dx := n.graph.BackwardRange(0, len(n.Model.Layers), dLogits, func(l int, dy *tensor.Tensor) *tensor.Tensor {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -192,17 +193,20 @@ func TestChainDAGBitIdentity(t *testing.T) {
 	x := tensor.New(3, 3, 8, 8).RandN(rng, 1)
 	labels := []int{0, 4, 9}
 
-	// Manual chain loop (the pre-DAG execution path).
+	// Manual chain loop (the pre-DAG execution path), on a replica of
+	// its own: gradients are views of a network's buffers, overwritten
+	// by its next backward.
+	chain := NewNetwork(m, rand.New(rand.NewSource(9)))
 	states := make([]*LayerState, m.G())
 	cur := x
 	for l := 0; l < m.G(); l++ {
-		cur, states[l] = net.ForwardLayer(l, cur)
+		cur, states[l] = chain.ForwardLayer(l, cur)
 	}
 	wantLoss, dLogits := tensor.SoftmaxCrossEntropy(cur, labels)
 	wantGrads := make([]Grads, m.G())
 	dcur := dLogits.Clone()
 	for l := m.G() - 1; l >= 0; l-- {
-		dcur, wantGrads[l] = net.BackwardLayer(l, dcur, states[l])
+		dcur, wantGrads[l] = chain.BackwardLayer(l, dcur, states[l])
 	}
 
 	logits, st2 := net.Forward(x)
@@ -340,5 +344,44 @@ func TestResidualTrainStepReducesLoss(t *testing.T) {
 	}
 	if last >= first {
 		t.Fatalf("residual training did not reduce loss: first %g last %g", first, last)
+	}
+}
+
+// TestBackwardWritesNetworkOwnedBuffers: Backward returns views of the
+// network's own gradient buffers — the same tensors call after call —
+// and overwrites every element of them: a second backward on a new batch,
+// into buffers poisoned with NaN in between, equals a fresh replica's
+// first backward on that batch.
+func TestBackwardWritesNetworkOwnedBuffers(t *testing.T) {
+	m := smallModel(t)
+	rng := rand.New(rand.NewSource(12))
+	net, fresh := NewNetwork(m, rand.New(rand.NewSource(13))), NewNetwork(m, rand.New(rand.NewSource(13)))
+	backward := func(n *Network, x *tensor.Tensor, labels []int) []Grads {
+		logits, states := n.Forward(x)
+		_, d := tensor.SoftmaxCrossEntropy(logits, labels)
+		_, grads := n.Backward(d, states)
+		return grads
+	}
+	first := backward(net, tensor.New(3, 3, 8, 8).RandN(rng, 1), []int{1, 2, 3})
+	for l := range first {
+		for _, g := range []*tensor.Tensor{first[l].W, first[l].B, first[l].Gamma, first[l].Beta} {
+			if g != nil {
+				g.Fill(math.NaN())
+			}
+		}
+	}
+	x, labels := tensor.New(2, 3, 8, 8).RandN(rng, 1), []int{7, 0}
+	second, want := backward(net, x, labels), backward(fresh, x, labels)
+	for l := range want {
+		got := [4]*tensor.Tensor{second[l].W, second[l].B, second[l].Gamma, second[l].Beta}
+		prev := [4]*tensor.Tensor{first[l].W, first[l].B, first[l].Gamma, first[l].Beta}
+		for f, w := range [4]*tensor.Tensor{want[l].W, want[l].B, want[l].Gamma, want[l].Beta} {
+			if (got[f] == nil) != (w == nil) || got[f] != prev[f] {
+				t.Fatalf("layer %d field %d: the second backward did not return the layer's own buffer", l, f)
+			}
+			if w != nil && !got[f].AllClose(w, 0) {
+				t.Fatalf("layer %d field %d: reused buffer differs from a fresh replica's gradient", l, f)
+			}
+		}
 	}
 }

@@ -99,7 +99,7 @@ func (m *Momentum) SeedVelocity(w, v *tensor.Tensor) {
 
 // Update applies the momentum update to one (param, grad) pair. It is
 // exported because sharded runtimes (internal/dist) step parameter
-// slices that never appear in a []Params.
+// slices that never appear in a []Params. g must have w's shape.
 func (m *Momentum) Update(w, g *tensor.Tensor) {
 	if m.vel == nil {
 		m.vel = map[*tensor.Tensor]*tensor.Tensor{}
@@ -109,6 +109,15 @@ func (m *Momentum) Update(w, g *tensor.Tensor) {
 		v = tensor.New(w.Shape()...)
 		m.vel[w] = v
 	}
+	m.UpdateWith(v, w, g)
+}
+
+// UpdateWith is Update against a velocity the caller holds itself. It
+// touches nothing but its three operands, so calls on disjoint tensors
+// may run concurrently (internal/dist steps chunks from worker goroutines).
+func (m *Momentum) UpdateWith(v, w, g *tensor.Tensor) {
+	w.MustSameShape(g)
+	w.MustSameShape(v)
 	wd, gd, vd := w.Data(), g.Data(), v.Data()
 	for i := range wd {
 		vd[i] = m.Mu*vd[i] + gd[i]
@@ -154,6 +163,7 @@ func (a *Adam) Step(params []Params, grads []Grads) {
 }
 
 func (a *Adam) update(w, g *tensor.Tensor) {
+	w.MustSameShape(g)
 	m, ok := a.m[w]
 	if !ok {
 		m = tensor.New(w.Shape()...)

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"paradl/internal/tensor"
@@ -131,5 +132,52 @@ func TestAdamSkipsNilGrads(t *testing.T) {
 	opt.Step([]Params{{W: w}}, []Grads{{}}) // nil gradient
 	if w.At(0) != 5 {
 		t.Fatal("nil gradient must not move the weight")
+	}
+}
+
+// TestOptimizersRejectMisshapedGradient: a gradient that does not have
+// its parameter's shape — longer (it used to be silently truncated by
+// Momentum and Adam), shorter (a bare index panic), or the same length
+// laid out differently — is rejected by all three optimizers with the
+// same message, before any element is written. With chunk-wise updates
+// this is the guard that catches a wrong offset.
+func TestOptimizersRejectMisshapedGradient(t *testing.T) {
+	optimizers := map[string]func() Optimizer{
+		"sgd":      func() Optimizer { return &SGD{LR: 0.1} },
+		"momentum": func() Optimizer { return NewMomentum(0.1, 0.9) },
+		"adam":     func() Optimizer { return NewAdam(0.1) },
+	}
+	for _, g := range []struct {
+		name string
+		grad *tensor.Tensor
+	}{
+		{"longer", tensor.New(5)},
+		{"shorter", tensor.New(3)},
+		{"reshaped", tensor.New(2, 2)},
+	} {
+		want := ""
+		for name, mk := range optimizers {
+			t.Run(g.name+"/"+name, func(t *testing.T) {
+				w := tensor.FromSlice([]float64{1, 2, 3, 4}, 4)
+				defer func() {
+					msg, ok := recover().(string)
+					if !ok || !strings.HasPrefix(msg, "tensor: shape mismatch") {
+						t.Fatalf("want a shape-mismatch panic, got %v", msg)
+					}
+					if want == "" {
+						want = msg
+					}
+					if msg != want {
+						t.Fatalf("message %q differs from another optimizer's %q", msg, want)
+					}
+					for i, v := range w.Data() {
+						if v != float64(i+1) {
+							t.Fatalf("parameter written before the rejection: %v", w.Data())
+						}
+					}
+				}()
+				mk().Step([]Params{{W: w}}, []Grads{{W: g.grad}})
+			})
+		}
 	}
 }

@@ -84,13 +84,26 @@ func BNBackward(dy, gamma *Tensor, st *BNState) (dx, dgamma, dbeta *Tensor) {
 }
 
 // BNBackwardReduce computes the per-channel reductions Σ dy·x̂ (which
-// equals dgamma) and Σ dy (dbeta). Under synchronized BN these partial
-// sums are Allreduced across PEs before BNBackwardApply (§4.5.2).
+// equals dgamma) and Σ dy (dbeta) into fresh [C] tensors. Under
+// synchronized BN these partial sums are Allreduced across PEs before
+// BNBackwardApply (§4.5.2).
 func BNBackwardReduce(dy *Tensor, st *BNState) (sumDyXhat, sumDy *Tensor) {
+	_, c, _ := splitActShape(dy)
+	sumDyXhat, sumDy = New(c), New(c)
+	BNBackwardReduceInto(sumDyXhat, sumDy, dy, st)
+	return sumDyXhat, sumDy
+}
+
+// BNBackwardReduceInto is BNBackwardReduce writing into the caller's
+// [C] tensors, overwriting whatever they held.
+func BNBackwardReduceInto(sumDyXhat, sumDy, dy *Tensor, st *BNState) {
 	n, c, spatial := splitActShape(dy)
+	if sumDyXhat.Len() != c || sumDy.Len() != c {
+		panic(fmt.Sprintf("tensor: bn bwd gradient destinations %v, %v must be length C=%d", sumDyXhat.Shape(), sumDy.Shape(), c))
+	}
 	vol := Volume(spatial)
-	sumDyXhat = New(c)
-	sumDy = New(c)
+	clear(sumDyXhat.data)
+	clear(sumDy.data)
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * vol
@@ -100,7 +113,6 @@ func BNBackwardReduce(dy *Tensor, st *BNState) (sumDyXhat, sumDy *Tensor) {
 			}
 		}
 	}
-	return sumDyXhat, sumDy
 }
 
 // BNBackwardApply finishes the input gradient given the (possibly

@@ -236,25 +236,38 @@ func ConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
 }
 
 // ConvBackwardWeight computes the gradients of the loss with respect to
-// the weights and bias: dw = BW_weight(dy, x), db = Σ dy. The returned
-// dw matches wShape ([F, C, k...]); db is [F]. Every dw and db element
-// accumulates its nonzero dy contributions in (sample, output position)
-// order.
+// the weights and bias into fresh tensors: dw = BW_weight(dy, x) shaped
+// wShape ([F, C, k...]), db = Σ dy shaped [F].
 func ConvBackwardWeight(dy, x *Tensor, wShape []int, spec ConvSpec) (dw, db *Tensor) {
+	_, f, _ := splitActShape(dy)
+	dw, db = New(wShape...), New(f)
+	ConvBackwardWeightInto(dw, db, dy, x, spec)
+	return dw, db
+}
+
+// ConvBackwardWeightInto is ConvBackwardWeight writing into the caller's
+// dw ([F, C, k...], which also names the kernel extent) and db ([F]),
+// overwriting whatever they held. Every dw and db element accumulates
+// its nonzero dy contributions in (sample, output position) order.
+func ConvBackwardWeightInto(dw, db, dy, x *Tensor, spec ConvSpec) {
 	n, f, outDims := splitActShape(dy)
 	xn, c, inDims := splitActShape(x)
 	if xn != n {
 		panic(fmt.Sprintf("tensor: conv bwd batch mismatch dy N=%d, x N=%d", n, xn))
 	}
+	wShape := dw.shape
 	if len(wShape) != 2+len(inDims) || wShape[0] != f || wShape[1] != c {
 		panic(fmt.Sprintf("tensor: conv bwd weight shape %v inconsistent with dy %v and x %v", wShape, dy.Shape(), x.Shape()))
+	}
+	if db.Rank() != 1 || db.shape[0] != f {
+		panic(fmt.Sprintf("tensor: conv bwd bias gradient shape %v does not match F=%d", db.Shape(), f))
 	}
 	checkSpec(spec, len(inDims))
 	kDims := wShape[2:]
 	checkOutDims(outDims, inDims, kDims, spec)
 
-	dw = New(wShape...)
-	db = New(f)
+	clear(dw.data)
+	clear(db.data)
 	lw := lower(c, inDims, outDims, kDims, spec)
 	k, outVol := lw.k, lw.outVol
 
@@ -275,7 +288,6 @@ func ConvBackwardWeight(dy, x *Tensor, wShape []int, spec ConvSpec) (dw, db *Ten
 			}
 		}
 	}
-	return dw, db
 }
 
 // checkOutDims panics unless outDims, the spatial dims of a dy, are the

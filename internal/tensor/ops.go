@@ -18,7 +18,7 @@ func ReLUForward(x *Tensor) *Tensor {
 
 // ReLUBackward returns dy masked by the sign of the forward input x.
 func ReLUBackward(dy, x *Tensor) *Tensor {
-	dy.mustSameShape(x)
+	dy.MustSameShape(x)
 	dx := New(x.shape...)
 	for i, v := range x.data {
 		if v > 0 {
@@ -72,9 +72,21 @@ func FCForward(x, w, b *Tensor) *Tensor {
 	return y
 }
 
-// FCBackward computes the input, weight and bias gradients of FCForward.
-// dy is [N, Out]; xShape restores the original input shape.
+// FCBackward computes the input, weight and bias gradients of FCForward
+// into fresh tensors. dy is [N, Out]; xShape restores the original input
+// shape.
 func FCBackward(dy, x, w *Tensor, xShape []int) (dx, dw, db *Tensor) {
+	dw, db = New(w.shape...), New(w.shape[0])
+	return FCBackwardInto(dw, db, dy, x, w, xShape), dw, db
+}
+
+// FCBackwardInto is FCBackward writing the weight and bias gradients into
+// the caller's dw (shaped like w) and db ([Out]), overwriting whatever
+// they held; only dx is allocated. It walks output rows outer, samples
+// inner, clearing each dw row right before accumulating into it —
+// cache-hot, no full-size zeroing pass. Every element sums its nonzero-dy
+// contributions in order: dx over output rows, dw and db over samples.
+func FCBackwardInto(dw, db, dy, x, w *Tensor, xShape []int) (dx *Tensor) {
 	n := x.shape[0]
 	in := x.Len() / n
 	out := w.shape[0]
@@ -84,27 +96,31 @@ func FCBackward(dy, x, w *Tensor, xShape []int) (dx, dw, db *Tensor) {
 	if dy.shape[0] != n || dy.Len()/n != out {
 		panic(fmt.Sprintf("tensor: fc bwd dy shape %v inconsistent with N=%d Out=%d", dy.Shape(), n, out))
 	}
+	if !EqualShapes(dw.shape, w.shape) || db.Rank() != 1 || db.shape[0] != out {
+		panic(fmt.Sprintf("tensor: fc bwd gradient destinations %v, %v do not match weight %v and Out=%d", dw.Shape(), db.Shape(), w.Shape(), out))
+	}
 	dx = New(xShape...)
-	dw = New(w.shape...)
-	db = New(out)
-	for ni := 0; ni < n; ni++ {
-		xRow := x.data[ni*in : (ni+1)*in]
-		dxRow := dx.data[ni*in : (ni+1)*in]
-		for oi := 0; oi < out; oi++ {
+	for oi := 0; oi < out; oi++ {
+		wRow := w.data[oi*in : (oi+1)*in]
+		dwRow := dw.data[oi*in : (oi+1)*in][:len(wRow)]
+		clear(dwRow)
+		bias := 0.0
+		for ni := 0; ni < n; ni++ {
 			g := dy.data[ni*out+oi]
 			if g == 0 {
 				continue
 			}
-			db.data[oi] += g
-			wRow := w.data[oi*in : (oi+1)*in]
-			dwRow := dw.data[oi*in : (oi+1)*in]
-			for k := range wRow {
-				dxRow[k] += g * wRow[k]
+			bias += g
+			xRow := x.data[ni*in : (ni+1)*in][:len(wRow)]
+			dxRow := dx.data[ni*in : (ni+1)*in][:len(wRow)]
+			for k, wv := range wRow {
+				dxRow[k] += g * wv
 				dwRow[k] += g * xRow[k]
 			}
 		}
+		db.data[oi] = bias
 	}
-	return dx, dw, db
+	return dx
 }
 
 // SoftmaxCrossEntropy computes the mean softmax cross-entropy loss of
@@ -171,7 +187,7 @@ func AddBias(y, b *Tensor) {
 
 // SGDStep applies w -= lr*dw in place.
 func SGDStep(w, dw *Tensor, lr float64) {
-	w.mustSameShape(dw)
+	w.MustSameShape(dw)
 	for i, g := range dw.data {
 		w.data[i] -= lr * g
 	}

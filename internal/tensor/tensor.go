@@ -182,7 +182,7 @@ func (t *Tensor) Scale(s float64) {
 
 // Add accumulates o into t element-wise. Shapes must match exactly.
 func (t *Tensor) Add(o *Tensor) {
-	t.mustSameShape(o)
+	t.MustSameShape(o)
 	for i, v := range o.data {
 		t.data[i] += v
 	}
@@ -190,7 +190,7 @@ func (t *Tensor) Add(o *Tensor) {
 
 // Sub subtracts o from t element-wise.
 func (t *Tensor) Sub(o *Tensor) {
-	t.mustSameShape(o)
+	t.MustSameShape(o)
 	for i, v := range o.data {
 		t.data[i] -= v
 	}
@@ -198,7 +198,7 @@ func (t *Tensor) Sub(o *Tensor) {
 
 // AXPY computes t += a*x element-wise.
 func (t *Tensor) AXPY(a float64, x *Tensor) {
-	t.mustSameShape(x)
+	t.MustSameShape(x)
 	for i, v := range x.data {
 		t.data[i] += a * v
 	}
@@ -237,7 +237,9 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	return true
 }
 
-func (t *Tensor) mustSameShape(o *Tensor) {
+// MustSameShape panics unless o has exactly t's shape: the one guard,
+// and message, of every element-wise pairing of two tensors.
+func (t *Tensor) MustSameShape(o *Tensor) {
 	if !t.SameShape(o) {
 		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", t.shape, o.shape))
 	}
@@ -260,7 +262,7 @@ func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
 // MaxDiff returns the largest absolute element-wise difference between t
 // and o. Shapes must match.
 func (t *Tensor) MaxDiff(o *Tensor) float64 {
-	t.mustSameShape(o)
+	t.MustSameShape(o)
 	m := 0.0
 	for i, v := range t.data {
 		if d := math.Abs(v - o.data[i]); d > m {
