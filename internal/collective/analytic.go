@@ -34,16 +34,6 @@ func RingAllgather(ab AB, p int, chunk float64) float64 {
 	return float64(p-1) * (ab.Alpha + chunk*ab.Beta)
 }
 
-// ReduceScatter returns (p−1)(α + m/p·β): the first half of the ring
-// Allreduce, used by the paper's footnote-2 optimization for
-// filter-parallel input gradients.
-func ReduceScatter(ab AB, p int, m float64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return float64(p-1) * (ab.Alpha + m/float64(p)*ab.Beta)
-}
-
 // Bcast returns ⌈log₂(p)⌉·(α + m·β): a binomial-tree broadcast, or the
 // mirrored tree reduce (the ds leader hierarchy, §5.3.1).
 func Bcast(ab AB, p int, m float64) float64 {

@@ -32,14 +32,6 @@ func TestRingAllgatherFormula(t *testing.T) {
 	}
 }
 
-func TestReduceScatterHalfOfAllreduce(t *testing.T) {
-	m := 64e6
-	p := 16
-	if got, want := ReduceScatter(ab, p, m), RingAllreduce(ab, p, m)/2; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("reduce-scatter %g, want half allreduce %g", got, want)
-	}
-}
-
 func TestContentionScalesBeta(t *testing.T) {
 	c := WithContention(ab, 2)
 	if c.Beta != 2*ab.Beta || c.Alpha != ab.Alpha {
@@ -166,21 +158,6 @@ func TestBcastOpRounds(t *testing.T) {
 	}
 	if total != 7 {
 		t.Fatalf("bcast flow count %d, want 7", total)
-	}
-}
-
-func TestScatterOpSingleRound(t *testing.T) {
-	op := ScatterOp([]int{0, 1, 2, 3}, 4e6, false)
-	if len(op.Rounds) != 1 || len(op.Rounds[0]) != 3 {
-		t.Fatalf("scatter structure wrong: %d rounds", len(op.Rounds))
-	}
-	for _, f := range op.Rounds[0] {
-		if f.Bytes != 1e6 {
-			t.Fatalf("scatter chunk %g, want 1e6", f.Bytes)
-		}
-		if f.Src != 0 {
-			t.Fatal("scatter must be leader-rooted")
-		}
 	}
 }
 

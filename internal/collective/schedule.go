@@ -62,81 +62,6 @@ func RingAllgatherOp(pes []int, chunk float64, mpi bool) *Op {
 	return op
 }
 
-// ReduceScatterOp builds the (p−1)-round reduce-scatter half of the
-// ring Allreduce.
-func ReduceScatterOp(pes []int, m float64) *Op {
-	p := len(pes)
-	op := &Op{Name: fmt.Sprintf("reducescatter(p=%d)", p)}
-	if p <= 1 || m <= 0 {
-		return op
-	}
-	chunk := m / float64(p)
-	for step := 0; step < p-1; step++ {
-		round := make([]FlowSpec, 0, p)
-		for i := 0; i < p; i++ {
-			round = append(round, FlowSpec{Src: pes[i], Dst: pes[(i+1)%p], Bytes: chunk})
-		}
-		op.Rounds = append(op.Rounds, round)
-	}
-	return op
-}
-
-// TwoTreeAllreduceOp builds the pipelined double-binary-tree allreduce
-// schedule among pes for an m-byte buffer: each half of the buffer is
-// assigned to one of the TwoTreeParents trees and streams through it in
-// k chunks of m/(2k) bytes. Chunk c ascends the edge below a node at
-// depth d in round c + (D − d) (D the tree depth) and descends it in
-// round (k + D − 1) + c + (d − 1), so both trees' flows share rounds:
-// 2(log₂p + k) of them, up to rounding. Total bytes on the wire equal the ring
-// allreduce's 2(p−1)·m: the two-tree trades none of the ring's
-// bandwidth optimality, it only collapses the 2(p−1) latency terms to
-// O(log p + k).
-func TwoTreeAllreduceOp(pes []int, m float64, k int) *Op {
-	p := len(pes)
-	op := &Op{Name: fmt.Sprintf("twotree-allreduce(p=%d)", p)}
-	if p <= 1 || m <= 0 {
-		return op
-	}
-	if k < 1 {
-		k = 1
-	}
-	chunk := m / (2 * float64(k))
-	trees := TwoTreeParents(p)
-	var rounds map[int][]FlowSpec
-	add := func(round int, f FlowSpec) {
-		if rounds == nil {
-			rounds = make(map[int][]FlowSpec)
-		}
-		rounds[round] = append(rounds[round], f)
-	}
-	last := 0
-	for _, parents := range trees {
-		depths := TreeDepths(parents)
-		maxD := 0
-		for _, d := range depths {
-			maxD = max(maxD, d)
-		}
-		bcast0 := k + maxD - 1 // first broadcast round of this tree
-		for r, par := range parents {
-			if par < 0 {
-				continue
-			}
-			d := depths[r]
-			for c := 0; c < k; c++ {
-				add(c+maxD-d, FlowSpec{Src: pes[r], Dst: pes[par], Bytes: chunk})
-				add(bcast0+c+d-1, FlowSpec{Src: pes[par], Dst: pes[r], Bytes: chunk})
-				last = max(last, bcast0+c+d-1)
-			}
-		}
-	}
-	for round := 0; round <= last; round++ {
-		if flows := rounds[round]; len(flows) > 0 {
-			op.Rounds = append(op.Rounds, flows)
-		}
-	}
-	return op
-}
-
 // BcastOp builds a binomial-tree broadcast of m bytes from pes[0].
 func BcastOp(pes []int, m float64) *Op {
 	p := len(pes)
@@ -153,24 +78,6 @@ func BcastOp(pes []int, m float64) *Op {
 		op.Rounds = append(op.Rounds, round)
 		have *= 2
 	}
-	return op
-}
-
-// ScatterOp builds a leader-rooted linear scatter of an m-byte buffer
-// into p−1 chunks sent from pes[0] (the spatial strategy's sample
-// distribution; the leader keeps its own chunk).
-func ScatterOp(pes []int, m float64, mpi bool) *Op {
-	p := len(pes)
-	op := &Op{Name: fmt.Sprintf("scatter(p=%d)", p)}
-	if p <= 1 || m <= 0 {
-		return op
-	}
-	chunk := m / float64(p)
-	round := make([]FlowSpec, 0, p-1)
-	for i := 1; i < p; i++ {
-		round = append(round, FlowSpec{Src: pes[0], Dst: pes[i], Bytes: chunk, MPI: mpi})
-	}
-	op.Rounds = append(op.Rounds, round)
 	return op
 }
 

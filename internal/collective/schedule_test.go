@@ -48,27 +48,6 @@ func TestRingRoundTimesStepsMatchesFullSchedule(t *testing.T) {
 	}
 }
 
-func TestReduceScatterOpStructure(t *testing.T) {
-	op := ReduceScatterOp([]int{0, 1, 2, 3}, 4e6)
-	if len(op.Rounds) != 3 {
-		t.Fatalf("rs rounds %d, want p-1=3", len(op.Rounds))
-	}
-	for _, r := range op.Rounds {
-		for _, f := range r {
-			if f.Bytes != 1e6 {
-				t.Fatalf("rs chunk %g, want m/p", f.Bytes)
-			}
-		}
-	}
-	topo, _ := testTopo()
-	rs := Run(simnet.NewSim(topo.Net), topo, op)
-	ar := Run(simnet.NewSim(topo.Net), topo, RingAllreduceOp([]int{0, 1, 2, 3}, 4e6))
-	// Reduce-scatter is half the Allreduce rounds.
-	if rs >= ar {
-		t.Fatalf("reduce-scatter %g should undercut allreduce %g", rs, ar)
-	}
-}
-
 func TestHaloZeroBytesEmpty(t *testing.T) {
 	op := HaloExchangeOp([]int{0, 1}, 0, false)
 	if len(op.Rounds) != 0 {

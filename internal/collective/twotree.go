@@ -10,18 +10,15 @@ package collective
 // PE's bandwidth load stays ≈2·m/2 per tree instead of the binomial
 // root's ⌈log₂p⌉·m.
 //
-// Like order.go, the construction lives here so the executable runtime
-// (internal/dist/comm.go) and the analytic schedules (schedule.go,
-// TwoTreeAllreduceOp) walk the SAME trees: the oracle prices exactly
-// the communication pattern the runtime executes, and the runtime
-// inherits a fixed, seed-independent association order — at every
-// interior node the reduction is (own + child₀) + child₁ with children
-// in ascending rank order, determined by the tree shape alone.
+// Like order.go, the construction lives here, beside the analytic
+// collectives, and the executable runtime (internal/dist/comm.go) walks
+// it: the runtime inherits a fixed, seed-independent association order
+// — at every interior node the reduction is (own + child₀) + child₁
+// with children in ascending rank order, determined by the tree shape
+// alone.
 
 // TwoTreeChunks is the pipelining depth of the two-tree allreduce: each
 // half of the buffer streams through its tree in this many chunks.
-// Shared by the executable runtime and the simulated schedule so both
-// run the same pipeline.
 const TwoTreeChunks = 4
 
 // TwoTreeParents returns the two rooted trees of the double-binary-tree
@@ -79,7 +76,7 @@ func TreeChildren(parents []int) [][]int {
 }
 
 // TreeDepths returns each rank's distance from the root of the given
-// parent array — the pipeline offset of the analytic two-tree rounds.
+// parent array.
 func TreeDepths(parents []int) []int {
 	depth := make([]int, len(parents))
 	var walk func(r int) int

@@ -1,11 +1,6 @@
 package collective
 
-import (
-	"math"
-	"testing"
-
-	"paradl/internal/simnet"
-)
+import "testing"
 
 // treeShape validates one parent array as a rooted tree: exactly one
 // root, every parent in range, and every rank reaching the root (no
@@ -83,49 +78,5 @@ func TestTreeDepths(t *testing.T) {
 				t.Fatalf("rank %d depth %d, parent %d depth %d", r, depths[r], par, depths[par])
 			}
 		}
-	}
-}
-
-// TestTwoTreeAllreduceOpConservation: the schedule moves exactly the
-// ring allreduce's total of 2(p−1)·m bytes — the two-tree trades none
-// of the ring's bandwidth optimality — in far fewer rounds than the
-// ring's 2(p−1) once p outgrows log₂(p)+k.
-func TestTwoTreeAllreduceOpConservation(t *testing.T) {
-	for _, p := range []int{2, 3, 5, 8, 16} {
-		pes := make([]int, p)
-		for i := range pes {
-			pes[i] = i
-		}
-		m := 1e6
-		op := TwoTreeAllreduceOp(pes, m, TwoTreeChunks)
-		total := 0.0
-		for _, round := range op.Rounds {
-			if len(round) == 0 {
-				t.Fatalf("p=%d: empty round in %s", p, op.Name)
-			}
-			for _, f := range round {
-				total += f.Bytes
-			}
-		}
-		if want := 2 * float64(p-1) * m; math.Abs(total-want) > want*1e-9 {
-			t.Fatalf("p=%d: schedule moves %g bytes, want %g", p, total, want)
-		}
-	}
-}
-
-// TestSimTwoTreeFasterThanRingForSmall: on the simulated fabric the
-// pipelined two-tree beats the ring for a latency-bound message at
-// p=16, the regime the executable runtime switches algorithms in.
-func TestSimTwoTreeFasterThanRingForSmall(t *testing.T) {
-	topo, _ := testTopo()
-	pes := make([]int, 16)
-	for i := range pes {
-		pes[i] = i
-	}
-	m := 4e3 // small-but-not-tiny: latency terms dominate the ring
-	ring := Run(simnet.NewSim(topo.Net), topo, RingAllreduceOp(pes, m))
-	two := Run(simnet.NewSim(topo.Net), topo, TwoTreeAllreduceOp(pes, m, TwoTreeChunks))
-	if two >= ring {
-		t.Fatalf("two-tree %g should beat the ring %g for small messages at p=16", two, ring)
 	}
 }

@@ -70,8 +70,26 @@ func (c convCase) run(b *testing.B, op func()) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
+// bothPaths runs body as a simd=on and a simd=off sub-benchmark, so the
+// kernel-level SIMD ratio is one -bench run; simd=on is skipped on a CPU
+// without AVX2.
+func bothPaths(b *testing.B, body func(b *testing.B)) {
+	for _, on := range []bool{true, false} {
+		name := map[bool]string{true: "simd=on", false: "simd=off"}[on]
+		b.Run(name, func(b *testing.B) {
+			if on && !simdDetected {
+				b.Skip("no AVX2 on this CPU")
+			}
+			defer setSIMD(on)()
+			body(b)
+		})
+	}
+}
+
 func benchConvForward(b *testing.B, c convCase) {
-	c.run(b, func() { ConvForward(c.x, c.w, c.bias, c.spec) })
+	bothPaths(b, func(b *testing.B) {
+		c.run(b, func() { ConvForward(c.x, c.w, c.bias, c.spec) })
+	})
 }
 
 func BenchmarkConvForward(b *testing.B)          { benchConvForward(b, conv3x3()) }
@@ -85,7 +103,9 @@ func BenchmarkConvBackwardData(b *testing.B) {
 	for _, sparse := range []bool{false, true} {
 		dy := c.dyOf(sparse)
 		b.Run(fmt.Sprintf("sparse=%v", sparse), func(b *testing.B) {
-			c.run(b, func() { ConvBackwardData(dy, c.w, xShape, c.spec) })
+			bothPaths(b, func(b *testing.B) {
+				c.run(b, func() { ConvBackwardData(dy, c.w, xShape, c.spec) })
+			})
 		})
 	}
 }
@@ -96,7 +116,9 @@ func BenchmarkConvBackwardWeight(b *testing.B) {
 	for _, sparse := range []bool{false, true} {
 		dy := c.dyOf(sparse)
 		b.Run(fmt.Sprintf("sparse=%v", sparse), func(b *testing.B) {
-			c.run(b, func() { ConvBackwardWeight(dy, c.x, wShape, c.spec) })
+			bothPaths(b, func(b *testing.B) {
+				c.run(b, func() { ConvBackwardWeight(dy, c.x, wShape, c.spec) })
+			})
 		})
 	}
 }

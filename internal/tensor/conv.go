@@ -39,17 +39,37 @@ type lowering struct {
 	k                      int       // patch row length, c*kVol
 	rows                   int       // output positions per tile
 	patch                  []float64 // [rows, k]
+	packed                 []float64 // [packF/4][k][4], see interleave4
 }
 
-func lower(c int, inDims, outDims, kDims []int, spec ConvSpec) lowering {
+// lower plans a call; packF filters get room for their interleaved
+// weights (the forward's SIMD block), 0 for none. A tile holds a
+// multiple of the block's 8 positions, at least 8, within patchFloats.
+func lower(c int, inDims, outDims, kDims []int, spec ConvSpec, packF int) lowering {
 	lw := lowering{
 		off: windowOffsets(inDims, outDims, kDims, spec.Stride, spec.Pad),
 		c:   c, inVol: Volume(inDims), outVol: Volume(outDims), kVol: Volume(kDims),
 	}
 	lw.k = c * lw.kVol
-	lw.rows = max(1, min(lw.outVol, patchFloats/max(1, lw.k)))
-	lw.patch = make([]float64, lw.rows*lw.k)
+	lw.rows = max(1, min(lw.outVol, max(8, patchFloats/max(1, lw.k)&^7)))
+	scratch := make([]float64, (lw.rows+packF)*lw.k)
+	lw.patch, lw.packed = scratch[:lw.rows*lw.k], scratch[lw.rows*lw.k:]
 	return lw
+}
+
+// interleave4 copies the weight rows w ([F, k]) of every whole block of
+// four filters into lw.packed as [F/4][k][4]: tap i of four filters is
+// one 4-lane load for gemm4x8AVX2.
+func (lw *lowering) interleave4(w []float64) {
+	k := lw.k
+	for fi := 0; fi*k < len(lw.packed); fi += 4 {
+		blk := lw.packed[fi*k : (fi+4)*k]
+		for l := 0; l < 4; l++ {
+			for i, v := range w[(fi+l)*k : (fi+l+1)*k] {
+				blk[4*i+l] = v
+			}
+		}
+	}
 }
 
 // gather fills the tile with the patches of output positions [m0, m1) of
@@ -118,9 +138,14 @@ func dot1(p, w []float64, acc float64) float64 {
 	return acc
 }
 
-// axpy computes dst += a*src.
+// axpy computes dst += a*src, each element one rounded product and one
+// rounded sum, four lanes at a time where the CPU has AVX2.
 func axpy(dst []float64, a float64, src []float64) {
 	src = src[:len(dst)]
+	if useAVX2 {
+		axpyAVX2(dst, a, src)
+		return
+	}
 	for i, v := range src {
 		dst[i] += a * v
 	}
@@ -155,7 +180,12 @@ func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 		shape[2+i] = ConvOutSize(inDims[i], kDims[i], spec.Stride[i], spec.Pad[i])
 	}
 	y := New(shape...)
-	lw := lower(c, inDims, shape[2:], kDims, spec)
+	packF := 0
+	if useAVX2 {
+		packF = f &^ 3
+	}
+	lw := lower(c, inDims, shape[2:], kDims, spec, packF)
+	lw.interleave4(w.data)
 	k, outVol := lw.k, lw.outVol
 
 	var bias [4]float64
@@ -170,9 +200,16 @@ func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 				if b != nil {
 					copy(bias[:], b.data[fi:fi+4])
 				}
+				m := m0
+				if len(lw.packed) > 0 { // AVX2: blocks of 8 positions; the rest take dot4 below
+					wp := lw.packed[fi*k : (fi+4)*k]
+					for ; m+8 <= m1; m += 8 {
+						gemm4x8AVX2(ys[fi*outVol+m:(fi+3)*outVol+m+8], outVol, lw.patch[(m-m0)*k:(m-m0+8)*k], wp, &bias)
+					}
+				}
 				wf := w.data[fi*k : (fi+4)*k]
 				y0, y1, y2, y3 := ys[fi*outVol:], ys[(fi+1)*outVol:], ys[(fi+2)*outVol:], ys[(fi+3)*outVol:]
-				for m := m0; m < m1; m++ {
+				for ; m < m1; m++ {
 					a := dot4(lw.patch[(m-m0)*k:(m-m0+1)*k], wf, bias)
 					y0[m], y1[m], y2[m], y3[m] = a[0], a[1], a[2], a[3]
 				}
@@ -212,7 +249,7 @@ func ConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
 	checkOutDims(outDims, inDims, kDims, spec)
 
 	dx := New(inShape...)
-	lw := lower(c, inDims, outDims, kDims, spec)
+	lw := lower(c, inDims, outDims, kDims, spec, 0)
 	k, outVol := lw.k, lw.outVol
 
 	for ni := 0; ni < n; ni++ {
@@ -268,7 +305,7 @@ func ConvBackwardWeightInto(dw, db, dy, x *Tensor, spec ConvSpec) {
 
 	clear(dw.data)
 	clear(db.data)
-	lw := lower(c, inDims, outDims, kDims, spec)
+	lw := lower(c, inDims, outDims, kDims, spec, 0)
 	k, outVol := lw.k, lw.outVol
 
 	for ni := 0; ni < n; ni++ {

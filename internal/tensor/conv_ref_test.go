@@ -200,3 +200,51 @@ func computeStrides(shape []int) []int {
 	}
 	return strides
 }
+
+// scalarConvForward is ConvForward as it ran before the SIMD block: the
+// whole tile through dot4, the filter tail through dot1. ConvForward
+// must reproduce its bits on either path.
+func scalarConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
+	n, c, inDims := splitActShape(x)
+	f, _, kDims := splitWeightShape(w)
+	shape := []int{n, f}
+	for i := range inDims {
+		shape = append(shape, ConvOutSize(inDims[i], kDims[i], spec.Stride[i], spec.Pad[i]))
+	}
+	y := New(shape...)
+	lw := lower(c, inDims, shape[2:], kDims, spec, 0)
+	k, outVol := lw.k, lw.outVol
+
+	var bias [4]float64
+	for ni := 0; ni < n; ni++ {
+		xs := x.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
+		ys := y.data[ni*f*outVol : (ni+1)*f*outVol]
+		for m0 := 0; m0 < outVol; m0 += lw.rows {
+			m1 := min(m0+lw.rows, outVol)
+			lw.gather(xs, m0, m1)
+			fi := 0
+			for ; fi+4 <= f; fi += 4 {
+				if b != nil {
+					copy(bias[:], b.data[fi:fi+4])
+				}
+				wf := w.data[fi*k : (fi+4)*k]
+				for m := m0; m < m1; m++ {
+					a := dot4(lw.patch[(m-m0)*k:(m-m0+1)*k], wf, bias)
+					for l := range a {
+						ys[(fi+l)*outVol+m] = a[l]
+					}
+				}
+			}
+			for ; fi < f; fi++ {
+				bf := 0.0
+				if b != nil {
+					bf = b.data[fi]
+				}
+				for m := m0; m < m1; m++ {
+					ys[fi*outVol+m] = dot1(lw.patch[(m-m0)*k:(m-m0+1)*k], w.data[fi*k:(fi+1)*k], bf)
+				}
+			}
+		}
+	}
+	return y
+}

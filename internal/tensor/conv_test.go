@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -251,7 +252,7 @@ func randomConvGeom(rng *rand.Rand) convGeom {
 	g := convGeom{
 		n: 1 + rng.Intn(2),
 		c: 1 + rng.Intn(3),
-		f: []int{1, 3, 4, 5, 8}[rng.Intn(5)],
+		f: []int{1, 3, 4, 5, 8, 33}[rng.Intn(6)],
 	}
 	for d := 0; d < rank; d++ {
 		in := 1 + rng.Intn(9-2*rank)
@@ -266,9 +267,13 @@ func randomConvGeom(rng *rand.Rand) convGeom {
 	return g
 }
 
-// checkConvAgainstReference holds all three kernels to the direct-loop
-// reference on geometry g, with dy at the given density (1 dense, 0 all
-// zero) and the bias present or nil.
+// checkConvAgainstReference runs all three kernels on geometry g, with
+// dy at the given density (1 dense, 0 all zero) and the bias present or
+// nil, once on the SIMD path and once forced onto the scalar loops. The
+// two must agree bit for bit, the forward must be scalarConvForward's
+// bits, and all of it must match the direct-loop reference.
+// ConvBackwardWeightInto writes into NaN-filled destinations, so an
+// element it fails to overwrite fails the comparison.
 func checkConvAgainstReference(t *testing.T, rng *rand.Rand, g convGeom, density float64, withBias bool) {
 	t.Helper()
 	const tol = 1e-12
@@ -279,30 +284,43 @@ func checkConvAgainstReference(t *testing.T, rng *rand.Rand, g convGeom, density
 		b = New(g.f).RandN(rng, 1)
 	}
 	spec := g.spec()
-
-	y, yRef := ConvForward(x, w, b, spec), refConvForward(x, w, b, spec)
-	if !y.AllClose(yRef, tol) {
-		t.Fatalf("%+v bias=%v: forward differs from reference (shape %v vs %v, max diff %g)",
-			g, withBias, y.Shape(), yRef.Shape(), y.MaxDiff(yRef))
-	}
-	dy := New(y.Shape()...).RandN(rng, 1)
+	yRef := refConvForward(x, w, b, spec)
+	dy := New(yRef.Shape()...).RandN(rng, 1)
 	for i := range dy.data {
 		if rng.Float64() >= density {
 			dy.data[i] = 0
 		}
 	}
-	dx, dxRef := ConvBackwardData(dy, w, x.Shape(), spec), refConvBackwardData(dy, w, x.Shape(), spec)
-	if !dx.AllClose(dxRef, tol) {
-		t.Fatalf("%+v density=%v: backward-data differs from reference (max diff %g)", g, density, dx.MaxDiff(dxRef))
+	type convResult struct{ y, dx, dw, db *Tensor }
+	run := func() convResult {
+		r := convResult{y: ConvForward(x, w, b, spec), dx: ConvBackwardData(dy, w, x.Shape(), spec)}
+		r.dw, r.db = nanFilled(w.Shape()...), nanFilled(g.f)
+		ConvBackwardWeightInto(r.dw, r.db, dy, x, spec)
+		return r
 	}
-	dw, db := ConvBackwardWeight(dy, x, w.Shape(), spec)
-	dwRef, dbRef := refConvBackwardWeight(dy, x, w.Shape(), spec)
+	simd := run()
+	restore := setSIMD(false)
+	scalar := run()
+	restore()
+	what := fmt.Sprintf("%+v density=%v bias=%v", g, density, withBias)
+	assertSameBits(t, what+" SIMD y", simd.y, scalar.y)
+	assertSameBits(t, what+" SIMD dx", simd.dx, scalar.dx)
+	assertSameBits(t, what+" SIMD dw", simd.dw, scalar.dw)
+	assertSameBits(t, what+" SIMD db", simd.db, scalar.db)
+	assertSameBits(t, what+" y", scalar.y, scalarConvForward(x, w, b, spec))
+
+	if !scalar.y.AllClose(yRef, tol) {
+		t.Fatalf("%s: forward differs from reference (shape %v vs %v, max diff %g)",
+			what, scalar.y.Shape(), yRef.Shape(), scalar.y.MaxDiff(yRef))
+	}
+	if dxRef := refConvBackwardData(dy, w, x.Shape(), spec); !scalar.dx.AllClose(dxRef, tol) {
+		t.Fatalf("%s: backward-data differs from reference (max diff %g)", what, scalar.dx.MaxDiff(dxRef))
+	}
 	// Backward-weight kept the reference's accumulation order, (sample,
 	// output position) per element, so it matches exactly.
-	if !dw.AllClose(dwRef, 0) || !db.AllClose(dbRef, 0) {
-		t.Fatalf("%+v density=%v: backward-weight differs from reference (dw max diff %g, db %g)",
-			g, density, dw.MaxDiff(dwRef), db.MaxDiff(dbRef))
-	}
+	dwRef, dbRef := refConvBackwardWeight(dy, x, w.Shape(), spec)
+	assertSameBits(t, what+" dw vs reference", scalar.dw, dwRef)
+	assertSameBits(t, what+" db vs reference", scalar.db, dbRef)
 }
 
 func TestConvMatchesReferenceRandomGeometries(t *testing.T) {
@@ -313,6 +331,9 @@ func TestConvMatchesReferenceRandomGeometries(t *testing.T) {
 	}
 }
 
+// The SIMD forward takes blocks of 4 filters x 8 tile positions and
+// leaves the rest to dot4/dot1, so the edge cases walk both remainders:
+// F in {1, 3, 4, 5, 8, 33} and tiles of 1, 7, 8, 9 and 17 positions.
 func TestConvMatchesReferenceEdgeGeometries(t *testing.T) {
 	rng := rand.New(rand.NewSource(2022))
 	cases := []struct {
@@ -325,12 +346,20 @@ func TestConvMatchesReferenceEdgeGeometries(t *testing.T) {
 		{"single channel/filter", convGeom{n: 1, c: 1, f: 1, in: []int{6}, k: []int{3}, stride: []int{1}, pad: []int{2}}},
 		{"non-uniform 3-D", convGeom{n: 1, c: 2, f: 5, in: []int{5, 3, 4}, k: []int{3, 1, 2}, stride: []int{2, 1, 3}, pad: []int{2, 0, 1}}},
 		{"window wider than input", convGeom{n: 1, c: 1, f: 3, in: []int{1, 2}, k: []int{3, 3}, stride: []int{1, 2}, pad: []int{1, 2}}},
-		// 25 output rows of 200 floats against a 2048-float tile: two
-		// full tiles of ten rows and a short last one.
+		// 25 output rows of 200 floats against a 2048-float tile: three
+		// full tiles of eight rows and a last one of one.
 		{"several tiles", convGeom{n: 2, c: 8, f: 6, in: []int{9, 9}, k: []int{5, 5}, stride: []int{1, 1}, pad: []int{0, 0}}},
-		// 1000 floats per patch row: tiles of two rows, three rows in all.
+		// 1000 floats per patch row: one tile of three rows.
 		{"patch row near tile size", convGeom{n: 1, c: 10, f: 4, in: []int{10, 12}, k: []int{10, 10}, stride: []int{1, 1}, pad: []int{0, 0}}},
 		{"patch row beyond tile", convGeom{n: 1, c: 50, f: 2, in: []int{10, 10}, k: []int{10, 10}, stride: []int{1, 1}, pad: []int{1, 1}}},
+		// 2450 floats per patch row, beyond the budget: tiles of 8, 8, 4.
+		{"patch row beyond tile, F=8", convGeom{n: 1, c: 50, f: 8, in: []int{4, 5}, k: []int{7, 7}, stride: []int{1, 1}, pad: []int{3, 3}}},
+		{"tile of 1, F=33", convGeom{n: 2, c: 3, f: 33, in: []int{3, 3}, k: []int{3, 3}, stride: []int{1, 1}, pad: []int{0, 0}}},
+		{"tile of 7, F=4", convGeom{n: 2, c: 2, f: 4, in: []int{7}, k: []int{1}, stride: []int{1}, pad: []int{0}}},
+		{"tile of 8, k=1, F=8", convGeom{n: 2, c: 1, f: 8, in: []int{2, 4}, k: []int{1, 1}, stride: []int{1, 1}, pad: []int{0, 0}}},
+		{"tile of 9, F=5", convGeom{n: 1, c: 3, f: 5, in: []int{3, 3}, k: []int{3, 3}, stride: []int{1, 1}, pad: []int{1, 1}}},
+		{"tile of 17, F=33", convGeom{n: 2, c: 2, f: 33, in: []int{17}, k: []int{3}, stride: []int{1}, pad: []int{1}}},
+		{"tile of 17, k=1, F=1", convGeom{n: 1, c: 1, f: 1, in: []int{17}, k: []int{1}, stride: []int{1}, pad: []int{0}}},
 	}
 	for _, c := range cases {
 		for _, density := range []float64{1, 0.25, 0} {
@@ -371,6 +400,9 @@ func TestConvBackwardShapeMismatchPanics(t *testing.T) {
 // loops allocated one coordinate slice per output position).
 func TestConvAllocsIndependentOfOutputVolume(t *testing.T) {
 	const ceiling = 8
+	// The process's first GC cycle starts the mark workers, whose
+	// goroutines are heap objects; run it before counting.
+	runtime.GC()
 	rng := rand.New(rand.NewSource(7))
 	w := New(6, 3, 3, 3).RandN(rng, 1)
 	spec := UniformConv(2, 1, 1)

@@ -68,15 +68,16 @@ func nanFilled(shape ...int) *Tensor {
 	return t
 }
 
-// assertSameBits fails unless got and want agree element by element;
-// NaN never equals anything, so a surviving pre-fill fails too.
+// assertSameBits fails unless got and want hold the same bits element
+// by element (math.Float64bits, so a zero's sign counts). The references
+// hold no NaN, so a surviving pre-fill fails too.
 func assertSameBits(t *testing.T, what string, got, want *Tensor) {
 	t.Helper()
 	if !EqualShapes(got.shape, want.shape) {
 		t.Fatalf("%s: shape %v, reference %v", what, got.shape, want.shape)
 	}
 	for i, v := range want.data {
-		if got.data[i] != v {
+		if math.Float64bits(got.data[i]) != math.Float64bits(v) {
 			t.Fatalf("%s[%d] = %.17g, reference %.17g", what, i, got.data[i], v)
 		}
 	}
