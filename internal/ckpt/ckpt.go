@@ -96,6 +96,12 @@ const magic = "PDLCKPT1"
 // and old files load with Streams nil.
 const version = 2
 
+// maxLayers bounds a header's layer count. Decode allocates one
+// nn.Params per layer, and a layer without parameters costs the payload
+// no bytes, so the file length cannot bound it; real models have
+// hundreds of layers.
+const maxLayers = 1 << 16
+
 // header is the JSON metadata block; the float64 series (losses and
 // tensor values) live in the binary payload, never in JSON, so decode
 // is bit-exact by construction rather than by strconv round-tripping.
@@ -194,9 +200,11 @@ func writeFloats(buf *bytes.Buffer, xs []float64) {
 }
 
 // Decode parses a wire-format checkpoint. The SHA-256 trailer is
-// verified over every preceding byte BEFORE any field is trusted, and
-// the declared geometry must account for the file length exactly, so
-// truncation, bit flips, and appended garbage all fail loudly.
+// verified over every preceding byte BEFORE any field is read, and the
+// declared geometry must account for the file length exactly, so
+// truncation, bit flips, and appended garbage all fail loudly; a
+// re-sealed header whose counts the payload does not back is an error
+// too, never a panic or an unbounded allocation.
 func Decode(b []byte) (*State, error) {
 	const trailer = sha256.Size
 	if len(b) < len(magic)+4+trailer {
@@ -221,7 +229,17 @@ func Decode(b []byte) (*State, error) {
 	if h.Version < 1 || h.Version > version {
 		return nil, fmt.Errorf("ckpt: unsupported version %d (this build reads 1..%d)", h.Version, version)
 	}
+	if h.NLayers < 0 || h.NLayers > maxLayers {
+		return nil, fmt.Errorf("ckpt: layer count %d outside [0, %d]", h.NLayers, maxLayers)
+	}
+	// A matching trailer proves the bytes intact, not the header honest:
+	// anyone can re-seal a file. So every count is held to the values the
+	// payload holds before it is summed, multiplied or allocated.
 	payload := rest[hlen:]
+	avail := len(payload) / 8
+	if h.NLosses < 0 || h.NLosses > avail {
+		return nil, fmt.Errorf("ckpt: %d losses outside the %d-value payload", h.NLosses, avail)
+	}
 	n := h.NLosses
 	for _, e := range h.Dir {
 		vol := 1
@@ -229,11 +247,14 @@ func Decode(b []byte) (*State, error) {
 			if d < 1 {
 				return nil, fmt.Errorf("ckpt: layer %d %s has invalid shape %v", e.Layer, e.Field, e.Shape)
 			}
+			if vol > (avail-n)/d {
+				return nil, fmt.Errorf("ckpt: layer %d %s shape %v outgrows the %d-value payload", e.Layer, e.Field, e.Shape, avail)
+			}
 			vol *= d
 		}
 		n += vol
 	}
-	if h.NLosses < 0 || len(payload) != 8*n {
+	if len(payload) != 8*n {
 		return nil, fmt.Errorf("ckpt: payload is %d bytes, directory declares %d", len(payload), 8*n)
 	}
 

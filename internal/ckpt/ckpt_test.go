@@ -158,6 +158,59 @@ func TestCkptCorruptionFailsLoudly(t *testing.T) {
 	}
 }
 
+// reseal is ResealForTest, failing t on a malformed encoding.
+func reseal(t *testing.T, enc []byte, edit func(h map[string]any)) []byte {
+	t.Helper()
+	b, err := ckpt.ResealForTest(enc, edit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCkptDecodeRejectsCraftedHeaders: a SHA-256 trailer is not a MAC,
+// so the header's counts are outside input. Every crafted header below
+// is re-sealed with a valid trailer and must decode to an error — never
+// a panic, an allocation the file does not back, or a tensor whose
+// shape outgrows its values.
+func TestCkptDecodeRejectsCraftedHeaders(t *testing.T) {
+	enc, err := testState().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ckpt.Decode(reseal(t, enc, func(map[string]any) {})); err != nil {
+		t.Fatalf("re-sealed unchanged header must decode: %v", err)
+	}
+	addEntry := func(shape ...int) func(h map[string]any) {
+		return func(h map[string]any) {
+			h["dir"] = append(h["dir"].([]any), map[string]any{"l": 0, "f": "Gamma", "k": "param", "shape": shape})
+		}
+	}
+	for name, edit := range map[string]func(h map[string]any){
+		"negative nlayers":             func(h map[string]any) { h["nlayers"] = -1 },
+		"nlayers past the bound":       func(h map[string]any) { h["nlayers"] = 1<<16 + 1 },
+		"huge nlayers":                 func(h map[string]any) { h["nlayers"] = 1 << 50 },
+		"negative nlosses":             func(h map[string]any) { h["nlosses"] = -1 },
+		"nlosses past the payload":     func(h map[string]any) { h["nlosses"] = 1 << 60 },
+		"shape product wraps to zero":  addEntry(1<<32, 1<<32),
+		"3-d shape product wraps":      addEntry(1<<21, 1<<21, 1<<22),
+		"shape larger than payload":    addEntry(1 << 20),
+		"negative dimension":           addEntry(-2, 3),
+		"directory layer out of range": func(h map[string]any) { h["dir"].([]any)[0].(map[string]any)["l"] = 7 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Decode panicked: %v", r)
+				}
+			}()
+			if _, err := ckpt.Decode(reseal(t, enc, edit)); err == nil {
+				t.Fatal("crafted header decoded without error")
+			}
+		})
+	}
+}
+
 func TestCkptLoadRejectsCorruptFile(t *testing.T) {
 	dir := t.TempDir()
 	s := testState()

@@ -63,20 +63,23 @@ func EncodeV1ForTest(s *State) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rewriteVersionForTest(enc, 1)
+	return ResealForTest(enc, func(h map[string]any) { h["version"] = 1 })
 }
 
-// rewriteVersionForTest rewrites the header's version field and
-// re-derives the length prefix and SHA-256 trailer, yielding a file
-// that is valid at the requested header version.
-func rewriteVersionForTest(enc []byte, v int) ([]byte, error) {
+// ResealForTest rewrites enc's JSON header through edit and re-derives
+// the length prefix and SHA-256 trailer, so the result passes the
+// integrity check and only Decode's own validation of the header
+// stands between it and a State. Numbers keep their exact spelling.
+func ResealForTest(enc []byte, edit func(h map[string]any)) ([]byte, error) {
 	hlen := int(binary.LittleEndian.Uint32(enc[len(magic):]))
 	hdrStart := len(magic) + 4
-	var h header
-	if err := json.Unmarshal(enc[hdrStart:hdrStart+hlen], &h); err != nil {
+	var h map[string]any
+	dec := json.NewDecoder(bytes.NewReader(enc[hdrStart : hdrStart+hlen]))
+	dec.UseNumber()
+	if err := dec.Decode(&h); err != nil {
 		return nil, err
 	}
-	h.Version = v
+	edit(h)
 	hdr, err := json.Marshal(h)
 	if err != nil {
 		return nil, err

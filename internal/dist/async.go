@@ -6,10 +6,9 @@ import (
 	"paradl/internal/tensor"
 )
 
-// This file is the nonblocking collective layer: IAllReduceSum,
-// IReduceScatterSum and IAllGather launch the SAME deterministic
-// ring/tree/two-tree algorithms as their blocking counterparts on a
-// per-operation worker goroutine and return a Handle immediately, so
+// This file is the nonblocking collective layer: IAllReduceSum launches
+// the SAME deterministic ring/tree algorithms as AllReduceSum on a
+// per-operation worker goroutine and returns a Handle immediately, so
 // gradient exchange can overlap the backward compute that follows it
 // (the DDP-style bucketing of overlap.go). Isolation comes from mailbox
 // streams: every launched operation derives a private (comm key, seq)
@@ -93,7 +92,7 @@ func (c *Comm) launch(fn func(op *Comm) *tensor.Tensor) *Handle {
 		stream = fmt.Sprintf("nb:%s#%d", c.key, c.nseq)
 		c.nseq++
 	}
-	op := c.withStream(stream)
+	op := &Comm{w: c.w, rank: c.rank, members: c.members, key: c.key, stream: stream}
 	c.w.pending[c.worldRank(c.rank)].Add(1)
 	h := &Handle{c: c, stream: stream, done: make(chan struct{})}
 	go func() {
@@ -109,7 +108,7 @@ func (c *Comm) launch(fn func(op *Comm) *tensor.Tensor) *Handle {
 }
 
 // IAllReduceSum is the nonblocking AllReduceSum: it takes ownership of
-// t, starts the same size-switched ring/two-tree/binomial algorithm on
+// t, starts the same size-switched ring/binomial-tree algorithm on
 // a worker goroutine, and returns immediately. Handle.Wait yields the
 // sum, bit-identical to the blocking call's.
 func (c *Comm) IAllReduceSum(t *tensor.Tensor) *Handle {
@@ -117,22 +116,4 @@ func (c *Comm) IAllReduceSum(t *tensor.Tensor) *Handle {
 		return doneHandle(t)
 	}
 	return c.launch(func(op *Comm) *tensor.Tensor { return op.AllReduceSum(t) })
-}
-
-// IReduceScatterSum is the nonblocking ReduceScatterSum: Handle.Wait
-// yields this rank's canonical chunk of the sum along axis.
-func (c *Comm) IReduceScatterSum(t *tensor.Tensor, axis int) *Handle {
-	if c.Size() == 1 {
-		return doneHandle(t)
-	}
-	return c.launch(func(op *Comm) *tensor.Tensor { return op.ReduceScatterSum(t, axis) })
-}
-
-// IAllGather is the nonblocking AllGather: Handle.Wait yields the
-// rank-ordered concatenation along axis.
-func (c *Comm) IAllGather(t *tensor.Tensor, axis int) *Handle {
-	if c.Size() == 1 {
-		return doneHandle(t)
-	}
-	return c.launch(func(op *Comm) *tensor.Tensor { return op.AllGather(t, axis) })
 }

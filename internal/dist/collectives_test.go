@@ -22,17 +22,21 @@ import (
 // even/odd, power-of-two and not, and the widths the grid runners use.
 var collectiveWidths = []int{2, 3, 4, 5, 8}
 
-// ringSize comfortably exceeds ringMinElems; treeSize stays below
-// twoTreeMinElems (binomial path); twoTreeSize falls in the two-tree
-// window [twoTreeMinElems, ringMinElems) with uneven chunk splits.
+// ringSize comfortably exceeds ringMinElems (ring path); treeSize and
+// smallSize stay below it (binomial tree).
 const (
-	ringSize    = 4 * ringMinElems
-	twoTreeSize = 100
-	treeSize    = 16
+	ringSize  = 4 * ringMinElems
+	smallSize = 100
+	treeSize  = 16
 )
 
-// allReduceSizes exercises all three AllReduceSum algorithms.
-var allReduceSizes = []int{treeSize, twoTreeSize, ringSize}
+// treeSizes take the binomial tree, up to the largest buffer it
+// carries; allReduceSizes adds a ring-sized one, so it exercises both
+// AllReduceSum algorithms.
+var (
+	treeSizes      = []int{treeSize, 64, smallSize, ringMinElems - 1}
+	allReduceSizes = append(treeSizes, ringSize)
+)
 
 // rankInput builds rank's deterministic pseudo-random contribution.
 func rankInput(rank, n int) *tensor.Tensor {
@@ -289,6 +293,71 @@ func TestRingAllReduceMatchesSnapshotRing(t *testing.T) {
 				for i, v := range res.Data() {
 					if v != want[i] {
 						t.Fatalf("p=%d n=%d rank %d elem %d: view ring %.17g != snapshot ring %.17g", p, n, rank, i, v, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// binomialSum replays, sequentially, the binomial tree's reduction: at
+// distances d = 1, 2, 4, … every rank r with r mod 2d = 0 adds rank
+// r+d's partial into its own, so rank 0 ends with the documented
+// ((x₀+x₁) + (x₂+x₃)) + … It is the bit-level reference for
+// treeAllReduce's association order.
+func binomialSum(p, n int) []float64 {
+	acc := make([][]float64, p)
+	for r := range acc {
+		acc[r] = rankInput(r, n).Data()
+	}
+	for d := 1; d < p; d *= 2 {
+		for r := 0; r+d < p; r += 2 * d {
+			for i, v := range acc[r+d] {
+				acc[r][i] += v
+			}
+		}
+	}
+	return acc[0]
+}
+
+// TestTreeAllReduceMatchesBinomialOrder pins the tree path bit for bit:
+// every buffer below ringMinElems, blocking and nonblocking, on the
+// world and on a reversed sub-communicator that leaves world rank 0
+// out, sums in binomialSum's order on every rank.
+func TestTreeAllReduceMatchesBinomialOrder(t *testing.T) {
+	calls := map[string]func(*Comm, *tensor.Tensor) *tensor.Tensor{
+		"blocking":    (*Comm).AllReduceSum,
+		"nonblocking": func(c *Comm, x *tensor.Tensor) *tensor.Tensor { return c.IAllReduceSum(x).Wait() },
+	}
+	for _, p := range collectiveWidths {
+		members := make([]int, p) // world ranks p, p−1, …, 1
+		for i := range members {
+			members[i] = p - i
+		}
+		for _, n := range treeSizes {
+			want := binomialSum(p, n)
+			for name, call := range calls {
+				for _, sub := range []bool{false, true} {
+					got := make([]*tensor.Tensor, p)
+					w := NewWorld(p)
+					if sub {
+						w = NewWorld(p + 1)
+					}
+					onWorld(w, func(c *Comm) {
+						if sub {
+							if c.Rank() == 0 {
+								return
+							}
+							c = c.Sub(members)
+						}
+						got[c.Rank()] = call(c, rankInput(c.Rank(), n))
+					})
+					for rank, res := range got {
+						for i, v := range res.Data() {
+							if v != want[i] {
+								t.Fatalf("p=%d n=%d %s sub=%v rank %d elem %d: %.17g != binomial order %.17g", p, n, name, sub, rank, i, v, want[i])
+							}
+						}
 					}
 				}
 			}

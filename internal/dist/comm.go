@@ -17,22 +17,15 @@ import (
 // whole world down instead of deadlocking it.
 var errAborted = errors.New("dist: world aborted by peer failure")
 
-// AllReduceSum picks among three algorithms by buffer size, the same
-// three-regime policy the analytic side prices with Hockney α–β terms
-// in internal/collective:
+// AllReduceSum picks by buffer size between the two algorithms the
+// analytic side prices with Hockney α–β terms in internal/collective:
 //
-//   - below twoTreeMinElems: binomial tree — ⌈log₂p⌉ whole-buffer hops,
-//     best for latency-bound tiny tensors (BN statistics, biases);
-//   - [twoTreeMinElems, ringMinElems): pipelined double binary tree —
-//     two halves streaming concurrently in TwoTreeChunks chunks, low
-//     latency AND full bandwidth for the small-but-not-tiny regime;
+//   - below ringMinElems: binomial tree — 2⌈log₂p⌉ whole-buffer hops,
+//     best for latency-bound small tensors (BN statistics, biases);
 //   - at and above ringMinElems: ring reduce-scatter + allgather —
 //     2(p−1) rounds of m/p chunks, bandwidth-optimal for gradient-sized
 //     buffers.
-const (
-	twoTreeMinElems = 64
-	ringMinElems    = 256
-)
+const ringMinElems = 256
 
 // ringSized reports whether an n-element buffer travels the ring on p
 // PEs: bandwidth-bound, and with at least one element per chunk.
@@ -56,10 +49,10 @@ type message struct {
 // (§5.1).
 //
 // Besides the base mailboxes there is a second, stream-tagged plane
-// (tagged): every in-flight nonblocking collective and every concurrent
-// half of the two-tree gets its own (src, dst, stream) channels, so
-// overlapped traffic can never interleave with — or be mismatched
-// against — the program-ordered blocking traffic on the base plane.
+// (tagged): every in-flight nonblocking collective gets its own (src,
+// dst, stream) channels, so overlapped traffic can never interleave
+// with — or be mismatched against — the program-ordered blocking
+// traffic on the base plane.
 type World struct {
 	p     int
 	depth int
@@ -174,13 +167,6 @@ func (w *World) Comm(rank int) *Comm {
 		panic(fmt.Sprintf("dist: rank %d out of range [0,%d)", rank, w.p))
 	}
 	return &Comm{w: w, rank: rank, key: "w"}
-}
-
-// withStream returns a view of the communicator whose traffic flows on
-// the given mailbox stream — the isolation mechanism of nonblocking
-// collectives and of the two-tree's concurrently streaming halves.
-func (c *Comm) withStream(stream string) *Comm {
-	return &Comm{w: c.w, rank: c.rank, members: c.members, key: c.key, stream: stream}
 }
 
 // worldRank translates a communicator rank to its world rank.
@@ -315,28 +301,22 @@ func (c *Comm) recvScalar(src int) float64 {
 // only the returned tensor.
 //
 // Large buffers run the bandwidth-optimal ring reduce-scatter +
-// allgather (2(p−1) chunk hops, the algorithm the analytic oracle
-// prices); small-but-not-tiny ones run the pipelined double binary tree
-// (both halves streaming concurrently at full bandwidth in O(log p + k)
-// rounds); tiny ones run a binomial reduce + broadcast tree (2⌈log p⌉
-// latency-bound hops). All three have a fixed, documented association
-// order (internal/collective/order.go, twotree.go) independent of seeds
-// and scheduling, so repeated runs are bit-identical and value parity
-// vs the sequential baseline holds within the reassociation tolerance
+// allgather (2(p−1) chunk hops); small ones run a binomial reduce +
+// broadcast tree (2⌈log₂p⌉ latency-bound hops). Both have a fixed,
+// documented association order (internal/collective/order.go for the
+// ring, treeAllReduce for the tree) independent of seeds and
+// scheduling, so repeated runs are bit-identical and value parity vs
+// the sequential baseline holds within the reassociation tolerance
 // (§4.5.2).
 func (c *Comm) AllReduceSum(t *tensor.Tensor) *tensor.Tensor {
 	p := c.Size()
 	if p == 1 {
 		return t
 	}
-	switch n := t.Len(); {
-	case ringSized(n, p):
+	if ringSized(t.Len(), p) {
 		return c.ringAllReduce(t)
-	case n >= twoTreeMinElems:
-		return c.twoTreeAllReduce(t)
-	default:
-		return c.treeAllReduce(t)
 	}
+	return c.treeAllReduce(t)
 }
 
 // ringAllReduce reduces t in place over the flat element range — the
@@ -411,14 +391,6 @@ func (c *Comm) ring(reduce, gather []float64, between func()) {
 	c.recvScalar(next)
 }
 
-// chunkCopy snapshots [off, off+n) of data as a rank-1 tensor — the
-// owned payload of one two-tree chunk hop.
-func chunkCopy(data []float64, off, n int) *tensor.Tensor {
-	buf := make([]float64, n)
-	copy(buf, data[off:off+n])
-	return tensor.FromSlice(buf, n)
-}
-
 // treeAllReduce reduces small buffers up a binomial tree rooted at rank
 // 0 and broadcasts the result back down it. The upward sends transfer
 // ownership (partials are dead after the send); the downward hops clone
@@ -450,80 +422,6 @@ reduce:
 		}
 	}
 	return acc
-}
-
-// twoTreeAllReduce reduces a small-but-not-tiny buffer over the
-// pipelined double binary tree (collective.TwoTreeParents): the flat
-// element range splits into two near-equal halves, each half streams up
-// and down its own tree in collective.TwoTreeChunks chunks, and the two
-// trees run concurrently — tree 1 on a derived mailbox stream and its
-// own goroutine — so a PE that is a leaf of one tree (doing no
-// reduction work there) is typically interior in the other. Every
-// element's sum is associated by its tree's shape alone ((own + child₀)
-// + child₁ at each interior node), so results are bit-identical across
-// runs and ranks like the ring and binomial paths.
-func (c *Comm) twoTreeAllReduce(t *tensor.Tensor) *tensor.Tensor {
-	data := t.Data()
-	half := (len(data) + 1) / 2
-	trees := collective.TwoTreeParents(c.Size())
-	done := make(chan struct{})
-	var t2panic any
-	go func() {
-		defer close(done)
-		defer func() { t2panic = recover() }()
-		c.withStream(c.stream+"/t2").treeHalfAllReduce(data[half:], trees[1])
-	}()
-	c.treeHalfAllReduce(data[:half], trees[0])
-	<-done
-	if t2panic != nil {
-		panic(t2panic)
-	}
-	return t
-}
-
-// treeHalfAllReduce reduces buf — one half of a two-tree buffer — up
-// the tree given by parents and broadcasts the result back down it, in
-// pipelined chunks. The reduction accumulates in place: after the up
-// phase an interior rank's chunk region holds its subtree sum, and the
-// down phase overwrites it with the root's total.
-func (c *Comm) treeHalfAllReduce(buf []float64, parents []int) {
-	if len(buf) == 0 {
-		return // every rank sees the same length, so all skip together
-	}
-	par := parents[c.rank]
-	kids := collective.TreeChildren(parents)[c.rank]
-	k := min(collective.TwoTreeChunks, len(buf))
-	offs, sizes := collective.Chunks(len(buf), k)
-	for ci := 0; ci < k; ci++ {
-		region := buf[offs[ci] : offs[ci]+sizes[ci]]
-		for _, kid := range kids {
-			in := c.Recv(kid).Data()
-			for i, v := range in {
-				region[i] += v
-			}
-		}
-		if par >= 0 {
-			c.sendOwned(par, chunkCopy(buf, offs[ci], sizes[ci]))
-		}
-	}
-	for ci := 0; ci < k; ci++ {
-		region := buf[offs[ci] : offs[ci]+sizes[ci]]
-		var in *tensor.Tensor
-		if par >= 0 {
-			in = c.Recv(par)
-			copy(region, in.Data())
-		}
-		for i, kid := range kids {
-			if in != nil && i == len(kids)-1 {
-				// The received buffer is dead here: forward it to the
-				// last child instead of cloning (the copy discipline of
-				// the other collectives).
-				c.sendOwned(kid, in)
-				continue
-			}
-			c.sendOwned(kid, chunkCopy(buf, offs[ci], sizes[ci]))
-		}
-	}
 }
 
 // AllReduceScalar sums one float64 across all PEs on the binomial tree,

@@ -469,34 +469,3 @@ func (pl Plan) Apply(cfg core.Config) core.Config {
 	}
 	return cfg
 }
-
-// Migrate trains batches[:switchAt] under plan from, checkpoints at
-// the switch point through the canonical representation, and resumes
-// batches[switchAt:] under plan to — a live plan migration (e.g.
-// data:8 → df:4x2) with no retraining. The returned Result carries
-// to's grid shape and the loss series of the whole run.
-func Migrate(m *nn.Model, batches []Batch, from Plan, switchAt int, to Plan, opts ...Option) (*Result, error) {
-	if switchAt <= 0 || switchAt >= len(batches) {
-		return nil, fmt.Errorf("dist: migration point %d outside (0, %d)", switchAt, len(batches))
-	}
-	var snap *ckpt.State
-	o1 := append(append([]Option(nil), opts...), WithCheckpoint(switchAt, func(st *ckpt.State) {
-		if st.Iter == switchAt {
-			snap = st
-		}
-	}))
-	r1, err := Run(m, batches[:switchAt], from, o1...)
-	if err != nil {
-		return nil, err
-	}
-	if snap == nil {
-		return nil, fmt.Errorf("dist: plan %s produced no checkpoint at iteration %d", from, switchAt)
-	}
-	o2 := append(append([]Option(nil), opts...), WithInitState(snap))
-	r2, err := Run(m, batches[switchAt:], to, o2...)
-	if err != nil {
-		return nil, err
-	}
-	r2.Losses = append(append([]float64(nil), r1.Losses...), r2.Losses...)
-	return r2, nil
-}

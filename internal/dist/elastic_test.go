@@ -282,16 +282,24 @@ func TestMigratePlanMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dist.Migrate(m, batches, mustPlan(t, "data:8"), 2, mustPlan(t, "df:4x2"), opts...)
+	var snap *ckpt.State
+	first, err := dist.Run(m, batches[:2], mustPlan(t, "data:8"),
+		append(opts[:len(opts):len(opts)], dist.WithCheckpoint(2, func(st *ckpt.State) { snap = st }))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Strategy != "data+filter" && res.Strategy != "df" {
-		t.Logf("migrated result strategy: %s", res.Strategy)
+	if snap == nil || snap.Iter != 2 {
+		t.Fatal("data:8 emitted no checkpoint at the switch point")
+	}
+	res, err := dist.Run(m, batches[2:], mustPlan(t, "df:4x2"),
+		append(opts[:len(opts):len(opts)], dist.WithInitState(snap))...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if res.P1 != 4 || res.P2 != 2 {
 		t.Fatalf("migrated run reports grid %dx%d, want 4x2", res.P1, res.P2)
 	}
+	res.Losses = append(first.Losses, res.Losses...)
 	assertParity(t, baseline, res, nil)
 }
 

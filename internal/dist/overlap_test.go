@@ -2,7 +2,7 @@ package dist
 
 // Overlap determinism suite (collective level): nonblocking collectives
 // must be bit-identical to their blocking counterparts at every width
-// and on every algorithm path (binomial, two-tree, ring), including
+// and on both algorithm paths (binomial tree, ring), including
 // sub-communicators, several operations in flight at once, and the
 // Handle misuse contracts. The training-level half of the suite —
 // overlap-on vs overlap-off runs pinned loss-bit-identical — lives in
@@ -16,8 +16,8 @@ import (
 	"paradl/internal/tensor"
 )
 
-// TestOverlapAllReduceBitIdentical: IAllReduceSum across widths and all
-// three algorithm regimes returns exactly the blocking AllReduceSum's
+// TestOverlapAllReduceBitIdentical: IAllReduceSum across widths and both
+// algorithm regimes returns exactly the blocking AllReduceSum's
 // bits on every rank.
 func TestOverlapAllReduceBitIdentical(t *testing.T) {
 	for _, p := range collectiveWidths {
@@ -37,62 +37,10 @@ func TestOverlapAllReduceBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOverlapTwoTreeHubParity pins the two-tree association order to
-// the reference ascending-rank order across its whole size window,
-// including uneven halves and chunk tails (255 = 128+127 halves).
-func TestOverlapTwoTreeHubParity(t *testing.T) {
-	const reassocTol = 1e-12
-	for _, p := range collectiveWidths {
-		for _, n := range []int{twoTreeMinElems, twoTreeSize, ringMinElems - 1} {
-			want := hubSum(p, n)
-			got := eachRank(t, p, func(c *Comm) *tensor.Tensor {
-				return c.IAllReduceSum(rankInput(c.Rank(), n)).Wait()
-			})
-			if d := got[0].MaxDiff(want); d > reassocTol {
-				t.Fatalf("p=%d n=%d: two-tree vs hub order differs by %.3e", p, n, d)
-			}
-			for rank := 1; rank < p; rank++ {
-				if !got[rank].AllClose(got[0], 0) {
-					t.Fatalf("p=%d n=%d: rank %d diverged", p, n, rank)
-				}
-			}
-		}
-	}
-}
-
-// TestOverlapScatterGatherBitIdentical: the nonblocking reduce-scatter
-// and allgather match their blocking counterparts bit for bit,
-// including remainder-bearing shard splits.
-func TestOverlapScatterGatherBitIdentical(t *testing.T) {
-	for _, p := range collectiveWidths {
-		rows, cols := p+2, 3
-		n := rows * cols
-		blockRS := eachRank(t, p, func(c *Comm) *tensor.Tensor {
-			return c.ReduceScatterSum(rankInput(c.Rank(), n).Reshape(rows, cols), 0)
-		})
-		overlapRS := eachRank(t, p, func(c *Comm) *tensor.Tensor {
-			return c.IReduceScatterSum(rankInput(c.Rank(), n).Reshape(rows, cols), 0).Wait()
-		})
-		blockAG := eachRank(t, p, func(c *Comm) *tensor.Tensor {
-			return c.AllGather(rankInput(c.Rank(), 2*(c.Rank()+1)).Reshape(c.Rank()+1, 2), 0)
-		})
-		overlapAG := eachRank(t, p, func(c *Comm) *tensor.Tensor {
-			return c.IAllGather(rankInput(c.Rank(), 2*(c.Rank()+1)).Reshape(c.Rank()+1, 2), 0).Wait()
-		})
-		for rank := 0; rank < p; rank++ {
-			if !overlapRS[rank].AllClose(blockRS[rank], 0) {
-				t.Fatalf("p=%d rank %d: nonblocking reduce-scatter differs", p, rank)
-			}
-			if !overlapAG[rank].AllClose(blockAG[rank], 0) {
-				t.Fatalf("p=%d rank %d: nonblocking allgather differs", p, rank)
-			}
-		}
-	}
-}
-
 // TestOverlapConcurrentOps: several nonblocking collectives in flight
-// on one communicator at once — one per algorithm regime — each land
-// the same bits as the blocking calls issued one at a time.
+// on one communicator at once — one per allReduceSizes entry, both
+// algorithms — each land the same bits as the blocking calls issued
+// one at a time.
 func TestOverlapConcurrentOps(t *testing.T) {
 	const p = 5
 	input := func(rank, j int) *tensor.Tensor {
@@ -148,7 +96,7 @@ func TestOverlapSubCommunicators(t *testing.T) {
 				defer wg.Done()
 				c := w.Comm(rank)
 				group, seg := c.Sub(groupOf(rank)), c.Sub(segOf(rank))
-				a := rankInput(rank, twoTreeSize)
+				a := rankInput(rank, smallSize)
 				b := rankInput(rank+100, ringSize)
 				if overlap {
 					hg, hs := group.IAllReduceSum(a), seg.IAllReduceSum(b)
@@ -196,8 +144,8 @@ func TestOverlapStreamRecycling(t *testing.T) {
 	wg.Wait()
 	entries := 0
 	w.tagged.Range(func(any, any) bool { entries++; return true })
-	// One op in flight at a time: one stream (plus any derived two-tree
-	// stream) over O(p) ring pairs — nowhere near iters×p.
+	// One op in flight at a time: one stream over O(p) ring pairs —
+	// nowhere near iters×p.
 	if entries > 4*p {
 		t.Fatalf("tagged mailbox plane grew to %d entries over %d serial ops (leak)", entries, iters)
 	}
