@@ -21,103 +21,319 @@ func UniformConv(dims, stride, pad int) ConvSpec {
 	return ConvSpec{Stride: s, Pad: p}
 }
 
-// patchFloats bounds one im2row tile ([rows, C·kVol] float64, 16 KiB):
-// the patches stay L1-resident while every filter row streams over them.
-// Measured flat from 8 to 32 KiB; smaller is less to allocate per call.
-const patchFloats = 2048
+// patchFloats bounds one tile of the lowering ([C·kVol, rows] float64,
+// 64 KiB). A tile is as many whole output rows as fit, so a gather or
+// scatter run covers a whole output row; a row of more than patchFloats
+// floats is cut into tiles of a multiple of 8 positions, the GEMM block
+// width. Measured on bench-wide2d's three 3x3 layers (all three kernels,
+// 2-vCPU Xeon): at 32 KiB their 16- and 32-position rows no longer fit,
+// tiles shrink to 8–24 positions and run up to 30 % slower; 96 to
+// 192 KiB measured level with 64 KiB end to end.
+const patchFloats = 8192
 
-// lowering is the per-call im2row plan the three kernels share. A
-// convolution is a GEMM between the weight, already [F, C·kVol]
-// row-major, and the matrix of input patches [outVol, C·kVol]; the
-// patches are materialised one tile of output positions at a time
-// through the window-offset table, so a call's scratch is the table
-// plus one tile whatever the output volume. Nothing here is shared
-// between calls: PE goroutines run the kernels concurrently.
+// lowering is the per-call plan the three kernels share. A convolution
+// is a GEMM between the weight, already [F, C·kVol] row-major, and the
+// matrix of input patches; the patches are materialised one tile of
+// output positions at a time, tap-major: tile[j*rows+r] is tap j (j =
+// ci·kVol + ki, ki row-major over the kernel) of output position m0+r.
+// One tap over one output row is a strided run of one input row, so
+// filling the tile (gather) and adding it back (scatter) are row copies
+// with zero fill where the tap lands in padding, and no table of window
+// offsets is built. A call's scratch is one tile plus room for four
+// filters of packed dy and, for the weight gradient, their step list,
+// whatever the output volume. Nothing here is shared between calls: PE
+// goroutines run the kernels concurrently.
 type lowering struct {
-	off                    []int // windowOffsets of the geometry
 	c, inVol, outVol, kVol int
-	k                      int       // patch row length, c*kVol
-	rows                   int       // output positions per tile
-	patch                  []float64 // [rows, k]
-	packed                 []float64 // [packF/4][k][4], see interleave4
+	k                      int // taps per output position, c*kVol
+	rows                   int // output positions per tile
+	in, out, kd            []int
+	stride, pad            []int
+	tile                   []float64 // [k][rows]
+	pack                   []float64 // [rows][4], see gemmCols
+	steps                  []int     // [rows], see gemmCols
 }
 
-// lower plans a call; packF filters get room for their interleaved
-// weights (the forward's SIMD block), 0 for none. A tile holds a
-// multiple of the block's 8 positions, at least 8, within patchFloats.
-func lower(c int, inDims, outDims, kDims []int, spec ConvSpec, packF int) lowering {
+// unit and origin stand in for the spatial dims of a rank-0 convolution:
+// one position, one tap.
+var unit, origin = []int{1}, []int{0}
+
+// lower plans a call; weights reserves the step list of the weight
+// gradient's gemmCols.
+func lower(c int, inDims, outDims, kDims []int, spec ConvSpec, weights bool) lowering {
+	if len(inDims) == 0 {
+		inDims, outDims, kDims, spec = unit, unit, unit, ConvSpec{Stride: unit, Pad: origin}
+	}
 	lw := lowering{
-		off: windowOffsets(inDims, outDims, kDims, spec.Stride, spec.Pad),
-		c:   c, inVol: Volume(inDims), outVol: Volume(outDims), kVol: Volume(kDims),
+		c: c, inVol: Volume(inDims), outVol: Volume(outDims), kVol: Volume(kDims),
+		in: inDims, out: outDims, kd: kDims, stride: spec.Stride, pad: spec.Pad,
 	}
 	lw.k = c * lw.kVol
-	lw.rows = max(1, min(lw.outVol, max(8, patchFloats/max(1, lw.k)&^7)))
-	scratch := make([]float64, (lw.rows+packF)*lw.k)
-	lw.patch, lw.packed = scratch[:lw.rows*lw.k], scratch[lw.rows*lw.k:]
+	k, w := max(1, lw.k), outDims[len(outDims)-1]
+	if w*k <= patchFloats {
+		lw.rows = patchFloats / (w * k) * w
+	} else {
+		lw.rows = max(8, patchFloats/k&^7)
+	}
+	lw.rows = max(1, min(lw.rows, lw.outVol))
+	scratch := make([]float64, (lw.k+4)*lw.rows)
+	lw.tile, lw.pack = scratch[:lw.k*lw.rows], scratch[lw.k*lw.rows:]
+	if weights {
+		lw.steps = make([]int, lw.rows)
+	}
 	return lw
 }
 
-// interleave4 copies the weight rows w ([F, k]) of every whole block of
-// four filters into lw.packed as [F/4][k][4]: tap i of four filters is
-// one 4-lane load for gemm4x8AVX2.
-func (lw *lowering) interleave4(w []float64) {
-	k := lw.k
-	for fi := 0; fi*k < len(lw.packed); fi += 4 {
-		blk := lw.packed[fi*k : (fi+4)*k]
-		for l := 0; l < 4; l++ {
-			for i, v := range w[(fi+l)*k : (fi+l+1)*k] {
-				blk[4*i+l] = v
-			}
-		}
+// walk moves the tile's output positions [m0, m1) to or from one sample
+// xs ([C, inVol]). gather (scatter false) fills the tile, zero where a
+// tap lands in padding; scatter is its transpose (col2im) and adds the
+// tile into xs. Positions go one output row at a time, and within a row
+// one (tap, channel) run at a time: the run is a strided walk of one
+// input row, a copy when the stride is 1.
+//
+// The taps go in descending row-major order, which keeps every input
+// element's scatter contributions in ascending output-position order:
+// two taps of one output row that reach the same element come from
+// positions in the opposite order to the taps, and rows and tiles are
+// taken in ascending order.
+func (lw *lowering) walk(xs []float64, m0, m1 int, scatter bool) {
+	if lw.k == 0 {
+		return
 	}
-}
-
-// gather fills the tile with the patches of output positions [m0, m1) of
-// one sample xs ([C, inVol]); padding taps read as zero.
-func (lw *lowering) gather(xs []float64, m0, m1 int) {
-	for m := m0; m < m1; m++ {
-		offs := lw.off[m*lw.kVol : (m+1)*lw.kVol]
-		row := lw.patch[(m-m0)*lw.k : (m-m0+1)*lw.k]
-		for ci := 0; ci < lw.c; ci++ {
-			xc := xs[ci*lw.inVol : (ci+1)*lw.inVol]
-			rc := row[ci*lw.kVol : (ci+1)*lw.kVol]
-			for ki, o := range offs {
-				if o >= 0 {
-					rc[ki] = xc[o]
-				} else {
-					rc[ki] = 0
+	last := len(lw.in) - 1
+	wOut, wIn := lw.out[last], lw.in[last]
+	kw, s, p := lw.kd[last], lw.stride[last], lw.pad[last]
+	tile, rows, plane := lw.tile, lw.rows, lw.kVol*lw.rows
+	for m := m0; m < m1; {
+		row, ox0 := m/wOut, m%wOut
+		ox1 := min(wOut, ox0+m1-m)
+		at := m - m0 // tile column of output column ox0
+		for ko := lw.kVol/kw - 1; ko >= 0; ko-- {
+			start, inside := lw.rowStart(row, ko)
+			for t := kw - 1; t >= 0; t-- {
+				// [lo, hi): the output columns whose tap t lands inside
+				// the input row.
+				lo, hi := ox1, ox1
+				if inside {
+					lo, hi = ox0, 0
+					if p > t {
+						lo = max(lo, (p-t+s-1)/s)
+					}
+					if e := wIn - 1 + p - t; e >= 0 {
+						hi = e/s + 1
+					}
+					lo = min(lo, ox1)
+					hi = min(max(hi, lo), ox1)
+				}
+				// Channel 0's run starts at tile offset ti and input
+				// offset xi (of column lo); each channel moves both one
+				// plane on. The run's columns [ox0, lo) and [hi, ox1)
+				// are padding, [lo, hi) are the input row's every s-th
+				// element from xi.
+				ti, xi := (ko*kw+t)*rows+at, start+lo*s-p+t
+				width, l, h, span := ox1-ox0, lo-ox0, hi-ox0, (hi-lo-1)*s+1
+				if scatter && l == h {
+					continue
+				}
+				for ci := 0; ci < lw.c; ci, ti, xi = ci+1, ti+plane, xi+lw.inVol {
+					run := tile[ti : ti+width]
+					if !scatter {
+						clear(run[:l])
+						clear(run[h:])
+						if l == h {
+							continue
+						}
+					}
+					mid, in := run[l:h], xs[xi:xi+span]
+					switch {
+					case scatter && s == 1:
+						addTo(in, mid)
+					case scatter:
+						for i, v := range mid {
+							in[i*s] += v
+						}
+					case s == 1:
+						copy(mid, in)
+					default:
+						for i := range mid {
+							mid[i] = in[i*s]
+						}
+					}
 				}
 			}
 		}
+		m += ox1 - ox0
 	}
 }
 
-// scatter is gather's transpose (col2im): it adds the tile's patch
-// gradients of output positions [m0, m1) into one sample dxs ([C, inVol]).
-func (lw *lowering) scatter(dxs []float64, m0, m1 int) {
-	for m := m0; m < m1; m++ {
-		offs := lw.off[m*lw.kVol : (m+1)*lw.kVol]
-		row := lw.patch[(m-m0)*lw.k : (m-m0+1)*lw.k]
-		for ci := 0; ci < lw.c; ci++ {
-			xc := dxs[ci*lw.inVol : (ci+1)*lw.inVol]
-			rc := row[ci*lw.kVol : (ci+1)*lw.kVol]
-			for ki, o := range offs {
-				if o >= 0 {
-					xc[o] += rc[ki]
-				}
+// rowStart returns the flat input offset of the input row that outer
+// tap ko (row-major over every kernel dim but the last) of output row
+// row (row-major over every output dim but the last) reads, and whether
+// that row exists: false when the tap lands in padding.
+func (lw *lowering) rowStart(row, ko int) (int, bool) {
+	last := len(lw.in) - 1
+	off, scale := 0, lw.in[last]
+	for d := last - 1; d >= 0; d-- {
+		pos := row%lw.out[d]*lw.stride[d] - lw.pad[d] + ko%lw.kd[d]
+		if pos < 0 || pos >= lw.in[d] {
+			return 0, false
+		}
+		off += pos * scale
+		scale *= lw.in[d]
+		row, ko = row/lw.out[d], ko/lw.kd[d]
+	}
+	return off, true
+}
+
+// addTo adds src into dst element by element, four lanes at a time
+// where the CPU has AVX2 (one rounded sum each, on either path).
+func addTo(dst, src []float64) {
+	dst = dst[:len(src)]
+	if useAVX2 {
+		addAVX2(dst, src)
+		return
+	}
+	for i, v := range src {
+		dst[i] += v
+	}
+}
+
+// gemmRows sets, for lanes l < lanes and columns c < cols,
+//
+//	y[l*ys+c] = init[l] + Σ_{i<n} a[i*as+c]·b[l*bl+i*bi]
+//
+// summed in i order, one rounded product and one rounded sum per step; a
+// nil init is all +0. Row i of a is one reduction step shared by every
+// lane, and b holds one scalar per (lane, step). Blocks of 4 lanes × 8
+// columns run gemmRows4x8AVX2 where the CPU has AVX2, the rest the
+// scalar loop below, which sums each output in the same order: the two
+// paths return the same bits.
+func gemmRows(y []float64, ys, lanes, cols int, a []float64, as int, b []float64, bl, bi, n int, init []float64) {
+	l := 0
+	if useAVX2 && n > 0 && cols >= 8 {
+		var blk [4]float64
+		for ; l+4 <= lanes; l += 4 {
+			if init != nil {
+				copy(blk[:], init[l:l+4])
 			}
+			bs := b[l*bl : (l+3)*bl+(n-1)*bi+1]
+			c := 0
+			for ; c+8 <= cols; c += 8 {
+				gemmRows4x8AVX2(y[l*ys+c:(l+3)*ys+c+8], ys, a[c:(n-1)*as+c+8], as, bs, bl, bi, n, &blk)
+			}
+			gemmRowsScalar(y, ys, l, l+4, c, cols, a, as, b, bl, bi, n, init)
+		}
+	}
+	gemmRowsScalar(y, ys, l, lanes, 0, cols, a, as, b, bl, bi, n, init)
+}
+
+// gemmRowsScalar is gemmRows on lanes [l0, l1) and columns [c0, c1),
+// four columns of one lane at a time (see cols4), each block of columns
+// taken by every lane before the next, so the block's 32 bytes of every
+// row of a stay cache-resident.
+func gemmRowsScalar(y []float64, ys, l0, l1, c0, c1 int, a []float64, as int, b []float64, bl, bi, n int, init []float64) {
+	for c := c0; c < c1; c += 4 {
+		w := min(4, c1-c)
+		for l := l0; l < l1; l++ {
+			v := 0.0
+			if init != nil {
+				v = init[l]
+			}
+			acc := [4]float64{v, v, v, v}
+			if n > 0 {
+				acc = cols4(a[c:], as, w, b[l*bl:], bi, n, acc)
+			}
+			copy(y[l*ys+c:l*ys+c+w], acc[:w])
 		}
 	}
 }
 
-// dot4 returns acc[j] + p·w[j*len(p):(j+1)*len(p)] for four consecutive
-// weight rows. The four sums are independent register accumulators, each
-// summed in index order, so one output value depends only on its patch,
-// its filter row and its bias — not on the tile or the filter block it
-// was computed in.
-func dot4(p, w []float64, acc [4]float64) [4]float64 {
+// cols4 returns acc[j] + Σ_{i<n} a[i*as+j]·b[i*bi] for the first w ≤ 4
+// columns j, each summed in i order in its own accumulator.
+func cols4(a []float64, as, w int, b []float64, bi, n int, acc [4]float64) [4]float64 {
+	if w < 4 {
+		for i := 0; i < n; i++ {
+			g := b[i*bi]
+			for j, v := range a[i*as : i*as+w] {
+				acc[j] += v * g
+			}
+		}
+		return acc
+	}
+	s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
+	for i, ai, bk := 0, 0, 0; i < n; i, ai, bk = i+1, ai+as, bk+bi {
+		r, g := a[ai:ai+4], b[bk]
+		s0 += r[0] * g
+		s1 += r[1] * g
+		s2 += r[2] * g
+		s3 += r[3] * g
+	}
+	return [4]float64{s0, s1, s2, s3}
+}
+
+// gemmCols adds, for lanes l < lanes and columns c < cols,
+//
+//	y[l*ys+c] += Σ_{i<n} a[c*as+i]·b[l*bl+i]
+//
+// summed in i order onto y's own value: each output is the dot product
+// of a row of a and a row of b. Lanes go four at a time: the steps at
+// which any of the four b rows is nonzero are packed, in order, into
+// pack ([n][4]) and their indices into steps, and only those steps are
+// summed — blocks of 8 columns in gemmCols4x8AVX2 where the CPU has
+// AVX2, the other columns in the loop below on the same packed steps.
+// A skipped step would add four ±0 products, which leaves a sum that
+// started at +0 unchanged (it is never −0), so for finite a the
+// outputs are the dense sums' bits. The lanes past a multiple of 4 take
+// dot1, dense.
+func gemmCols(y []float64, ys, lanes, cols int, a []float64, as int, b []float64, bl, n int, pack []float64, steps []int) {
+	l := 0
+	for ; l+4 <= lanes; l += 4 {
+		b0, b1, b2, b3 := b[l*bl:l*bl+n], b[(l+1)*bl:(l+1)*bl+n], b[(l+2)*bl:(l+2)*bl+n], b[(l+3)*bl:(l+3)*bl+n]
+		m := 0
+		for i, v := range b0 {
+			if v == 0 && b1[i] == 0 && b2[i] == 0 && b3[i] == 0 {
+				continue
+			}
+			p := pack[4*m : 4*m+4]
+			p[0], p[1], p[2], p[3] = v, b1[i], b2[i], b3[i]
+			steps[m] = i
+			m++
+		}
+		bp, at := pack[:4*m], steps[:m]
+		c := 0
+		if useAVX2 && m > 0 {
+			for ; c+8 <= cols; c += 8 {
+				gemmCols4x8AVX2(y[l*ys+c:(l+3)*ys+c+8], ys, a[c*as:(c+7)*as+n], as, bp, at)
+			}
+		}
+		for ; c < cols; c++ {
+			ac := a[c*as : c*as+n]
+			s0, s1, s2, s3 := y[l*ys+c], y[(l+1)*ys+c], y[(l+2)*ys+c], y[(l+3)*ys+c]
+			for k, i := range at {
+				v, p := ac[i], bp[4*k:4*k+4]
+				s0 += v * p[0]
+				s1 += v * p[1]
+				s2 += v * p[2]
+				s3 += v * p[3]
+			}
+			y[l*ys+c], y[(l+1)*ys+c], y[(l+2)*ys+c], y[(l+3)*ys+c] = s0, s1, s2, s3
+		}
+	}
+	for ; l < lanes; l++ {
+		for c := 0; c < cols; c++ {
+			y[l*ys+c] = dot1(a[c*as:c*as+n], b[l*bl:l*bl+n], y[l*ys+c])
+		}
+	}
+}
+
+// dot4 returns acc[j] + p·w[j*ws:j*ws+len(p)] for four weight rows ws
+// apart. The four sums are independent register accumulators, each
+// summed in index order, so one output value depends only on its input
+// row, its weight row and its accumulator — not on the block it was
+// computed in.
+func dot4(p, w []float64, ws int, acc [4]float64) [4]float64 {
 	k := len(p)
-	w0, w1, w2, w3 := w[:k], w[k:2*k], w[2*k:3*k], w[3*k:4*k]
+	w0, w1, w2, w3 := w[:k], w[ws:ws+k], w[2*ws:2*ws+k], w[3*ws:3*ws+k]
 	w1, w2, w3 = w1[:k], w2[:k], w3[:k] // proves len == len(p): no bounds checks below
 	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
 	for i, v := range p {
@@ -138,21 +354,8 @@ func dot1(p, w []float64, acc float64) float64 {
 	return acc
 }
 
-// axpy computes dst += a*src, each element one rounded product and one
-// rounded sum, four lanes at a time where the CPU has AVX2.
-func axpy(dst []float64, a float64, src []float64) {
-	src = src[:len(dst)]
-	if useAVX2 {
-		axpyAVX2(dst, a, src)
-		return
-	}
-	for i, v := range src {
-		dst[i] += a * v
-	}
-}
-
-// ConvForward computes a convolution, lowered to im2row + GEMM (see
-// lowering).
+// ConvForward computes a convolution, lowered to a tap-major patch tile
+// and a GEMM (see lowering).
 //
 //	x: [N, C, in...]   w: [F, C, k...]   b: [F] or nil
 //
@@ -180,50 +383,19 @@ func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 		shape[2+i] = ConvOutSize(inDims[i], kDims[i], spec.Stride[i], spec.Pad[i])
 	}
 	y := New(shape...)
-	packF := 0
-	if useAVX2 {
-		packF = f &^ 3
+	lw := lower(c, inDims, shape[2:], kDims, spec, false)
+	var bias []float64
+	if b != nil {
+		bias = b.data
 	}
-	lw := lower(c, inDims, shape[2:], kDims, spec, packF)
-	lw.interleave4(w.data)
-	k, outVol := lw.k, lw.outVol
-
-	var bias [4]float64
 	for ni := 0; ni < n; ni++ {
 		xs := x.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
-		ys := y.data[ni*f*outVol : (ni+1)*f*outVol]
-		for m0 := 0; m0 < outVol; m0 += lw.rows {
-			m1 := min(m0+lw.rows, outVol)
-			lw.gather(xs, m0, m1)
-			fi := 0
-			for ; fi+4 <= f; fi += 4 {
-				if b != nil {
-					copy(bias[:], b.data[fi:fi+4])
-				}
-				m := m0
-				if len(lw.packed) > 0 { // AVX2: blocks of 8 positions; the rest take dot4 below
-					wp := lw.packed[fi*k : (fi+4)*k]
-					for ; m+8 <= m1; m += 8 {
-						gemm4x8AVX2(ys[fi*outVol+m:(fi+3)*outVol+m+8], outVol, lw.patch[(m-m0)*k:(m-m0+8)*k], wp, &bias)
-					}
-				}
-				wf := w.data[fi*k : (fi+4)*k]
-				y0, y1, y2, y3 := ys[fi*outVol:], ys[(fi+1)*outVol:], ys[(fi+2)*outVol:], ys[(fi+3)*outVol:]
-				for ; m < m1; m++ {
-					a := dot4(lw.patch[(m-m0)*k:(m-m0+1)*k], wf, bias)
-					y0[m], y1[m], y2[m], y3[m] = a[0], a[1], a[2], a[3]
-				}
-			}
-			for ; fi < f; fi++ { // filter-block tail
-				bf := 0.0
-				if b != nil {
-					bf = b.data[fi]
-				}
-				wf := w.data[fi*k : (fi+1)*k]
-				for m := m0; m < m1; m++ {
-					ys[fi*outVol+m] = dot1(lw.patch[(m-m0)*k:(m-m0+1)*k], wf, bf)
-				}
-			}
+		ys := y.data[ni*f*lw.outVol : (ni+1)*f*lw.outVol]
+		for m0 := 0; m0 < lw.outVol; m0 += lw.rows {
+			m1 := min(m0+lw.rows, lw.outVol)
+			lw.walk(xs, m0, m1, false)
+			// Lanes are filters, columns positions, steps taps.
+			gemmRows(ys[m0:], lw.outVol, f, m1-m0, lw.tile, lw.rows, w.data, lw.k, 1, lw.k, bias)
 		}
 	}
 	return y
@@ -231,10 +403,15 @@ func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 
 // ConvBackwardData computes the gradient of the loss with respect to the
 // convolution input: dx = BW_data(dy, w). dy is [N, F, out...] and the
-// result matches the forward input shape inShape ([N, C, in...]). Patch
-// gradients are accumulated filter by filter (zero dy entries, the bulk
-// of a post-ReLU/pool gradient, are skipped) and then scattered in
-// output-position order.
+// result matches the forward input shape inShape ([N, C, in...]). Each
+// patch gradient sums its filters' products in filter order from +0,
+// and the patches are scattered in output-position order.
+//
+// The sum is dense: a zero dy entry adds a ±0 product, which leaves a
+// sum that starts at +0 unchanged (such a sum is never −0), so finite
+// operands give the bits of a loop that skips zero dy. An Inf or NaN
+// weight meeting a zero dy yields NaN (0·Inf) where such a loop would
+// not.
 func ConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
 	n, f, outDims := splitActShape(dy)
 	wf, c, kDims := splitWeightShape(w)
@@ -249,24 +426,16 @@ func ConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
 	checkOutDims(outDims, inDims, kDims, spec)
 
 	dx := New(inShape...)
-	lw := lower(c, inDims, outDims, kDims, spec, 0)
-	k, outVol := lw.k, lw.outVol
-
+	lw := lower(c, inDims, outDims, kDims, spec, false)
+	outVol := lw.outVol
 	for ni := 0; ni < n; ni++ {
 		dys := dy.data[ni*f*outVol : (ni+1)*f*outVol]
 		dxs := dx.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
 		for m0 := 0; m0 < outVol; m0 += lw.rows {
 			m1 := min(m0+lw.rows, outVol)
-			clear(lw.patch[:(m1-m0)*k])
-			for fi := 0; fi < f; fi++ {
-				wrow := w.data[fi*k : (fi+1)*k]
-				for r, g := range dys[fi*outVol+m0 : fi*outVol+m1] {
-					if g != 0 {
-						axpy(lw.patch[r*k:(r+1)*k], g, wrow)
-					}
-				}
-			}
-			lw.scatter(dxs, m0, m1)
+			// Lanes are taps, columns positions, steps filters.
+			gemmRows(lw.tile, lw.rows, lw.k, m1-m0, dys[m0:], outVol, w.data, 1, lw.k, f, nil)
+			lw.walk(dxs, m0, m1, true)
 		}
 	}
 	return dx
@@ -284,8 +453,14 @@ func ConvBackwardWeight(dy, x *Tensor, wShape []int, spec ConvSpec) (dw, db *Ten
 
 // ConvBackwardWeightInto is ConvBackwardWeight writing into the caller's
 // dw ([F, C, k...], which also names the kernel extent) and db ([F]),
-// overwriting whatever they held. Every dw and db element accumulates
-// its nonzero dy contributions in (sample, output position) order.
+// overwriting whatever they held. Every dw and db element sums its dy
+// contributions from +0 in (sample, output position) order. The dw
+// GEMM skips an output position for a block of four filters only when
+// all four dy there are zero (see gemmCols) and db sums densely; a
+// zero dy adds ±0 to a sum that starts at +0, so finite operands give
+// the bits of a loop that skips every zero dy. An Inf or NaN input
+// meeting a zero dy yields NaN where a filter of the same block has a
+// nonzero dy at that position, or the filter is one of the last F mod 4.
 func ConvBackwardWeightInto(dw, db, dy, x *Tensor, spec ConvSpec) {
 	n, f, outDims := splitActShape(dy)
 	xn, c, inDims := splitActShape(x)
@@ -305,24 +480,22 @@ func ConvBackwardWeightInto(dw, db, dy, x *Tensor, spec ConvSpec) {
 
 	clear(dw.data)
 	clear(db.data)
-	lw := lower(c, inDims, outDims, kDims, spec, 0)
-	k, outVol := lw.k, lw.outVol
-
+	lw := lower(c, inDims, outDims, kDims, spec, true)
+	outVol := lw.outVol
 	for ni := 0; ni < n; ni++ {
 		xs := x.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
 		dys := dy.data[ni*f*outVol : (ni+1)*f*outVol]
+		for fi, acc := range db.data {
+			for _, g := range dys[fi*outVol : (fi+1)*outVol] {
+				acc += g
+			}
+			db.data[fi] = acc
+		}
 		for m0 := 0; m0 < outVol; m0 += lw.rows {
 			m1 := min(m0+lw.rows, outVol)
-			lw.gather(xs, m0, m1)
-			for fi := 0; fi < f; fi++ {
-				dwrow := dw.data[fi*k : (fi+1)*k]
-				for r, g := range dys[fi*outVol+m0 : fi*outVol+m1] {
-					if g != 0 {
-						db.data[fi] += g
-						axpy(dwrow, g, lw.patch[r*k:(r+1)*k])
-					}
-				}
-			}
+			lw.walk(xs, m0, m1, false)
+			// Lanes are filters, columns taps, steps positions.
+			gemmCols(dw.data, lw.k, f, lw.k, lw.tile, lw.rows, dys[m0:], outVol, m1-m0, lw.pack, lw.steps)
 		}
 	}
 }

@@ -201,10 +201,72 @@ func computeStrides(shape []int) []int {
 	return strides
 }
 
-// scalarConvForward is ConvForward as it ran before the SIMD block: the
-// whole tile through dot4, the filter tail through dot1. ConvForward
-// must reproduce its bits on either path.
-func scalarConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
+// posMajor is the position-major im2row lowering the tap-major tile
+// replaced, kept whole so the three pos* kernels below are the
+// production kernels as they were: patch[r*k+j] is tap j of output
+// position m0+r, filled through the window-offset table, in tiles of a
+// multiple of 8 positions within 2048 floats. The production kernels
+// must reproduce their bits on either SIMD path.
+type posMajor struct {
+	off                    []int
+	c, inVol, outVol, kVol int
+	k, rows                int
+	patch                  []float64
+}
+
+func newPosMajor(c int, inDims, outDims, kDims []int, spec ConvSpec) posMajor {
+	lw := posMajor{
+		off: windowOffsets(inDims, outDims, kDims, spec.Stride, spec.Pad),
+		c:   c, inVol: Volume(inDims), outVol: Volume(outDims), kVol: Volume(kDims),
+	}
+	lw.k = c * lw.kVol
+	lw.rows = max(1, min(lw.outVol, max(8, 2048/max(1, lw.k)&^7)))
+	lw.patch = make([]float64, lw.rows*lw.k)
+	return lw
+}
+
+func (lw *posMajor) gather(xs []float64, m0, m1 int) {
+	for m := m0; m < m1; m++ {
+		offs := lw.off[m*lw.kVol : (m+1)*lw.kVol]
+		row := lw.patch[(m-m0)*lw.k : (m-m0+1)*lw.k]
+		for ci := 0; ci < lw.c; ci++ {
+			xc := xs[ci*lw.inVol : (ci+1)*lw.inVol]
+			for ki, o := range offs {
+				if o >= 0 {
+					row[ci*lw.kVol+ki] = xc[o]
+				} else {
+					row[ci*lw.kVol+ki] = 0
+				}
+			}
+		}
+	}
+}
+
+func (lw *posMajor) scatter(dxs []float64, m0, m1 int) {
+	for m := m0; m < m1; m++ {
+		offs := lw.off[m*lw.kVol : (m+1)*lw.kVol]
+		row := lw.patch[(m-m0)*lw.k : (m-m0+1)*lw.k]
+		for ci := 0; ci < lw.c; ci++ {
+			xc := dxs[ci*lw.inVol : (ci+1)*lw.inVol]
+			for ki, o := range offs {
+				if o >= 0 {
+					xc[o] += row[ci*lw.kVol+ki]
+				}
+			}
+		}
+	}
+}
+
+// posAxpy is dst += a*src, one rounded product and one rounded sum each.
+func posAxpy(dst []float64, a float64, src []float64) {
+	for i, v := range src[:len(dst)] {
+		dst[i] += a * v
+	}
+}
+
+// posConvForward: each output is dot4 (dot1 for the filter tail) of its
+// patch row and filter row, from the bias.
+func posConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 	n, c, inDims := splitActShape(x)
 	f, _, kDims := splitWeightShape(w)
 	shape := []int{n, f}
@@ -212,7 +274,7 @@ func scalarConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 		shape = append(shape, ConvOutSize(inDims[i], kDims[i], spec.Stride[i], spec.Pad[i]))
 	}
 	y := New(shape...)
-	lw := lower(c, inDims, shape[2:], kDims, spec, 0)
+	lw := newPosMajor(c, inDims, shape[2:], kDims, spec)
 	k, outVol := lw.k, lw.outVol
 
 	var bias [4]float64
@@ -229,7 +291,7 @@ func scalarConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 				}
 				wf := w.data[fi*k : (fi+4)*k]
 				for m := m0; m < m1; m++ {
-					a := dot4(lw.patch[(m-m0)*k:(m-m0+1)*k], wf, bias)
+					a := dot4(lw.patch[(m-m0)*k:(m-m0+1)*k], wf, k, bias)
 					for l := range a {
 						ys[(fi+l)*outVol+m] = a[l]
 					}
@@ -247,4 +309,63 @@ func scalarConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 		}
 	}
 	return y
+}
+
+// posConvBackwardData: each patch row sums g·w over the filters whose dy
+// entry g is nonzero, from +0, and the tile is scattered position by
+// position.
+func posConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
+	n, f, outDims := splitActShape(dy)
+	_, c, kDims := splitWeightShape(w)
+	dx := New(inShape...)
+	lw := newPosMajor(c, inShape[2:], outDims, kDims, spec)
+	k, outVol := lw.k, lw.outVol
+
+	for ni := 0; ni < n; ni++ {
+		dys := dy.data[ni*f*outVol : (ni+1)*f*outVol]
+		dxs := dx.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
+		for m0 := 0; m0 < outVol; m0 += lw.rows {
+			m1 := min(m0+lw.rows, outVol)
+			clear(lw.patch[:(m1-m0)*k])
+			for fi := 0; fi < f; fi++ {
+				wrow := w.data[fi*k : (fi+1)*k]
+				for r, g := range dys[fi*outVol+m0 : fi*outVol+m1] {
+					if g != 0 {
+						posAxpy(lw.patch[r*k:(r+1)*k], g, wrow)
+					}
+				}
+			}
+			lw.scatter(dxs, m0, m1)
+		}
+	}
+	return dx
+}
+
+// posConvBackwardWeight: every dw and db element sums its nonzero dy
+// contributions from +0 in (sample, output position) order.
+func posConvBackwardWeight(dy, x *Tensor, wShape []int, spec ConvSpec) (dw, db *Tensor) {
+	n, f, outDims := splitActShape(dy)
+	_, c, inDims := splitActShape(x)
+	dw, db = New(wShape...), New(f)
+	lw := newPosMajor(c, inDims, outDims, wShape[2:], spec)
+	k, outVol := lw.k, lw.outVol
+
+	for ni := 0; ni < n; ni++ {
+		xs := x.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
+		dys := dy.data[ni*f*outVol : (ni+1)*f*outVol]
+		for m0 := 0; m0 < outVol; m0 += lw.rows {
+			m1 := min(m0+lw.rows, outVol)
+			lw.gather(xs, m0, m1)
+			for fi := 0; fi < f; fi++ {
+				dwrow := dw.data[fi*k : (fi+1)*k]
+				for r, g := range dys[fi*outVol+m0 : fi*outVol+m1] {
+					if g != 0 {
+						db.data[fi] += g
+						posAxpy(dwrow, g, lw.patch[r*k:(r+1)*k])
+					}
+				}
+			}
+		}
+	}
+	return dw, db
 }

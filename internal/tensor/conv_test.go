@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -267,14 +268,41 @@ func randomConvGeom(rng *rand.Rand) convGeom {
 	return g
 }
 
-// checkConvAgainstReference runs all three kernels on geometry g, with
-// dy at the given density (1 dense, 0 all zero) and the bias present or
-// nil, once on the SIMD path and once forced onto the scalar loops. The
-// two must agree bit for bit, the forward must be scalarConvForward's
-// bits, and all of it must match the direct-loop reference.
-// ConvBackwardWeightInto writes into NaN-filled destinations, so an
-// element it fails to overwrite fails the comparison.
-func checkConvAgainstReference(t *testing.T, rng *rand.Rand, g convGeom, density float64, withBias bool) {
+// dyKinds are the upstream gradients the differential suite feeds the
+// backward kernels. The kernels sum densely while the position-major
+// kernels skipped zero dy, so the zeros are the edge cases: "sparse"
+// keeps a quarter of the entries (a post-ReLU/pool gradient), "zero"
+// none, and "holes" clears the first sample, the first output row of
+// every (sample, filter) plane, and an eighth of the rest. Every zero is
+// +0 or -0 at random.
+var dyKinds = []string{"dense", "sparse", "zero", "holes"}
+
+func makeDy(rng *rand.Rand, shape []int, kind string) *Tensor {
+	dy := New(shape...).RandN(rng, 1)
+	sample, row := Volume(shape[1:]), shape[len(shape)-1]
+	plane := Volume(shape[2:])
+	for i := range dy.data {
+		switch {
+		case kind == "sparse" && rng.Intn(4) != 0,
+			kind == "zero",
+			kind == "holes" && (i < sample || i%plane < row || rng.Intn(8) == 0):
+			dy.data[i] = 0
+			if rng.Intn(2) == 0 {
+				dy.data[i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	return dy
+}
+
+// checkConvAgainstReference runs all three kernels on geometry g, with a
+// dy of the given kind and the bias present or nil, once on the SIMD
+// path and once forced onto the scalar loops. Both must return the bits
+// of the position-major kernels (conv_ref_test.go), and all of it must
+// match the direct-loop reference. ConvBackwardWeightInto writes into
+// NaN-filled destinations, so an element it fails to overwrite fails the
+// comparison.
+func checkConvAgainstReference(t *testing.T, rng *rand.Rand, g convGeom, dyKind string, withBias bool) {
 	t.Helper()
 	const tol = 1e-12
 	x := New(append([]int{g.n, g.c}, g.in...)...).RandN(rng, 1)
@@ -285,12 +313,7 @@ func checkConvAgainstReference(t *testing.T, rng *rand.Rand, g convGeom, density
 	}
 	spec := g.spec()
 	yRef := refConvForward(x, w, b, spec)
-	dy := New(yRef.Shape()...).RandN(rng, 1)
-	for i := range dy.data {
-		if rng.Float64() >= density {
-			dy.data[i] = 0
-		}
-	}
+	dy := makeDy(rng, yRef.Shape(), dyKind)
 	type convResult struct{ y, dx, dw, db *Tensor }
 	run := func() convResult {
 		r := convResult{y: ConvForward(x, w, b, spec), dx: ConvBackwardData(dy, w, x.Shape(), spec)}
@@ -302,12 +325,18 @@ func checkConvAgainstReference(t *testing.T, rng *rand.Rand, g convGeom, density
 	restore := setSIMD(false)
 	scalar := run()
 	restore()
-	what := fmt.Sprintf("%+v density=%v bias=%v", g, density, withBias)
-	assertSameBits(t, what+" SIMD y", simd.y, scalar.y)
-	assertSameBits(t, what+" SIMD dx", simd.dx, scalar.dx)
-	assertSameBits(t, what+" SIMD dw", simd.dw, scalar.dw)
-	assertSameBits(t, what+" SIMD db", simd.db, scalar.db)
-	assertSameBits(t, what+" y", scalar.y, scalarConvForward(x, w, b, spec))
+	pos := convResult{y: posConvForward(x, w, b, spec), dx: posConvBackwardData(dy, w, x.Shape(), spec)}
+	pos.dw, pos.db = posConvBackwardWeight(dy, x, w.Shape(), spec)
+	what := fmt.Sprintf("%+v dy=%s bias=%v", g, dyKind, withBias)
+	for _, path := range []struct {
+		name string
+		r    convResult
+	}{{"SIMD", simd}, {"scalar", scalar}} {
+		assertSameBits(t, what+" "+path.name+" y", path.r.y, pos.y)
+		assertSameBits(t, what+" "+path.name+" dx", path.r.dx, pos.dx)
+		assertSameBits(t, what+" "+path.name+" dw", path.r.dw, pos.dw)
+		assertSameBits(t, what+" "+path.name+" db", path.r.db, pos.db)
+	}
 
 	if !scalar.y.AllClose(yRef, tol) {
 		t.Fatalf("%s: forward differs from reference (shape %v vs %v, max diff %g)",
@@ -325,15 +354,16 @@ func checkConvAgainstReference(t *testing.T, rng *rand.Rand, g convGeom, density
 
 func TestConvMatchesReferenceRandomGeometries(t *testing.T) {
 	rng := rand.New(rand.NewSource(2021))
-	densities := []float64{1, 0.25, 0}
 	for trial := 0; trial < 300; trial++ {
-		checkConvAgainstReference(t, rng, randomConvGeom(rng), densities[trial%3], trial%2 == 0)
+		checkConvAgainstReference(t, rng, randomConvGeom(rng), dyKinds[trial%len(dyKinds)], trial%2 == 0)
 	}
 }
 
-// The SIMD forward takes blocks of 4 filters x 8 tile positions and
-// leaves the rest to dot4/dot1, so the edge cases walk both remainders:
-// F in {1, 3, 4, 5, 8, 33} and tiles of 1, 7, 8, 9 and 17 positions.
+// The SIMD GEMMs take blocks of 4 lanes x 8 columns and leave the rest
+// to the scalar loops, so the edge cases walk every remainder: F in
+// {1, 3, 4, 5, 8, 33}, tap counts off a multiple of 4 and 8, and tiles
+// of 1, 7, 8, 9 and 17 positions; and the tile's own edges: output rows
+// cut across tiles, strided and padded runs, 3-D rows.
 func TestConvMatchesReferenceEdgeGeometries(t *testing.T) {
 	rng := rand.New(rand.NewSource(2022))
 	cases := []struct {
@@ -344,16 +374,24 @@ func TestConvMatchesReferenceEdgeGeometries(t *testing.T) {
 		{"1x1 kernel strided", convGeom{n: 1, c: 2, f: 4, in: []int{5, 5}, k: []int{1, 1}, stride: []int{2, 2}, pad: []int{0, 0}}},
 		{"kernel == input (FC)", convGeom{n: 3, c: 2, f: 3, in: []int{3, 4}, k: []int{3, 4}, stride: []int{1, 1}, pad: []int{0, 0}}},
 		{"single channel/filter", convGeom{n: 1, c: 1, f: 1, in: []int{6}, k: []int{3}, stride: []int{1}, pad: []int{2}}},
+		{"rank 0", convGeom{n: 3, c: 5, f: 9, in: []int{}, k: []int{}, stride: []int{}, pad: []int{}}},
 		{"non-uniform 3-D", convGeom{n: 1, c: 2, f: 5, in: []int{5, 3, 4}, k: []int{3, 1, 2}, stride: []int{2, 1, 3}, pad: []int{2, 0, 1}}},
+		{"3-D strided, 8 filters", convGeom{n: 2, c: 3, f: 8, in: []int{7, 9, 10}, k: []int{3, 3, 3}, stride: []int{2, 2, 2}, pad: []int{1, 1, 1}}},
 		{"window wider than input", convGeom{n: 1, c: 1, f: 3, in: []int{1, 2}, k: []int{3, 3}, stride: []int{1, 2}, pad: []int{1, 2}}},
-		// 25 output rows of 200 floats against a 2048-float tile: three
-		// full tiles of eight rows and a last one of one.
-		{"several tiles", convGeom{n: 2, c: 8, f: 6, in: []int{9, 9}, k: []int{5, 5}, stride: []int{1, 1}, pad: []int{0, 0}}},
-		// 1000 floats per patch row: one tile of three rows.
+		// 25 output positions of 200 taps: one tile of five whole rows.
+		{"several rows", convGeom{n: 2, c: 8, f: 6, in: []int{9, 9}, k: []int{5, 5}, stride: []int{1, 1}, pad: []int{0, 0}}},
+		// 1000 taps: one 3-position row, one tile.
 		{"patch row near tile size", convGeom{n: 1, c: 10, f: 4, in: []int{10, 12}, k: []int{10, 10}, stride: []int{1, 1}, pad: []int{0, 0}}},
 		{"patch row beyond tile", convGeom{n: 1, c: 50, f: 2, in: []int{10, 10}, k: []int{10, 10}, stride: []int{1, 1}, pad: []int{1, 1}}},
-		// 2450 floats per patch row, beyond the budget: tiles of 8, 8, 4.
+		// 2450 taps and 5-position rows, beyond the budget: tiles of 8, 8
+		// and 4 positions, cut across rows.
 		{"patch row beyond tile, F=8", convGeom{n: 1, c: 50, f: 8, in: []int{4, 5}, k: []int{7, 7}, stride: []int{1, 1}, pad: []int{3, 3}}},
+		// 5000 taps: one output row of 30 cut into tiles of 8, 8, 8, 6.
+		{"row cut across tiles", convGeom{n: 1, c: 200, f: 5, in: []int{5, 32}, k: []int{5, 5}, stride: []int{1, 1}, pad: []int{0, 1}}},
+		// 8200 taps, more than patchFloats for one position: tiles of 8
+		// and 6 positions across 7-position rows, padded columns included.
+		{"taps beyond tile budget", convGeom{n: 1, c: 8200, f: 5, in: []int{2, 11}, k: []int{1, 1}, stride: []int{1, 2}, pad: []int{0, 1}}},
+		{"row cut across tiles, strided", convGeom{n: 1, c: 100, f: 4, in: []int{3, 40}, k: []int{3, 9}, stride: []int{1, 2}, pad: []int{1, 4}}},
 		{"tile of 1, F=33", convGeom{n: 2, c: 3, f: 33, in: []int{3, 3}, k: []int{3, 3}, stride: []int{1, 1}, pad: []int{0, 0}}},
 		{"tile of 7, F=4", convGeom{n: 2, c: 2, f: 4, in: []int{7}, k: []int{1}, stride: []int{1}, pad: []int{0}}},
 		{"tile of 8, k=1, F=8", convGeom{n: 2, c: 1, f: 8, in: []int{2, 4}, k: []int{1, 1}, stride: []int{1, 1}, pad: []int{0, 0}}},
@@ -362,10 +400,10 @@ func TestConvMatchesReferenceEdgeGeometries(t *testing.T) {
 		{"tile of 17, k=1, F=1", convGeom{n: 1, c: 1, f: 1, in: []int{17}, k: []int{1}, stride: []int{1}, pad: []int{0}}},
 	}
 	for _, c := range cases {
-		for _, density := range []float64{1, 0.25, 0} {
+		for _, kind := range dyKinds {
 			for _, withBias := range []bool{true, false} {
-				t.Run(fmt.Sprintf("%s/density=%v/bias=%v", c.name, density, withBias), func(t *testing.T) {
-					checkConvAgainstReference(t, rng, c.g, density, withBias)
+				t.Run(fmt.Sprintf("%s/dy=%s/bias=%v", c.name, kind, withBias), func(t *testing.T) {
+					checkConvAgainstReference(t, rng, c.g, kind, withBias)
 				})
 			}
 		}
@@ -395,11 +433,12 @@ func TestConvBackwardShapeMismatchPanics(t *testing.T) {
 	}
 }
 
-// The lowering's scratch is the window table and one patch tile, so a
-// call's heap objects do not grow with the output volume (the direct
-// loops allocated one coordinate slice per output position).
+// A call allocates its result tensor and the lowering's scratch (the
+// patch tile with room for packed dy, and the weight gradient's step
+// list), so its heap objects do not grow with the output volume: the
+// direct loops allocated one coordinate slice per output position, and
+// the position-major lowering a window-offset table of outVol × kVol.
 func TestConvAllocsIndependentOfOutputVolume(t *testing.T) {
-	const ceiling = 8
 	// The process's first GC cycle starts the mark workers, whose
 	// goroutines are heap objects; run it before counting.
 	runtime.GC()
@@ -410,21 +449,25 @@ func TestConvAllocsIndependentOfOutputVolume(t *testing.T) {
 		x := New(2, 3, side, side).RandN(rng, 1)
 		dy := ConvForward(x, w, nil, spec)
 		xShape, wShape := x.Shape(), w.Shape()
-		for name, op := range map[string]func(){
-			"ConvForward":        func() { ConvForward(x, w, nil, spec) },
-			"ConvBackwardData":   func() { ConvBackwardData(dy, w, xShape, spec) },
-			"ConvBackwardWeight": func() { ConvBackwardWeight(dy, x, wShape, spec) },
+		for name, op := range map[string]struct {
+			ceiling float64
+			call    func()
+		}{
+			"ConvForward":        {5, func() { ConvForward(x, w, nil, spec) }},
+			"ConvBackwardData":   {4, func() { ConvBackwardData(dy, w, xShape, spec) }},
+			"ConvBackwardWeight": {8, func() { ConvBackwardWeight(dy, x, wShape, spec) }},
 		} {
-			if got := testing.AllocsPerRun(5, op); got > ceiling {
-				t.Errorf("%s on %dx%d: %v allocs per call, ceiling %d", name, side, side, got, ceiling)
+			if got := testing.AllocsPerRun(5, op.call); got > op.ceiling {
+				t.Errorf("%s on %dx%d: %v allocs per call, ceiling %v", name, side, side, got, op.ceiling)
 			}
 		}
 	}
 }
 
 // PE goroutines run the kernels concurrently on shared, read-only
-// operands; a call's window table and patch tile are its own, so every
-// goroutine must get the bits a lone call gets (run under -race in CI).
+// operands; a conv call's patch tile and a pool call's window table are
+// its own, so every goroutine must get the bits a lone call gets (run
+// under -race in CI).
 func TestConvPoolConcurrentCallsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := New(2, 3, 9, 9).RandN(rng, 1)

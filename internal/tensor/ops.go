@@ -52,7 +52,7 @@ func FCForward(x, w, b *Tensor) *Tensor {
 	for ; oi+4 <= out; oi += 4 {
 		wRows := w.data[oi*in : (oi+4)*in]
 		for ni := 0; ni < n; ni++ {
-			acc := dot4(x.data[ni*in:(ni+1)*in], wRows, [4]float64{})
+			acc := dot4(x.data[ni*in:(ni+1)*in], wRows, in, [4]float64{})
 			copy(y.data[ni*out+oi:], acc[:])
 		}
 	}

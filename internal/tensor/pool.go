@@ -98,20 +98,33 @@ func PoolForward(x *Tensor, spec PoolSpec) (y *Tensor, argmax []int) {
 	return y, argmax
 }
 
-// PoolBackward propagates dy through the pooling layer. For MaxPool the
-// argmax returned by PoolForward must be supplied.
+// PoolBackward propagates dy through the pooling layer. dy's spatial
+// dims must be the pooling output of inShape's, and for MaxPool the
+// argmax PoolForward returned for it must be supplied.
 func PoolBackward(dy *Tensor, inShape []int, spec PoolSpec, argmax []int) *Tensor {
 	n, c, outDims := splitActShape(dy)
 	if len(inShape) != 2+len(outDims) || inShape[0] != n || inShape[1] != c {
 		panic(fmt.Sprintf("tensor: pool bwd input shape %v inconsistent with dy %v", inShape, dy.Shape()))
 	}
 	inDims := inShape[2:]
+	dims := len(inDims)
+	if len(spec.Window) != dims || len(spec.Stride) != dims || len(spec.Pad) != dims {
+		panic(fmt.Sprintf("tensor: pool spec rank mismatch with spatial rank %d", dims))
+	}
+	for i := range inDims {
+		if outDims[i] != PoolOutSize(inDims[i], spec.Window[i], spec.Stride[i], spec.Pad[i]) {
+			panic(fmt.Sprintf("tensor: pool bwd dy spatial dims %v are not the output of input dims %v under window %v, stride %v, pad %v", outDims, inDims, spec.Window, spec.Stride, spec.Pad))
+		}
+	}
 	dx := New(inShape...)
 	inVol, outVol, winVol := Volume(inDims), Volume(outDims), Volume(spec.Window)
 
 	var off []int
 	switch spec.Kind {
 	case MaxPool:
+		if len(argmax) != n*c*outVol {
+			panic(fmt.Sprintf("tensor: pool bwd argmax has %d entries, dy %v needs %d", len(argmax), dy.Shape(), n*c*outVol))
+		}
 	case AvgPool:
 		off = windowOffsets(inDims, outDims, spec.Window, spec.Stride, spec.Pad)
 	default:

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -187,5 +188,47 @@ func TestPoolBitIdenticalToReference(t *testing.T) {
 		if !reflect.DeepEqual(dx.data, dxRef.data) {
 			t.Fatalf("%+v on %v: backward differs from reference", spec, shape)
 		}
+	}
+}
+
+// A dy whose spatial dims are not the pooling output of the input used
+// to be accepted: AvgPool skipped the positions out of range, and MaxPool
+// read a smaller dy's argmax misaligned. A short argmax died on a bare
+// index. Each is now the kernel's own panic.
+func TestPoolBackwardShapeMismatchPanics(t *testing.T) {
+	x := New(2, 3, 6, 6)
+	inShape := x.Shape()
+	wantPanic := func(t *testing.T, call func()) {
+		t.Helper()
+		defer func() {
+			if msg, ok := recover().(string); !ok || !strings.HasPrefix(msg, "tensor: ") {
+				t.Fatalf("want the kernel's shape-mismatch panic, got %v", msg)
+			}
+		}()
+		call()
+	}
+	for _, kind := range []PoolKind{MaxPool, AvgPool} {
+		spec := UniformPool(kind, 2, 2, 2, 0) // output is 3x3
+		_, argmax := PoolForward(x, spec)
+		for name, dyShape := range map[string][]int{
+			"too small": {2, 3, 2, 3},
+			"too large": {2, 3, 3, 4},
+			"rank":      {2, 3, 9},
+		} {
+			dy := New(dyShape...)
+			t.Run(fmt.Sprintf("kind=%d/%s", kind, name), func(t *testing.T) {
+				wantPanic(t, func() { PoolBackward(dy, inShape, spec, argmax) })
+			})
+		}
+		t.Run(fmt.Sprintf("kind=%d/spec rank", kind), func(t *testing.T) {
+			wantPanic(t, func() { PoolBackward(New(2, 3, 3, 3), inShape, UniformPool(kind, 3, 2, 2, 0), argmax) })
+		})
+	}
+	_, argmax := PoolForward(x, UniformPool(MaxPool, 2, 2, 2, 0))
+	dy := New(2, 3, 3, 3)
+	for name, arg := range map[string][]int{"short argmax": argmax[:len(argmax)-1], "nil argmax": nil} {
+		t.Run(name, func(t *testing.T) {
+			wantPanic(t, func() { PoolBackward(dy, inShape, UniformPool(MaxPool, 2, 2, 2, 0), arg) })
+		})
 	}
 }

@@ -32,17 +32,29 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (xcr0 uint32)
 
-// gemm4x8AVX2 sets y[l*ys+j] = bias[l] + Σ_i p[j*k+i]·w[4i+l] for four
-// filters l and eight output positions j, k = len(w)/4: p is eight rows
-// of the row-major patch tile and w the four filters' weights
-// interleaved tap by tap (see interleave4). Each lane sums in tap order,
-// as dot4 does, so the outputs are dot4's bits.
+// gemmRows4x8AVX2 is one 4-lane × 8-column block of gemmRows: it sets
+// y[l*ys+c] = init[l] + Σ_{i<n} a[i*as+c]·b[l*bl+i*bi] for l < 4 and
+// c < 8. Per step it loads row i of a as two 4-column vectors and
+// broadcasts each lane's scalar of b. Each output sums in i order, as
+// gemmRowsScalar does, so the outputs are its bits. The slices must
+// cover every element the block touches.
 //
 //go:noescape
-func gemm4x8AVX2(y []float64, ys int, p, w []float64, bias *[4]float64)
+func gemmRows4x8AVX2(y []float64, ys int, a []float64, as int, b []float64, bl, bi, n int, init *[4]float64)
 
-// axpyAVX2 is axpy four lanes at a time; len(src) must be at least
-// len(dst).
+// gemmCols4x8AVX2 is one 4-lane × 8-column block of gemmCols: it adds
+// Σ_k a[c*as+steps[k]]·bp[4k+l] to y[l*ys+c] for l < 4 and c < 8, where
+// bp holds the four lanes' b values of each packed step. Per step it
+// loads the four lanes' values as one vector and broadcasts row c's
+// element steps[k] of a. It loads the block of y first and sums onto it
+// in step order, as gemmCols' scalar loop does, so the outputs are its
+// bits.
 //
 //go:noescape
-func axpyAVX2(dst []float64, a float64, src []float64)
+func gemmCols4x8AVX2(y []float64, ys int, a []float64, as int, bp []float64, steps []int)
+
+// addAVX2 is addTo four lanes at a time; len(dst) must be at least
+// len(src).
+//
+//go:noescape
+func addAVX2(dst, src []float64)

@@ -6,10 +6,14 @@ package tensor
 // loops and never reach the entry points below.
 var useAVX2 = false
 
-func gemm4x8AVX2(y []float64, ys int, p, w []float64, bias *[4]float64) {
+func gemmRows4x8AVX2(y []float64, ys int, a []float64, as int, b []float64, bl, bi, n int, init *[4]float64) {
 	panic("tensor: AVX2 kernel called off amd64")
 }
 
-func axpyAVX2(dst []float64, a float64, src []float64) {
+func gemmCols4x8AVX2(y []float64, ys int, a []float64, as int, bp []float64, steps []int) {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+func addAVX2(dst, src []float64) {
 	panic("tensor: AVX2 kernel called off amd64")
 }

@@ -6,19 +6,23 @@
 // (internal/dist) can execute every parallel strategy on actual data and
 // verify, value by value, that partitioned execution matches the
 // sequential baseline — the correctness methodology of §4.5.2 of the
-// ParaDL paper. Everything is portable float64 Go: no assembly, no SIMD,
-// no state shared between calls (PE goroutines call the kernels
-// concurrently).
+// ParaDL paper. Everything is float64, and no state is shared between
+// calls (PE goroutines call the kernels concurrently). On amd64 the
+// convolution's inner loops run AVX2 assembly (simd_amd64.s) that
+// returns the scalar Go loops' bits; elsewhere the scalar loops run.
 //
-// Convolution, of any spatial rank, is one lowering (conv.go): a
-// per-call window-offset table (window.go) drives im2row into a small
-// cache-resident tile of patches, and the arithmetic is GEMM against the
-// weight in its own [F, C·k...] row-major layout — forward as a
-// register-blocked dot kernel over four filters at a time, backward as
-// row axpys that skip zero upstream gradients, plus a table-driven
-// col2im scatter for the input gradient. Pooling walks the same table.
-// The direct N-d loops this replaced survive only in conv_ref_test.go and
-// pool_ref_test.go, as the reference the kernels are tested against.
+// Convolution, of any spatial rank, is one lowering (conv.go): each
+// call fills a small cache-resident tile of input patches, tap-major,
+// by copying strided runs of input rows, and the arithmetic is GEMM
+// against the weight in its own [F, C·k...] row-major layout — forward
+// and backward-data as register blocks of 4 lanes × 8 columns over the
+// tile or dy rows, backward-weight as taps × filters reduced over
+// positions — plus the transposed row walk (col2im) that scatters the
+// input gradient. Pooling walks a per-call window-offset table
+// (window.go). The direct N-d loops these replaced survive only in
+// conv_ref_test.go and pool_ref_test.go, as the reference the kernels
+// are tested against, next to the position-major lowering the tap-major
+// tile replaced.
 //
 // Numeric contract. Every reduction runs in a fixed order that depends
 // only on the operand shapes — never on the data, the tile size, the

@@ -4,8 +4,8 @@ package tensor
 // per call, so that no kernel derives or bounds-checks coordinates in
 // its inner loop: off[m*kVol+ki] is the flat input-spatial offset read
 // by tap ki (row-major over k) of output position m (row-major over
-// out), or -1 where the tap falls in the padding. Convolution lowers to
-// GEMM through this table and pooling walks it directly.
+// out), or -1 where the tap falls in the padding. Pooling walks it
+// directly; convolution builds no table (see lowering).
 func windowOffsets(in, out, k, stride, pad []int) []int {
 	rank := len(in)
 	outVol, kVol := Volume(out), Volume(k)
