@@ -1,6 +1,9 @@
 package nn
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestHaloSizeOutGeometry(t *testing.T) {
 	m := smallModel(t)
@@ -55,6 +58,39 @@ func TestValidateErrorBranches(t *testing.T) {
 		Kernel: []int{3}, Stride: []int{1}, Pad: []int{1}}
 	if err := bad4.Validate(); err == nil {
 		t.Fatal("kernel rank mismatch must fail")
+	}
+}
+
+// Degenerate window geometry is an error, not a panic from the tensor
+// package's size arithmetic: a stride of 0 used to panic inside
+// Validate, and a negative pad or an empty kernel passed as long as Out
+// matched the arithmetic.
+func TestValidateRejectsDegenerateGeometry(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		in, out             int
+		kernel, stride, pad int
+	}{
+		{"stride 0", 5, 3, 3, 0, 0},
+		{"negative stride", 5, 3, 3, -1, 0},
+		{"negative pad", 5, 1, 3, 1, -1},
+		{"kernel 0", 5, 6, 0, 1, 0},
+		{"kernel beyond padded input", 2, 1, 5, 1, 1},
+	} {
+		for _, kind := range []LayerKind{Conv, Pool} {
+			l := Layer{Kind: kind, Name: c.name, C: 2, F: 2, In: []int{c.in}, Out: []int{c.out},
+				Kernel: []int{c.kernel}, Stride: []int{c.stride}, Pad: []int{c.pad}}
+			t.Run(fmt.Sprintf("%s/%v", c.name, kind), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Validate panicked: %v", r)
+					}
+				}()
+				if err := l.Validate(); err == nil {
+					t.Fatal("Validate accepted the layer")
+				}
+			})
+		}
 	}
 }
 

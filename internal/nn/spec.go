@@ -249,6 +249,16 @@ func (l *Layer) Validate() error {
 			return fmt.Errorf("nn: layer %q kernel/stride/pad rank mismatch", l.Name)
 		}
 		for i := range l.In {
+			switch {
+			case l.Stride[i] <= 0:
+				return fmt.Errorf("nn: layer %q dim %d: stride %d is not positive", l.Name, i, l.Stride[i])
+			case l.Pad[i] < 0:
+				return fmt.Errorf("nn: layer %q dim %d: pad %d is negative", l.Name, i, l.Pad[i])
+			case l.Kernel[i] < 1:
+				return fmt.Errorf("nn: layer %q dim %d: kernel %d is not positive", l.Name, i, l.Kernel[i])
+			case l.Kernel[i] > l.In[i]+2*l.Pad[i]:
+				return fmt.Errorf("nn: layer %q dim %d: kernel %d larger than padded input %d", l.Name, i, l.Kernel[i], l.In[i]+2*l.Pad[i])
+			}
 			want := tensor.ConvOutSize(l.In[i], l.Kernel[i], l.Stride[i], l.Pad[i])
 			if l.Out[i] != want {
 				return fmt.Errorf("nn: layer %q dim %d: out %d, want %d", l.Name, i, l.Out[i], want)

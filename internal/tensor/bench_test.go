@@ -38,6 +38,17 @@ func conv3DStrided() convCase {
 	return newConvCase(9, []int{2, 4, 16, 16, 16}, []int{8, 4, 3, 3, 3}, 2, 1)
 }
 
+// convTiny3D is Tiny3D's first layer and convTinyCNN tinycnn's second,
+// at batch 8: output rows of 8 and 16 floats, the short-row regime where
+// the walk's per-run cost, not the GEMM, bounds the kernels.
+func convTiny3D() convCase {
+	return newConvCase(11, []int{8, 2, 8, 8, 8}, []int{4, 2, 3, 3, 3}, 1, 1)
+}
+
+func convTinyCNN() convCase {
+	return newConvCase(12, []int{8, 8, 16, 16}, []int{8, 8, 3, 3}, 1, 1)
+}
+
 // dyOf returns an upstream gradient for c. Dense is the forward output
 // itself; sparse keeps a seeded quarter of it, the density a gradient has
 // after a ReLU and a 2x2 max-pool — the only kind a training run feeds
@@ -123,6 +134,31 @@ func BenchmarkConvBackwardWeight(b *testing.B) {
 	}
 }
 
+// BenchmarkConvShortRows runs all three kernels, backward on the
+// sparse dy, on the short-row geometries.
+func BenchmarkConvShortRows(b *testing.B) {
+	for _, g := range []struct {
+		name string
+		c    convCase
+	}{{"tiny3d", convTiny3D()}, {"tinycnn", convTinyCNN()}} {
+		c := g.c
+		dy := c.dyOf(true)
+		xShape, wShape := c.x.Shape(), c.w.Shape()
+		for _, k := range []struct {
+			name string
+			op   func()
+		}{
+			{"forward", func() { ConvForward(c.x, c.w, c.bias, c.spec) }},
+			{"backward-data", func() { ConvBackwardData(dy, c.w, xShape, c.spec) }},
+			{"backward-weight", func() { ConvBackwardWeight(dy, c.x, wShape, c.spec) }},
+		} {
+			b.Run(g.name+"/"+k.name, func(b *testing.B) {
+				bothPaths(b, func(b *testing.B) { c.run(b, k.op) })
+			})
+		}
+	}
+}
+
 func BenchmarkPoolForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	x := New(8, 32, 32, 32).RandN(rng, 1)
@@ -130,6 +166,37 @@ func BenchmarkPoolForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		PoolForward(x, spec)
+	}
+}
+
+// BenchmarkPoolBackward feeds each kind the gradient of its own forward
+// output.
+func BenchmarkPoolBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	x := New(8, 32, 32, 32).RandN(rng, 1)
+	for _, kind := range []PoolKind{MaxPool, AvgPool} {
+		spec := UniformPool(kind, 2, 2, 2, 0)
+		dy, argmax := PoolForward(x, spec)
+		b.Run(map[PoolKind]string{MaxPool: "max", AvgPool: "avg"}[kind], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				PoolBackward(dy, x.Shape(), spec, argmax)
+			}
+		})
+	}
+}
+
+// BenchmarkReLU runs forward and backward on normal inputs, half of
+// them negative: the sign a branch would have to predict is random.
+func BenchmarkReLU(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	x := New(8, 32, 32, 32).RandN(rng, 1)
+	dy := New(8, 32, 32, 32).RandN(rng, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ReLUForward(x)
+		ReLUBackward(dy, x)
 	}
 }
 

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ConvSpec describes an N-spatial-dimensional convolution. Stride and
 // Pad have one entry per spatial dimension.
@@ -22,13 +25,13 @@ func UniformConv(dims, stride, pad int) ConvSpec {
 }
 
 // patchFloats bounds one tile of the lowering ([C·kVol, rows] float64,
-// 64 KiB). A tile is as many whole output rows as fit, so a gather or
-// scatter run covers a whole output row; a row of more than patchFloats
-// floats is cut into tiles of a multiple of 8 positions, the GEMM block
-// width. Measured on bench-wide2d's three 3x3 layers (all three kernels,
-// 2-vCPU Xeon): at 32 KiB their 16- and 32-position rows no longer fit,
-// tiles shrink to 8–24 positions and run up to 30 % slower; 96 to
-// 192 KiB measured level with 64 KiB end to end.
+// 64 KiB). A tile is as many whole output rows as fit; a row of more
+// than patchFloats floats is cut into tiles of a multiple of 8
+// positions, the GEMM block width. The sample's bordered planes come on
+// top of the budget. Measured on bench-wide2d's three 3x3 layers (all
+// three kernels, 2-vCPU Xeon): at 32 KiB their 16- and 32-position rows
+// no longer fit, tiles shrink to 8–24 positions and run up to 30 %
+// slower; 96 to 192 KiB measured level with 64 KiB end to end.
 const patchFloats = 8192
 
 // lowering is the per-call plan the three kernels share. A convolution
@@ -36,153 +39,147 @@ const patchFloats = 8192
 // matrix of input patches; the patches are materialised one tile of
 // output positions at a time, tap-major: tile[j*rows+r] is tap j (j =
 // ci·kVol + ki, ki row-major over the kernel) of output position m0+r.
-// One tap over one output row is a strided run of one input row, so
-// filling the tile (gather) and adding it back (scatter) are row copies
-// with zero fill where the tap lands in padding, and no table of window
-// offsets is built. A call's scratch is one tile plus room for four
-// filters of packed dy and, for the weight gradient, their step list,
-// whatever the output volume. Nothing here is shared between calls: PE
-// goroutines run the kernels concurrently.
+// The taps read a sample's planes (see grid): each sample is copied once
+// into zero-bordered planes, so one tap over one output row is an
+// unclipped strided run of a plane row, and filling the tile (gather)
+// and adding it back (scatter) are row copies. A call's scratch is one
+// allocation: the tile, room for four filters of packed dy and, when
+// some pad is positive, the sample's C planes; the weight gradient adds
+// its step list. Nothing here is shared between calls: PE goroutines
+// run the kernels concurrently.
 type lowering struct {
+	grid
 	c, inVol, outVol, kVol int
-	k                      int // taps per output position, c*kVol
-	rows                   int // output positions per tile
-	in, out, kd            []int
-	stride, pad            []int
+	k                      int       // taps per output position, c*kVol
+	rows                   int       // output positions per tile
 	tile                   []float64 // [k][rows]
 	pack                   []float64 // [rows][4], see gemmCols
+	planes                 []float64 // [c][vol] when padded, zero border
 	steps                  []int     // [rows], see gemmCols
 }
-
-// unit and origin stand in for the spatial dims of a rank-0 convolution:
-// one position, one tap.
-var unit, origin = []int{1}, []int{0}
 
 // lower plans a call; weights reserves the step list of the weight
 // gradient's gemmCols.
 func lower(c int, inDims, outDims, kDims []int, spec ConvSpec, weights bool) lowering {
-	if len(inDims) == 0 {
-		inDims, outDims, kDims, spec = unit, unit, unit, ConvSpec{Stride: unit, Pad: origin}
-	}
-	lw := lowering{
-		c: c, inVol: Volume(inDims), outVol: Volume(outDims), kVol: Volume(kDims),
-		in: inDims, out: outDims, kd: kDims, stride: spec.Stride, pad: spec.Pad,
-	}
+	lw := lowering{grid: newGrid(inDims, outDims, kDims, spec.Stride, spec.Pad), c: c}
+	lw.inVol, lw.outVol, lw.kVol = Volume(inDims), Volume(lw.out), Volume(lw.win)
 	lw.k = c * lw.kVol
-	k, w := max(1, lw.k), outDims[len(outDims)-1]
+	k, w := max(1, lw.k), lw.out[len(lw.out)-1]
 	if w*k <= patchFloats {
 		lw.rows = patchFloats / (w * k) * w
 	} else {
 		lw.rows = max(8, patchFloats/k&^7)
 	}
 	lw.rows = max(1, min(lw.rows, lw.outVol))
-	scratch := make([]float64, (lw.k+4)*lw.rows)
-	lw.tile, lw.pack = scratch[:lw.k*lw.rows], scratch[lw.k*lw.rows:]
+	tile, pack, planes := lw.k*lw.rows, 4*lw.rows, 0
+	if lw.padded {
+		planes = c * lw.vol
+	}
+	scratch := make([]float64, tile+pack+planes)
+	lw.tile, lw.pack, lw.planes = scratch[:tile], scratch[tile:tile+pack], scratch[tile+pack:]
 	if weights {
 		lw.steps = make([]int, lw.rows)
 	}
 	return lw
 }
 
-// walk moves the tile's output positions [m0, m1) to or from one sample
-// xs ([C, inVol]). gather (scatter false) fills the tile, zero where a
-// tap lands in padding; scatter is its transpose (col2im) and adds the
-// tile into xs. Positions go one output row at a time, and within a row
-// one (tap, channel) run at a time: the run is a strided walk of one
-// input row, a copy when the stride is 1.
-//
-// The taps go in descending row-major order, which keeps every input
-// element's scatter contributions in ascending output-position order:
-// two taps of one output row that reach the same element come from
-// positions in the opposite order to the taps, and rows and tiles are
-// taken in ascending order.
-func (lw *lowering) walk(xs []float64, m0, m1 int, scatter bool) {
-	if lw.k == 0 {
-		return
+// load returns sample xs ([C, inVol]) as the planes the gather reads:
+// xs itself when no pad is positive, else its copy into the bordered
+// planes, whose border stays zero.
+func (lw *lowering) load(xs []float64) []float64 {
+	if !lw.padded {
+		return xs
 	}
-	last := len(lw.in) - 1
-	wOut, wIn := lw.out[last], lw.in[last]
-	kw, s, p := lw.kd[last], lw.stride[last], lw.pad[last]
-	tile, rows, plane := lw.tile, lw.rows, lw.kVol*lw.rows
+	for ci := 0; ci < lw.c; ci++ {
+		lw.interior(lw.planes[ci*lw.vol:(ci+1)*lw.vol], xs[ci*lw.inVol:(ci+1)*lw.inVol], 0, true)
+	}
+	return lw.planes
+}
+
+// walk moves the tile's output positions [m0, m1) to or from the planes
+// pl of one sample, a pass of row runs at a time, tap-major (see
+// grid.eachTap). gather (scatter false) fills the tile, each (tap,
+// channel, run) a strided walk of one plane row, a copy when the stride
+// is 1; scatter is its transpose (col2im) and adds the tile into pl in
+// descending tap order, so every plane element sums its contributions
+// in ascending output-position order.
+func (lw *lowering) walk(pl []float64, m0, m1 int, scatter bool) {
+	s := lw.stride[len(lw.stride)-1]
+	var buf [walkRuns]run
 	for m := m0; m < m1; {
-		row, ox0 := m/wOut, m%wOut
-		ox1 := min(wOut, ox0+m1-m)
-		at := m - m0 // tile column of output column ox0
-		for ko := lw.kVol/kw - 1; ko >= 0; ko-- {
-			start, inside := lw.rowStart(row, ko)
-			for t := kw - 1; t >= 0; t-- {
-				// [lo, hi): the output columns whose tap t lands inside
-				// the input row.
-				lo, hi := ox1, ox1
-				if inside {
-					lo, hi = ox0, 0
-					if p > t {
-						lo = max(lo, (p-t+s-1)/s)
-					}
-					if e := wIn - 1 + p - t; e >= 0 {
-						hi = e/s + 1
-					}
-					lo = min(lo, ox1)
-					hi = min(max(hi, lo), ox1)
-				}
-				// Channel 0's run starts at tile offset ti and input
-				// offset xi (of column lo); each channel moves both one
-				// plane on. The run's columns [ox0, lo) and [hi, ox1)
-				// are padding, [lo, hi) are the input row's every s-th
-				// element from xi.
-				ti, xi := (ko*kw+t)*rows+at, start+lo*s-p+t
-				width, l, h, span := ox1-ox0, lo-ox0, hi-ox0, (hi-lo-1)*s+1
-				if scatter && l == h {
-					continue
-				}
-				for ci := 0; ci < lw.c; ci, ti, xi = ci+1, ti+plane, xi+lw.inVol {
-					run := tile[ti : ti+width]
-					if !scatter {
-						clear(run[:l])
-						clear(run[h:])
-						if l == h {
-							continue
-						}
-					}
-					mid, in := run[l:h], xs[xi:xi+span]
-					switch {
-					case scatter && s == 1:
-						addTo(in, mid)
-					case scatter:
-						for i, v := range mid {
-							in[i*s] += v
-						}
-					case s == 1:
-						copy(mid, in)
-					default:
-						for i := range mid {
-							mid[i] = in[i*s]
-						}
-					}
+		var rs []run
+		rs, m = lw.runs(buf[:], m0, m, m1)
+		lw.eachTap(scatter, func(ki, off, _ int) {
+			for ci := 0; ci < lw.c; ci++ {
+				xc := pl[ci*lw.vol+off : (ci+1)*lw.vol]
+				col := lw.tile[(ci*lw.kVol+ki)*lw.rows:][:m1-m0]
+				if scatter {
+					scatterRuns(xc, col, rs, s)
+				} else {
+					gatherRuns(col, xc, rs, s)
 				}
 			}
-		}
-		m += ox1 - ox0
+		})
 	}
 }
 
-// rowStart returns the flat input offset of the input row that outer
-// tap ko (row-major over every kernel dim but the last) of output row
-// row (row-major over every output dim but the last) reads, and whether
-// that row exists: false when the tap lands in padding.
-func (lw *lowering) rowStart(row, ko int) (int, bool) {
-	last := len(lw.in) - 1
-	off, scale := 0, lw.in[last]
-	for d := last - 1; d >= 0; d-- {
-		pos := row%lw.out[d]*lw.stride[d] - lw.pad[d] + ko%lw.kd[d]
-		if pos < 0 || pos >= lw.in[d] {
-			return 0, false
+// gatherRuns copies, for every run r, x's every s-th element from
+// r.base into col[r.at : r.at+r.w]. Runs shorter than 16 floats move by
+// plain loads and stores, four at a time: there a runtime call costs
+// more than the copy.
+func gatherRuns(col, x []float64, rs []run, s int) {
+	for _, r := range rs {
+		d := col[r.at : r.at+r.w]
+		switch {
+		case s != 1:
+			src := x[r.base : r.base+(len(d)-1)*s+1]
+			for i := range d {
+				d[i] = src[i*s]
+			}
+		case len(d) >= 16:
+			copy(d, x[r.base:])
+		default:
+			src := x[r.base:][:len(d)]
+			i := 0
+			for ; i+4 <= len(d); i += 4 {
+				d4, s4 := (*[4]float64)(d[i:]), (*[4]float64)(src[i:])
+				d4[0], d4[1], d4[2], d4[3] = s4[0], s4[1], s4[2], s4[3]
+			}
+			for ; i < len(d); i++ {
+				d[i] = src[i]
+			}
 		}
-		off += pos * scale
-		scale *= lw.in[d]
-		row, ko = row/lw.out[d], ko/lw.kd[d]
 	}
-	return off, true
+}
+
+// scatterRuns is gatherRuns' transpose: it adds col[r.at : r.at+r.w]
+// into x's every s-th element from r.base, one rounded sum each.
+func scatterRuns(x, col []float64, rs []run, s int) {
+	for _, r := range rs {
+		src := col[r.at : r.at+r.w]
+		switch {
+		case s != 1:
+			d := x[r.base : r.base+(len(src)-1)*s+1]
+			for i, v := range src {
+				d[i*s] += v
+			}
+		case len(src) >= 16:
+			addTo(x[r.base:], src)
+		default:
+			d := x[r.base:][:len(src)]
+			i := 0
+			for ; i+4 <= len(src); i += 4 {
+				d4, s4 := (*[4]float64)(d[i:]), (*[4]float64)(src[i:])
+				d4[0] += s4[0]
+				d4[1] += s4[1]
+				d4[2] += s4[2]
+				d4[3] += s4[3]
+			}
+			for ; i < len(src); i++ {
+				d[i] += src[i]
+			}
+		}
+	}
 }
 
 // addTo adds src into dst element by element, four lanes at a time
@@ -291,13 +288,14 @@ func gemmCols(y []float64, ys, lanes, cols int, a []float64, as int, b []float64
 		b0, b1, b2, b3 := b[l*bl:l*bl+n], b[(l+1)*bl:(l+1)*bl+n], b[(l+2)*bl:(l+2)*bl+n], b[(l+3)*bl:(l+3)*bl+n]
 		m := 0
 		for i, v := range b0 {
-			if v == 0 && b1[i] == 0 && b2[i] == 0 && b3[i] == 0 {
-				continue
-			}
+			// Every step is packed into slot m, and m moves on only when
+			// some lane is nonzero: with the sign bit shifted out, the
+			// OR of the four is 0 exactly when all four are ±0.
 			p := pack[4*m : 4*m+4]
 			p[0], p[1], p[2], p[3] = v, b1[i], b2[i], b3[i]
 			steps[m] = i
-			m++
+			nz := (math.Float64bits(v) | math.Float64bits(b1[i]) | math.Float64bits(b2[i]) | math.Float64bits(b3[i])) << 1
+			m += int((nz | -nz) >> 63)
 		}
 		bp, at := pack[:4*m], steps[:m]
 		c := 0
@@ -372,7 +370,7 @@ func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 	if len(kDims) != len(inDims) {
 		panic(fmt.Sprintf("tensor: conv spatial rank mismatch input %d vs kernel %d", len(inDims), len(kDims)))
 	}
-	checkSpec(spec, len(inDims))
+	checkSpec(spec, kDims)
 	if b != nil && (b.Rank() != 1 || b.Dim(0) != f) {
 		panic(fmt.Sprintf("tensor: conv bias shape %v does not match F=%d", b.Shape(), f))
 	}
@@ -389,11 +387,11 @@ func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 		bias = b.data
 	}
 	for ni := 0; ni < n; ni++ {
-		xs := x.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
+		pl := lw.load(x.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol])
 		ys := y.data[ni*f*lw.outVol : (ni+1)*f*lw.outVol]
 		for m0 := 0; m0 < lw.outVol; m0 += lw.rows {
 			m1 := min(m0+lw.rows, lw.outVol)
-			lw.walk(xs, m0, m1, false)
+			lw.walk(pl, m0, m1, false)
 			// Lanes are filters, columns positions, steps taps.
 			gemmRows(ys[m0:], lw.outVol, f, m1-m0, lw.tile, lw.rows, w.data, lw.k, 1, lw.k, bias)
 		}
@@ -421,7 +419,7 @@ func ConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
 	if len(inShape) != 2+len(kDims) || inShape[0] != n || inShape[1] != c {
 		panic(fmt.Sprintf("tensor: conv bwd input shape %v inconsistent with dy %v and w %v", inShape, dy.Shape(), w.Shape()))
 	}
-	checkSpec(spec, len(kDims))
+	checkSpec(spec, kDims)
 	inDims := inShape[2:]
 	checkOutDims(outDims, inDims, kDims, spec)
 
@@ -431,11 +429,23 @@ func ConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
 	for ni := 0; ni < n; ni++ {
 		dys := dy.data[ni*f*outVol : (ni+1)*f*outVol]
 		dxs := dx.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
+		// The scatter sums into dxs itself, or into the bordered planes
+		// from +0 and then copies their interior out: the same sums.
+		pl := dxs
+		if lw.padded {
+			pl = lw.planes
+			clear(pl)
+		}
 		for m0 := 0; m0 < outVol; m0 += lw.rows {
 			m1 := min(m0+lw.rows, outVol)
 			// Lanes are taps, columns positions, steps filters.
 			gemmRows(lw.tile, lw.rows, lw.k, m1-m0, dys[m0:], outVol, w.data, 1, lw.k, f, nil)
-			lw.walk(dxs, m0, m1, true)
+			lw.walk(pl, m0, m1, true)
+		}
+		if lw.padded {
+			for ci := 0; ci < c; ci++ {
+				lw.interior(pl[ci*lw.vol:(ci+1)*lw.vol], dxs[ci*lw.inVol:(ci+1)*lw.inVol], 0, false)
+			}
 		}
 	}
 	return dx
@@ -474,8 +484,8 @@ func ConvBackwardWeightInto(dw, db, dy, x *Tensor, spec ConvSpec) {
 	if db.Rank() != 1 || db.shape[0] != f {
 		panic(fmt.Sprintf("tensor: conv bwd bias gradient shape %v does not match F=%d", db.Shape(), f))
 	}
-	checkSpec(spec, len(inDims))
 	kDims := wShape[2:]
+	checkSpec(spec, kDims)
 	checkOutDims(outDims, inDims, kDims, spec)
 
 	clear(dw.data)
@@ -483,7 +493,7 @@ func ConvBackwardWeightInto(dw, db, dy, x *Tensor, spec ConvSpec) {
 	lw := lower(c, inDims, outDims, kDims, spec, true)
 	outVol := lw.outVol
 	for ni := 0; ni < n; ni++ {
-		xs := x.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
+		pl := lw.load(x.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol])
 		dys := dy.data[ni*f*outVol : (ni+1)*f*outVol]
 		for fi, acc := range db.data {
 			for _, g := range dys[fi*outVol : (fi+1)*outVol] {
@@ -493,7 +503,7 @@ func ConvBackwardWeightInto(dw, db, dy, x *Tensor, spec ConvSpec) {
 		}
 		for m0 := 0; m0 < outVol; m0 += lw.rows {
 			m1 := min(m0+lw.rows, outVol)
-			lw.walk(xs, m0, m1, false)
+			lw.walk(pl, m0, m1, false)
 			// Lanes are filters, columns taps, steps positions.
 			gemmCols(dw.data, lw.k, f, lw.k, lw.tile, lw.rows, dys[m0:], outVol, m1-m0, lw.pack, lw.steps)
 		}
@@ -528,8 +538,21 @@ func splitWeightShape(t *Tensor) (f, c int, kernel []int) {
 	return t.shape[0], t.shape[1], t.shape[2:]
 }
 
-func checkSpec(spec ConvSpec, dims int) {
-	if len(spec.Stride) != dims || len(spec.Pad) != dims {
-		panic(fmt.Sprintf("tensor: conv spec rank (stride %d, pad %d) does not match spatial rank %d", len(spec.Stride), len(spec.Pad), dims))
+// checkSpec panics unless spec fits a kernel of extent kDims: one stride
+// and pad per dimension (ConvOutSize rejects the strides).
+func checkSpec(spec ConvSpec, kDims []int) {
+	if len(spec.Stride) != len(kDims) || len(spec.Pad) != len(kDims) {
+		panic(fmt.Sprintf("tensor: conv spec rank (stride %d, pad %d) does not match spatial rank %d", len(spec.Stride), len(spec.Pad), len(kDims)))
+	}
+	checkWindow("conv", kDims, spec.Pad)
+}
+
+// checkWindow panics unless every window extent is positive and no pad
+// is negative: a plane has no negative border.
+func checkWindow(what string, win, pad []int) {
+	for d := range win {
+		if win[d] < 1 || pad[d] < 0 {
+			panic(fmt.Sprintf("tensor: %s window %v, pad %v: extents must be positive and pads not negative", what, win, pad))
+		}
 	}
 }

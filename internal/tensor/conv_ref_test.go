@@ -17,7 +17,7 @@ func refConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 	if len(kDims) != len(inDims) {
 		panic(fmt.Sprintf("tensor: conv spatial rank mismatch input %d vs kernel %d", len(inDims), len(kDims)))
 	}
-	checkSpec(spec, len(inDims))
+	checkSpec(spec, kDims)
 	if b != nil && (b.Rank() != 1 || b.Dim(0) != f) {
 		panic(fmt.Sprintf("tensor: conv bias shape %v does not match F=%d", b.Shape(), f))
 	}
@@ -81,7 +81,7 @@ func refConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
 	if len(inShape) != 2+len(kDims) || inShape[0] != n || inShape[1] != c {
 		panic(fmt.Sprintf("tensor: conv bwd input shape %v inconsistent with dy %v and w %v", inShape, dy.Shape(), w.Shape()))
 	}
-	checkSpec(spec, len(kDims))
+	checkSpec(spec, kDims)
 	inDims := inShape[2:]
 
 	dx := New(inShape...)
@@ -135,8 +135,8 @@ func refConvBackwardWeight(dy, x *Tensor, wShape []int, spec ConvSpec) (dw, db *
 	if len(wShape) != 2+len(inDims) || wShape[0] != f || wShape[1] != c {
 		panic(fmt.Sprintf("tensor: conv bwd weight shape %v inconsistent with dy %v and x %v", wShape, dy.Shape(), x.Shape()))
 	}
-	checkSpec(spec, len(inDims))
 	kDims := wShape[2:]
+	checkSpec(spec, kDims)
 
 	dw = New(wShape...)
 	db = New(f)
@@ -201,6 +201,30 @@ func computeStrides(shape []int) []int {
 	return strides
 }
 
+// posOffsets is the window-offset table posMajor reads: off[m*kVol+ki]
+// is the flat input offset read by tap ki (row-major over k) of output
+// position m (row-major over out), or -1 where the tap falls in the
+// padding.
+func posOffsets(in, out, k, stride, pad []int) []int {
+	inStr := computeStrides(in)
+	var off []int
+	for _, o := range enumerate(out) {
+		for _, t := range enumerate(k) {
+			at := 0
+			for d := range in {
+				pos := o[d]*stride[d] - pad[d] + t[d]
+				if pos < 0 || pos >= in[d] {
+					at = -1
+					break
+				}
+				at += pos * inStr[d]
+			}
+			off = append(off, at)
+		}
+	}
+	return off
+}
+
 // posMajor is the position-major im2row lowering the tap-major tile
 // replaced, kept whole so the three pos* kernels below are the
 // production kernels as they were: patch[r*k+j] is tap j of output
@@ -216,7 +240,7 @@ type posMajor struct {
 
 func newPosMajor(c int, inDims, outDims, kDims []int, spec ConvSpec) posMajor {
 	lw := posMajor{
-		off: windowOffsets(inDims, outDims, kDims, spec.Stride, spec.Pad),
+		off: posOffsets(inDims, outDims, kDims, spec.Stride, spec.Pad),
 		c:   c, inVol: Volume(inDims), outVol: Volume(outDims), kVol: Volume(kDims),
 	}
 	lw.k = c * lw.kVol

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -410,6 +411,40 @@ func TestConvMatchesReferenceEdgeGeometries(t *testing.T) {
 	}
 }
 
+// A negative pad used to crop: ConvForward of a 5x5 input with pad -1
+// returned its 3x3 interior. The bordered plane cannot hold a negative
+// border, so every kernel rejects the spec, as it does a zero-extent
+// kernel, which used to return the bias alone.
+func TestConvRejectsDegenerateGeometry(t *testing.T) {
+	x := New(1, 2, 5, 5)
+	for name, g := range map[string]struct {
+		k    []int
+		spec ConvSpec
+	}{
+		"negative pad": {[]int{3, 3}, ConvSpec{Stride: []int{1, 1}, Pad: []int{-1, 0}}},
+		"zero extent":  {[]int{0, 3}, ConvSpec{Stride: []int{1, 1}, Pad: []int{0, 0}}},
+	} {
+		w := New(append([]int{3, 2}, g.k...)...)
+		// dy has the shape the size arithmetic alone gives, so only the
+		// spec check can refuse the backward calls.
+		dy := New(1, 3, ConvOutSize(5, g.k[0], 1, g.spec.Pad[0]), ConvOutSize(5, g.k[1], 1, g.spec.Pad[1]))
+		for kernel, call := range map[string]func(){
+			"forward":         func() { ConvForward(x, w, nil, g.spec) },
+			"backward-data":   func() { ConvBackwardData(dy, w, x.Shape(), g.spec) },
+			"backward-weight": func() { ConvBackwardWeight(dy, x, w.Shape(), g.spec) },
+		} {
+			t.Run(name+"/"+kernel, func(t *testing.T) {
+				defer func() {
+					if msg, ok := recover().(string); !ok || !strings.HasPrefix(msg, "tensor: ") {
+						t.Fatalf("want a tensor: panic, got %v", msg)
+					}
+				}()
+				call()
+			})
+		}
+	}
+}
+
 // A dy whose spatial dims are not the convolution output of the input
 // used to be accepted: positions out of range were silently skipped.
 func TestConvBackwardShapeMismatchPanics(t *testing.T) {
@@ -464,26 +499,60 @@ func TestConvAllocsIndependentOfOutputVolume(t *testing.T) {
 	}
 }
 
+// Pooling's scratch (the bordered plane, avg-pool backward's shares)
+// is one allocation per call next to its results, whatever the output
+// volume: the window-offset table it replaced was outVol × winVol ints.
+func TestPoolAllocsIndependentOfOutputVolume(t *testing.T) {
+	runtime.GC()
+	rng := rand.New(rand.NewSource(8))
+	for _, kind := range []PoolKind{MaxPool, AvgPool} {
+		for _, pad := range []int{0, 1} {
+			spec := UniformPool(kind, 2, 3, 2, pad)
+			for _, side := range []int{4, 40} {
+				x := New(2, 3, side, side).RandN(rng, 1)
+				xShape := x.Shape()
+				y, argmax := PoolForward(x, spec)
+				for name, op := range map[string]struct {
+					ceiling float64
+					call    func()
+				}{
+					// shape, y (3), argmax, plane
+					"PoolForward": {6, func() { PoolForward(x, spec) }},
+					// dx (3), scratch
+					"PoolBackward": {4, func() { PoolBackward(y, xShape, spec, argmax) }},
+				} {
+					if got := testing.AllocsPerRun(5, op.call); got > op.ceiling {
+						t.Errorf("%s kind=%d pad=%d on %dx%d: %v allocs per call, ceiling %v", name, kind, pad, side, side, got, op.ceiling)
+					}
+				}
+			}
+		}
+	}
+}
+
 // PE goroutines run the kernels concurrently on shared, read-only
-// operands; a conv call's patch tile and a pool call's window table are
-// its own, so every goroutine must get the bits a lone call gets (run
+// operands; a conv call's patch tile and a pool call's plane are its
+// own, so every goroutine must get the bits a lone call gets (run
 // under -race in CI).
 func TestConvPoolConcurrentCallsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := New(2, 3, 9, 9).RandN(rng, 1)
 	w := New(5, 3, 3, 3).RandN(rng, 1)
 	b := New(5).RandN(rng, 1)
-	spec, pool := UniformConv(2, 1, 1), UniformPool(MaxPool, 2, 2, 2, 0)
+	spec := UniformConv(2, 1, 1)
+	maxPool, avgPool := UniformPool(MaxPool, 2, 3, 2, 1), UniformPool(AvgPool, 2, 3, 2, 1)
 	xShape, wShape := x.Shape(), w.Shape()
-	type result struct{ y, dx, dw, db, py, pdx *Tensor }
+	type result struct{ y, dx, dw, db, py, pdx, ay, adx *Tensor }
 	step := func() result {
 		var r result
 		r.y = ConvForward(x, w, b, spec)
 		r.dx = ConvBackwardData(r.y, w, xShape, spec)
 		r.dw, r.db = ConvBackwardWeight(r.y, x, wShape, spec)
 		var arg []int
-		r.py, arg = PoolForward(x, pool)
-		r.pdx = PoolBackward(r.py, xShape, pool, arg)
+		r.py, arg = PoolForward(x, maxPool)
+		r.pdx = PoolBackward(r.py, xShape, maxPool, arg)
+		r.ay, _ = PoolForward(x, avgPool)
+		r.adx = PoolBackward(r.ay, xShape, avgPool, nil)
 		return r
 	}
 	want := step()

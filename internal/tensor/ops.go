@@ -3,29 +3,39 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
-// ReLUForward returns max(0, x) element-wise.
+// ReLUForward returns max(0, x) element-wise: x where x > 0, else +0
+// (NaN and −0 included).
 func ReLUForward(x *Tensor) *Tensor {
 	y := New(x.shape...)
+	ys := y.data[:len(x.data)]
 	for i, v := range x.data {
-		if v > 0 {
-			y.data[i] = v
-		}
+		ys[i] = math.Float64frombits(math.Float64bits(v) & positive(v))
 	}
 	return y
 }
 
-// ReLUBackward returns dy masked by the sign of the forward input x.
+// ReLUBackward returns dy where the forward input x > 0, else +0.
 func ReLUBackward(dy, x *Tensor) *Tensor {
 	dy.MustSameShape(x)
 	dx := New(x.shape...)
+	ds, dys := dx.data[:len(x.data)], dy.data[:len(x.data)]
 	for i, v := range x.data {
-		if v > 0 {
-			dx.data[i] = dy.data[i]
-		}
+		ds[i] = math.Float64frombits(math.Float64bits(dys[i]) & positive(v))
 	}
 	return dx
+}
+
+// positive returns all ones where v > 0 and zero elsewhere, without a
+// branch a random sign would mispredict: v > 0 exactly when 0 < bits(v)
+// ≤ bits(+Inf), that is when bits(v)−1 < bits(+Inf) unsigned, which the
+// subtraction's borrow reports.
+func positive(v float64) uint64 {
+	const inf = 0x7FF0000000000000
+	_, borrow := bits.Sub64(math.Float64bits(v)-1, inf, 0)
+	return -borrow
 }
 
 // FCForward computes a fully-connected layer y = x·Wᵀ + b where x is

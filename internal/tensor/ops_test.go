@@ -25,6 +25,57 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
+// refReLUForward and refReLUBackward are the branchy loops the masked
+// kernels replaced.
+func refReLUForward(x *Tensor) *Tensor {
+	y := New(x.shape...)
+	for i, v := range x.data {
+		if v > 0 {
+			y.data[i] = v
+		}
+	}
+	return y
+}
+
+func refReLUBackward(dy, x *Tensor) *Tensor {
+	dx := New(x.shape...)
+	for i, v := range x.data {
+		if v > 0 {
+			dx.data[i] = dy.data[i]
+		}
+	}
+	return dx
+}
+
+// ReLU's masks must give the branchy loops' bits on every special value,
+// as x and as dy: ±0, ±Inf, NaN of both signs and two payloads, the
+// subnormal and normal extremes, and random normals of both signs.
+func TestReLUBitsOnSpecialValues(t *testing.T) {
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.NaN(), -math.NaN(),
+		math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFF8000000000abc),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000FFFFFFFFFFFFF), -math.Float64frombits(0x000FFFFFFFFFFFFF),
+		math.MaxFloat64, -math.MaxFloat64, 0x1p-1022, -0x1p-1022,
+	}
+	rng := rand.New(rand.NewSource(21))
+	vals := append([]float64(nil), specials...)
+	for range 64 {
+		vals = append(vals, rng.NormFloat64())
+	}
+	// Every value as x against every value as dy.
+	n := len(vals)
+	x, dy := New(n*n), New(n*n)
+	for i, xv := range vals {
+		for j, g := range vals {
+			x.data[i*n+j], dy.data[i*n+j] = xv, g
+		}
+	}
+	assertSameBits(t, "ReLUForward", ReLUForward(x), refReLUForward(x))
+	assertSameBits(t, "ReLUBackward", ReLUBackward(dy, x), refReLUBackward(dy, x))
+}
+
 func TestFCForwardKnownValues(t *testing.T) {
 	x := FromSlice([]float64{1, 2}, 1, 2)
 	w := FromSlice([]float64{1, 0, 0, 1, 1, 1}, 3, 2)

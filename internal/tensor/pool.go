@@ -41,115 +41,189 @@ func UniformPool(kind PoolKind, dims, window, stride, pad int) PoolSpec {
 // PoolForward applies pooling to x: [N, C, in...] and returns
 // y: [N, C, out...] plus an argmax index tensor (for MaxPool backward;
 // nil for AvgPool). The argmax stores the flat input-spatial offset of
-// the winning element, or -1 when the window saw only padding. A window
-// is visited in row-major order, so ties keep the first maximum.
+// the winning element, or -1 (and y 0) when no element of the window
+// exceeds −Inf, as when it saw only padding. A window is visited in
+// row-major order with a strict >, so ties keep the first maximum; an
+// average sums its window in row-major order from +0.
+//
+// Each (sample, channel) plane is walked tap-major on its grid (a copy
+// with a −Inf or zero border when some pad is positive): per pass of up
+// to walkRuns output-row runs, tap by tap, every run a strided read of
+// one plane row into the outputs' running max or sum.
 func PoolForward(x *Tensor, spec PoolSpec) (y *Tensor, argmax []int) {
 	n, c, inDims := splitActShape(x)
-	dims := len(inDims)
-	if len(spec.Window) != dims || len(spec.Stride) != dims || len(spec.Pad) != dims {
-		panic(fmt.Sprintf("tensor: pool spec rank mismatch with spatial rank %d", dims))
-	}
-	if spec.Kind != MaxPool && spec.Kind != AvgPool {
-		panic("tensor: unknown pool kind")
-	}
-	shape := make([]int, 2+dims)
+	checkPoolSpec(spec, len(inDims))
+	shape := make([]int, 2+len(inDims))
 	shape[0], shape[1] = n, c
 	for i := range inDims {
 		shape[2+i] = PoolOutSize(inDims[i], spec.Window[i], spec.Stride[i], spec.Pad[i])
 	}
 	y = New(shape...)
-
-	off := windowOffsets(inDims, shape[2:], spec.Window, spec.Stride, spec.Pad)
-	inVol, outVol, winVol := Volume(inDims), Volume(shape[2:]), Volume(spec.Window)
-	if spec.Kind == MaxPool {
+	g := newGrid(inDims, shape[2:], spec.Window, spec.Stride, spec.Pad)
+	inVol, outVol := Volume(inDims), Volume(shape[2:])
+	isMax := spec.Kind == MaxPool
+	var plane []float64
+	if g.padded {
+		plane = make([]float64, g.vol)
+		if isMax {
+			for i := range plane {
+				plane[i] = math.Inf(-1)
+			}
+		}
+	}
+	if isMax {
 		argmax = make([]int, n*c*outVol)
 	}
-
 	for nc := 0; nc < n*c; nc++ {
-		xs := x.data[nc*inVol : (nc+1)*inVol]
+		pl := x.data[nc*inVol : (nc+1)*inVol]
+		if g.padded {
+			g.interior(plane, pl, 0, true)
+			pl = plane
+		}
 		ys := y.data[nc*outVol : (nc+1)*outVol]
-		for oi := range ys {
-			win := off[oi*winVol : (oi+1)*winVol]
-			if spec.Kind == MaxPool {
-				best := math.Inf(-1)
-				bestOff := -1
-				for _, o := range win {
-					if o >= 0 && xs[o] > best {
-						best = xs[o]
-						bestOff = o
-					}
-				}
-				if bestOff < 0 {
-					best = 0 // window entirely in padding
-				}
-				ys[oi] = best
-				argmax[nc*outVol+oi] = bestOff
-			} else {
-				sum := 0.0
-				for _, o := range win {
-					if o >= 0 {
-						sum += xs[o]
-					}
-				}
-				ys[oi] = sum / float64(winVol)
-			}
+		if isMax {
+			g.maxPool(ys, argmax[nc*outVol:(nc+1)*outVol], pl)
+		} else {
+			g.avgPool(ys, pl)
 		}
 	}
 	return y, argmax
 }
 
+// maxPool sets ys to the window maxima of plane pl and as to their
+// unpadded offsets. The running best and its offset are updated by a
+// select on one compare, not a branch the data would mispredict.
+func (g *grid) maxPool(ys []float64, as []int, pl []float64) {
+	for i := range ys {
+		ys[i], as[i] = math.Inf(-1), -1
+	}
+	s := g.stride[len(g.stride)-1]
+	var buf [walkRuns]run
+	for m := 0; m < len(ys); {
+		var rs []run
+		rs, m = g.runs(buf[:], 0, m, len(ys))
+		g.eachTap(false, func(_, off, uoff int) {
+			for _, r := range rs {
+				best, at := ys[r.at:r.at+r.w], as[r.at:r.at+r.w]
+				src := pl[r.base+off : r.base+off+(r.w-1)*s+1]
+				u := r.u + uoff
+				for i := range best {
+					v, b, a := src[i*s], best[i], at[i]
+					vb, bb := math.Float64bits(v), math.Float64bits(b)
+					if v > b {
+						bb, a = vb, u+i*s
+					}
+					best[i], at[i] = math.Float64frombits(bb), a
+				}
+			}
+		})
+	}
+	for i, a := range as {
+		if a < 0 {
+			ys[i] = 0
+		}
+	}
+}
+
+// avgPool sets ys (+0 on entry) to the window means of plane pl.
+func (g *grid) avgPool(ys, pl []float64) {
+	s := g.stride[len(g.stride)-1]
+	var buf [walkRuns]run
+	for m := 0; m < len(ys); {
+		var rs []run
+		rs, m = g.runs(buf[:], 0, m, len(ys))
+		g.eachTap(false, func(_, off, _ int) {
+			for _, r := range rs {
+				sum := ys[r.at : r.at+r.w]
+				src := pl[r.base+off : r.base+off+(r.w-1)*s+1]
+				for i := range sum {
+					sum[i] += src[i*s]
+				}
+			}
+		})
+	}
+	for i := range ys {
+		ys[i] /= float64(Volume(g.win))
+	}
+}
+
 // PoolBackward propagates dy through the pooling layer. dy's spatial
 // dims must be the pooling output of inShape's, and for MaxPool the
-// argmax PoolForward returned for it must be supplied.
+// argmax PoolForward returned for it must be supplied. Every input
+// gradient sums its contributions from +0 in output-position order, and
+// sums densely: a zero dy adds ±0, which leaves such a sum unchanged.
 func PoolBackward(dy *Tensor, inShape []int, spec PoolSpec, argmax []int) *Tensor {
 	n, c, outDims := splitActShape(dy)
 	if len(inShape) != 2+len(outDims) || inShape[0] != n || inShape[1] != c {
 		panic(fmt.Sprintf("tensor: pool bwd input shape %v inconsistent with dy %v", inShape, dy.Shape()))
 	}
 	inDims := inShape[2:]
-	dims := len(inDims)
-	if len(spec.Window) != dims || len(spec.Stride) != dims || len(spec.Pad) != dims {
-		panic(fmt.Sprintf("tensor: pool spec rank mismatch with spatial rank %d", dims))
-	}
+	checkPoolSpec(spec, len(inDims))
 	for i := range inDims {
 		if outDims[i] != PoolOutSize(inDims[i], spec.Window[i], spec.Stride[i], spec.Pad[i]) {
 			panic(fmt.Sprintf("tensor: pool bwd dy spatial dims %v are not the output of input dims %v under window %v, stride %v, pad %v", outDims, inDims, spec.Window, spec.Stride, spec.Pad))
 		}
 	}
 	dx := New(inShape...)
-	inVol, outVol, winVol := Volume(inDims), Volume(outDims), Volume(spec.Window)
-
-	var off []int
-	switch spec.Kind {
-	case MaxPool:
+	inVol, outVol := Volume(inDims), Volume(outDims)
+	if spec.Kind == MaxPool {
 		if len(argmax) != n*c*outVol {
 			panic(fmt.Sprintf("tensor: pool bwd argmax has %d entries, dy %v needs %d", len(argmax), dy.Shape(), n*c*outVol))
 		}
-	case AvgPool:
-		off = windowOffsets(inDims, outDims, spec.Window, spec.Stride, spec.Pad)
-	default:
-		panic("tensor: unknown pool kind")
-	}
-
-	for nc := 0; nc < n*c; nc++ {
-		xs := dx.data[nc*inVol : (nc+1)*inVol]
-		for oi, g := range dy.data[nc*outVol : (nc+1)*outVol] {
-			if g == 0 {
-				continue
-			}
-			if spec.Kind == MaxPool {
-				if o := argmax[nc*outVol+oi]; o >= 0 {
+		for nc := 0; nc < n*c; nc++ {
+			xs, as := dx.data[nc*inVol:(nc+1)*inVol], argmax[nc*outVol:(nc+1)*outVol]
+			for i, g := range dy.data[nc*outVol : (nc+1)*outVol] {
+				if o := as[i]; o >= 0 {
 					xs[o] += g
-				}
-				continue
-			}
-			share := g / float64(winVol)
-			for _, o := range off[oi*winVol : (oi+1)*winVol] {
-				if o >= 0 {
-					xs[o] += share
 				}
 			}
 		}
+		return dx
+	}
+
+	// AvgPool: each output's share goes to every element of its window,
+	// scattered tap-major in descending taps into dx itself or a
+	// bordered plane whose interior is copied out.
+	g := newGrid(inDims, outDims, spec.Window, spec.Stride, spec.Pad)
+	s, winVol := g.stride[len(g.stride)-1], float64(Volume(g.win))
+	planeVol := 0
+	if g.padded {
+		planeVol = g.vol
+	}
+	scratch := make([]float64, outVol+planeVol)
+	share, plane := scratch[:outVol], scratch[outVol:]
+	var buf [walkRuns]run
+	for nc := 0; nc < n*c; nc++ {
+		for i, v := range dy.data[nc*outVol : (nc+1)*outVol] {
+			share[i] = v / winVol
+		}
+		xs := dx.data[nc*inVol : (nc+1)*inVol]
+		pl := xs
+		if g.padded {
+			pl = plane
+			clear(pl)
+		}
+		for m := 0; m < outVol; {
+			var rs []run
+			rs, m = g.runs(buf[:], 0, m, outVol)
+			g.eachTap(true, func(_, off, _ int) { scatterRuns(pl[off:], share, rs, s) })
+		}
+		if g.padded {
+			g.interior(pl, xs, 0, false)
+		}
 	}
 	return dx
+}
+
+// checkPoolSpec panics unless spec is a known kind with one window
+// extent, stride and pad per spatial dimension (PoolOutSize rejects the
+// strides).
+func checkPoolSpec(spec PoolSpec, dims int) {
+	if len(spec.Window) != dims || len(spec.Stride) != dims || len(spec.Pad) != dims {
+		panic(fmt.Sprintf("tensor: pool spec rank mismatch with spatial rank %d", dims))
+	}
+	if spec.Kind != MaxPool && spec.Kind != AvgPool {
+		panic("tensor: unknown pool kind")
+	}
+	checkWindow("pool", spec.Window, spec.Pad)
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // The per-element bounds-check pooling loops PoolForward and PoolBackward
-// were before they moved onto the window-offset table, kept verbatim as
-// the reference the table-driven loops must match bit for bit.
+// were before they moved onto a window-offset table and then onto the
+// bordered planes, kept verbatim as the reference the tap-major kernels
+// must match bit for bit.
 
 func refPoolForward(x *Tensor, spec PoolSpec) (y *Tensor, argmax []int) {
 	n, c, inDims := splitActShape(x)
@@ -152,41 +153,102 @@ func refPoolBackward(dy *Tensor, inShape []int, spec PoolSpec, argmax []int) *Te
 	return dx
 }
 
-// The table-driven pooling visits every window in the reference's order,
-// so max-pool argmax ties and avg-pool sums are the same bits.
+// The tap-major pooling visits every window in the reference's order,
+// so max-pool argmax ties and avg-pool sums are the same bits, compared
+// with math.Float64bits (a zero's sign counts, NaN compares). Max-pool
+// inputs are a few values, so windows tie often, salted with NaN of
+// both signs and two payloads, ±Inf and −0; avg-pool inputs and every
+// dy span 12 decades, so a sum reassociated anywhere shows. Every third
+// trial forces overlapping windows (stride < window), where one input
+// element takes up to window contributions in backward, and every third
+// a pad of at least the window, whose edge windows are all padding.
 func TestPoolBitIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 200; trial++ {
+	specials := []float64{
+		math.NaN(), -math.NaN(), math.Float64frombits(0x7FF0000000000123),
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+	}
+	wide := func() float64 {
+		return (rng.Float64() + 0.5) * math.Pow(10, 12*rng.Float64()-6) * float64(1-2*rng.Intn(2))
+	}
+	for trial := 0; trial < 300; trial++ {
 		rank := 1 + rng.Intn(3)
 		spec := PoolSpec{Kind: PoolKind(trial % 2)}
 		shape := []int{1 + rng.Intn(2), 1 + rng.Intn(3)}
 		for d := 0; d < rank; d++ {
-			win := 1 + rng.Intn(3)
+			win, stride := 1+rng.Intn(3), 1+rng.Intn(3)
 			pad := rng.Intn(win)
+			switch trial / 2 % 3 {
+			case 1: // overlapping windows
+				win = 2 + rng.Intn(2)
+				stride = 1 + rng.Intn(win-1)
+			case 2: // all-padding windows at the edges
+				pad = win + rng.Intn(2)
+			}
 			shape = append(shape, max(1, win-2*pad)+rng.Intn(6))
 			spec.Window = append(spec.Window, win)
-			spec.Stride = append(spec.Stride, 1+rng.Intn(3))
+			spec.Stride = append(spec.Stride, stride)
 			spec.Pad = append(spec.Pad, pad)
 		}
-		// Few distinct values, so max-pool windows tie often.
 		x := New(shape...)
 		for i := range x.data {
-			x.data[i] = float64(rng.Intn(4)) - 1.5
-		}
-		y, arg := PoolForward(x, spec)
-		yRef, argRef := refPoolForward(x, spec)
-		if !EqualShapes(y.Shape(), yRef.Shape()) || !reflect.DeepEqual(y.data, yRef.data) || !reflect.DeepEqual(arg, argRef) {
-			t.Fatalf("%+v on %v: forward differs from reference", spec, shape)
-		}
-		dy := New(y.Shape()...).RandN(rng, 1)
-		for i := range dy.data {
-			if rng.Intn(3) == 0 {
-				dy.data[i] = 0
+			switch {
+			case spec.Kind == AvgPool:
+				x.data[i] = wide()
+			case rng.Intn(6) == 0:
+				x.data[i] = specials[rng.Intn(len(specials))]
+			default:
+				x.data[i] = float64(rng.Intn(4)) - 1.5
 			}
 		}
-		dx, dxRef := PoolBackward(dy, shape, spec, arg), refPoolBackward(dy, shape, spec, argRef)
-		if !reflect.DeepEqual(dx.data, dxRef.data) {
-			t.Fatalf("%+v on %v: backward differs from reference", spec, shape)
+		what := fmt.Sprintf("trial %d: %+v on %v", trial, spec, shape)
+		y, arg := PoolForward(x, spec)
+		yRef, argRef := refPoolForward(x, spec)
+		assertSameBits(t, what+" y", y, yRef)
+		if !reflect.DeepEqual(arg, argRef) {
+			t.Fatalf("%s: argmax %v, reference %v", what, arg, argRef)
+		}
+		dy := New(y.Shape()...)
+		for i := range dy.data {
+			switch rng.Intn(4) {
+			case 0:
+				dy.data[i] = math.Copysign(0, float64(1-2*rng.Intn(2)))
+			default:
+				dy.data[i] = wide()
+			}
+		}
+		assertSameBits(t, what+" dx", PoolBackward(dy, shape, spec, arg), refPoolBackward(dy, shape, spec, argRef))
+	}
+}
+
+// A zero-extent AvgPool window used to return NaN everywhere (0/0),
+// from an output larger than its input (6x5 from 5x5), and a negative
+// pad cropped the input. Both kinds now reject either spec, forward and
+// backward.
+func TestPoolRejectsDegenerateGeometry(t *testing.T) {
+	x := New(1, 2, 5, 5)
+	for name, g := range map[string]struct{ win, pad []int }{
+		"zero extent":  {[]int{0, 2}, []int{0, 0}},
+		"negative pad": {[]int{2, 2}, []int{0, -1}},
+	} {
+		for _, kind := range []PoolKind{MaxPool, AvgPool} {
+			spec := PoolSpec{Kind: kind, Window: g.win, Stride: []int{1, 1}, Pad: g.pad}
+			// dy and argmax have the shapes the size arithmetic alone
+			// gives, so only the spec check can refuse the backward call.
+			dy := New(1, 2, PoolOutSize(5, g.win[0], 1, g.pad[0]), PoolOutSize(5, g.win[1], 1, g.pad[1]))
+			for dir, call := range map[string]func(){
+				"forward":  func() { PoolForward(x, spec) },
+				"backward": func() { PoolBackward(dy, x.Shape(), spec, make([]int, dy.Len())) },
+			} {
+				t.Run(fmt.Sprintf("%s/kind=%d/%s", name, kind, dir), func(t *testing.T) {
+					defer func() {
+						if msg, ok := recover().(string); !ok || !strings.HasPrefix(msg, "tensor: ") {
+							t.Fatalf("want a tensor: panic, got %v", msg)
+						}
+					}()
+					call()
+				})
+			}
 		}
 	}
 }

@@ -11,18 +11,23 @@
 // convolution's inner loops run AVX2 assembly (simd_amd64.s) that
 // returns the scalar Go loops' bits; elsewhere the scalar loops run.
 //
-// Convolution, of any spatial rank, is one lowering (conv.go): each
-// call fills a small cache-resident tile of input patches, tap-major,
-// by copying strided runs of input rows, and the arithmetic is GEMM
+// Convolution and pooling share one window geometry (plane.go): each
+// call copies a sample once into planes with a border of pad elements
+// (zero, or −Inf for a max), so every (tap, output row) pair is an
+// unclipped strided run of a plane row, and the kernels walk a pass of
+// row runs tap by tap. Convolution, of any spatial rank, is one
+// lowering (conv.go): each call fills a small cache-resident tile of
+// input patches, tap-major, from those runs, and the arithmetic is GEMM
 // against the weight in its own [F, C·k...] row-major layout — forward
 // and backward-data as register blocks of 4 lanes × 8 columns over the
 // tile or dy rows, backward-weight as taps × filters reduced over
-// positions — plus the transposed row walk (col2im) that scatters the
-// input gradient. Pooling walks a per-call window-offset table
-// (window.go). The direct N-d loops these replaced survive only in
-// conv_ref_test.go and pool_ref_test.go, as the reference the kernels
-// are tested against, next to the position-major lowering the tap-major
-// tile replaced.
+// positions — plus the transposed walk (col2im) that scatters the input
+// gradient into the planes. Pooling reduces the same runs straight into
+// its outputs. ReLU and max-pool select with bit masks and conditional
+// moves, not branches on the data. The direct N-d loops these replaced
+// survive only in conv_ref_test.go and pool_ref_test.go, as the
+// reference the kernels are tested against, next to the position-major
+// lowering the tap-major tile replaced.
 //
 // Numeric contract. Every reduction runs in a fixed order that depends
 // only on the operand shapes — never on the data, the tile size, the
