@@ -116,7 +116,7 @@ func serialEngine(*nn.Model, Plan, string, *runConfig) (*engine, error) {
 			logits, states := net.Forward(x)
 			loss, dLogits := tensor.SoftmaxCrossEntropy(logits, labels)
 			tr.Begin(trace.ComputeBackward)
-			_, grads := net.Backward(dLogits, states)
+			grads := net.BackwardParams(dLogits, states)
 			pe.step.stepNet(net, grads)
 			return loss
 		}, wholeOwnership(net), nil

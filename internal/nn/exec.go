@@ -29,7 +29,8 @@ type Network struct {
 	Model  *Model
 	Params []Params
 	graph  *Graph
-	grads  []Grads // per-layer gradient buffers, see GradBuffers
+	grads  []Grads       // per-layer gradient buffers, see GradBuffers
+	frame  []*LayerState // per-layer activation buffers, see Forward
 }
 
 // NewNetwork allocates parameters for every layer, initialized from rng
@@ -66,41 +67,100 @@ func NewNetwork(m *Model, rng *rand.Rand) *Network {
 }
 
 // LayerState carries forward-pass intermediates a layer's backward pass
-// needs.
+// needs, and the buffers the layer writes.
 type LayerState struct {
 	X      *tensor.Tensor // layer input as seen by forward
 	Argmax []int          // max-pool winners
 	BN     *tensor.BNState
+
+	// The layer's output, its input gradient and its window kernels'
+	// scratch. A fresh state has none, so its kernels allocate them; a
+	// state of the network's frame keeps them from step to step.
+	y, dx   *tensor.Tensor
+	scratch *tensor.Scratch
 }
 
 // ForwardLayer applies layer l to x and returns the activation plus the
-// state needed by BackwardLayer.
+// state needed by BackwardLayer, all in fresh buffers the caller owns.
 func (n *Network) ForwardLayer(l int, x *tensor.Tensor) (*tensor.Tensor, *LayerState) {
+	st := &LayerState{}
+	return n.forwardLayer(l, x, st), st
+}
+
+// forwardLayer applies layer l to x, writing its output and the state
+// its backward needs into st: into st's buffers where they have the
+// shapes this call needs, else into new ones it leaves there. Every
+// layer forward runs here, over a fresh state (ForwardLayer) or the
+// frame's (Forward).
+func (n *Network) forwardLayer(l int, x *tensor.Tensor, st *LayerState) *tensor.Tensor {
 	spec := &n.Model.Layers[l]
 	p := n.Params[l]
-	st := &LayerState{X: x}
+	st.X = x
+	var dims [8]int
 	switch spec.Kind {
 	case Conv:
-		y := tensor.ConvForward(x, p.W, p.B, tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad})
-		return y, st
+		st.y = reuse(st.y, windowOut(dims[:0], l, spec, x, p.W.Dim(0)))
+		tensor.ConvForwardInto(st.y, x, p.W, p.B, tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}, st.scratch)
 	case Pool:
-		y, arg := tensor.PoolForward(x, tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: spec.Pad})
-		st.Argmax = arg
-		return y, st
+		st.y = reuse(st.y, windowOut(dims[:0], l, spec, x, x.Dim(1)))
+		if spec.PoolKind == tensor.MaxPool && len(st.Argmax) != st.y.Len() {
+			st.Argmax = make([]int, st.y.Len())
+		}
+		tensor.PoolForwardInto(st.y, st.Argmax, x, tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: spec.Pad}, st.scratch)
 	case FC:
 		nBatch := x.Dim(0)
-		flat := x.Reshape(nBatch, x.Len()/nBatch)
-		y := tensor.FCForward(flat, p.W, p.B)
-		return y, st
+		st.y = reuse(st.y, append(dims[:0], nBatch, p.W.Dim(0)))
+		tensor.FCForwardInto(st.y, x.Reshape(nBatch, x.Len()/nBatch), p.W, p.B)
 	case ReLU:
-		return tensor.ReLUForward(x), st
+		st.y = reuseLike(st.y, x)
+		tensor.ReLUForwardInto(st.y, x)
 	case BatchNorm:
-		y, bn := tensor.BNForward(x, p.Gamma, p.Beta, 1e-5)
-		st.BN = bn
-		return y, st
+		st.y = reuseLike(st.y, x)
+		if st.BN == nil || !st.BN.XHat.SameShape(x) {
+			c := x.Dim(1)
+			st.BN = &tensor.BNState{Mean: tensor.New(c), Var: tensor.New(c), XHat: tensor.New(x.Shape()...)}
+		}
+		tensor.BNForwardInto(st.y, st.BN, x, p.Gamma, p.Beta, 1e-5)
 	default:
 		panic(fmt.Sprintf("nn: cannot execute layer kind %v", spec.Kind))
 	}
+	return st.y
+}
+
+// windowOut appends to dims the output shape [N, f, out...] of window
+// layer l (a convolution or a pooling) over x.
+func windowOut(dims []int, l int, spec *Layer, x *tensor.Tensor, f int) []int {
+	if x.Rank() != 2+len(spec.Kernel) {
+		panic(fmt.Sprintf("nn: layer %d (%s) has a %d-d window, its input is %v", l, spec.Name, len(spec.Kernel), x.Shape()))
+	}
+	dims = append(dims, x.Dim(0), f)
+	for d, k := range spec.Kernel {
+		dims = append(dims, tensor.ConvOutSize(x.Dim(2+d), k, spec.Stride[d], spec.Pad[d]))
+	}
+	return dims
+}
+
+// reuse returns buf when it has the given shape, else a new tensor of
+// that shape: a buffer is reallocated only when its shape changes.
+func reuse(buf *tensor.Tensor, shape []int) *tensor.Tensor {
+	if buf != nil && buf.Rank() == len(shape) {
+		same := true
+		for i, d := range shape {
+			same = same && buf.Dim(i) == d
+		}
+		if same {
+			return buf
+		}
+	}
+	return tensor.New(shape...)
+}
+
+// reuseLike is reuse with x's shape.
+func reuseLike(buf, x *tensor.Tensor) *tensor.Tensor {
+	if buf != nil && buf.SameShape(x) {
+		return buf
+	}
+	return tensor.New(x.Shape()...)
 }
 
 // GradBuffers returns layer l's gradient buffers: one tensor per
@@ -123,32 +183,59 @@ func (n *Network) GradBuffers(l int) Grads {
 }
 
 // BackwardLayer propagates dy through layer l given the forward state,
-// returning the input gradient and the parameter gradients — views of
-// the layer's GradBuffers, valid until its next backward.
+// returning the input gradient, in a fresh buffer, and the parameter
+// gradients — views of the layer's GradBuffers, valid until its next
+// backward.
 func (n *Network) BackwardLayer(l int, dy *tensor.Tensor, st *LayerState) (*tensor.Tensor, Grads) {
+	fresh := LayerState{X: st.X, Argmax: st.Argmax, BN: st.BN}
+	return n.backwardLayer(l, dy, &fresh, true)
+}
+
+// backwardLayer propagates dy through layer l given the forward state
+// st, writing the parameter gradients into the layer's GradBuffers and
+// the input gradient into st's buffer (see forwardLayer), or skipping it
+// and returning nil when inputGrad is false. Every layer backward runs
+// here.
+func (n *Network) backwardLayer(l int, dy *tensor.Tensor, st *LayerState, inputGrad bool) (*tensor.Tensor, Grads) {
 	spec := &n.Model.Layers[l]
 	p := n.Params[l]
+	var dx *tensor.Tensor
+	if inputGrad {
+		st.dx = reuseLike(st.dx, st.X)
+		dx = st.dx
+	}
 	switch spec.Kind {
 	case Conv:
 		g := n.GradBuffers(l)
 		cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
-		dx := tensor.ConvBackwardData(dy, p.W, st.X.Shape(), cs)
-		tensor.ConvBackwardWeightInto(g.W, g.B, dy, st.X, cs)
+		if dx != nil {
+			tensor.ConvBackwardDataInto(dx, dy, p.W, cs, st.scratch)
+		}
+		tensor.ConvBackwardWeightInto(g.W, g.B, dy, st.X, cs, st.scratch)
 		return dx, g
 	case Pool:
-		ps := tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: spec.Pad}
-		return tensor.PoolBackward(dy, st.X.Shape(), ps, st.Argmax), Grads{}
+		if dx != nil {
+			ps := tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: spec.Pad}
+			tensor.PoolBackwardInto(dx, dy, ps, st.Argmax, st.scratch)
+		}
+		return dx, Grads{}
 	case FC:
 		g := n.GradBuffers(l)
 		nBatch := st.X.Dim(0)
-		flat := st.X.Reshape(nBatch, st.X.Len()/nBatch)
-		return tensor.FCBackwardInto(g.W, g.B, dy, flat, p.W, st.X.Shape()), g
+		tensor.FCBackwardGradsInto(dx, g.W, g.B, dy, st.X.Reshape(nBatch, st.X.Len()/nBatch), p.W)
+		return dx, g
 	case ReLU:
-		return tensor.ReLUBackward(dy, st.X), Grads{}
+		if dx != nil {
+			tensor.ReLUBackwardInto(dx, dy, st.X)
+		}
+		return dx, Grads{}
 	case BatchNorm:
 		g := n.GradBuffers(l)
 		tensor.BNBackwardReduceInto(g.Gamma, g.Beta, dy, st.BN)
-		return tensor.BNBackwardApply(dy, p.Gamma, st.BN, g.Gamma, g.Beta), g
+		if dx != nil {
+			tensor.BNBackwardApplyInto(dx, dy, p.Gamma, st.BN, g.Gamma, g.Beta)
+		}
+		return dx, g
 	default:
 		panic(fmt.Sprintf("nn: cannot execute layer kind %v", spec.Kind))
 	}
@@ -161,12 +248,26 @@ func (n *Network) Graph() *Graph { return n.graph }
 // layers read their tap and merge additively — returning logits and
 // per-layer states. For chain models the walk is bit-identical to the
 // historical layer-by-layer loop.
+//
+// The network owns what Forward and Backward return. The activations,
+// the states and the input gradient live in its frame, one LayerState
+// per layer that every call rewrites in place, reallocating a buffer only
+// when its shape changes; the layer kernels write every element, so
+// nothing is zeroed first. Like the GradBuffers, they are valid until the
+// network's next Forward: a caller that keeps one longer copies it, and
+// nothing frame-owned may cross to another goroutine that outlives the
+// step. ForwardLayer and BackwardLayer, which the dist engines call,
+// return fresh buffers instead.
 func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, []*LayerState) {
-	states := make([]*LayerState, len(n.Model.Layers))
-	logits := n.graph.ForwardRange(0, len(n.Model.Layers), x, func(l int, xin *tensor.Tensor) *tensor.Tensor {
-		y, st := n.ForwardLayer(l, xin)
-		states[l] = st
-		return y
+	if n.frame == nil {
+		n.frame = make([]*LayerState, len(n.Model.Layers))
+		for l := range n.frame {
+			n.frame[l] = &LayerState{scratch: new(tensor.Scratch)}
+		}
+	}
+	states := n.frame
+	logits := n.graph.ForwardRange(0, len(states), x, func(l int, xin *tensor.Tensor) *tensor.Tensor {
+		return n.forwardLayer(l, xin, states[l])
 	})
 	return logits, states
 }
@@ -175,10 +276,26 @@ func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, []*LayerState) {
 // execution graph — merge gradients fan into both paths, branch input
 // gradients accumulate at their taps — returning the gradient of the
 // network input and all parameter gradients (views, see BackwardLayer).
+// The input gradients go to the states' buffers (see Forward).
 func (n *Network) Backward(dLogits *tensor.Tensor, states []*LayerState) (*tensor.Tensor, []Grads) {
+	return n.backward(dLogits, states, true)
+}
+
+// BackwardParams is Backward for a training step: it returns only the
+// parameter gradients, and skips the network input's gradient, which no
+// layer consumes — the input gradient of every layer that reads the
+// network input (Graph.Src < 0), the rule the data/filter engine of
+// internal/dist applies too.
+func (n *Network) BackwardParams(dLogits *tensor.Tensor, states []*LayerState) []Grads {
+	_, grads := n.backward(dLogits, states, false)
+	return grads
+}
+
+// backward is the one backward walk of Backward and BackwardParams.
+func (n *Network) backward(dLogits *tensor.Tensor, states []*LayerState, inputGrad bool) (*tensor.Tensor, []Grads) {
 	grads := make([]Grads, len(n.Model.Layers))
-	dx := n.graph.BackwardRange(0, len(n.Model.Layers), dLogits, func(l int, dy *tensor.Tensor) *tensor.Tensor {
-		d, g := n.BackwardLayer(l, dy, states[l])
+	dx := n.graph.BackwardRange(0, len(grads), dLogits, func(l int, dy *tensor.Tensor) *tensor.Tensor {
+		d, g := n.backwardLayer(l, dy, states[l], inputGrad || n.graph.Src(l) >= 0)
 		grads[l] = g
 		return d
 	})
@@ -205,13 +322,15 @@ func (n *Network) Step(grads []Grads, lr float64) {
 }
 
 // TrainStep performs one full SGD iteration (forward, softmax loss,
-// backward, update) and returns the loss — the sequential baseline every
-// parallel strategy is validated against.
+// backward without the network input's gradient, update) and returns the
+// loss — the sequential baseline every parallel strategy is validated
+// against. A step in its steady state allocates only small headers: the
+// activations, gradients and kernel scratch are the network's (see
+// Forward).
 func (n *Network) TrainStep(x *tensor.Tensor, labels []int, lr float64) float64 {
 	logits, states := n.Forward(x)
 	loss, dLogits := tensor.SoftmaxCrossEntropy(logits, labels)
-	_, grads := n.Backward(dLogits, states)
-	n.Step(grads, lr)
+	n.Step(n.BackwardParams(dLogits, states), lr)
 	return loss
 }
 

@@ -201,7 +201,6 @@ func (n *Network) StepWith(opt Optimizer, grads []Grads) {
 func (n *Network) TrainStepWith(opt Optimizer, x *tensor.Tensor, labels []int) float64 {
 	logits, states := n.Forward(x)
 	loss, dLogits := tensor.SoftmaxCrossEntropy(logits, labels)
-	_, grads := n.Backward(dLogits, states)
-	n.StepWith(opt, grads)
+	n.StepWith(opt, n.BackwardParams(dLogits, states))
 	return loss
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -383,7 +384,6 @@ func TestFlightGroupUnit(t *testing.T) {
 	const n = 8
 	var computes int
 	gate := make(chan struct{})
-	entered := make(chan struct{}, n)
 	var wg sync.WaitGroup
 	sharedCount := 0
 	var mu sync.Mutex
@@ -391,7 +391,6 @@ func TestFlightGroupUnit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			entered <- struct{}{}
 			val, err, shared := g.Do("k", func() ([]byte, error) {
 				<-gate
 				mu.Lock()
@@ -409,10 +408,11 @@ func TestFlightGroupUnit(t *testing.T) {
 			mu.Unlock()
 		}()
 	}
-	// Wait until all callers have at least entered before releasing the
-	// leader; all non-leaders must then coalesce.
-	for i := 0; i < n; i++ {
-		<-entered
+	// Release the leader only once the other n-1 callers have joined its
+	// in-flight call. Having started is not enough: a caller that reaches
+	// Do after the leader has returned leads a second computation.
+	for joined(&g, "k") < n-1 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()
@@ -422,6 +422,16 @@ func TestFlightGroupUnit(t *testing.T) {
 	if sharedCount != n-1 {
 		t.Fatalf("shared = %d, want %d", sharedCount, n-1)
 	}
+}
+
+// joined returns how many callers wait on key's in-flight call.
+func joined(g *flightGroup, key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.m[key]; ok {
+		return c.dups
+	}
+	return 0
 }
 
 // normalize zeroes endpoint-irrelevant fields so they cannot fragment

@@ -14,9 +14,10 @@ type flightGroup struct {
 }
 
 type flightCall struct {
-	wg  sync.WaitGroup
-	val []byte
-	err error
+	wg   sync.WaitGroup
+	val  []byte
+	err  error
+	dups int // callers that joined, counted under flightGroup.mu
 }
 
 // Do runs fn for key, coalescing concurrent duplicates onto one
@@ -28,6 +29,7 @@ func (g *flightGroup) Do(key string, fn func() ([]byte, error)) (val []byte, err
 		g.m = make(map[string]*flightCall)
 	}
 	if c, ok := g.m[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, c.err, true

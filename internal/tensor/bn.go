@@ -23,14 +23,29 @@ type BNState struct {
 // the unsynchronized local-batch BN of common frameworks (§4.5.2). The
 // dist runtime layers synchronized variants on top of this kernel.
 func BNForward(x, gamma, beta *Tensor, eps float64) (*Tensor, *BNState) {
+	_, c, _ := splitActShape(x)
+	y := New(x.shape...)
+	st := &BNState{Mean: New(c), Var: New(c), XHat: New(x.shape...)}
+	BNForwardInto(y, st, x, gamma, beta, eps)
+	return y, st
+}
+
+// BNForwardInto is BNForward writing every element of the caller's y
+// and st.XHat (both shaped like x) and st.Mean and st.Var ([C]),
+// whatever they held, and setting st.Eps and st.Count.
+func BNForwardInto(y *Tensor, st *BNState, x, gamma, beta *Tensor, eps float64) {
 	n, c, spatial := splitActShape(x)
 	if gamma.Len() != c || beta.Len() != c {
 		panic(fmt.Sprintf("tensor: bn gamma/beta length must be C=%d", c))
 	}
+	if st.Mean.Len() != c || st.Var.Len() != c {
+		panic(fmt.Sprintf("tensor: bn statistics destinations %v, %v must be length C=%d", st.Mean.Shape(), st.Var.Shape(), c))
+	}
 	vol := Volume(spatial)
 	cnt := n * vol
-	mean := New(c)
-	variance := New(c)
+	mean, variance := st.Mean, st.Var
+	clear(mean.data)
+	clear(variance.data)
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * vol
@@ -55,9 +70,17 @@ func BNForward(x, gamma, beta *Tensor, eps float64) (*Tensor, *BNState) {
 	for ci := 0; ci < c; ci++ {
 		variance.data[ci] /= float64(cnt)
 	}
+	bnNormalize(y, st.XHat, x, gamma, beta, mean, variance, eps)
+	st.Eps, st.Count = eps, cnt
+}
 
-	y := New(x.shape...)
-	xhat := New(x.shape...)
+// bnNormalize writes xhat = (x − mean_c)/sqrt(var_c + eps) and y =
+// gamma·xhat + beta, every element of both, which must be shaped like x.
+func bnNormalize(y, xhat, x, gamma, beta, mean, variance *Tensor, eps float64) {
+	y.MustSameShape(x)
+	xhat.MustSameShape(x)
+	n, c, spatial := splitActShape(x)
+	vol := Volume(spatial)
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * vol
@@ -72,7 +95,6 @@ func BNForward(x, gamma, beta *Tensor, eps float64) (*Tensor, *BNState) {
 			}
 		}
 	}
-	return y, &BNState{Mean: mean, Var: variance, XHat: xhat, Eps: eps, Count: cnt}
 }
 
 // BNBackward computes gradients of batch normalization with respect to
@@ -119,10 +141,18 @@ func BNBackwardReduceInto(sumDyXhat, sumDy, dy *Tensor, st *BNState) {
 // globally reduced) channel sums. st.Count must be the GLOBAL element
 // count the statistics were computed over.
 func BNBackwardApply(dy, gamma *Tensor, st *BNState, sumDyXhat, sumDy *Tensor) *Tensor {
+	dx := New(dy.shape...)
+	BNBackwardApplyInto(dx, dy, gamma, st, sumDyXhat, sumDy)
+	return dx
+}
+
+// BNBackwardApplyInto is BNBackwardApply writing every element of the
+// caller's dx, shaped like dy, whatever it held.
+func BNBackwardApplyInto(dx, dy, gamma *Tensor, st *BNState, sumDyXhat, sumDy *Tensor) {
+	dx.MustSameShape(dy)
 	n, c, spatial := splitActShape(dy)
 	vol := Volume(spatial)
 	m := float64(st.Count)
-	dx := New(dy.shape...)
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * vol
@@ -136,7 +166,6 @@ func BNBackwardApply(dy, gamma *Tensor, st *BNState, sumDyXhat, sumDy *Tensor) *
 			}
 		}
 	}
-	return dx
 }
 
 // BNLocalStats returns per-channel Σx and Σx² plus the local element
@@ -165,27 +194,12 @@ func BNLocalStats(x *Tensor) (sum, sqSum *Tensor, count int) {
 // the global element count behind the statistics, carried into the
 // state for the backward pass.
 func BNForwardWithStats(x, gamma, beta, mean, variance *Tensor, eps float64, count int) (*Tensor, *BNState) {
-	n, c, spatial := splitActShape(x)
+	_, c, _ := splitActShape(x)
 	if gamma.Len() != c || beta.Len() != c || mean.Len() != c || variance.Len() != c {
 		panic(fmt.Sprintf("tensor: bn stats length must be C=%d", c))
 	}
-	vol := Volume(spatial)
-	y := New(x.shape...)
-	xhat := New(x.shape...)
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ni*c + ci) * vol
-			m := mean.data[ci]
-			inv := 1.0 / sqrt(variance.data[ci]+eps)
-			g := gamma.data[ci]
-			b := beta.data[ci]
-			for i := 0; i < vol; i++ {
-				xh := (x.data[base+i] - m) * inv
-				xhat.data[base+i] = xh
-				y.data[base+i] = g*xh + b
-			}
-		}
-	}
+	y, xhat := New(x.shape...), New(x.shape...)
+	bnNormalize(y, xhat, x, gamma, beta, mean, variance, eps)
 	return y, &BNState{Mean: mean, Var: variance, XHat: xhat, Eps: eps, Count: count}
 }
 

@@ -34,19 +34,17 @@ func UniformConv(dims, stride, pad int) ConvSpec {
 // slower; 96 to 192 KiB measured level with 64 KiB end to end.
 const patchFloats = 8192
 
-// lowering is the per-call plan the three kernels share. A convolution
-// is a GEMM between the weight, already [F, C·kVol] row-major, and the
-// matrix of input patches; the patches are materialised one tile of
-// output positions at a time, tap-major: tile[j*rows+r] is tap j (j =
-// ci·kVol + ki, ki row-major over the kernel) of output position m0+r.
-// The taps read a sample's planes (see grid): each sample is copied once
-// into zero-bordered planes, so one tap over one output row is an
-// unclipped strided run of a plane row, and filling the tile (gather)
-// and adding it back (scatter) are row copies. A call's scratch is one
-// allocation: the tile, room for four filters of packed dy and, when
-// some pad is positive, the sample's C planes; the weight gradient adds
-// its step list. Nothing here is shared between calls: PE goroutines
-// run the kernels concurrently.
+// lowering is the plan the three kernels share for one call. A
+// convolution is a GEMM between the weight, already [F, C·kVol]
+// row-major, and the matrix of input patches; the patches are
+// materialised one tile of output positions at a time, tap-major:
+// tile[j*rows+r] is tap j (j = ci·kVol + ki, ki row-major over the
+// kernel) of output position m0+r. The taps read a sample's planes (see
+// grid): each sample is copied once into zero-bordered planes, so one tap
+// over one output row is an unclipped strided run of a plane row, and
+// filling the tile (gather) and adding it back (scatter) are row copies.
+// The tile, the packed dy, the planes and the step list come from the
+// call's Scratch.
 type lowering struct {
 	grid
 	c, inVol, outVol, kVol int
@@ -54,13 +52,23 @@ type lowering struct {
 	rows                   int       // output positions per tile
 	tile                   []float64 // [k][rows]
 	pack                   []float64 // [rows][4], see gemmCols
-	planes                 []float64 // [c][vol] when padded, zero border
+	planes                 []float64 // [c][vol] when padded, see Scratch
 	steps                  []int     // [rows], see gemmCols
 }
 
-// lower plans a call; weights reserves the step list of the weight
-// gradient's gemmCols.
-func lower(c int, inDims, outDims, kDims []int, spec ConvSpec, weights bool) lowering {
+// pass names the kernel a lowering serves, which sets the scratch it
+// takes.
+type pass int
+
+const (
+	forward    pass = iota // gathers: tile, planes
+	backData               // scatters: tile, planes
+	backWeight             // gathers: tile, packed dy, step list, planes
+)
+
+// lower plans a call of kernel p, taking its buffers from s. A gather's
+// planes get their zero border here, once per call.
+func lower(s *Scratch, c int, inDims, outDims, kDims []int, spec ConvSpec, p pass) lowering {
 	lw := lowering{grid: newGrid(inDims, outDims, kDims, spec.Stride, spec.Pad), c: c}
 	lw.inVol, lw.outVol, lw.kVol = Volume(inDims), Volume(lw.out), Volume(lw.win)
 	lw.k = c * lw.kVol
@@ -71,21 +79,27 @@ func lower(c int, inDims, outDims, kDims []int, spec ConvSpec, weights bool) low
 		lw.rows = max(8, patchFloats/k&^7)
 	}
 	lw.rows = max(1, min(lw.rows, lw.outVol))
-	tile, pack, planes := lw.k*lw.rows, 4*lw.rows, 0
+	tile, pack, planes := lw.k*lw.rows, 0, 0
+	if p == backWeight {
+		pack = 4 * lw.rows
+		lw.steps = grow(&s.steps, lw.rows)
+	}
 	if lw.padded {
 		planes = c * lw.vol
 	}
-	scratch := make([]float64, tile+pack+planes)
-	lw.tile, lw.pack, lw.planes = scratch[:tile], scratch[tile:tile+pack], scratch[tile+pack:]
-	if weights {
-		lw.steps = make([]int, lw.rows)
+	buf := grow(&s.floats, tile+pack+planes)
+	lw.tile, lw.pack, lw.planes = buf[:tile], buf[tile:tile+pack], buf[tile+pack:]
+	if lw.padded && p != backData {
+		for ci := 0; ci < c; ci++ {
+			lw.border(lw.planes[ci*lw.vol:(ci+1)*lw.vol], 0, 0)
+		}
 	}
 	return lw
 }
 
 // load returns sample xs ([C, inVol]) as the planes the gather reads:
 // xs itself when no pad is positive, else its copy into the bordered
-// planes, whose border stays zero.
+// planes, whose border stays zero through the call.
 func (lw *lowering) load(xs []float64) []float64 {
 	if !lw.padded {
 		return xs
@@ -362,26 +376,31 @@ func dot1(p, w []float64, acc float64) float64 {
 // is its bias plus the patch·filter products summed in [C, k...]
 // row-major order, padding taps contributing an exact zero.
 func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
-	n, c, inDims := splitActShape(x)
-	f, wc, kDims := splitWeightShape(w)
-	if wc != c {
-		panic(fmt.Sprintf("tensor: conv channel mismatch x has C=%d, w has C=%d", c, wc))
-	}
-	if len(kDims) != len(inDims) {
-		panic(fmt.Sprintf("tensor: conv spatial rank mismatch input %d vs kernel %d", len(inDims), len(kDims)))
-	}
-	checkSpec(spec, kDims)
-	if b != nil && (b.Rank() != 1 || b.Dim(0) != f) {
-		panic(fmt.Sprintf("tensor: conv bias shape %v does not match F=%d", b.Shape(), f))
-	}
-
+	n, _, f, inDims, kDims := convOperands(x, w, spec)
 	shape := make([]int, 2+len(inDims))
 	shape[0], shape[1] = n, f
 	for i := range inDims {
 		shape[2+i] = ConvOutSize(inDims[i], kDims[i], spec.Stride[i], spec.Pad[i])
 	}
 	y := New(shape...)
-	lw := lower(c, inDims, shape[2:], kDims, spec, false)
+	ConvForwardInto(y, x, w, b, spec)
+	return y
+}
+
+// ConvForwardInto is ConvForward writing every element of the caller's
+// y, whatever it held; s is an optional Scratch.
+func ConvForwardInto(y, x, w, b *Tensor, spec ConvSpec, s ...*Scratch) {
+	n, c, f, inDims, kDims := convOperands(x, w, spec)
+	if b != nil && (b.Rank() != 1 || b.Dim(0) != f) {
+		panic(fmt.Sprintf("tensor: conv bias shape %v does not match F=%d", b.Shape(), f))
+	}
+	if y.Rank() != x.Rank() || y.shape[0] != n || y.shape[1] != f {
+		panic(fmt.Sprintf("tensor: conv y shape %v inconsistent with x %v and w %v", y.Shape(), x.Shape(), w.Shape()))
+	}
+	checkOutDims("conv y", y.shape[2:], inDims, kDims, spec.Stride, spec.Pad)
+
+	var own Scratch
+	lw := lower(scratchOf(s, &own), c, inDims, y.shape[2:], kDims, spec, forward)
 	var bias []float64
 	if b != nil {
 		bias = b.data
@@ -396,7 +415,6 @@ func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 			gemmRows(ys[m0:], lw.outVol, f, m1-m0, lw.tile, lw.rows, w.data, lw.k, 1, lw.k, bias)
 		}
 	}
-	return y
 }
 
 // ConvBackwardData computes the gradient of the loss with respect to the
@@ -411,31 +429,40 @@ func ConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 // weight meeting a zero dy yields NaN (0·Inf) where such a loop would
 // not.
 func ConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
+	dx := New(inShape...)
+	ConvBackwardDataInto(dx, dy, w, spec)
+	return dx
+}
+
+// ConvBackwardDataInto is ConvBackwardData writing every element of the
+// caller's dx, whose shape is the forward input's, whatever it held; s
+// is an optional Scratch.
+func ConvBackwardDataInto(dx, dy, w *Tensor, spec ConvSpec, s ...*Scratch) {
 	n, f, outDims := splitActShape(dy)
 	wf, c, kDims := splitWeightShape(w)
 	if wf != f {
 		panic(fmt.Sprintf("tensor: conv bwd filter mismatch dy has F=%d, w has F=%d", f, wf))
 	}
-	if len(inShape) != 2+len(kDims) || inShape[0] != n || inShape[1] != c {
-		panic(fmt.Sprintf("tensor: conv bwd input shape %v inconsistent with dy %v and w %v", inShape, dy.Shape(), w.Shape()))
+	if dx.Rank() != 2+len(kDims) || dx.shape[0] != n || dx.shape[1] != c {
+		panic(fmt.Sprintf("tensor: conv bwd input shape %v inconsistent with dy %v and w %v", dx.Shape(), dy.Shape(), w.Shape()))
 	}
 	checkSpec(spec, kDims)
-	inDims := inShape[2:]
-	checkOutDims(outDims, inDims, kDims, spec)
+	inDims := dx.shape[2:]
+	checkOutDims("conv bwd dy", outDims, inDims, kDims, spec.Stride, spec.Pad)
 
-	dx := New(inShape...)
-	lw := lower(c, inDims, outDims, kDims, spec, false)
+	var own Scratch
+	lw := lower(scratchOf(s, &own), c, inDims, outDims, kDims, spec, backData)
 	outVol := lw.outVol
 	for ni := 0; ni < n; ni++ {
 		dys := dy.data[ni*f*outVol : (ni+1)*f*outVol]
 		dxs := dx.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol]
-		// The scatter sums into dxs itself, or into the bordered planes
-		// from +0 and then copies their interior out: the same sums.
+		// The scatter sums from +0 into dxs itself, or into the bordered
+		// planes and then copies their interior out: the same sums.
 		pl := dxs
 		if lw.padded {
 			pl = lw.planes
-			clear(pl)
 		}
+		clear(pl)
 		for m0 := 0; m0 < outVol; m0 += lw.rows {
 			m1 := min(m0+lw.rows, outVol)
 			// Lanes are taps, columns positions, steps filters.
@@ -448,7 +475,6 @@ func ConvBackwardData(dy, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
 			}
 		}
 	}
-	return dx
 }
 
 // ConvBackwardWeight computes the gradients of the loss with respect to
@@ -463,15 +489,16 @@ func ConvBackwardWeight(dy, x *Tensor, wShape []int, spec ConvSpec) (dw, db *Ten
 
 // ConvBackwardWeightInto is ConvBackwardWeight writing into the caller's
 // dw ([F, C, k...], which also names the kernel extent) and db ([F]),
-// overwriting whatever they held. Every dw and db element sums its dy
-// contributions from +0 in (sample, output position) order. The dw
-// GEMM skips an output position for a block of four filters only when
-// all four dy there are zero (see gemmCols) and db sums densely; a
-// zero dy adds ±0 to a sum that starts at +0, so finite operands give
-// the bits of a loop that skips every zero dy. An Inf or NaN input
-// meeting a zero dy yields NaN where a filter of the same block has a
-// nonzero dy at that position, or the filter is one of the last F mod 4.
-func ConvBackwardWeightInto(dw, db, dy, x *Tensor, spec ConvSpec) {
+// overwriting whatever they held; s is an optional Scratch. Every dw and
+// db element sums its dy contributions from +0 in (sample, output
+// position) order. The dw GEMM skips an output position for a block of
+// four filters only when all four dy there are zero (see gemmCols) and
+// db sums densely; a zero dy adds ±0 to a sum that starts at +0, so
+// finite operands give the bits of a loop that skips every zero dy. An
+// Inf or NaN input meeting a zero dy yields NaN where a filter of the
+// same block has a nonzero dy at that position, or the filter is one of
+// the last F mod 4.
+func ConvBackwardWeightInto(dw, db, dy, x *Tensor, spec ConvSpec, s ...*Scratch) {
 	n, f, outDims := splitActShape(dy)
 	xn, c, inDims := splitActShape(x)
 	if xn != n {
@@ -486,11 +513,12 @@ func ConvBackwardWeightInto(dw, db, dy, x *Tensor, spec ConvSpec) {
 	}
 	kDims := wShape[2:]
 	checkSpec(spec, kDims)
-	checkOutDims(outDims, inDims, kDims, spec)
+	checkOutDims("conv bwd dy", outDims, inDims, kDims, spec.Stride, spec.Pad)
 
 	clear(dw.data)
 	clear(db.data)
-	lw := lower(c, inDims, outDims, kDims, spec, true)
+	var own Scratch
+	lw := lower(scratchOf(s, &own), c, inDims, outDims, kDims, spec, backWeight)
 	outVol := lw.outVol
 	for ni := 0; ni < n; ni++ {
 		pl := lw.load(x.data[ni*c*lw.inVol : (ni+1)*c*lw.inVol])
@@ -510,15 +538,30 @@ func ConvBackwardWeightInto(dw, db, dy, x *Tensor, spec ConvSpec) {
 	}
 }
 
-// checkOutDims panics unless outDims, the spatial dims of a dy, are the
-// convolution output of inDims under kDims and spec.
-func checkOutDims(outDims, inDims, kDims []int, spec ConvSpec) {
+// convOperands panics unless x ([N, C, in...]), w ([F, C, k...]) and
+// spec describe one convolution, and returns its sizes.
+func convOperands(x, w *Tensor, spec ConvSpec) (n, c, f int, inDims, kDims []int) {
+	n, c, inDims = splitActShape(x)
+	f, wc, kDims := splitWeightShape(w)
+	if wc != c {
+		panic(fmt.Sprintf("tensor: conv channel mismatch x has C=%d, w has C=%d", c, wc))
+	}
+	if len(kDims) != len(inDims) {
+		panic(fmt.Sprintf("tensor: conv spatial rank mismatch input %d vs kernel %d", len(inDims), len(kDims)))
+	}
+	checkSpec(spec, kDims)
+	return n, c, f, inDims, kDims
+}
+
+// checkOutDims panics unless outDims, the spatial dims of what (a y or a
+// dy), are the sliding-window output of inDims under win, stride and pad.
+func checkOutDims(what string, outDims, inDims, win, stride, pad []int) {
 	ok := len(outDims) == len(inDims)
 	for i := 0; ok && i < len(inDims); i++ {
-		ok = outDims[i] == ConvOutSize(inDims[i], kDims[i], spec.Stride[i], spec.Pad[i])
+		ok = outDims[i] == ConvOutSize(inDims[i], win[i], stride[i], pad[i])
 	}
 	if !ok {
-		panic(fmt.Sprintf("tensor: conv bwd dy spatial dims %v are not the output of input dims %v under kernel %v, stride %v, pad %v", outDims, inDims, kDims, spec.Stride, spec.Pad))
+		panic(fmt.Sprintf("tensor: %s spatial dims %v are not the output of input dims %v under window %v, stride %v, pad %v", what, outDims, inDims, win, stride, pad))
 	}
 }
 

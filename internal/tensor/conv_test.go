@@ -530,10 +530,40 @@ func TestPoolAllocsIndependentOfOutputVolume(t *testing.T) {
 	}
 }
 
+// With a lent Scratch and their destinations the Into forms allocate
+// nothing once the scratch has grown: a network's training step reuses
+// both from step to step.
+func TestIntoKernelsWithLentScratchAllocateNothing(t *testing.T) {
+	runtime.GC()
+	rng := rand.New(rand.NewSource(9))
+	x, w, b := New(2, 3, 9, 9).RandN(rng, 1), New(5, 3, 3, 3).RandN(rng, 1), New(5).RandN(rng, 1)
+	spec := UniformConv(2, 1, 1)
+	y := ConvForward(x, w, b, spec)
+	dx, dw, db := New(x.Shape()...), New(w.Shape()...), New(5)
+	var s Scratch
+	for _, kind := range []PoolKind{MaxPool, AvgPool} {
+		ps := UniformPool(kind, 2, 3, 2, 1)
+		py, arg := PoolForward(x, ps)
+		for name, call := range map[string]func(){
+			"ConvForwardInto":        func() { ConvForwardInto(y, x, w, b, spec, &s) },
+			"ConvBackwardDataInto":   func() { ConvBackwardDataInto(dx, y, w, spec, &s) },
+			"ConvBackwardWeightInto": func() { ConvBackwardWeightInto(dw, db, y, x, spec, &s) },
+			"PoolForwardInto":        func() { PoolForwardInto(py, arg, x, ps, &s) },
+			"PoolBackwardInto":       func() { PoolBackwardInto(dx, py, ps, arg, &s) },
+		} {
+			call() // grows the scratch
+			if got := testing.AllocsPerRun(5, call); got != 0 {
+				t.Errorf("%s kind=%d: %v allocs per call with a lent scratch", name, kind, got)
+			}
+		}
+	}
+}
+
 // PE goroutines run the kernels concurrently on shared, read-only
-// operands; a conv call's patch tile and a pool call's plane are its
-// own, so every goroutine must get the bits a lone call gets (run
-// under -race in CI).
+// operands. A call's tile and planes are its own, or come from a Scratch
+// its goroutine lends to all its calls (a network's frame keeps one per
+// layer of each PE's replica), so every goroutine must get the bits a
+// lone call gets (run under -race in CI).
 func TestConvPoolConcurrentCallsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := New(2, 3, 9, 9).RandN(rng, 1)
@@ -556,13 +586,32 @@ func TestConvPoolConcurrentCallsBitIdentical(t *testing.T) {
 		return r
 	}
 	want := step()
+	lentStep := func(s *Scratch) result {
+		r := result{y: New(want.y.Shape()...), dx: New(xShape...), dw: New(wShape...), db: New(5),
+			py: New(want.py.Shape()...), pdx: New(xShape...), ay: New(want.ay.Shape()...), adx: New(xShape...)}
+		ConvForwardInto(r.y, x, w, b, spec, s)
+		ConvBackwardDataInto(r.dx, r.y, w, spec, s)
+		ConvBackwardWeightInto(r.dw, r.db, r.y, x, spec, s)
+		arg := make([]int, r.py.Len())
+		PoolForwardInto(r.py, arg, x, maxPool, s)
+		PoolBackwardInto(r.pdx, r.py, maxPool, arg, s)
+		PoolForwardInto(r.ay, nil, x, avgPool, s)
+		PoolBackwardInto(r.adx, r.ay, avgPool, nil, s)
+		return r
+	}
 	got := make([]result, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = step()
+			if i%2 == 0 {
+				got[i] = step()
+				return
+			}
+			var s Scratch
+			lentStep(&s)
+			got[i] = lentStep(&s)
 		}()
 	}
 	wg.Wait()

@@ -10,22 +10,36 @@ import (
 // (NaN and −0 included).
 func ReLUForward(x *Tensor) *Tensor {
 	y := New(x.shape...)
+	ReLUForwardInto(y, x)
+	return y
+}
+
+// ReLUForwardInto is ReLUForward writing every element of the caller's
+// y, shaped like x, whatever it held.
+func ReLUForwardInto(y, x *Tensor) {
+	y.MustSameShape(x)
 	ys := y.data[:len(x.data)]
 	for i, v := range x.data {
 		ys[i] = math.Float64frombits(math.Float64bits(v) & positive(v))
 	}
-	return y
 }
 
 // ReLUBackward returns dy where the forward input x > 0, else +0.
 func ReLUBackward(dy, x *Tensor) *Tensor {
-	dy.MustSameShape(x)
 	dx := New(x.shape...)
+	ReLUBackwardInto(dx, dy, x)
+	return dx
+}
+
+// ReLUBackwardInto is ReLUBackward writing every element of the caller's
+// dx, shaped like x, whatever it held.
+func ReLUBackwardInto(dx, dy, x *Tensor) {
+	dy.MustSameShape(x)
+	dx.MustSameShape(x)
 	ds, dys := dx.data[:len(x.data)], dy.data[:len(x.data)]
 	for i, v := range x.data {
 		ds[i] = math.Float64frombits(math.Float64bits(dys[i]) & positive(v))
 	}
-	return dx
 }
 
 // positive returns all ones where v > 0 and zero elsewhere, without a
@@ -46,6 +60,14 @@ func positive(v float64) uint64 {
 // notation (filter size equal to the input size), but a dedicated matmul
 // keeps the real execution path fast.
 func FCForward(x, w, b *Tensor) *Tensor {
+	y := New(x.shape[0], w.shape[0])
+	FCForwardInto(y, x, w, b)
+	return y
+}
+
+// FCForwardInto is FCForward writing every element of the caller's y
+// ([N, Out]), whatever it held.
+func FCForwardInto(y, x, w, b *Tensor) {
 	n := x.shape[0]
 	in := x.Len() / n
 	out, win := w.shape[0], w.Len()/w.shape[0]
@@ -55,7 +77,9 @@ func FCForward(x, w, b *Tensor) *Tensor {
 	if b != nil && b.Len() != out {
 		panic(fmt.Sprintf("tensor: fc bias length %d does not match out %d", b.Len(), out))
 	}
-	y := New(n, out)
+	if y.Rank() != 2 || y.shape[0] != n || y.shape[1] != out {
+		panic(fmt.Sprintf("tensor: fc y shape %v does not match N=%d Out=%d", y.Shape(), n, out))
+	}
 	// Weight-row blocks outer, samples inner: w streams once per call,
 	// and every output is its zero-initialised k-ordered dot plus bias.
 	oi := 0
@@ -79,7 +103,6 @@ func FCForward(x, w, b *Tensor) *Tensor {
 			}
 		}
 	}
-	return y
 }
 
 // FCBackward computes the input, weight and bias gradients of FCForward
@@ -92,11 +115,21 @@ func FCBackward(dy, x, w *Tensor, xShape []int) (dx, dw, db *Tensor) {
 
 // FCBackwardInto is FCBackward writing the weight and bias gradients into
 // the caller's dw (shaped like w) and db ([Out]), overwriting whatever
-// they held; only dx is allocated. It walks output rows outer, samples
-// inner, clearing each dw row right before accumulating into it —
-// cache-hot, no full-size zeroing pass. Every element sums its nonzero-dy
-// contributions in order: dx over output rows, dw and db over samples.
+// they held; only dx is allocated.
 func FCBackwardInto(dw, db, dy, x, w *Tensor, xShape []int) (dx *Tensor) {
+	dx = New(xShape...)
+	FCBackwardGradsInto(dx, dw, db, dy, x, w)
+	return dx
+}
+
+// FCBackwardGradsInto is FCBackwardInto writing the input gradient into
+// the caller's dx as well (N·In elements, any shape with N rows), or
+// skipping it when dx is nil, as when no layer consumes it. It walks
+// output rows outer, samples inner, clearing each dw row right before
+// accumulating into it — cache-hot, no full-size zeroing pass. Every
+// element sums its nonzero-dy contributions in order: dx over output
+// rows, dw and db over samples.
+func FCBackwardGradsInto(dx, dw, db, dy, x, w *Tensor) {
 	n := x.shape[0]
 	in := x.Len() / n
 	out := w.shape[0]
@@ -109,7 +142,12 @@ func FCBackwardInto(dw, db, dy, x, w *Tensor, xShape []int) (dx *Tensor) {
 	if !EqualShapes(dw.shape, w.shape) || db.Rank() != 1 || db.shape[0] != out {
 		panic(fmt.Sprintf("tensor: fc bwd gradient destinations %v, %v do not match weight %v and Out=%d", dw.Shape(), db.Shape(), w.Shape(), out))
 	}
-	dx = New(xShape...)
+	if dx != nil {
+		if dx.Rank() == 0 || dx.shape[0] != n || dx.Len() != n*in {
+			panic(fmt.Sprintf("tensor: fc bwd dx shape %v does not match N=%d In=%d", dx.Shape(), n, in))
+		}
+		clear(dx.data)
+	}
 	for oi := 0; oi < out; oi++ {
 		wRow := w.data[oi*in : (oi+1)*in]
 		dwRow := dw.data[oi*in : (oi+1)*in][:len(wRow)]
@@ -122,6 +160,12 @@ func FCBackwardInto(dw, db, dy, x, w *Tensor, xShape []int) (dx *Tensor) {
 			}
 			bias += g
 			xRow := x.data[ni*in : (ni+1)*in][:len(wRow)]
+			if dx == nil {
+				for k, xv := range xRow {
+					dwRow[k] += g * xv
+				}
+				continue
+			}
 			dxRow := dx.data[ni*in : (ni+1)*in][:len(wRow)]
 			for k, wv := range wRow {
 				dxRow[k] += g * wv
@@ -130,7 +174,6 @@ func FCBackwardInto(dw, db, dy, x, w *Tensor, xShape []int) (dx *Tensor) {
 		}
 		db.data[oi] = bias
 	}
-	return dx
 }
 
 // SoftmaxCrossEntropy computes the mean softmax cross-entropy loss of

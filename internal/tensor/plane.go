@@ -115,6 +115,24 @@ func (g *grid) offsets(i int, dims []int, window bool) (base, u int) {
 	return base, u
 }
 
+// border sets every border element of plane pl to v and leaves the
+// interior alone. d is the dimension pl starts at.
+func (g *grid) border(pl []float64, v float64, d int) {
+	e, p := g.in[d], g.pad[d]
+	ps := len(pl) / (e + 2*p) // 1 in the last dimension
+	for _, edge := range [2][]float64{pl[:p*ps], pl[(p+e)*ps:]} {
+		for i := range edge {
+			edge[i] = v
+		}
+	}
+	if d == len(g.in)-1 {
+		return
+	}
+	for i := p; i < p+e; i++ {
+		g.border(pl[i*ps:(i+1)*ps], v, d+1)
+	}
+}
+
 // interior copies one channel between its plane pl and the unpadded
 // sample x, a row at a time: into the plane when in is true, out of it
 // otherwise. d is the dimension pl and x start at.

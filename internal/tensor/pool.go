@@ -59,20 +59,38 @@ func PoolForward(x *Tensor, spec PoolSpec) (y *Tensor, argmax []int) {
 		shape[2+i] = PoolOutSize(inDims[i], spec.Window[i], spec.Stride[i], spec.Pad[i])
 	}
 	y = New(shape...)
-	g := newGrid(inDims, shape[2:], spec.Window, spec.Stride, spec.Pad)
-	inVol, outVol := Volume(inDims), Volume(shape[2:])
+	if spec.Kind == MaxPool {
+		argmax = make([]int, y.Len())
+	}
+	PoolForwardInto(y, argmax, x, spec)
+	return y, argmax
+}
+
+// PoolForwardInto is PoolForward writing every element of the caller's
+// y and, for MaxPool, of argmax (one entry per element of y; unused for
+// AvgPool), whatever they held; s is an optional Scratch.
+func PoolForwardInto(y *Tensor, argmax []int, x *Tensor, spec PoolSpec, s ...*Scratch) {
+	n, c, inDims := splitActShape(x)
+	checkPoolSpec(spec, len(inDims))
+	if y.Rank() != x.Rank() || y.shape[0] != n || y.shape[1] != c {
+		panic(fmt.Sprintf("tensor: pool y shape %v inconsistent with x %v", y.Shape(), x.Shape()))
+	}
+	checkOutDims("pool y", y.shape[2:], inDims, spec.Window, spec.Stride, spec.Pad)
 	isMax := spec.Kind == MaxPool
+	if isMax && len(argmax) != y.Len() {
+		panic(fmt.Sprintf("tensor: pool argmax has %d entries, y %v needs %d", len(argmax), y.Shape(), y.Len()))
+	}
+	g := newGrid(inDims, y.shape[2:], spec.Window, spec.Stride, spec.Pad)
+	inVol, outVol := Volume(inDims), Volume(y.shape[2:])
 	var plane []float64
 	if g.padded {
-		plane = make([]float64, g.vol)
+		var own Scratch
+		plane = grow(&scratchOf(s, &own).floats, g.vol)
+		fill := 0.0
 		if isMax {
-			for i := range plane {
-				plane[i] = math.Inf(-1)
-			}
+			fill = math.Inf(-1)
 		}
-	}
-	if isMax {
-		argmax = make([]int, n*c*outVol)
+		g.border(plane, fill, 0)
 	}
 	for nc := 0; nc < n*c; nc++ {
 		pl := x.data[nc*inVol : (nc+1)*inVol]
@@ -87,7 +105,6 @@ func PoolForward(x *Tensor, spec PoolSpec) (y *Tensor, argmax []int) {
 			g.avgPool(ys, pl)
 		}
 	}
-	return y, argmax
 }
 
 // maxPool sets ys to the window maxima of plane pl and as to their
@@ -125,8 +142,9 @@ func (g *grid) maxPool(ys []float64, as []int, pl []float64) {
 	}
 }
 
-// avgPool sets ys (+0 on entry) to the window means of plane pl.
+// avgPool sets ys to the window means of plane pl.
 func (g *grid) avgPool(ys, pl []float64) {
+	clear(ys)
 	s := g.stride[len(g.stride)-1]
 	var buf [walkRuns]run
 	for m := 0; m < len(ys); {
@@ -153,18 +171,22 @@ func (g *grid) avgPool(ys, pl []float64) {
 // gradient sums its contributions from +0 in output-position order, and
 // sums densely: a zero dy adds ±0, which leaves such a sum unchanged.
 func PoolBackward(dy *Tensor, inShape []int, spec PoolSpec, argmax []int) *Tensor {
-	n, c, outDims := splitActShape(dy)
-	if len(inShape) != 2+len(outDims) || inShape[0] != n || inShape[1] != c {
-		panic(fmt.Sprintf("tensor: pool bwd input shape %v inconsistent with dy %v", inShape, dy.Shape()))
-	}
-	inDims := inShape[2:]
-	checkPoolSpec(spec, len(inDims))
-	for i := range inDims {
-		if outDims[i] != PoolOutSize(inDims[i], spec.Window[i], spec.Stride[i], spec.Pad[i]) {
-			panic(fmt.Sprintf("tensor: pool bwd dy spatial dims %v are not the output of input dims %v under window %v, stride %v, pad %v", outDims, inDims, spec.Window, spec.Stride, spec.Pad))
-		}
-	}
 	dx := New(inShape...)
+	PoolBackwardInto(dx, dy, spec, argmax)
+	return dx
+}
+
+// PoolBackwardInto is PoolBackward writing every element of the caller's
+// dx, whose shape is the forward input's, whatever it held; s is an
+// optional Scratch.
+func PoolBackwardInto(dx, dy *Tensor, spec PoolSpec, argmax []int, s ...*Scratch) {
+	n, c, outDims := splitActShape(dy)
+	if dx.Rank() != dy.Rank() || dx.shape[0] != n || dx.shape[1] != c {
+		panic(fmt.Sprintf("tensor: pool bwd input shape %v inconsistent with dy %v", dx.Shape(), dy.Shape()))
+	}
+	inDims := dx.shape[2:]
+	checkPoolSpec(spec, len(inDims))
+	checkOutDims("pool bwd dy", outDims, inDims, spec.Window, spec.Stride, spec.Pad)
 	inVol, outVol := Volume(inDims), Volume(outDims)
 	if spec.Kind == MaxPool {
 		if len(argmax) != n*c*outVol {
@@ -172,26 +194,28 @@ func PoolBackward(dy *Tensor, inShape []int, spec PoolSpec, argmax []int) *Tenso
 		}
 		for nc := 0; nc < n*c; nc++ {
 			xs, as := dx.data[nc*inVol:(nc+1)*inVol], argmax[nc*outVol:(nc+1)*outVol]
+			clear(xs)
 			for i, g := range dy.data[nc*outVol : (nc+1)*outVol] {
 				if o := as[i]; o >= 0 {
 					xs[o] += g
 				}
 			}
 		}
-		return dx
+		return
 	}
 
 	// AvgPool: each output's share goes to every element of its window,
 	// scattered tap-major in descending taps into dx itself or a
 	// bordered plane whose interior is copied out.
 	g := newGrid(inDims, outDims, spec.Window, spec.Stride, spec.Pad)
-	s, winVol := g.stride[len(g.stride)-1], float64(Volume(g.win))
+	stride, winVol := g.stride[len(g.stride)-1], float64(Volume(g.win))
 	planeVol := 0
 	if g.padded {
 		planeVol = g.vol
 	}
-	scratch := make([]float64, outVol+planeVol)
-	share, plane := scratch[:outVol], scratch[outVol:]
+	var own Scratch
+	floats := grow(&scratchOf(s, &own).floats, outVol+planeVol)
+	share, plane := floats[:outVol], floats[outVol:]
 	var buf [walkRuns]run
 	for nc := 0; nc < n*c; nc++ {
 		for i, v := range dy.data[nc*outVol : (nc+1)*outVol] {
@@ -201,18 +225,17 @@ func PoolBackward(dy *Tensor, inShape []int, spec PoolSpec, argmax []int) *Tenso
 		pl := xs
 		if g.padded {
 			pl = plane
-			clear(pl)
 		}
+		clear(pl)
 		for m := 0; m < outVol; {
 			var rs []run
 			rs, m = g.runs(buf[:], 0, m, outVol)
-			g.eachTap(true, func(_, off, _ int) { scatterRuns(pl[off:], share, rs, s) })
+			g.eachTap(true, func(_, off, _ int) { scatterRuns(pl[off:], share, rs, stride) })
 		}
 		if g.padded {
 			g.interior(pl, xs, 0, false)
 		}
 	}
-	return dx
 }
 
 // checkPoolSpec panics unless spec is a known kind with one window

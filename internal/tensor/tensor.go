@@ -6,10 +6,20 @@
 // (internal/dist) can execute every parallel strategy on actual data and
 // verify, value by value, that partitioned execution matches the
 // sequential baseline — the correctness methodology of §4.5.2 of the
-// ParaDL paper. Everything is float64, and no state is shared between
-// calls (PE goroutines call the kernels concurrently). On amd64 the
-// convolution's inner loops run AVX2 assembly (simd_amd64.s) that
-// returns the scalar Go loops' bits; elsewhere the scalar loops run.
+// ParaDL paper. Everything is float64. On amd64 the convolution's inner
+// loops run AVX2 assembly (simd_amd64.s) that returns the scalar Go
+// loops' bits; elsewhere the scalar loops run.
+//
+// Every layer kernel has an Into form that writes into destinations the
+// caller owns (ConvForwardInto, PoolBackwardInto, FCForwardInto, …). It
+// writes every element of them and assumes nothing about what they
+// held; where it accumulates, it clears what it accumulates into first.
+// The allocating form is New plus the Into form, so each kernel has one
+// body. The window kernels (convolution and pooling) also take an
+// optional Scratch for their tile and planes, which a caller keeps per
+// layer to run a training step without allocating. No state is shared
+// between calls beyond what the caller passes in: PE goroutines call the
+// kernels concurrently, each with its own destinations and Scratch.
 //
 // Convolution and pooling share one window geometry (plane.go): each
 // call copies a sample once into planes with a border of pad elements
