@@ -72,9 +72,23 @@ func TestElasticTrainCheckpointResumeMigrate(t *testing.T) {
 		elasticConfig{Every: 1, Dir: dir}, ""); err != nil {
 		t.Fatalf("checkpointing run: %v\n%s", err, out.String())
 	}
+	// The writer keeps the newest snapshot (ckpt.Writer): one that is
+	// still pending when the next iteration's arrives is displaced, so
+	// how many of iterations 1–3 reach the disk depends on how fast the
+	// disk is against training. The last one always does, and every file
+	// written is a whole data:4 checkpoint.
 	paths, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.pdl"))
-	if len(paths) != 4 {
-		t.Fatalf("expected 4 checkpoints, found %v", paths)
+	if len(paths) == 0 || filepath.Base(paths[len(paths)-1]) != ckpt.FileName(4) {
+		t.Fatalf("expected checkpoints ending at iteration 4, found %v", paths)
+	}
+	for _, p := range paths {
+		st, err := ckpt.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Base(p) != ckpt.FileName(st.Iter) || st.Plan != "data:4" {
+			t.Fatalf("%s holds iteration %d of plan %s", p, st.Iter, st.Plan)
+		}
 	}
 	// The completed run checkpoints at iteration 4 == schedule end;
 	// -resume must refuse a nothing-left resume.
@@ -83,10 +97,26 @@ func TestElasticTrainCheckpointResumeMigrate(t *testing.T) {
 		elasticConfig{Dir: dir, Resume: true}, ""); err == nil {
 		t.Fatal("-resume past the end of the schedule must error")
 	}
-	// Roll back to the iteration-2 checkpoint and migrate data:4 → df:2x2.
-	st, err := ckpt.Load(filepath.Join(dir, ckpt.FileName(2)))
+	// Roll back to iteration 2 and migrate data:4 → df:2x2, from the
+	// iteration-2 file a CLI run wrote. A run that loses PE 3 at
+	// iteration 2 keeps that file for sure: the supervisor drains the
+	// writer and restores from the newest file on disk before it
+	// re-plans, which its recovery line reports.
+	killed := t.TempDir()
+	var kill bytes.Buffer
+	if err := runElasticTrain(&kill, "data:4", "on", trainDefaultModel,
+		elasticConfig{Every: 1, Dir: killed, Kill: "3@2"}, ""); err != nil {
+		t.Fatalf("checkpointing run with a kill: %v\n%s", err, kill.String())
+	}
+	if !strings.Contains(kill.String(), "resumed from checkpoint at iteration 2") {
+		t.Fatalf("missing resume point in output:\n%s", kill.String())
+	}
+	st, err := ckpt.Load(filepath.Join(killed, ckpt.FileName(2)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.Iter != 2 || st.Plan != "data:4" {
+		t.Fatalf("%s holds iteration %d of plan %s", ckpt.FileName(2), st.Iter, st.Plan)
 	}
 	mid := t.TempDir()
 	if _, err := ckpt.Save(mid, st); err != nil {

@@ -513,9 +513,13 @@ func addFromRegion(dst, src *tensor.Tensor, axis, start int) {
 // Shards circulate the ring unchanged — p−1 shard hops per PE instead
 // of the p−1 full fan-out sends (each cloned) per PE of the old
 // implementation. Takes ownership of t: the shard is forwarded without
-// copying and must not be mutated after the call; the returned
-// concatenation is freshly allocated. A singleton communicator returns
-// t itself, so the degenerate grid edges (p1=1 or p2=1) pay no copy.
+// copying and with no closing ack, so a peer may still read it after
+// the call returns, and it must not be mutated afterwards — a buffer the
+// caller rewrites next step, such as a step-frame buffer, must not be
+// handed over (the ownership rule of dataFilterStep, which gathers a
+// copy: gatherShard). The returned concatenation is freshly allocated.
+// A singleton communicator returns t itself, so the degenerate grid
+// edges (p1=1 or p2=1) pay no copy.
 func (c *Comm) AllGather(t *tensor.Tensor, axis int) *tensor.Tensor {
 	p := c.Size()
 	if p == 1 {

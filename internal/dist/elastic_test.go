@@ -16,7 +16,7 @@ import (
 	"paradl/internal/tensor"
 )
 
-func mustPlan(t *testing.T, s string) dist.Plan {
+func mustPlan(t testing.TB, s string) dist.Plan {
 	t.Helper()
 	pl, err := dist.ParsePlan(s)
 	if err != nil {

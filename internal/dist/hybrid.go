@@ -33,16 +33,14 @@ func runGrid(p1, p2, resultRank int, body func(world, group, seg *Comm) ([]float
 	})
 }
 
-// groupShard slices group g's contiguous shard out of a batch and
-// returns it with its loss weight n_g/B. Shard sizes come from
-// strategy.MicroBatches — the same decomposition the Run entry points
-// validate against — so slicing and validation cannot diverge.
+// groupShard returns group g's contiguous shard of a batch — a view of
+// the batch's own samples, no copy — with its loss weight n_g/B. Shard
+// sizes come from strategy.MicroBatches — the same decomposition the Run
+// entry points validate against — so slicing and validation cannot
+// diverge. Engines only read their input (TestRunLeavesBatchesUntouched
+// holds every plan to that), so the view never writes into the caller's
+// batch.
 func groupShard(b *Batch, g, p1 int) (*tensor.Tensor, []int, float64) {
-	if p1 == 1 {
-		// Degenerate grid edge (pure model parallelism): the shard IS
-		// the batch — no Narrow copy.
-		return b.X, b.Labels, 1
-	}
 	total := b.X.Dim(0)
 	sizes, err := strategy.MicroBatches(total, p1)
 	if err != nil {
@@ -50,5 +48,8 @@ func groupShard(b *Batch, g, p1 int) (*tensor.Tensor, []int, float64) {
 	}
 	off := tensor.SplitOffsets(total, p1)[g]
 	n := sizes[g]
-	return b.X.Narrow(0, off, n), b.Labels[off : off+n], float64(n) / float64(total)
+	shape := b.X.Shape()
+	shape[0] = n
+	vol := b.X.Len() / total
+	return tensor.FromSlice(b.X.Data()[off*vol:(off+n)*vol], shape...), b.Labels[off : off+n], float64(n) / float64(total)
 }

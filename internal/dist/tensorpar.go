@@ -9,18 +9,20 @@ import (
 	"paradl/internal/trace"
 )
 
-// weightShard is one PE's slice of a weighted layer's parameters, with
-// the gradient buffers the backward kernels write that slice's
-// gradients into (overwritten by the layer's next backward).
+// weightShard is one PE's slice of a weighted layer's parameters (W and
+// B of p; a channel shard keeps no bias), with the gradient buffers the
+// backward kernels write that slice's gradients into (W and B of g,
+// overwritten by the layer's next backward) — the replica's GradBuffers
+// when the slice is the whole layer.
 type weightShard struct {
-	w, b   *tensor.Tensor
-	dw, db *tensor.Tensor
-	rng    strategy.Range
+	p   nn.Params
+	g   nn.Grads
+	rng strategy.Range
 }
 
 // newWeightShard pairs a parameter slice with its gradient buffers.
 func newWeightShard(w, b *tensor.Tensor, rng strategy.Range) *weightShard {
-	return &weightShard{w: w, b: b, dw: tensor.New(w.Shape()...), db: tensor.New(w.Dim(0)), rng: rng}
+	return &weightShard{p: nn.Params{W: w, B: b}, g: nn.Grads{W: tensor.New(w.Shape()...), B: tensor.New(w.Dim(0))}, rng: rng}
 }
 
 // dataFilterEngine is the shared engine behind the data (p2=1), filter
@@ -71,10 +73,54 @@ func dataFilterEngine(m *nn.Model, pl Plan, _ string, cfg *runConfig) (*engine, 
 				ex.shard(&own[l][fieldB])
 			}
 		}
+		f := newDataFilterFrame(pe, ex, own, shards, rsOK)
 		return func(x *tensor.Tensor, labels []int, weight float64) float64 {
-			return dataFilterStep(pe, ex, own, shards, rsOK, x, labels, weight)
+			return dataFilterStep(f, x, labels, weight)
 		}, own, nil
 	}}, nil
+}
+
+// dataFilterFrame is what one PE of the data×filter grid keeps from
+// step to step, built once by the engine's build: the exchanger, the
+// ownership table and the weight shards, plus per layer the
+// nn.LayerState every step reuses.
+type dataFilterFrame struct {
+	pe     *peCtx
+	ex     *gradExchanger
+	own    ownership
+	shards []*weightShard // nil for replicated layers
+	rsOK   []bool         // see scatterableInputGrads
+	bnSync []bool         // BN synchronized across the segment
+	states []*nn.LayerState
+	// grads is what stepNet applies: the replicated layers' buffers, the
+	// segment-synchronized BN gradients of the current step, and nothing
+	// for the shards, which the exchanger steps.
+	grads []nn.Grads
+}
+
+// newDataFilterFrame builds the frame of a PE whose shards are carved.
+func newDataFilterFrame(pe *peCtx, ex *gradExchanger, own ownership, shards []*weightShard, rsOK []bool) *dataFilterFrame {
+	net, g := pe.net, len(shards)
+	f := &dataFilterFrame{pe: pe, ex: ex, own: own, shards: shards, rsOK: rsOK, bnSync: make([]bool, g),
+		states: make([]*nn.LayerState, g), grads: make([]nn.Grads, g)}
+	for l, sh := range shards {
+		f.states[l] = new(nn.LayerState)
+		if sh == nil {
+			f.grads[l] = net.GradBuffers(l)
+			f.bnSync[l] = net.Model.Layers[l].Kind == nn.BatchNorm && pe.seg.Size() > 1
+		}
+	}
+	return f
+}
+
+// op returns what layer l's op reads and writes: a weight shard's
+// parameters and gradient buffers for a sharded Conv/FC, the replica's
+// for every other layer.
+func (f *dataFilterFrame) op(l int) (nn.Params, nn.Grads) {
+	if sh := f.shards[l]; sh != nil {
+		return sh.p, sh.g
+	}
+	return f.pe.net.Params[l], f.grads[l]
 }
 
 // scatterableInputGrads marks the sharded layers whose backward input
@@ -138,14 +184,15 @@ func filterShards(net *nn.Network, rank, p int, own ownership) ([]*weightShard, 
 		rng := rngs[rank]
 		if p == 1 {
 			// Degenerate width (the data-parallel grid edge): the shard
-			// IS the whole parameter — alias it instead of Narrow-copying
-			// every weight tensor per replica; own already says "whole".
-			shards[l] = newWeightShard(net.Params[l].W, net.Params[l].B, rng)
+			// IS the whole parameter — alias it and the replica's
+			// gradient buffers instead of Narrow-copying every weight
+			// tensor per replica; own already says "whole".
+			shards[l] = &weightShard{p: net.Params[l], g: net.GradBuffers(l), rng: rng}
 			continue
 		}
 		sh := newWeightShard(net.Params[l].W.Narrow(0, rng.Start, rng.Size()), net.Params[l].B.Narrow(0, rng.Start, rng.Size()), rng)
-		own.slice(l, fieldW, sh.w, 0, rng.Start, rng.Size())
-		own.slice(l, fieldB, sh.b, 0, rng.Start, rng.Size())
+		own.slice(l, fieldW, sh.p.W, 0, rng.Start, rng.Size())
+		own.slice(l, fieldB, sh.p.B, 0, rng.Start, rng.Size())
 		shards[l] = sh
 	}
 	return shards, nil
@@ -171,6 +218,21 @@ func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
 // and every segment reduces in the same group order, so all PEs agree
 // bit-for-bit.
 //
+// Every layer runs through the frame's op table (nn.ForwardInto,
+// nn.BackwardInto): a sharded Conv/FC is the layer's op over its
+// shard's weights, bias and gradient buffers, and the data edge (a
+// group of one) is the same walk with identity collectives. The frame's
+// buffers are rewritten by the next step, so the ownership rule is: a
+// frame buffer may be handed to a group collective only if that
+// collective returns it with no peer still reading it. The input
+// gradients qualify — AllReduceSum's ring returns its buffer after the
+// closing ack, its tree after the upward send was consumed, and
+// ReduceScatterSum reads its input locally and sends narrowed copies.
+// AllGather does not (it forwards its input with no ack), so past a
+// group of one a shard's forward output travels as a copy (gatherShard)
+// and the concatenation is fresh; a group of one gathers nothing, and
+// the data edge runs entirely on the frame.
+//
 // Backward, the input gradient is Allreduced to full width — except at
 // the rsOK layers, where it is ReduceScattered so each PE receives only
 // its own channel slice (footnote 2): the slice rides through the
@@ -183,52 +245,35 @@ func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
 // the whole of it: the exchange may rewrite the weights from then on —
 // so with overlap on the segment exchange of layer l hides behind the
 // backward compute of the layers below it.
-func dataFilterStep(pe *peCtx, ex *gradExchanger, own ownership, shards []*weightShard, rsOK []bool, x *tensor.Tensor, labels []int, weight float64) float64 {
-	group, seg, net, step, tr := pe.group, pe.seg, pe.net, pe.step, pe.tr
+func dataFilterStep(f *dataFilterFrame, x *tensor.Tensor, labels []int, weight float64) float64 {
+	group, seg, net, tr := f.pe.group, f.pe.seg, f.pe.net, f.pe.tr
 	layers := net.Model.Layers
 	gph := net.Graph()
 	g := len(layers)
-	states := make([]*nn.LayerState, g)
-	bnSync := make([]bool, g)
 	tr.Begin(trace.ComputeForward)
 	cur := gph.ForwardRange(0, g, x, func(l int, xin *tensor.Tensor) *tensor.Tensor {
-		spec := &layers[l]
-		sh := shards[l]
-		switch {
-		case spec.Kind == nn.Conv:
-			// Shortcut convolutions shard exactly like main-path ones:
-			// the graph walk routes xin from the tap and merges the
-			// allgathered output into the main path.
-			cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
-			states[l] = &nn.LayerState{X: xin}
-			y := tensor.ConvForward(xin, sh.w, sh.b, cs)
-			tr.Begin(trace.CollectiveWait)
-			out := group.AllGather(y, 1)
-			tr.Begin(trace.ComputeForward)
-			return out
-		case spec.Kind == nn.FC:
-			n := xin.Dim(0)
-			flat := xin.Reshape(n, xin.Len()/n)
-			states[l] = &nn.LayerState{X: xin}
-			y := tensor.FCForward(flat, sh.w, sh.b)
-			tr.Begin(trace.CollectiveWait)
-			out := group.AllGather(y, 1)
-			tr.Begin(trace.ComputeForward)
-			return out
-		case spec.Kind == nn.BatchNorm && seg.Size() > 1:
+		st := f.states[l]
+		if f.bnSync[l] {
 			tr.Begin(trace.BNSync)
-			y, st := syncBNForward(seg, xin, net.Params[l].Gamma, net.Params[l].Beta)
+			y, bn := syncBNForward(seg, xin, net.Params[l].Gamma, net.Params[l].Beta)
 			tr.Begin(trace.ComputeForward)
-			states[l] = &nn.LayerState{X: xin, BN: st}
-			bnSync[l] = true
-			return y
-		default:
-			// Channel-wise layers run replicated on the group's full
-			// activation and stay bit-identical across the group.
-			y, st := net.ForwardLayer(l, xin)
-			states[l] = st
+			st.X, st.BN = xin, bn
 			return y
 		}
+		p, _ := f.op(l)
+		y := net.ForwardInto(l, xin, st, p)
+		if f.shards[l] == nil {
+			// Channel-wise layers run replicated on the group's full
+			// activation and stay bit-identical across the group.
+			return y
+		}
+		// Shortcut convolutions shard exactly like main-path ones: the
+		// graph walk routes xin from the tap and merges the allgathered
+		// output into the main path.
+		tr.Begin(trace.CollectiveWait)
+		out := gatherShard(group, y)
+		tr.Begin(trace.ComputeForward)
+		return out
 	})
 	loss, dy := tensor.SoftmaxCrossEntropy(cur, labels)
 	if weight != 1 {
@@ -236,78 +281,48 @@ func dataFilterStep(pe *peCtx, ex *gradExchanger, own ownership, shards []*weigh
 	}
 	tr.Begin(trace.ComputeBackward)
 
-	grads := make([]nn.Grads, g)
 	dySliced := false // the main-path gradient holds only this PE's channel slice
 	gph.BackwardRange(0, g, dy, func(l int, dy *tensor.Tensor) *tensor.Tensor {
-		spec := &layers[l]
-		sh := shards[l]
+		st, sh := f.states[l], f.shards[l]
+		// No consumer for the input gradient — the bottom layer, or a
+		// shortcut tapping the network input — skips the data backward
+		// and, for a shard, its group-wide exchange.
+		inputGrad := gph.Src(l) >= 0
 		switch {
-		case spec.Kind == nn.Conv:
-			cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
-			xl := states[l].X
-			dySh := dy
-			if !dySliced {
-				dySh = shardGrad(dy, sh, group)
-			}
-			tensor.ConvBackwardWeightInto(sh.dw, sh.db, dySh, xl, cs)
-			// No consumer for the input gradient — the bottom layer, or
-			// a shortcut tapping the network input — skips the data
-			// backward and its group-wide exchange. The push comes after
-			// the last read of sh.w either way.
-			var dxPart *tensor.Tensor
-			if gph.Src(l) >= 0 {
-				dxPart = tensor.ConvBackwardData(dySh, sh.w, xl.Shape(), cs)
-			}
-			ex.push(&own[l][fieldW], sh.dw)
-			ex.push(&own[l][fieldB], sh.db)
-			if dxPart == nil {
-				return nil
-			}
-			tr.Begin(trace.CollectiveWait)
-			out, sliced := exchangeInputGrad(group, dxPart, rsOK[l])
-			tr.Begin(trace.ComputeBackward)
-			if !spec.Branch {
-				dySliced = sliced
-			}
-			return out
-		case spec.Kind == nn.FC:
-			xl := states[l].X
-			n := xl.Dim(0)
-			flat := xl.Reshape(n, xl.Len()/n)
-			dySh := dy
-			if !dySliced {
-				dySh = shardGrad(dy, sh, group)
-			}
-			dxPart := tensor.FCBackwardInto(sh.dw, sh.db, dySh, flat, sh.w, xl.Shape())
-			ex.push(&own[l][fieldW], sh.dw)
-			ex.push(&own[l][fieldB], sh.db)
-			if gph.Src(l) < 0 {
-				return nil
-			}
-			tr.Begin(trace.CollectiveWait)
-			out, sliced := exchangeInputGrad(group, dxPart, rsOK[l])
-			tr.Begin(trace.ComputeBackward)
-			dySliced = sliced
-			return out
-		case bnSync[l]:
+		case f.bnSync[l]:
 			tr.Begin(trace.BNSync)
-			dx, dgamma, dbeta := syncBNBackward(seg, dy, net.Params[l].Gamma, states[l].BN)
+			dx, dgamma, dbeta := syncBNBackward(seg, dy, net.Params[l].Gamma, st.BN)
 			tr.Begin(trace.ComputeBackward)
-			grads[l] = nn.Grads{Gamma: dgamma, Beta: dbeta}
+			f.grads[l] = nn.Grads{Gamma: dgamma, Beta: dbeta}
 			return dx
-		case dySliced:
+		case sh == nil && dySliced:
 			// Only ReLU can sit inside a reduce-scatter chain
 			// (scatterableInputGrads): backpropagate the slice against
 			// the matching channel slice of the stored input.
-			if spec.Kind != nn.ReLU {
-				panic(fmt.Sprintf("dist: layer %d (%v) reached with a sliced gradient; scatterableInputGrads admitted a non-ReLU chain", l, spec.Kind))
+			if layers[l].Kind != nn.ReLU {
+				panic(fmt.Sprintf("dist: layer %d (%v) reached with a sliced gradient; scatterableInputGrads admitted a non-ReLU chain", l, layers[l].Kind))
 			}
-			return tensor.ReLUBackward(dy, channelChunk(states[l].X, group))
-		default:
-			dx, gr := net.BackwardLayer(l, dy, states[l])
-			grads[l] = gr
+			return tensor.ReLUBackward(dy, channelChunk(st.X, group))
+		case sh != nil && !dySliced:
+			dy = shardGrad(dy, sh, group)
+		}
+		p, bufs := f.op(l)
+		dx := net.BackwardInto(l, dy, st, p, bufs, inputGrad)
+		if sh == nil {
 			return dx
 		}
+		// The push comes after the op's last read of the shard's weights.
+		f.ex.pushGrads(&f.own[l], &bufs)
+		if dx == nil {
+			return nil
+		}
+		tr.Begin(trace.CollectiveWait)
+		out, sliced := exchangeInputGrad(group, dx, f.rsOK[l])
+		tr.Begin(trace.ComputeBackward)
+		if !layers[l].Branch {
+			dySliced = sliced
+		}
+		return out
 	})
 
 	// Cross-group gradient exchange (§4.5.1, segmented): every shard
@@ -323,19 +338,34 @@ func dataFilterStep(pe *peCtx, ex *gradExchanger, own ownership, shards []*weigh
 	// one, so its gradients are already global and stepNet applies them.
 	// With p1=1 — pure filter — the segment is singleton: no exchange at
 	// all, drain only steps.
-	ex.drain()
-	step.stepNet(net, grads)
+	f.ex.drain()
+	f.pe.step.stepNet(net, f.grads)
 	tr.Begin(trace.CollectiveWait)
 	global := seg.AllReduceScalar(loss * weight)
 	tr.Begin(trace.ComputeBackward)
 	return global
 }
 
+// gatherShard allgathers a sharded layer's forward output — a buffer of
+// its frame state — along the channel axis. AllGather forwards its input
+// to the group hop by hop with no ack, so a peer may still read it after
+// the call returns: past a group of one the buffer, which the layer's
+// next step rewrites, travels as a copy. A group of one gathers nothing
+// and returns the buffer itself.
+func gatherShard(group *Comm, y *tensor.Tensor) *tensor.Tensor {
+	if group.Size() > 1 {
+		y = y.Clone()
+	}
+	return group.AllGather(y, 1)
+}
+
 // exchangeInputGrad performs the group-wide input-gradient exchange of
 // one sharded layer's backward pass: a full-width Allreduce by default,
 // or — when the footnote-2 precondition holds for this layer — a
 // ReduceScatter along the channel axis that leaves each PE exactly the
-// slice the layer below will consume. Both take ownership of dxPart.
+// slice the layer below will consume. Both take dxPart — a buffer of
+// the layer's frame state — and are done with it when they return, so
+// the frame may rewrite it next step (dataFilterStep's ownership rule).
 func exchangeInputGrad(group *Comm, dxPart *tensor.Tensor, rs bool) (*tensor.Tensor, bool) {
 	if rs && group.Size() > 1 {
 		return group.ReduceScatterSum(dxPart, 1), true
@@ -403,7 +433,7 @@ func channelShards(net *nn.Network, rank, p int, own ownership) ([]*weightShard,
 			vol = int(spec.InSize()) / spec.C
 		}
 		sh := newWeightShard(net.Params[l].W.Narrow(1, rng.Start*vol, rng.Size()*vol), nil, rng)
-		own.slice(l, fieldW, sh.w, 1, rng.Start*vol, rng.Size()*vol)
+		own.slice(l, fieldW, sh.p.W, 1, rng.Start*vol, rng.Size()*vol)
 		shards[l] = sh
 	}
 	return shards, nil
@@ -428,7 +458,7 @@ func channelStep(pe *peCtx, shards []*weightShard, x *tensor.Tensor, labels []in
 			cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
 			xSh := xin.Narrow(1, sh.rng.Start, sh.rng.Size())
 			states[l] = &nn.LayerState{X: xSh}
-			part := tensor.ConvForward(xSh, sh.w, nil, cs)
+			part := tensor.ConvForward(xSh, sh.p.W, nil, cs)
 			tr.Begin(trace.CollectiveWait)
 			y := c.AllReduceSum(part)
 			tr.Begin(trace.ComputeForward)
@@ -439,7 +469,7 @@ func channelStep(pe *peCtx, shards []*weightShard, x *tensor.Tensor, labels []in
 			n := xSh.Dim(0)
 			flat := xSh.Reshape(n, xSh.Len()/n)
 			states[l] = &nn.LayerState{X: xSh}
-			part := tensor.FCForward(flat, sh.w, nil)
+			part := tensor.FCForward(flat, sh.p.W, nil)
 			tr.Begin(trace.CollectiveWait)
 			y := c.AllReduceSum(part)
 			tr.Begin(trace.ComputeForward)
@@ -464,8 +494,8 @@ func channelStep(pe *peCtx, shards []*weightShard, x *tensor.Tensor, labels []in
 		case spec.Kind == nn.Conv && sh != nil:
 			cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
 			xSh := states[l].X
-			dxSh := tensor.ConvBackwardData(dy, sh.w, xSh.Shape(), cs)
-			tensor.ConvBackwardWeightInto(sh.dw, sh.db, dy, xSh, cs)
+			dxSh := tensor.ConvBackwardData(dy, sh.p.W, xSh.Shape(), cs)
+			tensor.ConvBackwardWeightInto(sh.g.W, sh.g.B, dy, xSh, cs)
 			tr.Begin(trace.CollectiveWait)
 			out := c.AllGather(dxSh, 1)
 			tr.Begin(trace.ComputeBackward)
@@ -474,7 +504,7 @@ func channelStep(pe *peCtx, shards []*weightShard, x *tensor.Tensor, labels []in
 			xSh := states[l].X
 			n := xSh.Dim(0)
 			flat := xSh.Reshape(n, xSh.Len()/n)
-			dxSh := tensor.FCBackwardInto(sh.dw, sh.db, dy, flat, sh.w, xSh.Shape())
+			dxSh := tensor.FCBackwardInto(sh.g.W, sh.g.B, dy, flat, sh.p.W, xSh.Shape())
 			tr.Begin(trace.CollectiveWait)
 			out := c.AllGather(dxSh, 1)
 			tr.Begin(trace.ComputeBackward)
@@ -494,8 +524,8 @@ func channelStep(pe *peCtx, shards []*weightShard, x *tensor.Tensor, labels []in
 		if shards[l] == nil {
 			continue
 		}
-		step.step(shards[l].w, shards[l].dw)
-		step.step(net.Params[l].B, shards[l].db)
+		step.step(shards[l].p.W, shards[l].g.W)
+		step.step(net.Params[l].B, shards[l].g.B)
 	}
 	return loss
 }

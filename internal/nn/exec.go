@@ -74,27 +74,45 @@ type LayerState struct {
 	BN     *tensor.BNState
 
 	// The layer's output, its input gradient and its window kernels'
-	// scratch. A fresh state has none, so its kernels allocate them; a
-	// state of the network's frame keeps them from step to step.
+	// scratch. A fresh state (ForwardLayer, BackwardLayer) has none, so
+	// its kernels allocate them; a state kept from step to step — one of
+	// the network's frame (Forward), or one an engine of internal/dist
+	// keeps per layer (ForwardInto) — keeps them, and its kernels
+	// rewrite them in place.
 	y, dx   *tensor.Tensor
 	scratch *tensor.Scratch
 }
 
 // ForwardLayer applies layer l to x and returns the activation plus the
 // state needed by BackwardLayer, all in fresh buffers the caller owns.
+// The spatial, channel and pipeline engines of internal/dist run their
+// layers through it.
 func (n *Network) ForwardLayer(l int, x *tensor.Tensor) (*tensor.Tensor, *LayerState) {
 	st := &LayerState{}
-	return n.forwardLayer(l, x, st), st
+	return n.forwardLayer(l, x, st, n.Params[l]), st
 }
 
-// forwardLayer applies layer l to x, writing its output and the state
-// its backward needs into st: into st's buffers where they have the
-// shapes this call needs, else into new ones it leaves there. Every
-// layer forward runs here, over a fresh state (ForwardLayer) or the
-// frame's (Forward).
-func (n *Network) forwardLayer(l int, x *tensor.Tensor, st *LayerState) *tensor.Tensor {
+// ForwardInto applies layer l to x with the parameters p — the layer's
+// own (n.Params[l]) or a shard of them, such as a filter shard's output
+// channels — in st, a state the caller keeps from step to step (a zero
+// LayerState to start). The output and what the backward needs live in
+// st's buffers, which the layer's next ForwardInto rewrites in place,
+// reallocating one only when its shape changes: what it returns is
+// valid until then, like the frame's (see Forward).
+func (n *Network) ForwardInto(l int, x *tensor.Tensor, st *LayerState, p Params) *tensor.Tensor {
+	if st.scratch == nil {
+		st.scratch = new(tensor.Scratch)
+	}
+	return n.forwardLayer(l, x, st, p)
+}
+
+// forwardLayer applies layer l to x with parameters p, writing its
+// output and the state its backward needs into st: into st's buffers
+// where they have the shapes this call needs, else into new ones it
+// leaves there. Every layer forward runs here, over a fresh state
+// (ForwardLayer) or a kept one (ForwardInto).
+func (n *Network) forwardLayer(l int, x *tensor.Tensor, st *LayerState, p Params) *tensor.Tensor {
 	spec := &n.Model.Layers[l]
-	p := n.Params[l]
 	st.X = x
 	var dims [8]int
 	switch spec.Kind {
@@ -188,17 +206,29 @@ func (n *Network) GradBuffers(l int) Grads {
 // backward.
 func (n *Network) BackwardLayer(l int, dy *tensor.Tensor, st *LayerState) (*tensor.Tensor, Grads) {
 	fresh := LayerState{X: st.X, Argmax: st.Argmax, BN: st.BN}
-	return n.backwardLayer(l, dy, &fresh, true)
+	g := n.GradBuffers(l)
+	return n.backwardLayer(l, dy, &fresh, n.Params[l], g, true), g
 }
 
-// backwardLayer propagates dy through layer l given the forward state
-// st, writing the parameter gradients into the layer's GradBuffers and
-// the input gradient into st's buffer (see forwardLayer), or skipping it
-// and returning nil when inputGrad is false. Every layer backward runs
-// here.
-func (n *Network) backwardLayer(l int, dy *tensor.Tensor, st *LayerState, inputGrad bool) (*tensor.Tensor, Grads) {
+// BackwardInto propagates dy through layer l given st, the state of its
+// last ForwardInto with the same parameters p. It writes the parameter
+// gradients into g — buffers shaped like p's fields: the layer's
+// GradBuffers, or a shard's — and the input gradient into st's buffer,
+// valid until the layer's next BackwardInto, or skips the input gradient
+// and returns nil when inputGrad is false.
+func (n *Network) BackwardInto(l int, dy *tensor.Tensor, st *LayerState, p Params, g Grads, inputGrad bool) *tensor.Tensor {
+	if st.scratch == nil {
+		st.scratch = new(tensor.Scratch)
+	}
+	return n.backwardLayer(l, dy, st, p, g, inputGrad)
+}
+
+// backwardLayer propagates dy through layer l with parameters p given
+// the forward state st, writing the parameter gradients into g and the
+// input gradient into st's buffer (see forwardLayer), or skipping it and
+// returning nil when inputGrad is false. Every layer backward runs here.
+func (n *Network) backwardLayer(l int, dy *tensor.Tensor, st *LayerState, p Params, g Grads, inputGrad bool) *tensor.Tensor {
 	spec := &n.Model.Layers[l]
-	p := n.Params[l]
 	var dx *tensor.Tensor
 	if inputGrad {
 		st.dx = reuseLike(st.dx, st.X)
@@ -206,39 +236,32 @@ func (n *Network) backwardLayer(l int, dy *tensor.Tensor, st *LayerState, inputG
 	}
 	switch spec.Kind {
 	case Conv:
-		g := n.GradBuffers(l)
 		cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
 		if dx != nil {
 			tensor.ConvBackwardDataInto(dx, dy, p.W, cs, st.scratch)
 		}
 		tensor.ConvBackwardWeightInto(g.W, g.B, dy, st.X, cs, st.scratch)
-		return dx, g
 	case Pool:
 		if dx != nil {
 			ps := tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: spec.Pad}
 			tensor.PoolBackwardInto(dx, dy, ps, st.Argmax, st.scratch)
 		}
-		return dx, Grads{}
 	case FC:
-		g := n.GradBuffers(l)
 		nBatch := st.X.Dim(0)
 		tensor.FCBackwardGradsInto(dx, g.W, g.B, dy, st.X.Reshape(nBatch, st.X.Len()/nBatch), p.W)
-		return dx, g
 	case ReLU:
 		if dx != nil {
 			tensor.ReLUBackwardInto(dx, dy, st.X)
 		}
-		return dx, Grads{}
 	case BatchNorm:
-		g := n.GradBuffers(l)
 		tensor.BNBackwardReduceInto(g.Gamma, g.Beta, dy, st.BN)
 		if dx != nil {
 			tensor.BNBackwardApplyInto(dx, dy, p.Gamma, st.BN, g.Gamma, g.Beta)
 		}
-		return dx, g
 	default:
 		panic(fmt.Sprintf("nn: cannot execute layer kind %v", spec.Kind))
 	}
+	return dx
 }
 
 // Graph returns the network's compiled execution graph.
@@ -256,8 +279,11 @@ func (n *Network) Graph() *Graph { return n.graph }
 // nothing is zeroed first. Like the GradBuffers, they are valid until the
 // network's next Forward: a caller that keeps one longer copies it, and
 // nothing frame-owned may cross to another goroutine that outlives the
-// step. ForwardLayer and BackwardLayer, which the dist engines call,
-// return fresh buffers instead.
+// step. ForwardInto and BackwardInto run a layer the same way in a
+// state the caller keeps (the data, filter and df engines of
+// internal/dist keep one per layer); ForwardLayer and BackwardLayer,
+// which the spatial, channel and pipeline engines call, return fresh
+// buffers instead.
 func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, []*LayerState) {
 	if n.frame == nil {
 		n.frame = make([]*LayerState, len(n.Model.Layers))
@@ -267,7 +293,7 @@ func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, []*LayerState) {
 	}
 	states := n.frame
 	logits := n.graph.ForwardRange(0, len(states), x, func(l int, xin *tensor.Tensor) *tensor.Tensor {
-		return n.forwardLayer(l, xin, states[l])
+		return n.forwardLayer(l, xin, states[l], n.Params[l])
 	})
 	return logits, states
 }
@@ -284,8 +310,8 @@ func (n *Network) Backward(dLogits *tensor.Tensor, states []*LayerState) (*tenso
 // BackwardParams is Backward for a training step: it returns only the
 // parameter gradients, and skips the network input's gradient, which no
 // layer consumes — the input gradient of every layer that reads the
-// network input (Graph.Src < 0), the rule the data/filter engine of
-// internal/dist applies too.
+// network input (Graph.Src < 0), the rule the data, filter and df
+// engines of internal/dist apply too.
 func (n *Network) BackwardParams(dLogits *tensor.Tensor, states []*LayerState) []Grads {
 	_, grads := n.backward(dLogits, states, false)
 	return grads
@@ -295,9 +321,8 @@ func (n *Network) BackwardParams(dLogits *tensor.Tensor, states []*LayerState) [
 func (n *Network) backward(dLogits *tensor.Tensor, states []*LayerState, inputGrad bool) (*tensor.Tensor, []Grads) {
 	grads := make([]Grads, len(n.Model.Layers))
 	dx := n.graph.BackwardRange(0, len(grads), dLogits, func(l int, dy *tensor.Tensor) *tensor.Tensor {
-		d, g := n.backwardLayer(l, dy, states[l], inputGrad || n.graph.Src(l) >= 0)
-		grads[l] = g
-		return d
+		grads[l] = n.GradBuffers(l)
+		return n.backwardLayer(l, dy, states[l], n.Params[l], grads[l], inputGrad || n.graph.Src(l) >= 0)
 	})
 	return dx, grads
 }
