@@ -133,6 +133,11 @@ func superviseTrain(w io.Writer, m *nn.Model, batches []dist.Batch, pl dist.Plan
 		fmt.Fprintf(w, "recovered: PE %d died at iteration %d; plan %s → %s; resumed from checkpoint at iteration %d\n",
 			rec.PE, rec.FailIter, rec.From, rec.To, rec.ResumeIter)
 	}
+	if el.Dir != "" {
+		// The writer keeps only the newest pending snapshot, so a slow
+		// disk displaces some: say how many.
+		fmt.Fprintf(w, "checkpoints: %d saved, %d displaced\n", er.Checkpoints.Saved, er.Checkpoints.Dropped)
+	}
 	return er.Result, nil
 }
 

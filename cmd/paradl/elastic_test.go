@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,11 +76,18 @@ func TestElasticTrainCheckpointResumeMigrate(t *testing.T) {
 	// The writer keeps the newest snapshot (ckpt.Writer): one that is
 	// still pending when the next iteration's arrives is displaced, so
 	// how many of iterations 1–3 reach the disk depends on how fast the
-	// disk is against training. The last one always does, and every file
-	// written is a whole data:4 checkpoint.
+	// disk is against training. The run says how many: the files on disk
+	// are exactly the saved ones, saved and displaced add up to the four
+	// snapshots taken, the last one always reaches the disk, and every
+	// file written is a whole data:4 checkpoint.
+	var saved, displaced int
+	line := out.String()[max(strings.Index(out.String(), "checkpoints: "), 0):]
+	if _, err := fmt.Sscanf(line, "checkpoints: %d saved, %d displaced", &saved, &displaced); err != nil {
+		t.Fatalf("no checkpoint count in output (%v):\n%s", err, out.String())
+	}
 	paths, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.pdl"))
-	if len(paths) == 0 || filepath.Base(paths[len(paths)-1]) != ckpt.FileName(4) {
-		t.Fatalf("expected checkpoints ending at iteration 4, found %v", paths)
+	if len(paths) == 0 || len(paths) != saved || saved+displaced != 4 || filepath.Base(paths[len(paths)-1]) != ckpt.FileName(4) {
+		t.Fatalf("%d saved, %d displaced: expected that many checkpoints, 4 in all, ending at iteration 4; found %v", saved, displaced, paths)
 	}
 	for _, p := range paths {
 		st, err := ckpt.Load(p)

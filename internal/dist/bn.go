@@ -4,8 +4,9 @@ import (
 	"paradl/internal/tensor"
 )
 
-// bnEps matches the epsilon hard-wired into nn.ForwardLayer's batch
-// normalization, so synchronized and sequential BN normalize alike.
+// bnEps matches the epsilon hard-wired into the batch normalization of
+// nn's layer op (Network.ForwardInto), so synchronized and sequential BN
+// normalize alike.
 const bnEps = 1e-5
 
 // syncBNForward is synchronized batch normalization (§4.5.2): the

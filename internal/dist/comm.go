@@ -252,14 +252,16 @@ func (c *Comm) Send(dst int, t *tensor.Tensor) {
 }
 
 // sendOwned delivers t itself, without a copy, under one of two
-// contracts. Ownership transfer — the halo, pipeline, tree and
-// reduce-scatter hops of a buffer that is handed off anyway: the sender
-// must not read or write t afterwards and the receiver may do with it
-// as it likes. View — the ring's chunks of the caller's buffers and
-// AllGather's forwarded shards, memory the sender keeps: the receiver
-// only ever reads it, and the sender does not write the viewed region
-// until it knows the receiver is done reading (ring spells out how). Cloning is reserved for true aliasing boundaries (public Send,
-// tree broadcast fan-out).
+// contracts. Ownership transfer — the halo, tree and reduce-scatter hops
+// of a buffer that is handed off anyway: the sender must not read or
+// write t afterwards and the receiver may do with it as it likes. View —
+// the ring's chunks of the caller's buffers, AllGather's forwarded
+// shards and the pipeline's stage outputs and input gradients, which
+// are frame buffers: memory the sender keeps, which the receiver only
+// ever reads, and the sender does not write the viewed region until it
+// knows the receiver is done reading (ring and dataPipelineStep spell
+// out how). Cloning is reserved for true aliasing boundaries (public
+// Send, tree broadcast fan-out).
 func (c *Comm) sendOwned(dst int, t *tensor.Tensor) {
 	c.send(dst, message{t: t})
 }
@@ -478,33 +480,9 @@ func (c *Comm) ReduceScatterSum(t *tensor.Tensor, axis int) *tensor.Tensor {
 		_, rc := collective.RingReduceScatterStep(c.rank, s, p)
 		c.sendOwned(next, cur)
 		cur = c.Recv(prev)
-		addFromRegion(cur, t, axis, offs[rc])
+		addRegion(cur, t, axis, 0, offs[rc], sizes[rc], false)
 	}
 	return cur
-}
-
-// addFromRegion accumulates the [start, start+dst.Dim(axis)) slice of
-// src along axis into dst without materializing the slice — the
-// gather-side counterpart of addRegion. All dimensions except axis must
-// match.
-func addFromRegion(dst, src *tensor.Tensor, axis, start int) {
-	inner := 1
-	for i := axis + 1; i < src.Rank(); i++ {
-		inner *= src.Dim(i)
-	}
-	outer := 1
-	for i := 0; i < axis; i++ {
-		outer *= src.Dim(i)
-	}
-	n, srcAxis := dst.Dim(axis), src.Dim(axis)
-	sd, dd := src.Data(), dst.Data()
-	for o := 0; o < outer; o++ {
-		srcBase := (o*srcAxis + start) * inner
-		dstBase := o * n * inner
-		for i := 0; i < n*inner; i++ {
-			dd[dstBase+i] += sd[srcBase+i]
-		}
-	}
 }
 
 // AllGather concatenates every PE's shard along axis in rank order —

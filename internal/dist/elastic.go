@@ -82,6 +82,10 @@ type Recovery struct {
 type ElasticResult struct {
 	*Result
 	Recoveries []Recovery
+	// Checkpoints is the checkpoint writer's account when CkptDir is set:
+	// snapshots written, and snapshots displaced by a newer one before
+	// they reached the disk.
+	Checkpoints ckpt.WriterStats
 }
 
 // RunElastic trains under supervision: the world checkpoints its
@@ -175,7 +179,11 @@ func RunElastic(m *nn.Model, batches []Batch, pl Plan, pol Policy, opts ...Optio
 			}
 		}
 		res.Losses = append(prefix, res.Losses...)
-		return &ElasticResult{Result: res, Recoveries: recoveries}, nil
+		er := &ElasticResult{Result: res, Recoveries: recoveries}
+		if writer != nil {
+			er.Checkpoints = writer.Stats()
+		}
+		return er, nil
 	}
 	// restorePoint re-establishes the restore state after a failure.
 	// With a checkpoint directory, the durable newest VALID file is the

@@ -1,8 +1,8 @@
-// Step-frame tests of the data, filter and df engines: every layer runs
-// in buffers each PE keeps from step to step, so these pin what reuse
-// could break — a shape change mid-run, a reused buffer not fully
-// rewritten, an engine writing into the caller's batch — and what reuse
-// buys: bytes per iteration that do not grow with the run.
+// Step-frame tests of the engines: every layer runs in buffers each PE
+// keeps from step to step, so these pin what reuse could break — a
+// shape change mid-run, a reused buffer not fully rewritten, an engine
+// writing into the caller's batch — and what reuse buys: bytes per
+// iteration that do not grow with the run.
 package dist_test
 
 import (
@@ -97,15 +97,20 @@ func TestRunLeavesBatchesUntouched(t *testing.T) {
 	}
 }
 
-// Batch sizes that change mid-run — uneven group shards, a frame that
-// must reallocate on every shape change and back — keep the data,
-// filter and df engines within 1e-6 of serial SGD, and two runs of a
-// plan agree bit for bit. tinycnn has batch norm, synchronized across
-// the segment whenever the plan has a data axis.
+// Batch sizes that change mid-run — uneven group shards and
+// micro-batches, frames and halo buffers that must reallocate on every
+// shape change and back — keep every engine within 1e-6 of serial SGD,
+// and two runs of a plan agree bit for bit. tinycnn has batch norm,
+// synchronized across the segment (or, spatially, the world) whenever
+// the plan has a data or spatial axis; the pipeline normalizes each
+// micro-batch by itself (GPipe), so on tinycnn the pipeline plans are
+// held to bit-identity between runs only.
 func TestVariableBatchParity(t *testing.T) {
 	plans := []dist.Plan{
 		{Strategy: core.Data, P1: 2}, {Strategy: core.Data, P1: 4},
 		{Strategy: core.Filter, P2: 2}, {Strategy: core.DataFilter, P1: 2, P2: 2},
+		{Strategy: core.Spatial, P2: 2}, {Strategy: core.Channel, P2: 2}, {Strategy: core.Pipeline, P2: 2},
+		{Strategy: core.DataSpatial, P1: 2, P2: 2}, {Strategy: core.DataPipeline, P1: 2, P2: 2},
 	}
 	for _, m := range []*nn.Model{model.TinyCNNNoBN(), model.TinyResNet(), model.Tiny3D(), model.TinyCNN()} {
 		batches := varBatches(m, 8, 8, 6, 8, 5, 8)
@@ -118,7 +123,11 @@ func TestVariableBatchParity(t *testing.T) {
 			for _, pl := range plans {
 				t.Run(fmt.Sprintf("%s/%s/momentum=%g", m.Name, pl, mu), func(t *testing.T) {
 					a, err := dist.Run(m, batches, pl, opts...)
-					assertParity(t, want, a, err)
+					if m.Name != "tinycnn" || (pl.Strategy != core.Pipeline && pl.Strategy != core.DataPipeline) {
+						assertParity(t, want, a, err)
+					} else if err != nil {
+						t.Fatal(err)
+					}
 					b, err := dist.Run(m, batches, pl, opts...)
 					if err != nil {
 						t.Fatal(err)
@@ -147,27 +156,41 @@ func runAllocBytes(t *testing.T, m *nn.Model, batches []dist.Batch, pl dist.Plan
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// The data, filter and df engines run every layer in the frame each PE
-// keeps from step to step, so an iteration allocates a fixed, small
-// amount: bytes per iteration, the difference between a run of 4n
-// batches and one of n over the 3n extra iterations (set-up cancels),
-// at batch 8 on the train_small models. With a group of one every
-// collective is the identity and the data edge runs entirely on the
-// frame: data:2 and data:4 stay under 64 KiB. Past a group of one the
-// forward outputs the shards allgather, their concatenations and the
-// sliced gradients stay fresh, so filter:2 and df:2x2 are held to half
-// of what they allocated before the frame (KiB per iteration on a
-// 2-vCPU Xeon, tinycnn-nobn / tinyresnet / tiny3d; the same build's runs
-// agree to 1 KiB): data:2 2 571 / 1 533 / 1 477, data:4 3 679 / 2 002 /
-// 2 211, filter:2 4 590 / 3 039 / 2 416, df:2x2 5 798 / 3 580 / 3 281.
-func TestDataFilterStepAllocationsSteady(t *testing.T) {
-	before := map[string][3]uint64{ // KiB per iteration before the frame
-		"filter:2": {4590, 3039, 2416},
-		"df:2x2":   {5798, 3580, 3281},
+// Every engine runs every layer in the frame each PE keeps from step to
+// step, so an iteration allocates a fixed, small amount: bytes per
+// iteration, the difference between a run of 4n batches and one of n
+// over the 3n extra iterations (set-up cancels), at batch 8 on the
+// train_small models. With a group of one every collective is the
+// identity and the data edge runs entirely on the frame: data:2 and
+// data:4 stay under 64 KiB. The spatial and pipeline engines keep their
+// halo buffers and micro-batch rows too, and what stays fresh is small
+// (the halo rows in flight, the gathered slab, the loss gradient): they
+// stay under 256 KiB, their hybrids included. Past a group of one the
+// filter shards' allgathered outputs, their concatenations and the
+// sliced gradients stay fresh, as do a channel shard's input slice and
+// its gathered input gradient, so filter:2, df:2x2 and channel:2 are
+// held to half of what they allocated before the frame. KiB per
+// iteration before it, on a 2-vCPU Xeon, tinycnn-nobn / tinyresnet /
+// tiny3d (the same build's runs agree to 1 KiB): data:2 2 571 / 1 533 /
+// 1 477, data:4 3 679 / 2 002 / 2 211, filter:2 4 590 / 3 039 / 2 416,
+// df:2x2 5 798 / 3 580 / 3 281, spatial:2 4 666 / 3 026 / 2 872,
+// channel:2 4 263 / 2 996 / 2 332, pipeline:2 2 746 / 1 639 / 1 700,
+// ds:2x2 5 545 / 3 274 / 3 555, dp:2x2 3 981 / 2 188 / 2 596.
+func TestEngineStepAllocationsSteady(t *testing.T) {
+	ceilings := map[string][3]uint64{ // KiB per iteration
+		"data:2":     {64, 64, 64},
+		"data:4":     {64, 64, 64},
+		"filter:2":   {4590 / 2, 3039 / 2, 2416 / 2},
+		"df:2x2":     {5798 / 2, 3580 / 2, 3281 / 2},
+		"spatial:2":  {256, 256, 256},
+		"channel:2":  {4263 / 2, 2996 / 2, 2332 / 2},
+		"pipeline:2": {256, 256, 256},
+		"ds:2x2":     {256, 256, 256},
+		"dp:2x2":     {256, 256, 256},
 	}
 	const n = 4
 	runtime.GC() // start the GC's workers before counting
-	for _, ps := range []string{"data:2", "data:4", "filter:2", "df:2x2"} {
+	for _, ps := range []string{"data:2", "data:4", "filter:2", "df:2x2", "spatial:2", "channel:2", "pipeline:2", "ds:2x2", "dp:2x2"} {
 		for mi, m := range trainSmall() {
 			t.Run(ps+"/"+m.Name, func(t *testing.T) {
 				pl := mustPlan(t, ps)
@@ -175,10 +198,7 @@ func TestDataFilterStepAllocationsSteady(t *testing.T) {
 				short := runAllocBytes(t, m, batches[:n], pl)
 				long := runAllocBytes(t, m, batches, pl)
 				perIter := int64(long-short) / (3 * n)
-				ceiling := int64(64 << 10)
-				if old, ok := before[ps]; ok {
-					ceiling = int64(old[mi]<<10) / 2
-				}
+				ceiling := int64(ceilings[ps][mi] << 10)
 				t.Logf("%d KiB per iteration (ceiling %d KiB)", perIter>>10, ceiling>>10)
 				if perIter > ceiling {
 					t.Errorf("%d bytes allocated per iteration, ceiling %d", perIter, ceiling)
@@ -189,10 +209,11 @@ func TestDataFilterStepAllocationsSteady(t *testing.T) {
 }
 
 // BenchmarkEngineStep times whole runs — set-up plus 8 iterations at
-// batch 8 — of the serial baseline and the data, filter and df engines
-// on the train_small models, with their allocations.
+// batch 8 — of the serial baseline and the data, filter, df, spatial,
+// channel and pipeline engines on the train_small models, with their
+// allocations.
 func BenchmarkEngineStep(b *testing.B) {
-	for _, ps := range []string{"serial", "data:2", "filter:2", "df:2x2"} {
+	for _, ps := range []string{"serial", "data:2", "filter:2", "df:2x2", "spatial:2", "channel:2", "pipeline:2"} {
 		for _, m := range trainSmall() {
 			b.Run(ps+"/"+m.Name, func(b *testing.B) {
 				pl := mustPlan(b, ps)

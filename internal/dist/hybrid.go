@@ -48,8 +48,14 @@ func groupShard(b *Batch, g, p1 int) (*tensor.Tensor, []int, float64) {
 	}
 	off := tensor.SplitOffsets(total, p1)[g]
 	n := sizes[g]
-	shape := b.X.Shape()
+	return samples(b.X, off, n), b.Labels[off : off+n], float64(n) / float64(total)
+}
+
+// samples returns a view of samples [off, off+n) of the batch tensor x,
+// no copy: a group's shard of the batch, or a pipeline's micro-batch.
+func samples(x *tensor.Tensor, off, n int) *tensor.Tensor {
+	shape := x.Shape()
 	shape[0] = n
-	vol := b.X.Len() / total
-	return tensor.FromSlice(b.X.Data()[off*vol:(off+n)*vol], shape...), b.Labels[off : off+n], float64(n) / float64(total)
+	vol := x.Len() / x.Dim(0)
+	return tensor.FromSlice(x.Data()[off*vol:(off+n)*vol], shape...)
 }

@@ -64,13 +64,17 @@ func dataPipelineEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*en
 				}
 			}
 		}
-		st := stages[pe.group.Rank()]
+		f := &pipelineFrame{pe: pe, ex: ex, own: own, stage: stages[pe.group.Rank()], rows: make([][]*nn.LayerState, p2), ends: make([]*tensor.Tensor, p2)}
+		f.acc = make([]nn.Grads, f.stage.End-f.stage.Start)
+		for mb := range f.rows {
+			f.rows[mb] = make([]*nn.LayerState, len(f.acc))
+			for i := range f.rows[mb] {
+				f.rows[mb][i] = new(nn.LayerState)
+			}
+		}
 		lastStage := pe.group.Rank() == p2-1
-		// The stage's gradient accumulator over a flush's micro-batches,
-		// kept across iterations like every other gradient buffer.
-		acc := make([]nn.Grads, st.End-st.Start)
 		return func(x *tensor.Tensor, labels []int, weight float64) float64 {
-			loss := dataPipelineStep(pe, ex, own, st, acc, x, labels, weight)
+			loss := dataPipelineStep(f, x, labels, weight)
 			if lastStage {
 				// The last-stage segment sums the per-group weighted
 				// losses into the global mean loss.
@@ -163,6 +167,22 @@ func abs(x int) int {
 	return x
 }
 
+// pipelineFrame is what one PE of the data×pipeline grid keeps from
+// step to step, built once by the engine's build: the exchanger, the
+// ownership table and the stage, the stage's gradient accumulator over
+// a flush's micro-batches, and per micro-batch (at most p2 of them) one
+// frame row — an nn.LayerState per stage layer — and the stage's output
+// (the logits on the last stage).
+type pipelineFrame struct {
+	pe    *peCtx
+	ex    *gradExchanger
+	own   ownership
+	stage strategy.PipelineStage
+	acc   []nn.Grads
+	rows  [][]*nn.LayerState
+	ends  []*tensor.Tensor
+}
+
 // dataPipelineStep pushes this group's batch shard x (weighted n_g/B in
 // the global loss) through the group's pipeline as microbatches,
 // and exchanges the accumulated stage gradients (acc) across the
@@ -172,8 +192,21 @@ func abs(x int) int {
 // gradient is final once the LAST microbatch's backward has passed it,
 // so it enters the segment exchange right there, overlapping the rest
 // of the flush.
-func dataPipelineStep(pe *peCtx, ex *gradExchanger, own ownership, st strategy.PipelineStage, acc []nn.Grads, x *tensor.Tensor, labels []int, weight float64) float64 {
-	c, net, tr := pe.group, pe.net, pe.tr
+//
+// Every layer runs through its op in micro-batch mb's frame row, and
+// the stage outputs and input gradients travel as frame buffers under
+// sendOwned's view contract: the receiver only reads them (a layer
+// never writes its input or dy, and the graph walk clones a stage input
+// before merging into it), and the sender rewrites y[mb] or dx[mb] only
+// in its next step. It gets there only after the flush's message chain
+// proves its neighbour done reading. Downstream, stage r+1 sends dx[mb]
+// after the backward of mb's first stage layer, the last read of
+// y_r[mb], and stage r receives every dx[mb] before its step ends.
+// Upstream, stage r−1 reads dx_r[mb] within its step and only then
+// sends the next step's first activation, which stage r awaits before
+// any of its next backward.
+func dataPipelineStep(f *pipelineFrame, x *tensor.Tensor, labels []int, weight float64) float64 {
+	c, net, tr, st := f.pe.group, f.pe.net, f.pe.tr, f.stage
 	rank, p := c.Rank(), c.Size()
 	total := x.Dim(0)
 	nm := min(p, total)
@@ -185,13 +218,11 @@ func dataPipelineStep(pe *peCtx, ex *gradExchanger, own ownership, st strategy.P
 	// in the stage can resolve its tap locally (or to the stage input),
 	// so residual blocks execute whole inside their stage.
 	gph := net.Graph()
-	states := make([][]*nn.LayerState, nm)
-	logits := make([]*tensor.Tensor, nm)
 	tr.Begin(trace.ComputeForward)
 	for mb := 0; mb < nm; mb++ {
 		var xin *tensor.Tensor
 		if rank == 0 {
-			xin = x.Narrow(0, offs[mb], sizes[mb])
+			xin = samples(x, offs[mb], sizes[mb])
 		} else {
 			// Blocked on the upstream stage: bubble time on the trace
 			// until the activation arrives.
@@ -199,20 +230,14 @@ func dataPipelineStep(pe *peCtx, ex *gradExchanger, own ownership, st strategy.P
 			xin = c.Recv(rank - 1)
 			tr.Begin(trace.ComputeForward)
 		}
-		states[mb] = make([]*nn.LayerState, st.End-st.Start)
-		out := gph.ForwardRange(st.Start, st.End, xin, func(l int, x2 *tensor.Tensor) *tensor.Tensor {
-			y, s := net.ForwardLayer(l, x2)
-			states[mb][l-st.Start] = s
-			return y
+		row := f.rows[mb]
+		f.ends[mb] = gph.ForwardRange(st.Start, st.End, xin, func(l int, x2 *tensor.Tensor) *tensor.Tensor {
+			return net.ForwardInto(l, x2, row[l-st.Start], net.Params[l])
 		})
 		if rank < p-1 {
-			// The stage output is dead here (states keep layer inputs,
-			// not outputs), so ownership transfers without a copy.
 			tr.Begin(trace.PipelineTransfer)
-			c.sendOwned(rank+1, out)
+			c.sendOwned(rank+1, f.ends[mb])
 			tr.Begin(trace.ComputeForward)
-		} else {
-			logits[mb] = out
 		}
 	}
 
@@ -224,7 +249,7 @@ func dataPipelineStep(pe *peCtx, ex *gradExchanger, own ownership, st strategy.P
 		var dy *tensor.Tensor
 		if rank == p-1 {
 			lbl := labels[offs[mb] : offs[mb]+sizes[mb]]
-			mbLoss, dl := tensor.SoftmaxCrossEntropy(logits[mb], lbl)
+			mbLoss, dl := tensor.SoftmaxCrossEntropy(f.ends[mb], lbl)
 			mbWeight := weight * float64(sizes[mb]) / float64(total)
 			loss += mbLoss * mbWeight
 			dl.Scale(mbWeight)
@@ -234,14 +259,18 @@ func dataPipelineStep(pe *peCtx, ex *gradExchanger, own ownership, st strategy.P
 			dy = c.Recv(rank + 1)
 			tr.Begin(trace.ComputeBackward)
 		}
+		row := f.rows[mb]
 		dy = gph.BackwardRange(st.Start, st.End, dy, func(l int, d *tensor.Tensor) *tensor.Tensor {
-			dx, g := net.BackwardLayer(l, d, states[mb][l-st.Start])
-			accumulateGrads(&acc[l-st.Start], g, mb == nm-1)
+			g := net.GradBuffers(l)
+			// The network input's gradient (stage 0's bottom layer) is
+			// skipped: no stage consumes it.
+			dx := net.BackwardInto(l, d, row[l-st.Start], net.Params[l], g, gph.Src(l) >= 0)
+			accumulateGrads(&f.acc[l-st.Start], g, mb == nm-1)
 			if mb == 0 {
 				// The reverse-order flush visits microbatch 0 last, so
 				// this layer's accumulation is complete: its exchange can
 				// launch while the flush continues below it.
-				ex.pushGrads(&own[l], &acc[l-st.Start])
+				f.ex.pushGrads(&f.own[l], &f.acc[l-st.Start])
 			}
 			return dx
 		})
@@ -258,6 +287,6 @@ func dataPipelineStep(pe *peCtx, ex *gradExchanger, own ownership, st strategy.P
 	// the barrier, and steps the layers this stage owns exclusively
 	// within the group. With p1=1 — pure pipeline — the segment is
 	// singleton and there is no exchange at all, only the step.
-	ex.drain()
+	f.ex.drain()
 	return loss
 }

@@ -34,20 +34,23 @@ func intersect(a, b rowSpan) rowSpan {
 // layerPlan precomputes, for one windowed (Conv/Pool) layer, every PE's
 // owned rows of the input and output activations plus the real input
 // rows [need) and synthetic edge-padding rows each PE must assemble to
-// compute exactly its output shard. It is shared read-only by all PEs,
-// so sender and receiver agree on every halo message without any
-// negotiation round.
+// compute exactly its output shard, and the value of those edge rows
+// (fill). It is shared read-only by all PEs, so sender and receiver
+// agree on every halo message without any negotiation round.
 type layerPlan struct {
 	in, out      []strategy.Range
 	need         []rowSpan
 	padLo, padHi []int
+	fill         float64
 }
 
 // planLayer derives the halo-exchange plan of layer l at width p. For a
 // window of size k, stride s, padding pd, PE i's output rows [oS, oE)
 // require global input rows [oS·s − pd, (oE−1)·s − pd + k); rows below 0
 // or past the input extent are synthesized as edge padding, the rest are
-// fetched from whoever owns them.
+// fetched from whoever owns them. The edge rows are 0 for convolution
+// and average pooling; max pooling uses −Inf because the sequential
+// kernel skips padded positions, which a −Inf row can never beat.
 func planLayer(l *nn.Layer, p int) (*layerPlan, error) {
 	out, err := strategy.SpatialShards(l.Out[0], p)
 	if err != nil {
@@ -63,6 +66,9 @@ func planLayer(l *nn.Layer, p int) (*layerPlan, error) {
 		padLo: make([]int, p),
 		padHi: make([]int, p),
 	}
+	if l.Kind == nn.Pool && l.PoolKind == tensor.MaxPool {
+		pl.fill = math.Inf(-1)
+	}
 	k, s, pd := l.Kernel[0], l.Stride[0], l.Pad[0]
 	for i := 0; i < p; i++ {
 		needLo := out[i].Start*s - pd
@@ -75,13 +81,16 @@ func planLayer(l *nn.Layer, p int) (*layerPlan, error) {
 	return pl, nil
 }
 
-// haloExchange assembles this PE's windowed-layer input block: its own
+// haloExchange assembles this PE's windowed-layer input block — its own
 // rows plus halo rows fetched point-to-point from the PEs owning them
-// (§3.2), with padVal rows synthesized on the outer edges. padVal is 0
-// for convolution and average pooling; max pooling uses −Inf because
-// the sequential kernel skips padded positions, which a −Inf row can
-// never beat.
-func haloExchange(c *Comm, x *tensor.Tensor, pl *layerPlan, padVal float64) *tensor.Tensor {
+// (§3.2), with pl.fill rows synthesized on the outer edges — in block,
+// the layer's block of the last step, reallocated (and its edge rows
+// filled, which nothing else writes) only when its shape changes.
+// Ownership: x, a frame buffer, is only read — this PE's rows go in as a
+// region copy, and the halo rows a peer needs travel as narrowed copies
+// handed off to it (sendOwned's ownership transfer), which the peer
+// copies into its own block. The block is this PE's alone.
+func haloExchange(c *Comm, x *tensor.Tensor, pl *layerPlan, block *tensor.Tensor) *tensor.Tensor {
 	rank, p := c.Rank(), c.Size()
 	own := spanOf(pl.in[rank])
 	for dst := 0; dst < p; dst++ {
@@ -89,75 +98,74 @@ func haloExchange(c *Comm, x *tensor.Tensor, pl *layerPlan, padVal float64) *ten
 			continue
 		}
 		if ov := intersect(pl.need[dst], own); ov.len() > 0 {
-			// Narrow already snapshots the halo rows; hand that copy over
-			// instead of paying Send's second deep copy.
 			c.sendOwned(dst, x.Narrow(spatialAxis, ov.Lo-own.Lo, ov.len()))
 		}
 	}
 	need := pl.need[rank]
 	shape := x.Shape()
 	shape[spatialAxis] = pl.padLo[rank] + need.len() + pl.padHi[rank]
-	block := tensor.New(shape...)
-	if padVal != 0 {
-		block.Fill(padVal)
+	if b := reuse(block, shape); b != block {
+		block = b
+		if pl.fill != 0 {
+			block.Fill(pl.fill)
+		}
 	}
 	for src := 0; src < p; src++ {
 		ov := intersect(need, spanOf(pl.in[src]))
 		if ov.len() == 0 {
 			continue
 		}
-		var piece *tensor.Tensor
-		if src == rank {
-			piece = x.Narrow(spatialAxis, ov.Lo-own.Lo, ov.len())
-		} else {
-			piece = c.Recv(src)
+		piece, from := x, ov.Lo-own.Lo
+		if src != rank {
+			piece, from = c.Recv(src), 0
 		}
-		block.CopyInto(piece, spatialAxis, pl.padLo[rank]+ov.Lo-need.Lo)
+		addRegion(block, piece, spatialAxis, pl.padLo[rank]+ov.Lo-need.Lo, from, ov.len(), true)
 	}
 	return block
 }
 
-// haloScatter is the backward counterpart of haloExchange: it strips the
-// synthetic padding off dxBlock, ships halo-row gradient contributions
-// back to their owners, and accumulates incoming pieces in ascending PE
-// order so every replica reduces deterministically.
-func haloScatter(c *Comm, dxBlock *tensor.Tensor, pl *layerPlan) *tensor.Tensor {
+// haloScatter is the backward counterpart of haloExchange: it ships the
+// halo-row gradient contributions of dxBlock, a frame buffer, back to
+// their owners as narrowed copies handed off (dxBlock is only read), and
+// sums the incoming pieces and this PE's own rows, skipping the
+// synthetic edge rows, into acc — the layer's sum of the last step,
+// reallocated only when its shape changes — from zero in ascending PE
+// order, so every replica reduces deterministically.
+func haloScatter(c *Comm, dxBlock *tensor.Tensor, pl *layerPlan, acc *tensor.Tensor) *tensor.Tensor {
 	rank, p := c.Rank(), c.Size()
 	need := pl.need[rank]
-	real := dxBlock.Narrow(spatialAxis, pl.padLo[rank], need.len())
 	own := spanOf(pl.in[rank])
 	for dst := 0; dst < p; dst++ {
 		if dst == rank {
 			continue
 		}
 		if ov := intersect(need, spanOf(pl.in[dst])); ov.len() > 0 {
-			c.sendOwned(dst, real.Narrow(spatialAxis, ov.Lo-need.Lo, ov.len()))
+			c.sendOwned(dst, dxBlock.Narrow(spatialAxis, pl.padLo[rank]+ov.Lo-need.Lo, ov.len()))
 		}
 	}
 	shape := dxBlock.Shape()
 	shape[spatialAxis] = own.len()
-	acc := tensor.New(shape...)
+	acc = reuse(acc, shape)
+	acc.Zero()
 	for src := 0; src < p; src++ {
 		ov := intersect(pl.need[src], own)
 		if ov.len() == 0 {
 			continue
 		}
-		var piece *tensor.Tensor
-		if src == rank {
-			piece = real.Narrow(spatialAxis, ov.Lo-need.Lo, ov.len())
-		} else {
-			piece = c.Recv(src)
+		piece, from := dxBlock, pl.padLo[rank]+ov.Lo-need.Lo
+		if src != rank {
+			piece, from = c.Recv(src), 0
 		}
-		addRegion(acc, piece, spatialAxis, ov.Lo-own.Lo)
+		addRegion(acc, piece, spatialAxis, ov.Lo-own.Lo, from, ov.len(), false)
 	}
 	return acc
 }
 
-// addRegion accumulates src into dst at offset start along axis — the
-// additive counterpart of Tensor.CopyInto, touching only the O(region)
-// elements of the halo rows rather than the whole slab. dst and src
-// must agree on every dimension except axis.
-func addRegion(dst, src *tensor.Tensor, axis, start int) {
+// addRegion accumulates the n planes of src from srcStart along axis
+// into dst's from dstStart — touching only the region's elements, not
+// the whole slab — or, with set, copies them over. dst and src must
+// agree on every dimension except axis.
+func addRegion(dst, src *tensor.Tensor, axis, dstStart, srcStart, n int, set bool) {
 	inner := 1
 	for i := axis + 1; i < src.Rank(); i++ {
 		inner *= src.Dim(i)
@@ -166,15 +174,27 @@ func addRegion(dst, src *tensor.Tensor, axis, start int) {
 	for i := 0; i < axis; i++ {
 		outer *= src.Dim(i)
 	}
-	srcAxis, dstAxis := src.Dim(axis), dst.Dim(axis)
 	sd, dd := src.Data(), dst.Data()
 	for o := 0; o < outer; o++ {
-		srcBase := o * srcAxis * inner
-		dstBase := (o*dstAxis + start) * inner
-		for i := 0; i < srcAxis*inner; i++ {
-			dd[dstBase+i] += sd[srcBase+i]
+		d := dd[(o*dst.Dim(axis)+dstStart)*inner:][:n*inner]
+		s := sd[(o*src.Dim(axis)+srcStart)*inner:][:n*inner]
+		if set {
+			copy(d, s)
+			continue
+		}
+		for i, v := range s {
+			d[i] += v
 		}
 	}
+}
+
+// reuse returns buf when it has the given shape, else a new tensor of
+// that shape: a kept buffer is reallocated only when its shape changes.
+func reuse(buf *tensor.Tensor, shape []int) *tensor.Tensor {
+	if buf != nil && tensor.EqualShapes(buf.Shape(), shape) {
+		return buf
+	}
+	return tensor.New(shape...)
 }
 
 // zeroAxis returns pad with the split-axis entry cleared: the halo block
@@ -234,7 +254,7 @@ func dataSpatialEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*eng
 	}
 	// Shared read-only exchange plans for every windowed trunk layer;
 	// slabs split within a group, so plans depend only on p2.
-	plans := make([]*layerPlan, fcStart)
+	plans := make([]*layerPlan, m.G())
 	for l := 0; l < fcStart; l++ {
 		spec := &m.Layers[l]
 		if spec.Kind != nn.Conv && spec.Kind != nn.Pool {
@@ -247,23 +267,60 @@ func dataSpatialEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*eng
 		plans[l] = lp
 	}
 	return &engine{build: func(pe *peCtx) (stepFunc, ownership, error) {
-		// Two bucketed exchanges per PE: trunk conv gradients sum over
-		// the whole world, head gradients over the segment.
-		exWorld := newGradExchanger(pe.world, pe.step, cfg)
-		exSeg := newGradExchanger(pe.seg, pe.step, cfg)
-		own := wholeOwnership(pe.net)
-		for l := range own {
-			ex := exSeg
-			if l < fcStart {
-				ex = exWorld
-			}
-			ex.shard(&own[l][fieldW])
-			ex.shard(&own[l][fieldB])
-		}
+		f := newSpatialFrame(pe, cfg, plans, fcStart)
 		return func(x *tensor.Tensor, labels []int, weight float64) float64 {
-			return dataSpatialStep(pe, exWorld, exSeg, own, x, labels, weight, plans, fcStart)
-		}, own, nil
+			return dataSpatialStep(f, x, labels, weight)
+		}, f.own, nil
 	}}, nil
+}
+
+// spatialFrame is what one PE of the data×spatial grid keeps from step
+// to step, built once by the engine's build: the two exchangers, the
+// ownership table and the shared halo plans, plus per layer the
+// nn.LayerState every step reuses — a windowed trunk layer's applies its
+// pads with the split axis zeroed, and its input is the halo block —
+// and the halo scatter's sums.
+type spatialFrame struct {
+	pe             *peCtx
+	exWorld, exSeg *gradExchanger
+	own            ownership
+	plans          []*layerPlan // nil for the head and element-wise layers
+	fcStart        int
+	states         []*nn.LayerState
+	acc            []*tensor.Tensor // see haloScatter
+	bnSync         []bool
+	grads          []nn.Grads // the synchronized BN gradients, which stepNet applies
+}
+
+// newSpatialFrame builds the frame of one PE. Two bucketed exchanges:
+// trunk gradients sum over the whole world, head gradients over the
+// segment; batch norm synchronizes over the same communicators.
+func newSpatialFrame(pe *peCtx, cfg *runConfig, plans []*layerPlan, fcStart int) *spatialFrame {
+	g := len(plans)
+	f := &spatialFrame{pe: pe, exWorld: newGradExchanger(pe.world, pe.step, cfg), exSeg: newGradExchanger(pe.seg, pe.step, cfg),
+		own: wholeOwnership(pe.net), plans: plans, fcStart: fcStart,
+		states: make([]*nn.LayerState, g), acc: make([]*tensor.Tensor, g), bnSync: make([]bool, g), grads: make([]nn.Grads, g)}
+	for l := range f.states {
+		f.states[l] = new(nn.LayerState)
+		if plans[l] != nil {
+			f.states[l].Pad = zeroAxis(pe.net.Model.Layers[l].Pad)
+		}
+		ex, bn := f.exchange(l)
+		ex.shard(&f.own[l][fieldW])
+		ex.shard(&f.own[l][fieldB])
+		f.bnSync[l] = pe.net.Model.Layers[l].Kind == nn.BatchNorm && bn.Size() > 1
+	}
+	return f
+}
+
+// exchange returns the exchanger layer l's gradients enter and the
+// communicator its batch norm synchronizes over: the world's for the
+// trunk, the segment's for the head.
+func (f *spatialFrame) exchange(l int) (*gradExchanger, *Comm) {
+	if l < f.fcStart {
+		return f.exWorld, f.pe.world
+	}
+	return f.exSeg, f.pe.seg
 }
 
 // dataSpatialStep runs one SGD iteration of the data×spatial grid on
@@ -275,17 +332,18 @@ func dataSpatialEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*eng
 // backward produces them (overlapping the whole trunk backward), trunk
 // conv gradients enter exWorld layer by layer (overlapping the backward
 // of the layers below); draining both is the pre-step barrier.
-func dataSpatialStep(pe *peCtx, exWorld, exSeg *gradExchanger, own ownership, x *tensor.Tensor, labels []int, weight float64, plans []*layerPlan, fcStart int) float64 {
-	world, group, seg, net, step, tr := pe.world, pe.group, pe.seg, pe.net, pe.step, pe.tr
-	model := net.Model
+//
+// Every layer runs through the frame's op (forward, backward), under
+// dataFilterStep's ownership rule: the slab AllGather gets a copy of the
+// frame's buffer (gatherShard), and the halo messages are copies handed
+// off.
+func dataSpatialStep(f *spatialFrame, x *tensor.Tensor, labels []int, weight float64) float64 {
+	group, seg, net, tr := f.pe.group, f.pe.seg, f.pe.net, f.pe.tr
+	layers := net.Model.Layers
 	rank, p := group.Rank(), group.Size()
-	layers := model.Layers
-	g := len(layers)
-
-	inParts := strategy.PartitionDim(model.InputDims[0], p)
 	gph := net.Graph()
-	states := make([]*nn.LayerState, g)
-	bnSync := make([]bool, g)
+	g := len(layers)
+	inParts := strategy.PartitionDim(net.Model.InputDims[0], p)
 	tr.Begin(trace.ComputeForward)
 
 	// Partitioned trunk forward: halo-assembled windowed layers,
@@ -294,135 +352,30 @@ func dataSpatialStep(pe *peCtx, exWorld, exSeg *gradExchanger, own ownership, x 
 	// — partitioned identically, since slab ranges depend only on the
 	// extent — runs halo exchange on the shortcut like any windowed
 	// layer, and merges slab-aligned outputs into the main path.
-	cur := gph.ForwardRange(0, fcStart, x.Narrow(spatialAxis, inParts[rank].Start, inParts[rank].Size()),
-		func(l int, xin *tensor.Tensor) *tensor.Tensor {
-			spec := &layers[l]
-			switch spec.Kind {
-			case nn.Conv:
-				tr.Begin(trace.Halo)
-				block := haloExchange(group, xin, plans[l], 0)
-				tr.Begin(trace.ComputeForward)
-				cs := tensor.ConvSpec{Stride: spec.Stride, Pad: zeroAxis(spec.Pad)}
-				states[l] = &nn.LayerState{X: block}
-				return tensor.ConvForward(block, net.Params[l].W, net.Params[l].B, cs)
-			case nn.Pool:
-				padVal := 0.0
-				if spec.PoolKind == tensor.MaxPool {
-					padVal = math.Inf(-1)
-				}
-				tr.Begin(trace.Halo)
-				block := haloExchange(group, xin, plans[l], padVal)
-				tr.Begin(trace.ComputeForward)
-				ps := tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: zeroAxis(spec.Pad)}
-				y, arg := tensor.PoolForward(block, ps)
-				states[l] = &nn.LayerState{X: block, Argmax: arg}
-				return y
-			case nn.ReLU:
-				states[l] = &nn.LayerState{X: xin}
-				return tensor.ReLUForward(xin)
-			case nn.BatchNorm:
-				if world.Size() > 1 {
-					tr.Begin(trace.BNSync)
-					y, st := syncBNForward(world, xin, net.Params[l].Gamma, net.Params[l].Beta)
-					tr.Begin(trace.ComputeForward)
-					states[l] = &nn.LayerState{X: xin, BN: st}
-					bnSync[l] = true
-					return y
-				}
-				y, st := net.ForwardLayer(l, xin)
-				states[l] = st
-				return y
-			default:
-				panic(fmt.Sprintf("dist: layer kind %v in spatial trunk", spec.Kind))
-			}
-		})
+	cur := gph.ForwardRange(0, f.fcStart, x.Narrow(spatialAxis, inParts[rank].Start, inParts[rank].Size()), f.forward)
 
 	// Aggregate the group's slabs, then run the replicated head on the
 	// group's batch shard (§4.5.1) — every PE of the group computes
 	// identical logits and loss. Head batch norm sees only this group's
 	// shard and synchronizes across the segment.
 	tr.Begin(trace.CollectiveWait)
-	cur = group.AllGather(cur, spatialAxis)
+	cur = gatherShard(group, cur, spatialAxis)
 	tr.Begin(trace.ComputeForward)
-	for l := fcStart; l < g; l++ {
-		if layers[l].Kind == nn.BatchNorm && seg.Size() > 1 {
-			tr.Begin(trace.BNSync)
-			y, st := syncBNForward(seg, cur, net.Params[l].Gamma, net.Params[l].Beta)
-			tr.Begin(trace.ComputeForward)
-			states[l] = &nn.LayerState{X: cur, BN: st}
-			bnSync[l] = true
-			cur = y
-			continue
-		}
-		cur, states[l] = net.ForwardLayer(l, cur)
-	}
+	cur = gph.ForwardRange(f.fcStart, g, cur, f.forward)
 	loss, dy := tensor.SoftmaxCrossEntropy(cur, labels)
 	if weight != 1 {
 		dy.Scale(weight)
 	}
 	tr.Begin(trace.ComputeBackward)
 
-	grads := make([]nn.Grads, g)
-	for l := g - 1; l >= fcStart; l-- {
-		if bnSync[l] {
-			// Sync-BN gradients are already global: they bypass the
-			// bucketed exchange, like the blocking path before it.
-			tr.Begin(trace.BNSync)
-			dx, dgamma, dbeta := syncBNBackward(seg, dy, net.Params[l].Gamma, states[l].BN)
-			tr.Begin(trace.ComputeBackward)
-			grads[l] = nn.Grads{Gamma: dgamma, Beta: dbeta}
-			dy = dx
-			continue
-		}
-		var gr nn.Grads
-		dy, gr = net.BackwardLayer(l, dy, states[l])
-		exSeg.pushGrads(&own[l], &gr)
-	}
-
 	// Back into the trunk: keep only the gradient rows of this PE's
 	// slab. The graph walk fans a merge point's slab gradient into both
 	// the main path and the shortcut, whose halo-scattered input
 	// gradient accumulates on the tap's slab (identical row partition).
-	bParts := strategy.PartitionDim(layers[fcStart].In[0], p)
-	gph.BackwardRange(0, fcStart, dy.Narrow(spatialAxis, bParts[rank].Start, bParts[rank].Size()),
-		func(l int, dy *tensor.Tensor) *tensor.Tensor {
-			spec := &layers[l]
-			switch spec.Kind {
-			case nn.Conv:
-				cs := tensor.ConvSpec{Stride: spec.Stride, Pad: zeroAxis(spec.Pad)}
-				block := states[l].X
-				dxBlock := tensor.ConvBackwardData(dy, net.Params[l].W, block.Shape(), cs)
-				gr := net.GradBuffers(l)
-				tensor.ConvBackwardWeightInto(gr.W, gr.B, dy, block, cs)
-				exWorld.pushGrads(&own[l], &gr)
-				tr.Begin(trace.Halo)
-				out := haloScatter(group, dxBlock, plans[l])
-				tr.Begin(trace.ComputeBackward)
-				return out
-			case nn.Pool:
-				ps := tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: zeroAxis(spec.Pad)}
-				dxBlock := tensor.PoolBackward(dy, states[l].X.Shape(), ps, states[l].Argmax)
-				tr.Begin(trace.Halo)
-				out := haloScatter(group, dxBlock, plans[l])
-				tr.Begin(trace.ComputeBackward)
-				return out
-			case nn.ReLU:
-				return tensor.ReLUBackward(dy, states[l].X)
-			case nn.BatchNorm:
-				if bnSync[l] {
-					tr.Begin(trace.BNSync)
-					dx, dgamma, dbeta := syncBNBackward(world, dy, net.Params[l].Gamma, states[l].BN)
-					tr.Begin(trace.ComputeBackward)
-					grads[l] = nn.Grads{Gamma: dgamma, Beta: dbeta}
-					return dx
-				}
-				dx, gr := net.BackwardLayer(l, dy, states[l])
-				grads[l] = gr
-				return dx
-			default:
-				panic(fmt.Sprintf("dist: layer kind %v in spatial trunk", spec.Kind))
-			}
-		})
+	if dy = gph.BackwardRange(f.fcStart, g, dy, f.backward); dy != nil {
+		bParts := strategy.PartitionDim(layers[f.fcStart].In[0], p)
+		gph.BackwardRange(0, f.fcStart, dy.Narrow(spatialAxis, bParts[rank].Start, bParts[rank].Size()), f.backward)
+	}
 
 	// Gradient exchange barrier: trunk convolution gradients are partial
 	// sums over this PE's (batch shard, output rows) block and were
@@ -431,11 +384,60 @@ func dataSpatialStep(pe *peCtx, exWorld, exSeg *gradExchanger, own ownership, x 
 	// one. Draining both waits every in-flight bucket and steps what it
 	// exchanged; grads holds what needs no exchange — sync-BN gradients
 	// are already global — and stepNet applies it.
-	exWorld.drain()
-	exSeg.drain()
-	step.stepNet(net, grads)
+	f.exWorld.drain()
+	f.exSeg.drain()
+	f.pe.step.stepNet(net, f.grads)
 	tr.Begin(trace.CollectiveWait)
 	global := seg.AllReduceScalar(loss * weight)
 	tr.Begin(trace.ComputeBackward)
 	return global
+}
+
+// forward is layer l's forward op on this PE: synchronized batch norm,
+// or the layer's op in its frame state — over the halo block for a
+// windowed trunk layer.
+func (f *spatialFrame) forward(l int, xin *tensor.Tensor) *tensor.Tensor {
+	net, tr, st := f.pe.net, f.pe.tr, f.states[l]
+	if f.bnSync[l] {
+		_, c := f.exchange(l)
+		tr.Begin(trace.BNSync)
+		y, bn := syncBNForward(c, xin, net.Params[l].Gamma, net.Params[l].Beta)
+		tr.Begin(trace.ComputeForward)
+		st.X, st.BN = xin, bn
+		return y
+	}
+	if pl := f.plans[l]; pl != nil {
+		tr.Begin(trace.Halo)
+		xin = haloExchange(f.pe.group, xin, pl, st.X)
+		tr.Begin(trace.ComputeForward)
+	}
+	return net.ForwardInto(l, xin, st, net.Params[l])
+}
+
+// backward is forward's counterpart. A layer's gradients enter its
+// exchanger after the op's last read of its weights; the synchronized
+// BN gradients are already global and wait in grads. A layer with no
+// consumer for its input gradient — the bottom layer, or a shortcut
+// tapping the network input — skips the data backward and, windowed,
+// its halo scatter, on every PE alike.
+func (f *spatialFrame) backward(l int, dy *tensor.Tensor) *tensor.Tensor {
+	net, tr, st := f.pe.net, f.pe.tr, f.states[l]
+	ex, c := f.exchange(l)
+	if f.bnSync[l] {
+		tr.Begin(trace.BNSync)
+		dx, dgamma, dbeta := syncBNBackward(c, dy, net.Params[l].Gamma, st.BN)
+		tr.Begin(trace.ComputeBackward)
+		f.grads[l] = nn.Grads{Gamma: dgamma, Beta: dbeta}
+		return dx
+	}
+	gr := net.GradBuffers(l)
+	dx := net.BackwardInto(l, dy, st, net.Params[l], gr, net.Graph().Src(l) >= 0)
+	ex.pushGrads(&f.own[l], &gr)
+	if pl := f.plans[l]; pl != nil && dx != nil {
+		tr.Begin(trace.Halo)
+		f.acc[l] = haloScatter(f.pe.group, dx, pl, f.acc[l])
+		tr.Begin(trace.ComputeBackward)
+		dx = f.acc[l]
+	}
+	return dx
 }

@@ -271,7 +271,7 @@ func dataFilterStep(f *dataFilterFrame, x *tensor.Tensor, labels []int, weight f
 		// graph walk routes xin from the tap and merges the allgathered
 		// output into the main path.
 		tr.Begin(trace.CollectiveWait)
-		out := gatherShard(group, y)
+		out := gatherShard(group, y, 1)
 		tr.Begin(trace.ComputeForward)
 		return out
 	})
@@ -346,17 +346,18 @@ func dataFilterStep(f *dataFilterFrame, x *tensor.Tensor, labels []int, weight f
 	return global
 }
 
-// gatherShard allgathers a sharded layer's forward output — a buffer of
-// its frame state — along the channel axis. AllGather forwards its input
-// to the group hop by hop with no ack, so a peer may still read it after
-// the call returns: past a group of one the buffer, which the layer's
-// next step rewrites, travels as a copy. A group of one gathers nothing
-// and returns the buffer itself.
-func gatherShard(group *Comm, y *tensor.Tensor) *tensor.Tensor {
+// gatherShard allgathers a frame buffer along axis: a filter shard's
+// forward output (channels), a channel shard's input gradient, or the
+// spatial trunk's slab. AllGather forwards its input to the group hop by
+// hop with no ack, so a peer may still read it after the call returns:
+// past a group of one the buffer, which the layer's next step rewrites,
+// travels as a copy. A group of one gathers nothing and returns the
+// buffer itself.
+func gatherShard(group *Comm, y *tensor.Tensor, axis int) *tensor.Tensor {
 	if group.Size() > 1 {
 		y = y.Clone()
 	}
-	return group.AllGather(y, 1)
+	return group.AllGather(y, axis)
 }
 
 // exchangeInputGrad performs the group-wide input-gradient exchange of
@@ -398,8 +399,15 @@ func channelEngine(m *nn.Model, pl Plan, _ string, _ *runConfig) (*engine, error
 		if err != nil {
 			return nil, nil, err
 		}
+		states, grads := make([]*nn.LayerState, len(shards)), make([]nn.Grads, len(shards))
+		for l := range shards {
+			states[l] = new(nn.LayerState)
+			if shards[l] == nil {
+				grads[l] = pe.net.GradBuffers(l)
+			}
+		}
 		return func(x *tensor.Tensor, labels []int, _ float64) float64 {
-			return channelStep(pe, shards, x, labels)
+			return channelStep(pe, shards, states, grads, x, labels)
 		}, own, nil
 	}}, nil
 }
@@ -443,89 +451,65 @@ func channelShards(net *nn.Network, rank, p int, own ownership) ([]*weightShard,
 // routes shortcut convolutions from their taps and merges their output
 // into the main path; a sharded shortcut convolves its input-channel
 // slice of the tap activation like any other sharded layer.
-func channelStep(pe *peCtx, shards []*weightShard, x *tensor.Tensor, labels []int) float64 {
+//
+// Every layer runs through its op in its frame state (states): a
+// sharded Conv/FC is the layer's op over its shard's weights and
+// gradient buffers, with no bias, and a replicated layer writes the
+// replica's gradient buffers (grads), which stepNet applies. Under
+// dataFilterStep's ownership rule a shard's partial output goes to the
+// allreduce as it is, and its input gradient to the allgather as a copy
+// (gatherShard); the input-channel slice and the concatenation stay
+// fresh.
+func channelStep(pe *peCtx, shards []*weightShard, states []*nn.LayerState, grads []nn.Grads, x *tensor.Tensor, labels []int) float64 {
 	c, net, step, tr := pe.group, pe.net, pe.step, pe.tr
-	layers := net.Model.Layers
 	gph := net.Graph()
-	g := len(layers)
-	states := make([]*nn.LayerState, g)
 	tr.Begin(trace.ComputeForward)
-	cur := gph.ForwardRange(0, g, x, func(l int, xin *tensor.Tensor) *tensor.Tensor {
-		spec := &layers[l]
+	cur := gph.ForwardRange(0, len(shards), x, func(l int, xin *tensor.Tensor) *tensor.Tensor {
 		sh := shards[l]
-		switch {
-		case spec.Kind == nn.Conv && sh != nil:
-			cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
-			xSh := xin.Narrow(1, sh.rng.Start, sh.rng.Size())
-			states[l] = &nn.LayerState{X: xSh}
-			part := tensor.ConvForward(xSh, sh.p.W, nil, cs)
-			tr.Begin(trace.CollectiveWait)
-			y := c.AllReduceSum(part)
-			tr.Begin(trace.ComputeForward)
-			tensor.AddBias(y, net.Params[l].B)
-			return y
-		case spec.Kind == nn.FC && sh != nil:
-			xSh := xin.Narrow(1, sh.rng.Start, sh.rng.Size())
-			n := xSh.Dim(0)
-			flat := xSh.Reshape(n, xSh.Len()/n)
-			states[l] = &nn.LayerState{X: xSh}
-			part := tensor.FCForward(flat, sh.p.W, nil)
-			tr.Begin(trace.CollectiveWait)
-			y := c.AllReduceSum(part)
-			tr.Begin(trace.ComputeForward)
-			tensor.AddBias(y, net.Params[l].B)
-			return y
-		default:
+		if sh == nil {
 			// Replicated layer (channel-wise, or too narrow to split):
 			// full activation, identical on every PE.
-			y, st := net.ForwardLayer(l, xin)
-			states[l] = st
-			return y
+			return net.ForwardInto(l, xin, states[l], net.Params[l])
 		}
+		part := net.ForwardInto(l, xin.Narrow(1, sh.rng.Start, sh.rng.Size()), states[l], sh.p)
+		tr.Begin(trace.CollectiveWait)
+		y := c.AllReduceSum(part)
+		tr.Begin(trace.ComputeForward)
+		tensor.AddBias(y, net.Params[l].B)
+		return y
 	})
 	loss, dy := tensor.SoftmaxCrossEntropy(cur, labels)
 	tr.Begin(trace.ComputeBackward)
 
-	grads := make([]nn.Grads, g)
-	gph.BackwardRange(0, g, dy, func(l int, dy *tensor.Tensor) *tensor.Tensor {
-		spec := &layers[l]
+	gph.BackwardRange(0, len(shards), dy, func(l int, dy *tensor.Tensor) *tensor.Tensor {
+		// No consumer for the input gradient — the bottom layer, or a
+		// shortcut tapping the network input — skips the data backward
+		// and, for a shard, its allgather.
+		inputGrad := gph.Src(l) >= 0
 		sh := shards[l]
-		switch {
-		case spec.Kind == nn.Conv && sh != nil:
-			cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
-			xSh := states[l].X
-			dxSh := tensor.ConvBackwardData(dy, sh.p.W, xSh.Shape(), cs)
-			tensor.ConvBackwardWeightInto(sh.g.W, sh.g.B, dy, xSh, cs)
-			tr.Begin(trace.CollectiveWait)
-			out := c.AllGather(dxSh, 1)
-			tr.Begin(trace.ComputeBackward)
-			return out
-		case spec.Kind == nn.FC && sh != nil:
-			xSh := states[l].X
-			n := xSh.Dim(0)
-			flat := xSh.Reshape(n, xSh.Len()/n)
-			dxSh := tensor.FCBackwardInto(sh.g.W, sh.g.B, dy, flat, sh.p.W, xSh.Shape())
-			tr.Begin(trace.CollectiveWait)
-			out := c.AllGather(dxSh, 1)
-			tr.Begin(trace.ComputeBackward)
-			return out
-		default:
-			dx, gr := net.BackwardLayer(l, dy, states[l])
-			grads[l] = gr
-			return dx
+		if sh == nil {
+			return net.BackwardInto(l, dy, states[l], net.Params[l], grads[l], inputGrad)
 		}
+		dx := net.BackwardInto(l, dy, states[l], sh.p, sh.g, inputGrad)
+		if dx == nil {
+			return nil
+		}
+		tr.Begin(trace.CollectiveWait)
+		out := gatherShard(c, dx, 1)
+		tr.Begin(trace.ComputeBackward)
+		return out
 	})
 
 	// Weight-shard gradients are exact (dy was global); the bias
 	// gradient Σdy is identical on every PE, so the replicated bias
 	// steps in lockstep without any exchange.
 	step.stepNet(net, grads)
-	for l := range shards {
-		if shards[l] == nil {
+	for l, sh := range shards {
+		if sh == nil {
 			continue
 		}
-		step.step(shards[l].p.W, shards[l].g.W)
-		step.step(net.Params[l].B, shards[l].g.B)
+		step.step(sh.p.W, sh.g.W)
+		step.step(net.Params[l].B, sh.g.B)
 	}
 	return loss
 }

@@ -72,6 +72,11 @@ type LayerState struct {
 	X      *tensor.Tensor // layer input as seen by forward
 	Argmax []int          // max-pool winners
 	BN     *tensor.BNState
+	// Pad is the padding a window layer (Conv, Pool) applies per spatial
+	// axis; nil means the layer's own. The spatial engine of
+	// internal/dist sets it to the layer's pads with the split axis
+	// zeroed, because its halo block already carries that axis's border.
+	Pad []int
 
 	// The layer's output, its input gradient and its window kernels'
 	// scratch. A fresh state (ForwardLayer, BackwardLayer) has none, so
@@ -83,10 +88,18 @@ type LayerState struct {
 	scratch *tensor.Scratch
 }
 
+// pad returns the window padding layer spec applies in st.
+func (st *LayerState) pad(spec *Layer) []int {
+	if st.Pad != nil {
+		return st.Pad
+	}
+	return spec.Pad
+}
+
 // ForwardLayer applies layer l to x and returns the activation plus the
 // state needed by BackwardLayer, all in fresh buffers the caller owns.
-// The spatial, channel and pipeline engines of internal/dist run their
-// layers through it.
+// Every engine of internal/dist runs its layers in kept states instead
+// (ForwardInto); the per-layer benchmarks call this form.
 func (n *Network) ForwardLayer(l int, x *tensor.Tensor) (*tensor.Tensor, *LayerState) {
 	st := &LayerState{}
 	return n.forwardLayer(l, x, st, n.Params[l]), st
@@ -114,17 +127,18 @@ func (n *Network) ForwardInto(l int, x *tensor.Tensor, st *LayerState, p Params)
 func (n *Network) forwardLayer(l int, x *tensor.Tensor, st *LayerState, p Params) *tensor.Tensor {
 	spec := &n.Model.Layers[l]
 	st.X = x
+	pad := st.pad(spec)
 	var dims [8]int
 	switch spec.Kind {
 	case Conv:
-		st.y = reuse(st.y, windowOut(dims[:0], l, spec, x, p.W.Dim(0)))
-		tensor.ConvForwardInto(st.y, x, p.W, p.B, tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}, st.scratch)
+		st.y = reuse(st.y, windowOut(dims[:0], l, spec, pad, x, p.W.Dim(0)))
+		tensor.ConvForwardInto(st.y, x, p.W, p.B, tensor.ConvSpec{Stride: spec.Stride, Pad: pad}, st.scratch)
 	case Pool:
-		st.y = reuse(st.y, windowOut(dims[:0], l, spec, x, x.Dim(1)))
+		st.y = reuse(st.y, windowOut(dims[:0], l, spec, pad, x, x.Dim(1)))
 		if spec.PoolKind == tensor.MaxPool && len(st.Argmax) != st.y.Len() {
 			st.Argmax = make([]int, st.y.Len())
 		}
-		tensor.PoolForwardInto(st.y, st.Argmax, x, tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: spec.Pad}, st.scratch)
+		tensor.PoolForwardInto(st.y, st.Argmax, x, tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: pad}, st.scratch)
 	case FC:
 		nBatch := x.Dim(0)
 		st.y = reuse(st.y, append(dims[:0], nBatch, p.W.Dim(0)))
@@ -146,14 +160,14 @@ func (n *Network) forwardLayer(l int, x *tensor.Tensor, st *LayerState, p Params
 }
 
 // windowOut appends to dims the output shape [N, f, out...] of window
-// layer l (a convolution or a pooling) over x.
-func windowOut(dims []int, l int, spec *Layer, x *tensor.Tensor, f int) []int {
+// layer l (a convolution or a pooling) over x with padding pad.
+func windowOut(dims []int, l int, spec *Layer, pad []int, x *tensor.Tensor, f int) []int {
 	if x.Rank() != 2+len(spec.Kernel) {
 		panic(fmt.Sprintf("nn: layer %d (%s) has a %d-d window, its input is %v", l, spec.Name, len(spec.Kernel), x.Shape()))
 	}
 	dims = append(dims, x.Dim(0), f)
 	for d, k := range spec.Kernel {
-		dims = append(dims, tensor.ConvOutSize(x.Dim(2+d), k, spec.Stride[d], spec.Pad[d]))
+		dims = append(dims, tensor.ConvOutSize(x.Dim(2+d), k, spec.Stride[d], pad[d]))
 	}
 	return dims
 }
@@ -205,7 +219,7 @@ func (n *Network) GradBuffers(l int) Grads {
 // gradients — views of the layer's GradBuffers, valid until its next
 // backward.
 func (n *Network) BackwardLayer(l int, dy *tensor.Tensor, st *LayerState) (*tensor.Tensor, Grads) {
-	fresh := LayerState{X: st.X, Argmax: st.Argmax, BN: st.BN}
+	fresh := LayerState{X: st.X, Argmax: st.Argmax, BN: st.BN, Pad: st.Pad}
 	g := n.GradBuffers(l)
 	return n.backwardLayer(l, dy, &fresh, n.Params[l], g, true), g
 }
@@ -236,14 +250,14 @@ func (n *Network) backwardLayer(l int, dy *tensor.Tensor, st *LayerState, p Para
 	}
 	switch spec.Kind {
 	case Conv:
-		cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
+		cs := tensor.ConvSpec{Stride: spec.Stride, Pad: st.pad(spec)}
 		if dx != nil {
 			tensor.ConvBackwardDataInto(dx, dy, p.W, cs, st.scratch)
 		}
 		tensor.ConvBackwardWeightInto(g.W, g.B, dy, st.X, cs, st.scratch)
 	case Pool:
 		if dx != nil {
-			ps := tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: spec.Pad}
+			ps := tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: st.pad(spec)}
 			tensor.PoolBackwardInto(dx, dy, ps, st.Argmax, st.scratch)
 		}
 	case FC:
@@ -280,10 +294,9 @@ func (n *Network) Graph() *Graph { return n.graph }
 // network's next Forward: a caller that keeps one longer copies it, and
 // nothing frame-owned may cross to another goroutine that outlives the
 // step. ForwardInto and BackwardInto run a layer the same way in a
-// state the caller keeps (the data, filter and df engines of
-// internal/dist keep one per layer); ForwardLayer and BackwardLayer,
-// which the spatial, channel and pipeline engines call, return fresh
-// buffers instead.
+// state the caller keeps (every engine of internal/dist keeps one per
+// layer, the pipeline one per microbatch and stage layer); ForwardLayer
+// and BackwardLayer return fresh buffers instead.
 func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, []*LayerState) {
 	if n.frame == nil {
 		n.frame = make([]*LayerState, len(n.Model.Layers))
@@ -310,8 +323,8 @@ func (n *Network) Backward(dLogits *tensor.Tensor, states []*LayerState) (*tenso
 // BackwardParams is Backward for a training step: it returns only the
 // parameter gradients, and skips the network input's gradient, which no
 // layer consumes — the input gradient of every layer that reads the
-// network input (Graph.Src < 0), the rule the data, filter and df
-// engines of internal/dist apply too.
+// network input (Graph.Src < 0), the rule every engine of internal/dist
+// applies too.
 func (n *Network) BackwardParams(dLogits *tensor.Tensor, states []*LayerState) []Grads {
 	_, grads := n.backward(dLogits, states, false)
 	return grads
