@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"paradl/internal/tensor"
 )
@@ -162,19 +165,116 @@ func TestSubOfSub(t *testing.T) {
 	}
 }
 
+// failTimings are the two moments a test's failing PE dies: at once,
+// while its peers are still inside the receive's poll window, and after
+// sleeping well past the budget, once they have parked.
+var failTimings = []struct {
+	name  string
+	delay time.Duration
+}{{"polling", 0}, {"parked", 10 * waitBudget}}
+
 // TestWorldAbortOnFailure: one failing PE tears the world down instead
-// of deadlocking peers blocked in Recv.
+// of deadlocking peers waiting in Recv, whether they are still polling
+// or already parked.
 func TestWorldAbortOnFailure(t *testing.T) {
-	_, err := runWorld(2, 0, func(c *Comm) ([]float64, error) {
-		if c.Rank() == 0 {
-			panic("injected failure")
+	for _, p := range []int{2, 4} {
+		for _, ft := range failTimings {
+			t.Run(fmt.Sprintf("p=%d/%s", p, ft.name), func(t *testing.T) {
+				_, err := runWorld(p, 0, func(c *Comm) ([]float64, error) {
+					if c.Rank() == 0 {
+						time.Sleep(ft.delay)
+						panic("injected failure")
+					}
+					c.Recv(0) // would wait forever without the abort path
+					return nil, nil
+				})
+				if err == nil || !strings.Contains(err.Error(), "injected failure") {
+					t.Fatalf("want injected failure error, got %v", err)
+				}
+			})
 		}
-		c.Recv(0) // would block forever without the abort path
-		return nil, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "injected failure") {
-		t.Fatalf("want injected failure error, got %v", err)
 	}
+}
+
+// A receive watches abort on every poll, not only once it parks: with
+// the world already failed, it unwinds before the budget is spent. A
+// receive that checked abort only when parked would take the whole
+// budget every time; one attempt in twenty finishing early, on a loaded
+// machine, is enough to tell the two apart. A world failing a quarter
+// of the budget into the wait unwinds the receive too; how soon depends
+// on the scheduler's timers, so only the panic is checked there.
+func TestRecvWatchesAbortWhilePolling(t *testing.T) {
+	var fastest time.Duration
+	for try := 0; try < 20; try++ {
+		w := NewWorld(2)
+		w.fail(errors.New("peer failed"))
+		start := time.Now()
+		if r := panicOf(func() { w.Comm(1).Recv(0) }); r != errAborted {
+			t.Fatalf("receive panicked with %v, want errAborted", r)
+		}
+		if took := time.Since(start); try == 0 || took < fastest {
+			fastest = took
+		}
+	}
+	if fastest >= waitBudget {
+		t.Fatalf("fastest of 20 aborted receives took %v, not under the %v poll budget: the poll loop does not watch abort", fastest, waitBudget)
+	}
+
+	w := NewWorld(2)
+	go func() {
+		time.Sleep(waitBudget / 4)
+		w.fail(errors.New("peer failed"))
+	}()
+	if r := panicOf(func() { w.Comm(1).Recv(0) }); r != errAborted {
+		t.Fatalf("receive aborted mid-poll panicked with %v, want errAborted", r)
+	}
+}
+
+// A message of the wrong kind — a scalar where a collective expects a
+// tensor, or a tensor where it expects a scalar — means the PEs run
+// different collectives, and the receive says so. It is caught whether
+// the message is already queued (found while polling) or arrives only
+// after the budget (found once parked).
+func TestRecvKindDiverged(t *testing.T) {
+	cases := []struct {
+		name string
+		send func(c *Comm)
+		recv func(c *Comm)
+	}{
+		{"scalar-for-tensor", func(c *Comm) { c.sendScalar(1, 3) }, func(c *Comm) { c.Recv(0) }},
+		{"tensor-for-scalar", func(c *Comm) { c.Send(1, tensor.New(2)) }, func(c *Comm) { c.recvScalar(0) }},
+	}
+	for _, tc := range cases {
+		for _, ft := range []struct {
+			name  string
+			delay time.Duration
+		}{{"queued", -1}, {"after-budget", 10 * waitBudget}} {
+			t.Run(tc.name+"/"+ft.name, func(t *testing.T) {
+				w := NewWorld(2)
+				if ft.delay < 0 {
+					tc.send(w.Comm(0))
+				} else {
+					go func() {
+						time.Sleep(ft.delay)
+						tc.send(w.Comm(0))
+					}()
+				}
+				r := panicOf(func() { tc.recv(w.Comm(1)) })
+				msg, _ := r.(string)
+				if !strings.Contains(msg, "collective program order diverged") {
+					t.Fatalf("receive panicked with %v, want a collective program order diagnostic", r)
+				}
+			})
+		}
+	}
+}
+
+// panicOf runs f and returns what it panicked with (nil if it
+// returned).
+func panicOf(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
 }
 
 // TestSendIsolation: messages are deep copies; mutating the original

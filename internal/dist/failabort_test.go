@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"paradl/internal/tensor"
 )
@@ -46,24 +47,34 @@ func TestConcurrentFailAbortNoDeadlock(t *testing.T) {
 // TestFailAtConvertsToTypedError pins the runWorld recover path: an
 // injected *PEFailure panic surfaces as the world's error with its
 // type intact (the elastic supervisor matches on it), while peer PEs
-// die silently as aborted.
+// die silently as aborted — both while they still poll for the dead
+// PE's message and after they have parked. p = 3 keeps a world whose
+// size is not a power of two, where the tree's ranks wait on different
+// peers when one dies.
 func TestFailAtConvertsToTypedError(t *testing.T) {
-	_, err := runWorld(3, 0, func(c *Comm) ([]float64, error) {
-		if c.Rank() == 1 {
-			panic(&PEFailure{PE: 1, Iter: 7})
+	for _, p := range []int{2, 3, 4} {
+		for _, ft := range failTimings {
+			t.Run(fmt.Sprintf("p=%d/%s", p, ft.name), func(t *testing.T) {
+				_, err := runWorld(p, 0, func(c *Comm) ([]float64, error) {
+					if c.Rank() == 1 {
+						time.Sleep(ft.delay)
+						panic(&PEFailure{PE: 1, Iter: 7})
+					}
+					// Peers wait in a collective the failed PE never joins.
+					c.AllReduceSum(tensor.New(8))
+					return []float64{0}, nil
+				})
+				if err == nil {
+					t.Fatal("world with a dead PE returned nil error")
+				}
+				var pf *PEFailure
+				if !errors.As(err, &pf) {
+					t.Fatalf("world error %v does not unwrap to *PEFailure", err)
+				}
+				if pf.PE != 1 || pf.Iter != 7 {
+					t.Fatalf("typed failure %+v, want PE=1 Iter=7", pf)
+				}
+			})
 		}
-		// Peers block in a collective the failed PE never joins.
-		c.AllReduceSum(tensor.New(8))
-		return []float64{0}, nil
-	})
-	if err == nil {
-		t.Fatal("world with a dead PE returned nil error")
-	}
-	var pf *PEFailure
-	if !errors.As(err, &pf) {
-		t.Fatalf("world error %v does not unwrap to *PEFailure", err)
-	}
-	if pf.PE != 1 || pf.Iter != 7 {
-		t.Fatalf("typed failure %+v, want PE=1 Iter=7", pf)
 	}
 }

@@ -209,11 +209,13 @@ func TestEngineStepAllocationsSteady(t *testing.T) {
 }
 
 // BenchmarkEngineStep times whole runs — set-up plus 8 iterations at
-// batch 8 — of the serial baseline and the data, filter, df, spatial,
-// channel and pipeline engines on the train_small models, with their
-// allocations.
+// batch 8 — of the serial baseline and every plan of the repo
+// benchmark's modelpar and p4 classes on the train_small models, with
+// their allocations: data:2, the model-parallel filter:2, spatial:2,
+// channel:2 and pipeline:2, and the p = 4 data:4, filter:4, df:2x2,
+// ds:2x2 and dp:2x2.
 func BenchmarkEngineStep(b *testing.B) {
-	for _, ps := range []string{"serial", "data:2", "filter:2", "df:2x2", "spatial:2", "channel:2", "pipeline:2"} {
+	for _, ps := range []string{"serial", "data:2", "filter:2", "spatial:2", "channel:2", "pipeline:2", "data:4", "filter:4", "df:2x2", "ds:2x2", "dp:2x2"} {
 		for _, m := range trainSmall() {
 			b.Run(ps+"/"+m.Name, func(b *testing.B) {
 				pl := mustPlan(b, ps)
