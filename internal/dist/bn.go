@@ -40,9 +40,8 @@ func syncBNBackward(c *Comm, dy, gamma *tensor.Tensor, st *tensor.BNState) (dx, 
 
 // channelSums returns the per-channel sum of x [N, C, spatial...] over
 // the batch and spatial dimensions plus the local element count per
-// channel — the first-pass reduction of synchronized BN. (It deliberately
-// skips the Σx² that tensor.BNLocalStats also produces: the two-pass
-// variance below never uses it.)
+// channel — the first-pass reduction of synchronized BN. There is no Σx²:
+// the two-pass variance below never uses it.
 func channelSums(x *tensor.Tensor) (*tensor.Tensor, int) {
 	shape := x.Shape()
 	n, ch := shape[0], shape[1]

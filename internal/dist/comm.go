@@ -554,7 +554,7 @@ func (c *Comm) ReduceScatterSum(t *tensor.Tensor, axis int) *tensor.Tensor {
 // copying and with no closing ack, so a peer may still read it after
 // the call returns, and it must not be mutated afterwards — a buffer the
 // caller rewrites next step, such as a step-frame buffer, must not be
-// handed over (the ownership rule of dataFilterStep, which gathers a
+// handed over (the ownership rule of tensorStep, which gathers a
 // copy: gatherShard). The returned concatenation is freshly allocated.
 // A singleton communicator returns t itself, so the degenerate grid
 // edges (p1=1 or p2=1) pay no copy.

@@ -36,10 +36,10 @@
 // (registry.go) maps every strategy onto the grid engines of §3/§3.6:
 //
 //	serial        — single-PE SGD, the baseline every strategy must match
-//	data          — batch sharded over replicas, gradient Allreduce (p2=1 edge of df)
+//	data          — batch sharded over replicas, gradient Allreduce (§3.1; p2=1 edge of the Tensor engine)
 //	spatial       — sample domain sharded, neighbour halo exchange (§3.2; p1=1 edge of ds)
-//	filter        — output channels sharded, activation Allgather (§3.4; p1=1 edge of df)
-//	channel       — input channels sharded, activation Allreduce (§3.5)
+//	filter        — output-channel shards, activation Allgather (§3.4; p1=1 edge of the Tensor engine)
+//	channel       — input-channel shards, partial-sum Allreduce (§3.5; p1=1 edge of the Tensor engine)
 //	pipeline      — contiguous layer stages, GPipe microbatching (§3.3; p1=1 edge of dp)
 //	df / ds / dp  — §3.6 hybrids: p1 model-parallel groups × segmented exchange
 //

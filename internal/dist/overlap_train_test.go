@@ -61,14 +61,16 @@ func TestOverlapTrainingBitIdenticalWidths(t *testing.T) {
 
 // TestOverlapTrainingBitIdenticalEngines: every engine with a real
 // exchange — the filter/spatial/pipeline grids run their segmented and
-// world-wide exchanges over sub-communicators — plus synchronized batch
-// norm (blocking collectives interleaved with in-flight buckets on the
-// same communicators).
+// world-wide exchanges over sub-communicators, and channel's shard and
+// bias gradients pass the same exchanger on a segment of one — plus
+// synchronized batch norm (blocking collectives interleaved with
+// in-flight buckets on the same communicators).
 func TestOverlapTrainingBitIdenticalEngines(t *testing.T) {
 	m := model.TinyCNNNoBN()
 	batches := toyBatches(t, m, 3, 8)
 	for _, pl := range []dist.Plan{
 		{Strategy: core.Filter, P2: 3},
+		{Strategy: core.Channel, P2: 2},
 		{Strategy: core.DataFilter, P1: 2, P2: 2},
 		{Strategy: core.DataSpatial, P1: 2, P2: 2},
 		{Strategy: core.DataPipeline, P1: 2, P2: 2},
@@ -91,7 +93,8 @@ func TestOverlapTrainingBitIdenticalEngines(t *testing.T) {
 // drain, which is blocking in both modes): spatial runs its two
 // exchangers (world trunk + segment head) with handles in flight
 // concurrently, pipeline launches from inside the final microbatch
-// flush. Different bucket sizes pack different flat buffers, so runs
+// flush, and at 1 byte channel pushes and steps every shard and bias
+// gradient alone. Different bucket sizes pack different flat buffers, so runs
 // are only comparable within one setting; across settings the parity
 // suite's 1e-6 bound applies.
 func TestOverlapTrainingBucketSizes(t *testing.T) {
@@ -100,6 +103,7 @@ func TestOverlapTrainingBucketSizes(t *testing.T) {
 	for _, bb := range []int{1, 2 << 10, 1 << 20} {
 		for _, pl := range []dist.Plan{
 			{Strategy: core.Data, P1: 4},
+			{Strategy: core.Channel, P2: 2},
 			{Strategy: core.DataFilter, P1: 2, P2: 2},
 			{Strategy: core.DataSpatial, P1: 2, P2: 2},
 			{Strategy: core.DataPipeline, P1: 2, P2: 3},

@@ -310,22 +310,23 @@ func (s *stepper) stepNet(net *nn.Network, grads []nn.Grads) {
 type engineFunc func(m *nn.Model, pl Plan, label string, cfg *runConfig) (*engine, error)
 
 // registry maps every executable strategy to its Result label and its
-// engine. The pure strategies are registered as the degenerate edges of
-// the grid engines they share with the hybrids — data is the P2=1 edge
-// of the data×filter grid, filter/spatial/pipeline the P1=1 edges of
-// their grids, serial the 1×1 world — so a new strategy lands as one
-// entry here, not a new export.
+// engine, one per Table 3 family plus serial. The pure strategies are
+// registered as the degenerate edges of the grid engines they share with
+// the hybrids — data is the P2=1 edge of the Tensor grid, filter and
+// channel its P1=1 edges (output- and input-channel shards),
+// spatial/pipeline the P1=1 edges of their grids, serial the 1×1 world —
+// so a new strategy lands as one entry here, not a new export.
 var registry = map[core.Strategy]struct {
 	label  string
 	engine engineFunc
 }{
 	core.Serial:       {"sequential", serialEngine},
-	core.Data:         {"data", dataFilterEngine},
-	core.Filter:       {"filter", dataFilterEngine},
+	core.Data:         {"data", tensorEngine},
+	core.Filter:       {"filter", tensorEngine},
 	core.Spatial:      {"spatial", dataSpatialEngine},
-	core.Channel:      {"channel", channelEngine},
+	core.Channel:      {"channel", tensorEngine},
 	core.Pipeline:     {"pipeline", dataPipelineEngine},
-	core.DataFilter:   {"data+filter", dataFilterEngine},
+	core.DataFilter:   {"data+filter", tensorEngine},
 	core.DataSpatial:  {"data+spatial", dataSpatialEngine},
 	core.DataPipeline: {"data+pipeline", dataPipelineEngine},
 }

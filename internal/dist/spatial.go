@@ -334,7 +334,7 @@ func (f *spatialFrame) exchange(l int) (*gradExchanger, *Comm) {
 // of the layers below); draining both is the pre-step barrier.
 //
 // Every layer runs through the frame's op (forward, backward), under
-// dataFilterStep's ownership rule: the slab AllGather gets a copy of the
+// tensorStep's ownership rule: the slab AllGather gets a copy of the
 // frame's buffer (gatherShard), and the halo messages are copies handed
 // off.
 func dataSpatialStep(f *spatialFrame, x *tensor.Tensor, labels []int, weight float64) float64 {

@@ -3,32 +3,31 @@ package dist
 import (
 	"fmt"
 
+	"paradl/internal/core"
 	"paradl/internal/nn"
 	"paradl/internal/strategy"
 	"paradl/internal/tensor"
 	"paradl/internal/trace"
 )
 
-// weightShard is one PE's slice of a weighted layer's parameters (W and
-// B of p; a channel shard keeps no bias), with the gradient buffers the
-// backward kernels write that slice's gradients into (W and B of g,
-// overwritten by the layer's next backward) — the replica's GradBuffers
-// when the slice is the whole layer.
+// weightShard is one PE's slice of a weighted layer's parameters along
+// axis: 0 slices the output filters (W and B of p), 1 the input
+// channels (W alone; the bias stays whole in the replica). g holds the
+// buffers the backward kernels write the slice's gradients into,
+// overwritten by the layer's next backward (on axis 1 its B is the whole
+// bias's gradient) — the replica's GradBuffers when the slice is the
+// whole layer.
 type weightShard struct {
-	p   nn.Params
-	g   nn.Grads
-	rng strategy.Range
+	p    nn.Params
+	g    nn.Grads
+	axis int
+	rng  strategy.Range
 }
 
-// newWeightShard pairs a parameter slice with its gradient buffers.
-func newWeightShard(w, b *tensor.Tensor, rng strategy.Range) *weightShard {
-	return &weightShard{p: nn.Params{W: w, B: b}, g: nn.Grads{W: tensor.New(w.Shape()...), B: tensor.New(w.Dim(0))}, rng: rng}
-}
-
-// dataFilterEngine is the shared engine behind the data (p2=1), filter
-// (p1=1), and data+filter registry entries: a p1×p2 grid of
-// filter-parallel groups joined by segmented cross-group gradient
-// exchange.
+// tensorEngine is the one engine of Table 3's Tensor row, behind the
+// data (p2=1), filter and channel (p1=1), and data+filter registry
+// entries: a p1×p2 grid of model-parallel groups joined by segmented
+// cross-group gradient exchange.
 //
 // Filter parallelism (§3.4) shards every weighted layer's output
 // channels (filters) across the PEs of a group. Each PE holds the full
@@ -40,6 +39,13 @@ func newWeightShard(w, b *tensor.Tensor, rng strategy.Range) *weightShard {
 // optimization) — while each PE's weight gradients are exact for its
 // own filters — no gradient exchange at all within a group, the selling
 // point of the strategy in Table 3.
+//
+// Channel parallelism (§3.5) is the same group with the input channels
+// sharded instead: each PE convolves its channel slice of the input
+// with its weight slice, the partial outputs are Allreduced before the
+// bias is applied exactly once, and backward Allgathers the input
+// gradient. Layers with fewer channels than PEs — in practice the first
+// layer, which the paper also leaves unsplit (§4.2) — run replicated.
 //
 // Data parallelism (§3.1) is the p2=1 edge: p full replicas, each
 // training on a contiguous shard of every batch — groups of one, so
@@ -54,16 +60,17 @@ func newWeightShard(w, b *tensor.Tensor, rng strategy.Range) *weightShard {
 // segments (one PE per group covers the global batch exactly once), so
 // runs match the sequential baseline even on BN models — the paper's
 // framework comparison point of §4.5.2.
-func dataFilterEngine(m *nn.Model, pl Plan, _ string, cfg *runConfig) (*engine, error) {
-	p2 := pl.P2
-	if mf := m.MinFilters(); p2 > 1 && p2 > mf {
-		return nil, fmt.Errorf("dist: model %q supports filter width <= min F_l = %d (Table 3), got %d", m.Name, mf, p2)
+func tensorEngine(m *nn.Model, pl Plan, _ string, cfg *runConfig) (*engine, error) {
+	p2, channel := pl.P2, pl.Strategy == core.Channel
+	row := strategy.Grid{Family: strategy.Tensor, Model: m, Channel: channel}
+	if name, limit := row.ModelLimit(); p2 > 1 && p2 > limit {
+		return nil, fmt.Errorf("dist: model %q supports %s width <= %d (Table 3), got %d", m.Name, name, limit, p2)
 	}
 	rsOK := scatterableInputGrads(m, p2, cfg)
 	return &engine{build: func(pe *peCtx) (stepFunc, ownership, error) {
 		ex := newGradExchanger(pe.seg, pe.step, cfg)
 		own := wholeOwnership(pe.net)
-		shards, err := filterShards(pe.net, pe.group.Rank(), p2, own)
+		shards, err := tensorShards(pe.net, pe.group.Rank(), p2, channel, own)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -73,23 +80,23 @@ func dataFilterEngine(m *nn.Model, pl Plan, _ string, cfg *runConfig) (*engine, 
 				ex.shard(&own[l][fieldB])
 			}
 		}
-		f := newDataFilterFrame(pe, ex, own, shards, rsOK)
+		f := newTensorFrame(pe, ex, own, shards, rsOK)
 		return func(x *tensor.Tensor, labels []int, weight float64) float64 {
-			return dataFilterStep(f, x, labels, weight)
+			return tensorStep(f, x, labels, weight)
 		}, own, nil
 	}}, nil
 }
 
-// dataFilterFrame is what one PE of the data×filter grid keeps from
-// step to step, built once by the engine's build: the exchanger, the
-// ownership table and the weight shards, plus per layer the
-// nn.LayerState every step reuses.
-type dataFilterFrame struct {
+// tensorFrame is what one PE of the Tensor grid keeps from step to
+// step, built once by the engine's build: the exchanger, the ownership
+// table and the weight shards, plus per layer the nn.LayerState every
+// step reuses.
+type tensorFrame struct {
 	pe     *peCtx
 	ex     *gradExchanger
 	own    ownership
 	shards []*weightShard // nil for replicated layers
-	rsOK   []bool         // see scatterableInputGrads
+	rsOK   []bool         // see scatterableInputGrads; read at axis-0 shards only
 	bnSync []bool         // BN synchronized across the segment
 	states []*nn.LayerState
 	// grads is what stepNet applies: the replicated layers' buffers, the
@@ -98,10 +105,10 @@ type dataFilterFrame struct {
 	grads []nn.Grads
 }
 
-// newDataFilterFrame builds the frame of a PE whose shards are carved.
-func newDataFilterFrame(pe *peCtx, ex *gradExchanger, own ownership, shards []*weightShard, rsOK []bool) *dataFilterFrame {
+// newTensorFrame builds the frame of a PE whose shards are carved.
+func newTensorFrame(pe *peCtx, ex *gradExchanger, own ownership, shards []*weightShard, rsOK []bool) *tensorFrame {
 	net, g := pe.net, len(shards)
-	f := &dataFilterFrame{pe: pe, ex: ex, own: own, shards: shards, rsOK: rsOK, bnSync: make([]bool, g),
+	f := &tensorFrame{pe: pe, ex: ex, own: own, shards: shards, rsOK: rsOK, bnSync: make([]bool, g),
 		states: make([]*nn.LayerState, g), grads: make([]nn.Grads, g)}
 	for l, sh := range shards {
 		f.states[l] = new(nn.LayerState)
@@ -116,7 +123,7 @@ func newDataFilterFrame(pe *peCtx, ex *gradExchanger, own ownership, shards []*w
 // op returns what layer l's op reads and writes: a weight shard's
 // parameters and gradient buffers for a sharded Conv/FC, the replica's
 // for every other layer.
-func (f *dataFilterFrame) op(l int) (nn.Params, nn.Grads) {
+func (f *tensorFrame) op(l int) (nn.Params, nn.Grads) {
 	if sh := f.shards[l]; sh != nil {
 		return sh.p, sh.g
 	}
@@ -165,34 +172,54 @@ func scatterableInputGrads(m *nn.Model, p2 int, cfg *runConfig) []bool {
 	return rsOK
 }
 
-// filterShards carves rank's output-channel slice out of every weighted
-// layer of an (identically seeded) full replica and records it in own.
-// The slices are the PE's authoritative parameters from here on; the
-// replica keeps only the replicated BN parameters live.
-func filterShards(net *nn.Network, rank, p int, own ownership) ([]*weightShard, error) {
+// tensorShards carves rank's slice of every weighted layer of an
+// (identically seeded) full replica and records it in own: the
+// output-channel slice of W and B, or with channel set the input-channel
+// slice of W. The slices are the PE's authoritative parameters from
+// here on; the replica keeps only the replicated layers' parameters
+// (and the channel shards' whole biases) live. On the channel edge a
+// layer with fewer channels than PEs, and every layer at width 1, keeps
+// shards[l] == nil and runs replicated; an FC weight is sliced by
+// channel blocks of the flattened input (the layer is the paper's
+// kernel-equals-input convolution, so a channel is a contiguous run of
+// vol(In) columns — contiguous per rank, so the same axis-1 Allgather
+// inverts both kinds).
+func tensorShards(net *nn.Network, rank, p int, channel bool, own ownership) ([]*weightShard, error) {
 	layers := net.Model.Layers
 	shards := make([]*weightShard, len(layers))
 	for l := range layers {
 		spec := &layers[l]
-		if spec.Kind != nn.Conv && spec.Kind != nn.FC {
+		if spec.Kind != nn.Conv && spec.Kind != nn.FC || channel && (p == 1 || spec.C < p) {
 			continue
 		}
-		rngs, err := strategy.FilterShards(spec, p)
+		ranges, axis, vol := strategy.FilterShards, 0, 1 // vol: canonical columns per channel
+		if channel {
+			ranges, axis = strategy.ChannelShards, 1
+			if spec.Kind == nn.FC {
+				vol = int(spec.InSize()) / spec.C
+			}
+		}
+		rngs, err := ranges(spec, p)
 		if err != nil {
 			return nil, err
 		}
 		rng := rngs[rank]
 		if p == 1 {
-			// Degenerate width (the data-parallel grid edge): the shard
-			// IS the whole parameter — alias it and the replica's
+			// Degenerate filter width (the data-parallel grid edge): the
+			// shard IS the whole parameter — alias it and the replica's
 			// gradient buffers instead of Narrow-copying every weight
 			// tensor per replica; own already says "whole".
 			shards[l] = &weightShard{p: net.Params[l], g: net.GradBuffers(l), rng: rng}
 			continue
 		}
-		sh := newWeightShard(net.Params[l].W.Narrow(0, rng.Start, rng.Size()), net.Params[l].B.Narrow(0, rng.Start, rng.Size()), rng)
-		own.slice(l, fieldW, sh.p.W, 0, rng.Start, rng.Size())
-		own.slice(l, fieldB, sh.p.B, 0, rng.Start, rng.Size())
+		sh := &weightShard{axis: axis, rng: rng}
+		sh.p.W = net.Params[l].W.Narrow(axis, rng.Start*vol, rng.Size()*vol)
+		own.slice(l, fieldW, sh.p.W, axis, rng.Start*vol, rng.Size()*vol)
+		if axis == 0 {
+			sh.p.B = net.Params[l].B.Narrow(0, rng.Start, rng.Size())
+			own.slice(l, fieldB, sh.p.B, 0, rng.Start, rng.Size())
+		}
+		sh.g = nn.Grads{W: tensor.New(sh.p.W.Shape()...), B: tensor.New(sh.p.W.Dim(0))}
 		shards[l] = sh
 	}
 	return shards, nil
@@ -208,14 +235,14 @@ func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
 	return dy.Narrow(1, sh.rng.Start, sh.rng.Size())
 }
 
-// dataFilterStep runs one SGD iteration of the data×filter grid on this
-// group's batch shard x, weighted n_g/B in the global loss. Scaling the
-// loss gradient by the weight up front makes every local gradient
-// exactly this group's contribution to the full-batch mean gradient, so
-// the cross-group exchange is a plain segmented sum. Batch norm, whose
-// full activation is replicated within the group, synchronizes across
-// the segment — one PE per group covers the global batch exactly once,
-// and every segment reduces in the same group order, so all PEs agree
+// tensorStep runs one SGD iteration of the Tensor grid on this group's
+// batch shard x, weighted n_g/B in the global loss. Scaling the loss
+// gradient by the weight up front makes every local gradient exactly
+// this group's contribution to the full-batch mean gradient, so the
+// cross-group exchange is a plain segmented sum. Batch norm, whose full
+// activation is replicated within the group, synchronizes across the
+// segment — one PE per group covers the global batch exactly once, and
+// every segment reduces in the same group order, so all PEs agree
 // bit-for-bit.
 //
 // Every layer runs through the frame's op table (nn.ForwardInto,
@@ -224,35 +251,40 @@ func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
 // group of one) is the same walk with identity collectives. The frame's
 // buffers are rewritten by the next step, so the ownership rule is: a
 // frame buffer may be handed to a group collective only if that
-// collective returns it with no peer still reading it. The input
-// gradients qualify — AllReduceSum's ring returns its buffer after the
-// closing ack, its tree after the upward send was consumed, and
-// ReduceScatterSum reads its input locally and sends narrowed copies.
-// AllGather does not (it forwards its input with no ack), so past a
-// group of one a shard's forward output travels as a copy (gatherShard)
-// and the concatenation is fresh; a group of one gathers nothing, and
-// the data edge runs entirely on the frame.
+// collective returns it with no peer still reading it. The partial
+// outputs and input gradients qualify — AllReduceSum's ring returns its
+// buffer after the closing ack, its tree after the upward send was
+// consumed, and ReduceScatterSum reads its input locally and sends
+// narrowed copies. AllGather does not (it forwards its input with no
+// ack), so past a group of one a filter shard's forward output and a
+// channel shard's input gradient travel as copies (gatherShard) and the
+// concatenation is fresh; a group of one gathers nothing, and the data
+// edge runs entirely on the frame.
 //
-// Backward, the input gradient is Allreduced to full width — except at
-// the rsOK layers, where it is ReduceScattered so each PE receives only
-// its own channel slice (footnote 2): the slice rides through the
-// intermediate ReLUs (sliced against the matching slice of their stored
-// input) and is consumed by the sharded layer below without ever
-// materializing the full tensor.
+// A channel shard (axis 1) convolves its input-channel slice of the
+// activation, its partial output is Allreduced and the whole bias added
+// once; backward it takes the full dy, and its input-gradient slices
+// are Allgathered. A filter shard (axis 0) has its outputs Allgathered
+// and backpropagates its slice of dy; its input gradient is Allreduced
+// to full width — except at the rsOK layers, where it is
+// ReduceScattered so each PE receives only its own channel slice
+// (footnote 2): the slice rides through the intermediate ReLUs (sliced
+// against the matching slice of their stored input) and is consumed by
+// the sharded layer below without ever materializing the full tensor.
 //
 // The cross-group exchange is bucketed (ex): each sharded layer's
 // weight/bias gradients are pushed the moment its backward completes —
 // the whole of it: the exchange may rewrite the weights from then on —
 // so with overlap on the segment exchange of layer l hides behind the
 // backward compute of the layers below it.
-func dataFilterStep(f *dataFilterFrame, x *tensor.Tensor, labels []int, weight float64) float64 {
+func tensorStep(f *tensorFrame, x *tensor.Tensor, labels []int, weight float64) float64 {
 	group, seg, net, tr := f.pe.group, f.pe.seg, f.pe.net, f.pe.tr
 	layers := net.Model.Layers
 	gph := net.Graph()
 	g := len(layers)
 	tr.Begin(trace.ComputeForward)
 	cur := gph.ForwardRange(0, g, x, func(l int, xin *tensor.Tensor) *tensor.Tensor {
-		st := f.states[l]
+		st, sh := f.states[l], f.shards[l]
 		if f.bnSync[l] {
 			tr.Begin(trace.BNSync)
 			y, bn := syncBNForward(seg, xin, net.Params[l].Gamma, net.Params[l].Beta)
@@ -260,17 +292,27 @@ func dataFilterStep(f *dataFilterFrame, x *tensor.Tensor, labels []int, weight f
 			st.X, st.BN = xin, bn
 			return y
 		}
+		if sh != nil && sh.axis == 1 {
+			xin = xin.Narrow(1, sh.rng.Start, sh.rng.Size())
+		}
 		p, _ := f.op(l)
 		y := net.ForwardInto(l, xin, st, p)
-		if f.shards[l] == nil {
-			// Channel-wise layers run replicated on the group's full
+		if sh == nil {
+			// Channel-wise layers (and, on the channel edge, layers too
+			// narrow to split) run replicated on the group's full
 			// activation and stay bit-identical across the group.
 			return y
 		}
 		// Shortcut convolutions shard exactly like main-path ones: the
-		// graph walk routes xin from the tap and merges the allgathered
-		// output into the main path.
+		// graph walk routes xin from the tap and merges the output into
+		// the main path.
 		tr.Begin(trace.CollectiveWait)
+		if sh.axis == 1 {
+			y = group.AllReduceSum(y)
+			tr.Begin(trace.ComputeForward)
+			tensor.AddBias(y, net.Params[l].B)
+			return y
+		}
 		out := gatherShard(group, y, 1)
 		tr.Begin(trace.ComputeForward)
 		return out
@@ -303,7 +345,7 @@ func dataFilterStep(f *dataFilterFrame, x *tensor.Tensor, labels []int, weight f
 				panic(fmt.Sprintf("dist: layer %d (%v) reached with a sliced gradient; scatterableInputGrads admitted a non-ReLU chain", l, layers[l].Kind))
 			}
 			return tensor.ReLUBackward(dy, channelChunk(st.X, group))
-		case sh != nil && !dySliced:
+		case sh != nil && sh.axis == 0 && !dySliced:
 			dy = shardGrad(dy, sh, group)
 		}
 		p, bufs := f.op(l)
@@ -312,12 +354,14 @@ func dataFilterStep(f *dataFilterFrame, x *tensor.Tensor, labels []int, weight f
 			return dx
 		}
 		// The push comes after the op's last read of the shard's weights.
+		// A channel shard's bias gradient goes to its whole bias's
+		// everyRank row.
 		f.ex.pushGrads(&f.own[l], &bufs)
 		if dx == nil {
 			return nil
 		}
 		tr.Begin(trace.CollectiveWait)
-		out, sliced := exchangeInputGrad(group, dx, f.rsOK[l])
+		out, sliced := exchangeInputGrad(group, dx, sh.axis, f.rsOK[l])
 		tr.Begin(trace.ComputeBackward)
 		if !layers[l].Branch {
 			dySliced = sliced
@@ -330,14 +374,16 @@ func dataFilterStep(f *dataFilterFrame, x *tensor.Tensor, labels []int, weight f
 	// mean gradient and sums over the segment, in the size-bounded
 	// buckets pushed above as each layer's backward completed — drain is
 	// the barrier that synchronizes every in-flight bucket and leaves
-	// every shard stepped. Within a group the exchange is free (filter
-	// shards are exact for their own filters). No other parameters need
-	// traffic: every Conv/FC is sharded, the parameterless layers
-	// contribute empty grads, and BN — the only replicated parameterized
-	// layer — is segment-synchronized whenever the segment is wider than
-	// one, so its gradients are already global and stepNet applies them.
-	// With p1=1 — pure filter — the segment is singleton: no exchange at
-	// all, drain only steps.
+	// every shard stepped. Within a group the exchange is free: filter
+	// shards are exact for their own filters, channel shards for their
+	// channels, and a channel shard's bias gradient Σdy is the same on
+	// every PE. No other parameters need traffic: the parameterless
+	// layers contribute empty grads, the channel edge's replicated narrow
+	// layers are exact on every PE, and BN is segment-synchronized
+	// whenever the segment is wider than one, so its gradients are
+	// already global and stepNet applies them. With p1=1 — pure filter or
+	// channel — the segment is singleton: no exchange at all, drain only
+	// steps.
 	f.ex.drain()
 	f.pe.step.stepNet(net, f.grads)
 	tr.Begin(trace.CollectiveWait)
@@ -361,14 +407,19 @@ func gatherShard(group *Comm, y *tensor.Tensor, axis int) *tensor.Tensor {
 }
 
 // exchangeInputGrad performs the group-wide input-gradient exchange of
-// one sharded layer's backward pass: a full-width Allreduce by default,
-// or — when the footnote-2 precondition holds for this layer — a
-// ReduceScatter along the channel axis that leaves each PE exactly the
-// slice the layer below will consume. Both take dxPart — a buffer of
-// the layer's frame state — and are done with it when they return, so
-// the frame may rewrite it next step (dataFilterStep's ownership rule).
-func exchangeInputGrad(group *Comm, dxPart *tensor.Tensor, rs bool) (*tensor.Tensor, bool) {
-	if rs && group.Size() > 1 {
+// one sharded layer's backward pass. A channel shard's slices (axis 1)
+// are Allgathered. A filter shard's partial sums (axis 0) are
+// Allreduced to full width by default, or — when the footnote-2
+// precondition holds for this layer — ReduceScattered along the channel
+// axis, leaving each PE exactly the slice the layer below will consume.
+// All three are done with dxPart — a buffer of the layer's frame state —
+// when they return (gatherShard sends a copy), so the frame may rewrite
+// it next step (tensorStep's ownership rule).
+func exchangeInputGrad(group *Comm, dxPart *tensor.Tensor, axis int, rs bool) (*tensor.Tensor, bool) {
+	switch {
+	case axis == 1:
+		return gatherShard(group, dxPart, 1), false
+	case rs && group.Size() > 1:
 		return group.ReduceScatterSum(dxPart, 1), true
 	}
 	return group.AllReduceSum(dxPart), false
@@ -380,136 +431,4 @@ func channelChunk(x *tensor.Tensor, group *Comm) *tensor.Tensor {
 	p, r := group.Size(), group.Rank()
 	off := tensor.SplitOffsets(x.Dim(1), p)[r]
 	return x.Narrow(1, off, tensor.SplitSizes(x.Dim(1), p)[r])
-}
-
-// channelEngine executes channel parallelism (§3.5): every weighted
-// layer's input channels are sharded, each PE convolves its channel
-// slice with its weight slice, and the partial outputs are summed by
-// Allreduce before the bias is applied exactly once. Layers with fewer
-// channels than PEs — in practice the first layer, which the paper also
-// leaves unsplit (§4.2) — run replicated.
-func channelEngine(m *nn.Model, pl Plan, _ string, _ *runConfig) (*engine, error) {
-	p := pl.P2
-	if mc := m.MinChannels(); p > 1 && p > mc {
-		return nil, fmt.Errorf("dist: model %q supports channel width <= min C_l = %d (Table 3), got p=%d", m.Name, mc, p)
-	}
-	return &engine{build: func(pe *peCtx) (stepFunc, ownership, error) {
-		own := wholeOwnership(pe.net)
-		shards, err := channelShards(pe.net, pe.group.Rank(), p, own)
-		if err != nil {
-			return nil, nil, err
-		}
-		states, grads := make([]*nn.LayerState, len(shards)), make([]nn.Grads, len(shards))
-		for l := range shards {
-			states[l] = new(nn.LayerState)
-			if shards[l] == nil {
-				grads[l] = pe.net.GradBuffers(l)
-			}
-		}
-		return func(x *tensor.Tensor, labels []int, _ float64) float64 {
-			return channelStep(pe, shards, states, grads, x, labels)
-		}, own, nil
-	}}, nil
-}
-
-// channelShards carves rank's input-channel slice of every weighted
-// layer wide enough to split and records it in own; narrower layers
-// keep shards[l] == nil and run replicated. FC weights are sliced by
-// channel blocks of the flattened input (the layer is the paper's
-// kernel-equals-input convolution, so a channel is a contiguous run of
-// vol(In) columns — contiguous per rank, so the same axis-1 Allgather
-// inverts both kinds). Biases stay whole: replicated and stepped in
-// lockstep on every PE.
-func channelShards(net *nn.Network, rank, p int, own ownership) ([]*weightShard, error) {
-	layers := net.Model.Layers
-	shards := make([]*weightShard, len(layers))
-	if p == 1 {
-		return shards, nil // degenerate width: run every layer replicated
-	}
-	for l := range layers {
-		spec := &layers[l]
-		if (spec.Kind != nn.Conv && spec.Kind != nn.FC) || spec.C < p {
-			continue
-		}
-		rngs, err := strategy.ChannelShards(spec, p)
-		if err != nil {
-			return nil, err
-		}
-		rng := rngs[rank]
-		vol := 1 // canonical columns per channel
-		if spec.Kind == nn.FC {
-			vol = int(spec.InSize()) / spec.C
-		}
-		sh := newWeightShard(net.Params[l].W.Narrow(1, rng.Start*vol, rng.Size()*vol), nil, rng)
-		own.slice(l, fieldW, sh.p.W, 1, rng.Start*vol, rng.Size()*vol)
-		shards[l] = sh
-	}
-	return shards, nil
-}
-
-// channelStep runs one channel-parallel SGD iteration. The graph walk
-// routes shortcut convolutions from their taps and merges their output
-// into the main path; a sharded shortcut convolves its input-channel
-// slice of the tap activation like any other sharded layer.
-//
-// Every layer runs through its op in its frame state (states): a
-// sharded Conv/FC is the layer's op over its shard's weights and
-// gradient buffers, with no bias, and a replicated layer writes the
-// replica's gradient buffers (grads), which stepNet applies. Under
-// dataFilterStep's ownership rule a shard's partial output goes to the
-// allreduce as it is, and its input gradient to the allgather as a copy
-// (gatherShard); the input-channel slice and the concatenation stay
-// fresh.
-func channelStep(pe *peCtx, shards []*weightShard, states []*nn.LayerState, grads []nn.Grads, x *tensor.Tensor, labels []int) float64 {
-	c, net, step, tr := pe.group, pe.net, pe.step, pe.tr
-	gph := net.Graph()
-	tr.Begin(trace.ComputeForward)
-	cur := gph.ForwardRange(0, len(shards), x, func(l int, xin *tensor.Tensor) *tensor.Tensor {
-		sh := shards[l]
-		if sh == nil {
-			// Replicated layer (channel-wise, or too narrow to split):
-			// full activation, identical on every PE.
-			return net.ForwardInto(l, xin, states[l], net.Params[l])
-		}
-		part := net.ForwardInto(l, xin.Narrow(1, sh.rng.Start, sh.rng.Size()), states[l], sh.p)
-		tr.Begin(trace.CollectiveWait)
-		y := c.AllReduceSum(part)
-		tr.Begin(trace.ComputeForward)
-		tensor.AddBias(y, net.Params[l].B)
-		return y
-	})
-	loss, dy := tensor.SoftmaxCrossEntropy(cur, labels)
-	tr.Begin(trace.ComputeBackward)
-
-	gph.BackwardRange(0, len(shards), dy, func(l int, dy *tensor.Tensor) *tensor.Tensor {
-		// No consumer for the input gradient — the bottom layer, or a
-		// shortcut tapping the network input — skips the data backward
-		// and, for a shard, its allgather.
-		inputGrad := gph.Src(l) >= 0
-		sh := shards[l]
-		if sh == nil {
-			return net.BackwardInto(l, dy, states[l], net.Params[l], grads[l], inputGrad)
-		}
-		dx := net.BackwardInto(l, dy, states[l], sh.p, sh.g, inputGrad)
-		if dx == nil {
-			return nil
-		}
-		tr.Begin(trace.CollectiveWait)
-		out := gatherShard(c, dx, 1)
-		tr.Begin(trace.ComputeBackward)
-		return out
-	})
-
-	// Weight-shard gradients are exact (dy was global); the bias
-	// gradient Σdy is identical on every PE, so the replicated bias
-	// steps in lockstep without any exchange.
-	step.stepNet(net, grads)
-	for l, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		step.step(sh.p.W, sh.g.W)
-		step.step(net.Params[l].B, sh.g.B)
-	}
-	return loss
 }

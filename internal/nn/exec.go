@@ -175,14 +175,8 @@ func windowOut(dims []int, l int, spec *Layer, pad []int, x *tensor.Tensor, f in
 // reuse returns buf when it has the given shape, else a new tensor of
 // that shape: a buffer is reallocated only when its shape changes.
 func reuse(buf *tensor.Tensor, shape []int) *tensor.Tensor {
-	if buf != nil && buf.Rank() == len(shape) {
-		same := true
-		for i, d := range shape {
-			same = same && buf.Dim(i) == d
-		}
-		if same {
-			return buf
-		}
+	if buf != nil && tensor.EqualShapes(buf.Shape(), shape) {
+		return buf
 	}
 	return tensor.New(shape...)
 }

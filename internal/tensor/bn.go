@@ -168,27 +168,6 @@ func BNBackwardApplyInto(dx, dy, gamma *Tensor, st *BNState, sumDyXhat, sumDy *T
 	}
 }
 
-// BNLocalStats returns per-channel Σx and Σx² plus the local element
-// count — the quantities synchronized BN Allreduces before normalizing
-// with the GLOBAL mini-batch statistics.
-func BNLocalStats(x *Tensor) (sum, sqSum *Tensor, count int) {
-	n, c, spatial := splitActShape(x)
-	vol := Volume(spatial)
-	sum = New(c)
-	sqSum = New(c)
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ni*c + ci) * vol
-			for i := 0; i < vol; i++ {
-				v := x.data[base+i]
-				sum.data[ci] += v
-				sqSum.data[ci] += v * v
-			}
-		}
-	}
-	return sum, sqSum, n * vol
-}
-
 // BNForwardWithStats normalizes x with externally supplied per-channel
 // mean/variance (the global statistics of synchronized BN). count is
 // the global element count behind the statistics, carried into the
