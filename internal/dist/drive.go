@@ -15,6 +15,34 @@ type peCtx struct {
 	tr                *trace.PE
 }
 
+// layerState returns a fresh nn.LayerState for layer l, synchronized
+// over c when l is a batch norm and c spans more than one PE: its BN
+// sums the statistics and gradients of the batch c's PEs share, so they
+// normalize with the whole batch's (§4.5.2).
+func (pe *peCtx) layerState(l int, c *Comm) *nn.LayerState {
+	if pe.net.Model.Layers[l].Kind != nn.BatchNorm || c.Size() == 1 {
+		return new(nn.LayerState)
+	}
+	return &nn.LayerState{Sync: bnSync{c, pe.tr}}
+}
+
+// bnSync is a synchronized batch norm's tensor.BNSync: c's collectives,
+// each traced as bn-sync within the caller's phase.
+type bnSync struct {
+	c  *Comm
+	tr *trace.PE
+}
+
+func (s bnSync) AllReduceSum(t *tensor.Tensor) *tensor.Tensor {
+	defer s.tr.Begin(s.tr.Begin(trace.BNSync))
+	return s.c.AllReduceSum(t)
+}
+
+func (s bnSync) AllReduceScalar(v float64) float64 {
+	defer s.tr.Begin(s.tr.Begin(trace.BNSync))
+	return s.c.AllReduceScalar(v)
+}
+
 // stepFunc runs one training iteration — forward, backward with the
 // strategy's exchanges, optimizer step — on this PE's share (x, labels)
 // of the batch, weighted n_g/B in the global loss, and returns the
@@ -110,7 +138,7 @@ func serialEngine(*nn.Model, Plan, string, *runConfig) (*engine, error) {
 		net, tr := pe.net, pe.tr
 		return func(x *tensor.Tensor, labels []int, _ float64) float64 {
 			// The explicit forward/loss/backward/step composition is
-			// TrainStep(With) verbatim (see nn/exec.go), split so each
+			// TrainStep verbatim (see nn/exec.go), split so each
 			// phase lands on its own span.
 			tr.Begin(trace.ComputeForward)
 			logits, states := net.Forward(x)

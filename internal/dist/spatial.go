@@ -191,10 +191,15 @@ func addRegion(dst, src *tensor.Tensor, axis, dstStart, srcStart, n int, set boo
 // reuse returns buf when it has the given shape, else a new tensor of
 // that shape: a kept buffer is reallocated only when its shape changes.
 func reuse(buf *tensor.Tensor, shape []int) *tensor.Tensor {
-	if buf != nil && tensor.EqualShapes(buf.Shape(), shape) {
-		return buf
+	if buf == nil || buf.Rank() != len(shape) {
+		return tensor.New(shape...)
 	}
-	return tensor.New(shape...)
+	for i, d := range shape {
+		if buf.Dim(i) != d {
+			return tensor.New(shape...)
+		}
+	}
+	return buf
 }
 
 // zeroAxis returns pad with the split-axis entry cleared: the halo block
@@ -288,27 +293,29 @@ type spatialFrame struct {
 	fcStart        int
 	states         []*nn.LayerState
 	acc            []*tensor.Tensor // see haloScatter
-	bnSync         []bool
-	grads          []nn.Grads // the synchronized BN gradients, which stepNet applies
+	grads          []nn.Grads       // the synchronized BN's buffers, which stepNet applies
 }
 
 // newSpatialFrame builds the frame of one PE. Two bucketed exchanges:
 // trunk gradients sum over the whole world, head gradients over the
-// segment; batch norm synchronizes over the same communicators.
+// segment; batch norm synchronizes over the same communicators, inside
+// its layer op (the state's Sync, see peCtx.layerState).
 func newSpatialFrame(pe *peCtx, cfg *runConfig, plans []*layerPlan, fcStart int) *spatialFrame {
 	g := len(plans)
 	f := &spatialFrame{pe: pe, exWorld: newGradExchanger(pe.world, pe.step, cfg), exSeg: newGradExchanger(pe.seg, pe.step, cfg),
 		own: wholeOwnership(pe.net), plans: plans, fcStart: fcStart,
-		states: make([]*nn.LayerState, g), acc: make([]*tensor.Tensor, g), bnSync: make([]bool, g), grads: make([]nn.Grads, g)}
+		states: make([]*nn.LayerState, g), acc: make([]*tensor.Tensor, g), grads: make([]nn.Grads, g)}
 	for l := range f.states {
-		f.states[l] = new(nn.LayerState)
+		ex, c := f.exchange(l)
+		f.states[l] = pe.layerState(l, c)
 		if plans[l] != nil {
 			f.states[l].Pad = zeroAxis(pe.net.Model.Layers[l].Pad)
 		}
-		ex, bn := f.exchange(l)
+		if f.states[l].Sync != nil {
+			f.grads[l] = pe.net.GradBuffers(l)
+		}
 		ex.shard(&f.own[l][fieldW])
 		ex.shard(&f.own[l][fieldB])
-		f.bnSync[l] = pe.net.Model.Layers[l].Kind == nn.BatchNorm && bn.Size() > 1
 	}
 	return f
 }
@@ -393,19 +400,10 @@ func dataSpatialStep(f *spatialFrame, x *tensor.Tensor, labels []int, weight flo
 	return global
 }
 
-// forward is layer l's forward op on this PE: synchronized batch norm,
-// or the layer's op in its frame state — over the halo block for a
-// windowed trunk layer.
+// forward is layer l's forward op on this PE: the layer's op in its
+// frame state — over the halo block for a windowed trunk layer.
 func (f *spatialFrame) forward(l int, xin *tensor.Tensor) *tensor.Tensor {
 	net, tr, st := f.pe.net, f.pe.tr, f.states[l]
-	if f.bnSync[l] {
-		_, c := f.exchange(l)
-		tr.Begin(trace.BNSync)
-		y, bn := syncBNForward(c, xin, net.Params[l].Gamma, net.Params[l].Beta)
-		tr.Begin(trace.ComputeForward)
-		st.X, st.BN = xin, bn
-		return y
-	}
 	if pl := f.plans[l]; pl != nil {
 		tr.Begin(trace.Halo)
 		xin = haloExchange(f.pe.group, xin, pl, st.X)
@@ -415,24 +413,19 @@ func (f *spatialFrame) forward(l int, xin *tensor.Tensor) *tensor.Tensor {
 }
 
 // backward is forward's counterpart. A layer's gradients enter its
-// exchanger after the op's last read of its weights; the synchronized
-// BN gradients are already global and wait in grads. A layer with no
-// consumer for its input gradient — the bottom layer, or a shortcut
-// tapping the network input — skips the data backward and, windowed,
-// its halo scatter, on every PE alike.
+// exchanger after the op's last read of its weights; a synchronized
+// BN's are already global and stepNet applies them from grads. A layer
+// with no consumer for its input gradient — the bottom layer, or a
+// shortcut tapping the network input — skips the data backward and,
+// windowed, its halo scatter, on every PE alike.
 func (f *spatialFrame) backward(l int, dy *tensor.Tensor) *tensor.Tensor {
 	net, tr, st := f.pe.net, f.pe.tr, f.states[l]
-	ex, c := f.exchange(l)
-	if f.bnSync[l] {
-		tr.Begin(trace.BNSync)
-		dx, dgamma, dbeta := syncBNBackward(c, dy, net.Params[l].Gamma, st.BN)
-		tr.Begin(trace.ComputeBackward)
-		f.grads[l] = nn.Grads{Gamma: dgamma, Beta: dbeta}
-		return dx
-	}
 	gr := net.GradBuffers(l)
 	dx := net.BackwardInto(l, dy, st, net.Params[l], gr, net.Graph().Src(l) >= 0)
-	ex.pushGrads(&f.own[l], &gr)
+	if st.Sync == nil {
+		ex, _ := f.exchange(l)
+		ex.pushGrads(&f.own[l], &gr)
+	}
 	if pl := f.plans[l]; pl != nil && dx != nil {
 		tr.Begin(trace.Halo)
 		f.acc[l] = haloScatter(f.pe.group, dx, pl, f.acc[l])

@@ -59,7 +59,8 @@ type weightShard struct {
 // mean gradient. On every edge batch norm is synchronized across
 // segments (one PE per group covers the global batch exactly once), so
 // runs match the sequential baseline even on BN models — the paper's
-// framework comparison point of §4.5.2.
+// framework comparison point of §4.5.2. The BN layer op does it itself,
+// over the segment its state carries (peCtx.layerState).
 func tensorEngine(m *nn.Model, pl Plan, _ string, cfg *runConfig) (*engine, error) {
 	p2, channel := pl.P2, pl.Strategy == core.Channel
 	row := strategy.Grid{Family: strategy.Tensor, Model: m, Channel: channel}
@@ -97,24 +98,22 @@ type tensorFrame struct {
 	own    ownership
 	shards []*weightShard // nil for replicated layers
 	rsOK   []bool         // see scatterableInputGrads; read at axis-0 shards only
-	bnSync []bool         // BN synchronized across the segment
 	states []*nn.LayerState
-	// grads is what stepNet applies: the replicated layers' buffers, the
-	// segment-synchronized BN gradients of the current step, and nothing
-	// for the shards, which the exchanger steps.
+	// grads is what stepNet applies: the replicated layers' buffers —
+	// among them the segment-synchronized BN's, whose gradients are
+	// global — and nothing for the shards, which the exchanger steps.
 	grads []nn.Grads
 }
 
 // newTensorFrame builds the frame of a PE whose shards are carved.
 func newTensorFrame(pe *peCtx, ex *gradExchanger, own ownership, shards []*weightShard, rsOK []bool) *tensorFrame {
 	net, g := pe.net, len(shards)
-	f := &tensorFrame{pe: pe, ex: ex, own: own, shards: shards, rsOK: rsOK, bnSync: make([]bool, g),
+	f := &tensorFrame{pe: pe, ex: ex, own: own, shards: shards, rsOK: rsOK,
 		states: make([]*nn.LayerState, g), grads: make([]nn.Grads, g)}
 	for l, sh := range shards {
-		f.states[l] = new(nn.LayerState)
+		f.states[l] = pe.layerState(l, pe.seg)
 		if sh == nil {
 			f.grads[l] = net.GradBuffers(l)
-			f.bnSync[l] = net.Model.Layers[l].Kind == nn.BatchNorm && pe.seg.Size() > 1
 		}
 	}
 	return f
@@ -241,9 +240,10 @@ func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
 // this group's contribution to the full-batch mean gradient, so the
 // cross-group exchange is a plain segmented sum. Batch norm, whose full
 // activation is replicated within the group, synchronizes across the
-// segment — one PE per group covers the global batch exactly once, and
-// every segment reduces in the same group order, so all PEs agree
-// bit-for-bit.
+// segment inside its op — one PE per group covers the global batch
+// exactly once, and every segment reduces in the same group order, so
+// all PEs agree bit-for-bit; its statistics and global gradients stay
+// in the frame (its state and GradBuffers).
 //
 // Every layer runs through the frame's op table (nn.ForwardInto,
 // nn.BackwardInto): a sharded Conv/FC is the layer's op over its
@@ -285,13 +285,6 @@ func tensorStep(f *tensorFrame, x *tensor.Tensor, labels []int, weight float64) 
 	tr.Begin(trace.ComputeForward)
 	cur := gph.ForwardRange(0, g, x, func(l int, xin *tensor.Tensor) *tensor.Tensor {
 		st, sh := f.states[l], f.shards[l]
-		if f.bnSync[l] {
-			tr.Begin(trace.BNSync)
-			y, bn := syncBNForward(seg, xin, net.Params[l].Gamma, net.Params[l].Beta)
-			tr.Begin(trace.ComputeForward)
-			st.X, st.BN = xin, bn
-			return y
-		}
 		if sh != nil && sh.axis == 1 {
 			xin = xin.Narrow(1, sh.rng.Start, sh.rng.Size())
 		}
@@ -331,12 +324,6 @@ func tensorStep(f *tensorFrame, x *tensor.Tensor, labels []int, weight float64) 
 		// and, for a shard, its group-wide exchange.
 		inputGrad := gph.Src(l) >= 0
 		switch {
-		case f.bnSync[l]:
-			tr.Begin(trace.BNSync)
-			dx, dgamma, dbeta := syncBNBackward(seg, dy, net.Params[l].Gamma, st.BN)
-			tr.Begin(trace.ComputeBackward)
-			f.grads[l] = nn.Grads{Gamma: dgamma, Beta: dbeta}
-			return dx
 		case sh == nil && dySliced:
 			// Only ReLU can sit inside a reduce-scatter chain
 			// (scatterableInputGrads): backpropagate the slice against

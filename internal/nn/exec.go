@@ -77,6 +77,11 @@ type LayerState struct {
 	// internal/dist sets it to the layer's pads with the split axis
 	// zeroed, because its halo block already carries that axis's border.
 	Pad []int
+	// Sync is the communicator a BatchNorm layer sums its statistics
+	// and gradients over (synchronized BN); nil means local BN. The
+	// engines of internal/dist set it on a BN layer whose batch is split
+	// across PEs.
+	Sync tensor.BNSync
 
 	// The layer's output, its input gradient and its window kernels'
 	// scratch. A fresh state (ForwardLayer, BackwardLayer) has none, so
@@ -152,7 +157,7 @@ func (n *Network) forwardLayer(l int, x *tensor.Tensor, st *LayerState, p Params
 			c := x.Dim(1)
 			st.BN = &tensor.BNState{Mean: tensor.New(c), Var: tensor.New(c), XHat: tensor.New(x.Shape()...)}
 		}
-		tensor.BNForwardInto(st.y, st.BN, x, p.Gamma, p.Beta, 1e-5)
+		tensor.BNForwardInto(st.y, st.BN, x, p.Gamma, p.Beta, 1e-5, st.Sync)
 	default:
 		panic(fmt.Sprintf("nn: cannot execute layer kind %v", spec.Kind))
 	}
@@ -175,10 +180,15 @@ func windowOut(dims []int, l int, spec *Layer, pad []int, x *tensor.Tensor, f in
 // reuse returns buf when it has the given shape, else a new tensor of
 // that shape: a buffer is reallocated only when its shape changes.
 func reuse(buf *tensor.Tensor, shape []int) *tensor.Tensor {
-	if buf != nil && tensor.EqualShapes(buf.Shape(), shape) {
-		return buf
+	if buf == nil || buf.Rank() != len(shape) {
+		return tensor.New(shape...)
 	}
-	return tensor.New(shape...)
+	for i, d := range shape {
+		if buf.Dim(i) != d {
+			return tensor.New(shape...)
+		}
+	}
+	return buf
 }
 
 // reuseLike is reuse with x's shape.
@@ -213,7 +223,7 @@ func (n *Network) GradBuffers(l int) Grads {
 // gradients — views of the layer's GradBuffers, valid until its next
 // backward.
 func (n *Network) BackwardLayer(l int, dy *tensor.Tensor, st *LayerState) (*tensor.Tensor, Grads) {
-	fresh := LayerState{X: st.X, Argmax: st.Argmax, BN: st.BN, Pad: st.Pad}
+	fresh := LayerState{X: st.X, Argmax: st.Argmax, BN: st.BN, Pad: st.Pad, Sync: st.Sync}
 	g := n.GradBuffers(l)
 	return n.backwardLayer(l, dy, &fresh, n.Params[l], g, true), g
 }
@@ -262,7 +272,7 @@ func (n *Network) backwardLayer(l int, dy *tensor.Tensor, st *LayerState, p Para
 			tensor.ReLUBackwardInto(dx, dy, st.X)
 		}
 	case BatchNorm:
-		tensor.BNBackwardReduceInto(g.Gamma, g.Beta, dy, st.BN)
+		tensor.BNBackwardReduceInto(g.Gamma, g.Beta, dy, st.BN, st.Sync)
 		if dx != nil {
 			tensor.BNBackwardApplyInto(dx, dy, p.Gamma, st.BN, g.Gamma, g.Beta)
 		}

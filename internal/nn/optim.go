@@ -1,24 +1,20 @@
 package nn
 
-import (
-	"math"
-
-	"paradl/internal/tensor"
-)
+import "paradl/internal/tensor"
 
 // Optimizer updates network parameters from gradients. The paper's
 // weight-update phase (WU) analysis depends on the optimizer: plain SGD
-// touches 2 variables per weight, ADAM four — which is why large models
-// "report up to 45% time on weight update and more than 60% extra
-// memory" under ADAM (§5.3.3).
+// touches 2 variables per weight, momentum 3, ADAM four — which is why
+// large models "report up to 45% time on weight update and more than
+// 60% extra memory" under ADAM (§5.3.3). The oracle prices ADAM from
+// profile.AdamSpec; the runtime trains with SGD and momentum.
 type Optimizer interface {
 	// Step applies one update.
 	Step(params []Params, grads []Grads)
 	// Name identifies the optimizer for reports.
 	Name() string
 	// ExtraStatePerParam is the number of persistent state variables
-	// per parameter beyond the weight itself (SGD 0, momentum 1,
-	// ADAM 2).
+	// per parameter beyond the weight itself (SGD 0, momentum 1).
 	ExtraStatePerParam() int
 }
 
@@ -125,67 +121,6 @@ func (m *Momentum) UpdateWith(v, w, g *tensor.Tensor) {
 	}
 }
 
-// Adam is the ADAM optimizer (Kingma & Ba) with bias correction. It
-// keeps first- and second-moment estimates per parameter — the four
-// variables per weight (w, g, m, v) of §5.3.3.
-type Adam struct {
-	LR, Beta1, Beta2, Eps float64
-
-	t int
-	m map[*tensor.Tensor]*tensor.Tensor // first moments, keyed by param
-	v map[*tensor.Tensor]*tensor.Tensor // second moments
-}
-
-// NewAdam returns an Adam optimizer with the canonical defaults.
-func NewAdam(lr float64) *Adam {
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: map[*tensor.Tensor]*tensor.Tensor{},
-		v: map[*tensor.Tensor]*tensor.Tensor{},
-	}
-}
-
-// Name implements Optimizer.
-func (a *Adam) Name() string { return "adam" }
-
-// ExtraStatePerParam implements Optimizer.
-func (a *Adam) ExtraStatePerParam() int { return 2 }
-
-// Step implements Optimizer.
-func (a *Adam) Step(params []Params, grads []Grads) {
-	a.t++
-	for l := range params {
-		applyPair(params[l].W, grads[l].W, a.update)
-		applyPair(params[l].B, grads[l].B, a.update)
-		applyPair(params[l].Gamma, grads[l].Gamma, a.update)
-		applyPair(params[l].Beta, grads[l].Beta, a.update)
-	}
-}
-
-func (a *Adam) update(w, g *tensor.Tensor) {
-	w.MustSameShape(g)
-	m, ok := a.m[w]
-	if !ok {
-		m = tensor.New(w.Shape()...)
-		a.m[w] = m
-	}
-	v, ok := a.v[w]
-	if !ok {
-		v = tensor.New(w.Shape()...)
-		a.v[w] = v
-	}
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	wd, gd, md, vd := w.Data(), g.Data(), m.Data(), v.Data()
-	for i := range wd {
-		md[i] = a.Beta1*md[i] + (1-a.Beta1)*gd[i]
-		vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*gd[i]*gd[i]
-		mHat := md[i] / c1
-		vHat := vd[i] / c2
-		wd[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-	}
-}
-
 func applyPair(w, g *tensor.Tensor, f func(w, g *tensor.Tensor)) {
 	if w != nil && g != nil {
 		f(w, g)
@@ -195,12 +130,4 @@ func applyPair(w, g *tensor.Tensor, f func(w, g *tensor.Tensor)) {
 // StepWith applies an arbitrary optimizer to the network.
 func (n *Network) StepWith(opt Optimizer, grads []Grads) {
 	opt.Step(n.Params, grads)
-}
-
-// TrainStepWith is TrainStep with a pluggable optimizer.
-func (n *Network) TrainStepWith(opt Optimizer, x *tensor.Tensor, labels []int) float64 {
-	logits, states := n.Forward(x)
-	loss, dLogits := tensor.SoftmaxCrossEntropy(logits, labels)
-	n.StepWith(opt, n.BackwardParams(dLogits, states))
-	return loss
 }

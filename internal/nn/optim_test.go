@@ -72,80 +72,15 @@ func TestMomentumUpdate(t *testing.T) {
 	}
 }
 
-func TestAdamConverges(t *testing.T) {
-	m := smallModel(t)
-	rng := rand.New(rand.NewSource(52))
-	net := NewNetwork(m, rng)
-	opt := NewAdam(0.01)
-	x := tensor.New(4, 3, 8, 8).RandN(rng, 1)
-	labels := []int{1, 3, 5, 7}
-	first := net.TrainStepWith(opt, x, labels)
-	var last float64
-	for i := 0; i < 40; i++ {
-		last = net.TrainStepWith(opt, x, labels)
-	}
-	if last >= first/2 {
-		t.Fatalf("Adam should converge fast on a fixed batch: first %g last %g", first, last)
-	}
-}
-
-func TestAdamFirstStepFormula(t *testing.T) {
-	// With bias correction, the first Adam step moves every weight by
-	// ≈ lr·sign(g) (since mHat/sqrt(vHat) = g/|g| at t=1).
-	opt := NewAdam(0.1)
-	w := tensor.FromSlice([]float64{1, -2, 3}, 3)
-	g := tensor.FromSlice([]float64{0.5, -0.25, 1}, 3)
-	params := []Params{{W: w}}
-	grads := []Grads{{W: g}}
-	opt.Step(params, grads)
-	want := []float64{1 - 0.1, -2 + 0.1, 3 - 0.1}
-	for i, v := range want {
-		if d := math.Abs(w.At(i) - v); d > 1e-6 {
-			t.Fatalf("adam step[%d] = %v, want ≈%v", i, w.At(i), v)
-		}
-	}
-}
-
-func TestAdamKeepsPerParamState(t *testing.T) {
-	opt := NewAdam(0.1)
-	if opt.ExtraStatePerParam() != 2 {
-		t.Fatal("Adam keeps m and v")
-	}
-	if (&SGD{}).ExtraStatePerParam() != 0 {
-		t.Fatal("SGD keeps no extra state")
-	}
-	w := tensor.FromSlice([]float64{1}, 1)
-	g := tensor.FromSlice([]float64{1}, 1)
-	opt.Step([]Params{{W: w}}, []Grads{{W: g}})
-	opt.Step([]Params{{W: w}}, []Grads{{W: g}})
-	if len(opt.m) != 1 || len(opt.v) != 1 {
-		t.Fatalf("adam state entries m=%d v=%d", len(opt.m), len(opt.v))
-	}
-	if opt.t != 2 {
-		t.Fatalf("adam step counter %d", opt.t)
-	}
-}
-
-func TestAdamSkipsNilGrads(t *testing.T) {
-	opt := NewAdam(0.1)
-	w := tensor.FromSlice([]float64{5}, 1)
-	opt.Step([]Params{{W: w}}, []Grads{{}}) // nil gradient
-	if w.At(0) != 5 {
-		t.Fatal("nil gradient must not move the weight")
-	}
-}
-
 // TestOptimizersRejectMisshapedGradient: a gradient that does not have
 // its parameter's shape — longer (it used to be silently truncated by
-// Momentum and Adam), shorter (a bare index panic), or the same length
-// laid out differently — is rejected by all three optimizers with the
-// same message, before any element is written. With chunk-wise updates
+// Momentum), shorter (a bare index panic), or the same length laid out
+// differently — is rejected by both optimizers with the same message, before any element is written. With chunk-wise updates
 // this is the guard that catches a wrong offset.
 func TestOptimizersRejectMisshapedGradient(t *testing.T) {
 	optimizers := map[string]func() Optimizer{
 		"sgd":      func() Optimizer { return &SGD{LR: 0.1} },
 		"momentum": func() Optimizer { return NewMomentum(0.1, 0.9) },
-		"adam":     func() Optimizer { return NewAdam(0.1) },
 	}
 	for _, g := range []struct {
 		name string

@@ -14,26 +14,38 @@ type BNState struct {
 	Count     int // number of elements reduced per channel (N × spatial)
 }
 
+// BNSync sums batch-norm statistics across the PEs that share a batch:
+// synchronized BN (§4.5.2), which normalizes a partitioned batch with
+// the statistics of the whole. AllReduceSum takes ownership of its
+// argument and returns the sum, in that tensor or in another one.
+// *dist.Comm satisfies it.
+type BNSync interface {
+	AllReduceSum(*Tensor) *Tensor
+	AllReduceScalar(float64) float64
+}
+
 // BNForward applies channel-wise batch normalization to x [N, C,
 // spatial...] with scale gamma [C] and shift beta [C]:
 //
 //	y = gamma * (x - mean_c) / sqrt(var_c + eps) + beta
 //
 // Statistics are computed over the batch and spatial dimensions, i.e.
-// the unsynchronized local-batch BN of common frameworks (§4.5.2). The
-// dist runtime layers synchronized variants on top of this kernel.
+// the unsynchronized local-batch BN of common frameworks (§4.5.2).
 func BNForward(x, gamma, beta *Tensor, eps float64) (*Tensor, *BNState) {
 	_, c, _ := splitActShape(x)
 	y := New(x.shape...)
 	st := &BNState{Mean: New(c), Var: New(c), XHat: New(x.shape...)}
-	BNForwardInto(y, st, x, gamma, beta, eps)
+	BNForwardInto(y, st, x, gamma, beta, eps, nil)
 	return y, st
 }
 
 // BNForwardInto is BNForward writing every element of the caller's y
 // and st.XHat (both shaped like x) and st.Mean and st.Var ([C]),
-// whatever they held, and setting st.Eps and st.Count.
-func BNForwardInto(y *Tensor, st *BNState, x, gamma, beta *Tensor, eps float64) {
+// whatever they held, and setting st.Eps and st.Count. With sync set the
+// statistics are global: the channel sums Σx, the element count and the
+// centered squares Σ(x−mean)², in that order, are summed across sync's
+// PEs, and st.Count is the global count.
+func BNForwardInto(y *Tensor, st *BNState, x, gamma, beta *Tensor, eps float64, sync BNSync) {
 	n, c, spatial := splitActShape(x)
 	if gamma.Len() != c || beta.Len() != c {
 		panic(fmt.Sprintf("tensor: bn gamma/beta length must be C=%d", c))
@@ -41,6 +53,8 @@ func BNForwardInto(y *Tensor, st *BNState, x, gamma, beta *Tensor, eps float64) 
 	if st.Mean.Len() != c || st.Var.Len() != c {
 		panic(fmt.Sprintf("tensor: bn statistics destinations %v, %v must be length C=%d", st.Mean.Shape(), st.Var.Shape(), c))
 	}
+	y.MustSameShape(x)
+	st.XHat.MustSameShape(x)
 	vol := Volume(spatial)
 	cnt := n * vol
 	mean, variance := st.Mean, st.Var
@@ -54,9 +68,11 @@ func BNForwardInto(y *Tensor, st *BNState, x, gamma, beta *Tensor, eps float64) 
 			}
 		}
 	}
-	for ci := 0; ci < c; ci++ {
-		mean.data[ci] /= float64(cnt)
+	if sync != nil {
+		allReduceInto(sync, mean)
+		cnt = int(sync.AllReduceScalar(float64(cnt)))
 	}
+	bnAverage(mean, cnt, sync != nil)
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * vol
@@ -67,58 +83,63 @@ func BNForwardInto(y *Tensor, st *BNState, x, gamma, beta *Tensor, eps float64) 
 			}
 		}
 	}
-	for ci := 0; ci < c; ci++ {
-		variance.data[ci] /= float64(cnt)
+	if sync != nil {
+		allReduceInto(sync, variance)
 	}
-	bnNormalize(y, st.XHat, x, gamma, beta, mean, variance, eps)
-	st.Eps, st.Count = eps, cnt
-}
-
-// bnNormalize writes xhat = (x − mean_c)/sqrt(var_c + eps) and y =
-// gamma·xhat + beta, every element of both, which must be shaped like x.
-func bnNormalize(y, xhat, x, gamma, beta, mean, variance *Tensor, eps float64) {
-	y.MustSameShape(x)
-	xhat.MustSameShape(x)
-	n, c, spatial := splitActShape(x)
-	vol := Volume(spatial)
+	bnAverage(variance, cnt, sync != nil)
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * vol
 			m := mean.data[ci]
-			inv := 1.0 / sqrt(variance.data[ci]+eps)
+			inv := 1.0 / math.Sqrt(variance.data[ci]+eps)
 			g := gamma.data[ci]
 			b := beta.data[ci]
 			for i := 0; i < vol; i++ {
 				xh := (x.data[base+i] - m) * inv
-				xhat.data[base+i] = xh
+				st.XHat.data[base+i] = xh
 				y.data[base+i] = g*xh + b
 			}
 		}
+	}
+	st.Eps, st.Count = eps, cnt
+}
+
+// bnAverage turns the channel sums in sum into averages over cnt
+// elements: local BN divides by cnt, synchronized BN multiplies by its
+// reciprocal.
+func bnAverage(sum *Tensor, cnt int, synced bool) {
+	if synced {
+		sum.Scale(1 / float64(cnt))
+		return
+	}
+	for ci := range sum.data {
+		sum.data[ci] /= float64(cnt)
+	}
+}
+
+// allReduceInto sums t across sync's PEs into t itself.
+func allReduceInto(sync BNSync, t *Tensor) {
+	if r := sync.AllReduceSum(t); r != t {
+		copy(t.data, r.data)
 	}
 }
 
 // BNBackward computes gradients of batch normalization with respect to
 // the input, gamma, and beta.
 func BNBackward(dy, gamma *Tensor, st *BNState) (dx, dgamma, dbeta *Tensor) {
-	dgamma, dbeta = BNBackwardReduce(dy, st)
-	dx = BNBackwardApply(dy, gamma, st, dgamma, dbeta)
+	_, c, _ := splitActShape(dy)
+	dx, dgamma, dbeta = New(dy.shape...), New(c), New(c)
+	BNBackwardReduceInto(dgamma, dbeta, dy, st, nil)
+	BNBackwardApplyInto(dx, dy, gamma, st, dgamma, dbeta)
 	return dx, dgamma, dbeta
 }
 
-// BNBackwardReduce computes the per-channel reductions Σ dy·x̂ (which
-// equals dgamma) and Σ dy (dbeta) into fresh [C] tensors. Under
-// synchronized BN these partial sums are Allreduced across PEs before
-// BNBackwardApply (§4.5.2).
-func BNBackwardReduce(dy *Tensor, st *BNState) (sumDyXhat, sumDy *Tensor) {
-	_, c, _ := splitActShape(dy)
-	sumDyXhat, sumDy = New(c), New(c)
-	BNBackwardReduceInto(sumDyXhat, sumDy, dy, st)
-	return sumDyXhat, sumDy
-}
-
-// BNBackwardReduceInto is BNBackwardReduce writing into the caller's
-// [C] tensors, overwriting whatever they held.
-func BNBackwardReduceInto(sumDyXhat, sumDy, dy *Tensor, st *BNState) {
+// BNBackwardReduceInto writes the per-channel reductions Σ dy·x̂ (which
+// equals dgamma) and Σ dy (dbeta) into the caller's [C] tensors,
+// overwriting whatever they held. With sync set — the sync of the
+// forward pass — both are summed across its PEs, in that order, into
+// the global gradients.
+func BNBackwardReduceInto(sumDyXhat, sumDy, dy *Tensor, st *BNState, sync BNSync) {
 	n, c, spatial := splitActShape(dy)
 	if sumDyXhat.Len() != c || sumDy.Len() != c {
 		panic(fmt.Sprintf("tensor: bn bwd gradient destinations %v, %v must be length C=%d", sumDyXhat.Shape(), sumDy.Shape(), c))
@@ -135,19 +156,16 @@ func BNBackwardReduceInto(sumDyXhat, sumDy, dy *Tensor, st *BNState) {
 			}
 		}
 	}
+	if sync != nil {
+		allReduceInto(sync, sumDyXhat)
+		allReduceInto(sync, sumDy)
+	}
 }
 
-// BNBackwardApply finishes the input gradient given the (possibly
-// globally reduced) channel sums. st.Count must be the GLOBAL element
-// count the statistics were computed over.
-func BNBackwardApply(dy, gamma *Tensor, st *BNState, sumDyXhat, sumDy *Tensor) *Tensor {
-	dx := New(dy.shape...)
-	BNBackwardApplyInto(dx, dy, gamma, st, sumDyXhat, sumDy)
-	return dx
-}
-
-// BNBackwardApplyInto is BNBackwardApply writing every element of the
-// caller's dx, shaped like dy, whatever it held.
+// BNBackwardApplyInto finishes the input gradient into every element of
+// the caller's dx, shaped like dy, whatever it held, given the channel
+// sums of BNBackwardReduceInto. st.Count is the element count the
+// statistics were computed over — the global one under synchronized BN.
 func BNBackwardApplyInto(dx, dy, gamma *Tensor, st *BNState, sumDyXhat, sumDy *Tensor) {
 	dx.MustSameShape(dy)
 	n, c, spatial := splitActShape(dy)
@@ -156,7 +174,7 @@ func BNBackwardApplyInto(dx, dy, gamma *Tensor, st *BNState, sumDyXhat, sumDy *T
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * vol
-			inv := 1.0 / sqrt(st.Var.data[ci]+st.Eps)
+			inv := 1.0 / math.Sqrt(st.Var.data[ci]+st.Eps)
 			g := gamma.data[ci]
 			sd := sumDy.data[ci]
 			sdx := sumDyXhat.data[ci]
@@ -167,19 +185,3 @@ func BNBackwardApplyInto(dx, dy, gamma *Tensor, st *BNState, sumDyXhat, sumDy *T
 		}
 	}
 }
-
-// BNForwardWithStats normalizes x with externally supplied per-channel
-// mean/variance (the global statistics of synchronized BN). count is
-// the global element count behind the statistics, carried into the
-// state for the backward pass.
-func BNForwardWithStats(x, gamma, beta, mean, variance *Tensor, eps float64, count int) (*Tensor, *BNState) {
-	_, c, _ := splitActShape(x)
-	if gamma.Len() != c || beta.Len() != c || mean.Len() != c || variance.Len() != c {
-		panic(fmt.Sprintf("tensor: bn stats length must be C=%d", c))
-	}
-	y, xhat := New(x.shape...), New(x.shape...)
-	bnNormalize(y, xhat, x, gamma, beta, mean, variance, eps)
-	return y, &BNState{Mean: mean, Var: variance, XHat: xhat, Eps: eps, Count: count}
-}
-
-func sqrt(v float64) float64 { return math.Sqrt(v) }

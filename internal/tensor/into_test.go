@@ -44,7 +44,7 @@ func refFCBackward(dy, x, w *Tensor, xShape []int) (dx, dw, db *Tensor) {
 	return dx, dw, db
 }
 
-// refBNBackwardReduce is the loop BNBackwardReduce ran into fresh
+// refBNBackwardReduce is the loop BNBackwardReduceInto runs, into fresh
 // tensors.
 func refBNBackwardReduce(dy *Tensor, st *BNState) (sumDyXhat, sumDy *Tensor) {
 	n, c, spatial := splitActShape(dy)
@@ -158,12 +158,14 @@ func TestBNBackwardReduceIntoBitIdenticalToReference(t *testing.T) {
 				sparsify(rng, dy, 0.5)
 			}
 			dgamma, dbeta := nanFilled(c), nanFilled(c)
-			BNBackwardReduceInto(dgamma, dbeta, dy, st)
+			BNBackwardReduceInto(dgamma, dbeta, dy, st, nil)
 			gRef, bRef := refBNBackwardReduce(dy, st)
 			assertSameBits(t, "dgamma", dgamma, gRef)
 			assertSameBits(t, "dbeta", dbeta, bRef)
 			dx, dg2, db2 := BNBackward(dy, gamma, st)
-			assertSameBits(t, "dx", dx, BNBackwardApply(dy, gamma, st, gRef, bRef))
+			dxRef := nanFilled(x.Shape()...)
+			BNBackwardApplyInto(dxRef, dy, gamma, st, gRef, bRef)
+			assertSameBits(t, "dx", dx, dxRef)
 			assertSameBits(t, "BNBackward dgamma", dg2, gRef)
 			assertSameBits(t, "BNBackward dbeta", db2, bRef)
 		}
@@ -181,8 +183,8 @@ func TestBackwardIntoRejectsMisshapedDestination(t *testing.T) {
 		"fc db too short":   func() { FCBackwardInto(New(3, 6), New(2), dy, x, w, x.Shape()) },
 		"conv dw filters":   func() { ConvBackwardWeightInto(New(4, 3, 3, 3), New(5), cdy, cx, spec) },
 		"conv db too long":  func() { ConvBackwardWeightInto(New(5, 3, 3, 3), New(6), cdy, cx, spec) },
-		"bn dgamma short":   func() { BNBackwardReduceInto(New(2), New(3), cx, st) },
-		"bn dbeta too long": func() { BNBackwardReduceInto(New(3), New(4), cx, st) },
+		"bn dgamma short":   func() { BNBackwardReduceInto(New(2), New(3), cx, st, nil) },
+		"bn dbeta too long": func() { BNBackwardReduceInto(New(3), New(4), cx, st, nil) },
 		"fc dx rows":        func() { FCBackwardGradsInto(New(3, 4), New(3, 6), New(3), dy, x, w) },
 		"fc dx too long":    func() { FCBackwardGradsInto(New(2, 7), New(3, 6), New(3), dy, x, w) },
 		"conv dx channels":  func() { ConvBackwardDataInto(New(2, 4, 4, 4), cdy, New(5, 3, 3, 3), spec) },
@@ -209,10 +211,10 @@ func TestForwardIntoRejectsMisshapedDestination(t *testing.T) {
 		"pool argmax short": func() { PoolForwardInto(New(2, 3, 2, 2), make([]int, 23), cx, maxPool) },
 		"relu y shape":      func() { ReLUForwardInto(New(2, 3, 16), cx) },
 		"fc y transposed":   func() { FCForwardInto(New(3, 2), x, w, nil) },
-		"bn y shape":        func() { BNForwardInto(New(2, 3, 4, 5), bnState(3), cx, New(3), New(3), 1e-5) },
-		"bn mean short":     func() { BNForwardInto(New(2, 3, 4, 4), bnState(2), cx, New(3), New(3), 1e-5) },
+		"bn y shape":        func() { BNForwardInto(New(2, 3, 4, 5), bnState(3), cx, New(3), New(3), 1e-5, nil) },
+		"bn mean short":     func() { BNForwardInto(New(2, 3, 4, 4), bnState(2), cx, New(3), New(3), 1e-5, nil) },
 		"bn xhat wrong shape": func() {
-			BNForwardInto(New(2, 3, 4, 4), &BNState{Mean: New(3), Var: New(3), XHat: New(2, 3, 16)}, cx, New(3), New(3), 1e-5)
+			BNForwardInto(New(2, 3, 4, 4), &BNState{Mean: New(3), Var: New(3), XHat: New(2, 3, 16)}, cx, New(3), New(3), 1e-5, nil)
 		},
 	} {
 		t.Run(name, func(t *testing.T) { expectKernelPanic(t, call) })
@@ -421,7 +423,7 @@ func TestIntoKernelsOverwriteDirtyDestinations(t *testing.T) {
 	yb, st := BNForward(xb, gamma, beta, 1e-5)
 	ybd := dirtyLike(yb)
 	std := &BNState{Mean: dirtyLike(st.Mean), Var: dirtyLike(st.Var), XHat: dirtyLike(st.XHat), Eps: math.NaN(), Count: -1}
-	BNForwardInto(ybd, std, xb, gamma, beta, 1e-5)
+	BNForwardInto(ybd, std, xb, gamma, beta, 1e-5, nil)
 	assertSameBits(t, "bn y", ybd, yb)
 	assertSameBits(t, "bn mean", std.Mean, st.Mean)
 	assertSameBits(t, "bn var", std.Var, st.Var)
@@ -430,8 +432,8 @@ func TestIntoKernelsOverwriteDirtyDestinations(t *testing.T) {
 		t.Fatalf("bn eps, count = %v, %d; allocating form %v, %d", std.Eps, std.Count, st.Eps, st.Count)
 	}
 	dyb := New(xb.Shape()...).RandN(rng, 1)
-	sumDyXhat, sumDy := BNBackwardReduce(dyb, st)
+	dxb, sumDyXhat, sumDy := BNBackward(dyb, gamma, st)
 	dxbd := dirtyLike(xb)
 	BNBackwardApplyInto(dxbd, dyb, gamma, st, sumDyXhat, sumDy)
-	assertSameBits(t, "bn dx", dxbd, BNBackwardApply(dyb, gamma, st, sumDyXhat, sumDy))
+	assertSameBits(t, "bn dx", dxbd, dxb)
 }

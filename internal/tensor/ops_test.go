@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -381,5 +382,61 @@ func TestBNBackwardFiniteDiff(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		checkOne("dgamma", gamma, dgamma, i, 1e-4)
 		checkOne("dbeta", beta, dbeta, i, 1e-4)
+	}
+}
+
+// twinSync is the BNSync of a PE whose one peer holds the same shard,
+// so every sum doubles. It logs its calls and returns each tensor sum in
+// a fresh tensor, as the tree allreduce does on a non-root PE.
+type twinSync struct{ calls []string }
+
+func (s *twinSync) AllReduceSum(t *Tensor) *Tensor {
+	s.calls = append(s.calls, fmt.Sprintf("sum[%d]", t.Len()))
+	out := t.Clone()
+	out.Scale(2)
+	return out
+}
+
+func (s *twinSync) AllReduceScalar(v float64) float64 {
+	s.calls = append(s.calls, "scalar")
+	return 2 * v
+}
+
+// Synchronized BN over two PEs that hold the same shard is local BN
+// over the shard twice, and it sums what it documents across the PEs:
+// forward the channel sums, the count and the centered squares, and
+// backward the two gradient sums, into the caller's buffers.
+func TestBNSyncIsLocalBNOverTheWholeBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	x := New(3, 2, 4, 3).RandN(rng, 1)
+	gamma, beta := New(2).RandU(rng, 0.5, 1.5), New(2).RandN(rng, 0.5)
+	dy := New(x.Shape()...).RandN(rng, 1)
+	yWhole, stWhole := BNForward(Concat(0, x, x), gamma, beta, 1e-5)
+	dxWhole, dgWhole, dbWhole := BNBackward(Concat(0, dy, dy), gamma, stWhole)
+
+	sync := new(twinSync)
+	y, st := nanFilled(x.Shape()...), &BNState{Mean: nanFilled(2), Var: nanFilled(2), XHat: nanFilled(x.Shape()...)}
+	BNForwardInto(y, st, x, gamma, beta, 1e-5, sync)
+	dx, dgamma, dbeta := nanFilled(x.Shape()...), nanFilled(2), nanFilled(2)
+	BNBackwardReduceInto(dgamma, dbeta, dy, st, sync)
+	BNBackwardApplyInto(dx, dy, gamma, st, dgamma, dbeta)
+
+	if want := "[sum[2] scalar sum[2] sum[2] sum[2]]"; fmt.Sprint(sync.calls) != want {
+		t.Fatalf("collectives %v, want %s", sync.calls, want)
+	}
+	if st.Count != stWhole.Count {
+		t.Fatalf("count %d, whole batch %d", st.Count, stWhole.Count)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *Tensor
+	}{
+		{"mean", st.Mean, stWhole.Mean}, {"var", st.Var, stWhole.Var},
+		{"y", y, yWhole.Narrow(0, 0, 3)}, {"dx", dx, dxWhole.Narrow(0, 0, 3)},
+		{"dgamma", dgamma, dgWhole}, {"dbeta", dbeta, dbWhole},
+	} {
+		if d := c.got.MaxDiff(c.want); !(d <= 1e-12) {
+			t.Fatalf("%s differs from local BN over the whole batch by %g", c.name, d)
+		}
 	}
 }
