@@ -221,12 +221,17 @@ func TestEngineStepAllocationsSteady(t *testing.T) {
 // their allocations: data:2, the model-parallel filter:2, spatial:2,
 // channel:2 and pipeline:2, and the p = 4 data:4, filter:4, df:2x2,
 // ds:2x2 and dp:2x2. data:2 and spatial:2 also run tinycnn, whose
-// batch norm they synchronize: the train_small models have none.
+// batch norm they synchronize: the train_small models have none. serial
+// and data:2 also run the fcnet-shaped model at bench-fcnet's 1024-wide
+// FC layer, the large-FC kernels and weight update of train_comm.
 func BenchmarkEngineStep(b *testing.B) {
 	for _, ps := range []string{"serial", "data:2", "filter:2", "spatial:2", "channel:2", "pipeline:2", "data:4", "filter:4", "df:2x2", "ds:2x2", "dp:2x2"} {
 		models := trainSmall()
 		if ps == "data:2" || ps == "spatial:2" {
 			models = append(models, model.TinyCNN())
+		}
+		if ps == "serial" || ps == "data:2" {
+			models = append(models, dist.FCNetShapedForTest(1024, 10))
 		}
 		for _, m := range models {
 			b.Run(ps+"/"+m.Name, func(b *testing.B) {

@@ -65,7 +65,14 @@ func dataPipelineEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*en
 			}
 		}
 		f := &pipelineFrame{pe: pe, ex: ex, own: own, stage: stages[pe.group.Rank()], rows: make([][]*nn.LayerState, p2), ends: make([]*tensor.Tensor, p2)}
+		// The stage's gradient buffers and accumulators are allocated
+		// here, not in its first flush: an earlier stage may still be
+		// flushing iteration 1 after the last stage has reported it, and
+		// no step past that report allocates anything parameter-sized.
 		f.acc = make([]nn.Grads, f.stage.End-f.stage.Start)
+		for i := range f.acc {
+			accumulateGrads(&f.acc[i], pe.net.GradBuffers(f.stage.Start+i), true)
+		}
 		for mb := range f.rows {
 			f.rows[mb] = make([]*nn.LayerState, len(f.acc))
 			for i := range f.rows[mb] {

@@ -103,13 +103,18 @@ type tensorFrame struct {
 	// among them the segment-synchronized BN's, whose gradients are
 	// global — and nothing for the shards, which the exchanger steps.
 	grads []nn.Grads
+	// chunkX and chunkDx are a ReLU's inside a reduce-scatter chain: this
+	// rank's channel chunk of its stored input and the sliced gradient
+	// backpropagated against it (see reluChunk).
+	chunkX, chunkDx []*tensor.Tensor
 }
 
 // newTensorFrame builds the frame of a PE whose shards are carved.
 func newTensorFrame(pe *peCtx, ex *gradExchanger, own ownership, shards []*weightShard, rsOK []bool) *tensorFrame {
 	net, g := pe.net, len(shards)
 	f := &tensorFrame{pe: pe, ex: ex, own: own, shards: shards, rsOK: rsOK,
-		states: make([]*nn.LayerState, g), grads: make([]nn.Grads, g)}
+		states: make([]*nn.LayerState, g), grads: make([]nn.Grads, g),
+		chunkX: make([]*tensor.Tensor, g), chunkDx: make([]*tensor.Tensor, g)}
 	for l, sh := range shards {
 		f.states[l] = pe.layerState(l, pe.seg)
 		if sh == nil {
@@ -331,7 +336,7 @@ func tensorStep(f *tensorFrame, x *tensor.Tensor, labels []int, weight float64) 
 			if layers[l].Kind != nn.ReLU {
 				panic(fmt.Sprintf("dist: layer %d (%v) reached with a sliced gradient; scatterableInputGrads admitted a non-ReLU chain", l, layers[l].Kind))
 			}
-			return tensor.ReLUBackward(dy, channelChunk(st.X, group))
+			return f.reluChunk(l, dy, st.X, group)
 		case sh != nil && sh.axis == 0 && !dySliced:
 			dy = shardGrad(dy, sh, group)
 		}
@@ -412,10 +417,23 @@ func exchangeInputGrad(group *Comm, dxPart *tensor.Tensor, axis int, rs bool) (*
 	return group.AllReduceSum(dxPart), false
 }
 
-// channelChunk returns this rank's canonical chunk of x along the
-// channel axis — the region a ReduceScattered gradient corresponds to.
-func channelChunk(x *tensor.Tensor, group *Comm) *tensor.Tensor {
-	p, r := group.Size(), group.Rank()
-	off := tensor.SplitOffsets(x.Dim(1), p)[r]
-	return x.Narrow(1, off, tensor.SplitSizes(x.Dim(1), p)[r])
+// reluChunk backpropagates ReLU layer l's sliced gradient dy against
+// this rank's canonical chunk of its stored input x along the channel
+// axis — the region a ReduceScattered gradient corresponds to — in the
+// frame's buffers for l, which follow dy's shape.
+func (f *tensorFrame) reluChunk(l int, dy, x *tensor.Tensor, group *Comm) *tensor.Tensor {
+	xc, dx := f.chunkX[l], f.chunkDx[l]
+	if xc == nil || !xc.SameShape(dy) {
+		xc, dx = tensor.New(dy.Shape()...), tensor.New(dy.Shape()...)
+		f.chunkX[l], f.chunkDx[l] = xc, dx
+	}
+	c, size := x.Dim(1), dy.Dim(1)
+	vol := x.Len() / (x.Dim(0) * c)
+	off := tensor.SplitOffsets(c, group.Size())[group.Rank()] * vol
+	src, dst, row := x.Data(), xc.Data(), size*vol
+	for ni := range x.Dim(0) {
+		copy(dst[ni*row:(ni+1)*row], src[ni*c*vol+off:])
+	}
+	tensor.ReLUBackwardInto(dx, dy, xc)
+	return dx
 }

@@ -83,7 +83,7 @@ type LayerState struct {
 	// across PEs.
 	Sync tensor.BNSync
 
-	// The layer's output, its input gradient and its window kernels'
+	// The layer's output, its input gradient and its kernels'
 	// scratch. A fresh state (ForwardLayer, BackwardLayer) has none, so
 	// its kernels allocate them; a state kept from step to step — one of
 	// the network's frame (Forward), or one an engine of internal/dist
@@ -147,7 +147,7 @@ func (n *Network) forwardLayer(l int, x *tensor.Tensor, st *LayerState, p Params
 	case FC:
 		nBatch := x.Dim(0)
 		st.y = reuse(st.y, append(dims[:0], nBatch, p.W.Dim(0)))
-		tensor.FCForwardInto(st.y, x.Reshape(nBatch, x.Len()/nBatch), p.W, p.B)
+		tensor.FCForwardInto(st.y, x.Reshape(nBatch, x.Len()/nBatch), p.W, p.B, st.scratch)
 	case ReLU:
 		st.y = reuseLike(st.y, x)
 		tensor.ReLUForwardInto(st.y, x)

@@ -213,15 +213,47 @@ func BenchmarkBNForwardBackward(b *testing.B) {
 	}
 }
 
-func BenchmarkFCForward(b *testing.B) {
+// BenchmarkFC runs the fully-connected kernels on bench-fcnet's hidden
+// layer (1024 × 1024) at the per-PE batches its plans give (1, 2, 4),
+// through the …Into forms with a kept Scratch, x and dy ReLU-sparse as
+// training feeds them; and SGDStep on bench-fcnet's 1.2 M parameters.
+func BenchmarkFC(b *testing.B) {
+	const in, out = 1024, 1024
 	rng := rand.New(rand.NewSource(5))
-	x := New(32, 2048).RandN(rng, 1)
-	w := New(1000, 2048).RandN(rng, 1)
-	bias := New(1000).RandN(rng, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FCForward(x, w, bias)
+	w := New(out, in).RandN(rng, 1)
+	bias := New(out).RandN(rng, 1)
+	for _, n := range []int{1, 2, 4} {
+		x := ReLUForward(New(n, in).RandN(rng, 1))
+		dy := ReLUForward(New(n, out).RandN(rng, 1))
+		y, dx, dw, db := New(n, out), New(n, in), New(out, in), New(out)
+		var s Scratch
+		FCForwardInto(y, x, w, bias, &s) // grows s
+		b.Run(fmt.Sprintf("forward/n=%d", n), func(b *testing.B) {
+			bothPaths(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					FCForwardInto(y, x, w, bias, &s)
+				}
+			})
+		})
+		b.Run(fmt.Sprintf("backward/n=%d", n), func(b *testing.B) {
+			bothPaths(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					FCBackwardGradsInto(dx, dw, db, dy, x, w)
+				}
+			})
+		})
 	}
+	b.Run("sgd", func(b *testing.B) {
+		w, dw := New(1_200_000).RandN(rng, 1), New(1_200_000).RandN(rng, 1)
+		bothPaths(b, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				SGDStep(w, dw, 1e-6)
+			}
+		})
+	})
 }
 
 func BenchmarkSplitConcat(b *testing.B) {

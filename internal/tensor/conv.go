@@ -209,6 +209,20 @@ func addTo(dst, src []float64) {
 	}
 }
 
+// axpy adds s·src[i] into dst[i] for every i < len(src): one rounded
+// product, then one rounded sum, never fused. Four lanes at a time where
+// the CPU has AVX2; the two paths give the same bits.
+func axpy(dst, src []float64, s float64) {
+	dst = dst[:len(src)]
+	if useAVX2 {
+		axpyAVX2(dst, src, s)
+		return
+	}
+	for i, v := range src {
+		dst[i] += s * v
+	}
+}
+
 // gemmRows sets, for lanes l < lanes and columns c < cols,
 //
 //	y[l*ys+c] = init[l] + Σ_{i<n} a[i*as+c]·b[l*bl+i*bi]
@@ -338,26 +352,7 @@ func gemmCols(y []float64, ys, lanes, cols int, a []float64, as int, b []float64
 	}
 }
 
-// dot4 returns acc[j] + p·w[j*ws:j*ws+len(p)] for four weight rows ws
-// apart. The four sums are independent register accumulators, each
-// summed in index order, so one output value depends only on its input
-// row, its weight row and its accumulator — not on the block it was
-// computed in.
-func dot4(p, w []float64, ws int, acc [4]float64) [4]float64 {
-	k := len(p)
-	w0, w1, w2, w3 := w[:k], w[ws:ws+k], w[2*ws:2*ws+k], w[3*ws:3*ws+k]
-	w1, w2, w3 = w1[:k], w2[:k], w3[:k] // proves len == len(p): no bounds checks below
-	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
-	for i, v := range p {
-		a0 += v * w0[i]
-		a1 += v * w1[i]
-		a2 += v * w2[i]
-		a3 += v * w3[i]
-	}
-	return [4]float64{a0, a1, a2, a3}
-}
-
-// dot1 returns acc + p·w summed in index order, as one lane of dot4.
+// dot1 returns acc + p·w summed in index order.
 func dot1(p, w []float64, acc float64) float64 {
 	w = w[:len(p)]
 	for i, v := range p {

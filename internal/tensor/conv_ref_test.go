@@ -288,7 +288,22 @@ func posAxpy(dst []float64, a float64, src []float64) {
 	}
 }
 
-// posConvForward: each output is dot4 (dot1 for the filter tail) of its
+// posDot4 returns acc[j] + p·w[j*ws:j*ws+len(p)] for four weight rows
+// ws apart, each summed in index order in its own accumulator.
+func posDot4(p, w []float64, ws int, acc [4]float64) [4]float64 {
+	k := len(p)
+	w0, w1, w2, w3 := w[:k], w[ws:ws+k], w[2*ws:2*ws+k], w[3*ws:3*ws+k]
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	for i, v := range p {
+		a0 += v * w0[i]
+		a1 += v * w1[i]
+		a2 += v * w2[i]
+		a3 += v * w3[i]
+	}
+	return [4]float64{a0, a1, a2, a3}
+}
+
+// posConvForward: each output is posDot4 (dot1 for the filter tail) of its
 // patch row and filter row, from the bias.
 func posConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 	n, c, inDims := splitActShape(x)
@@ -315,7 +330,7 @@ func posConvForward(x, w, b *Tensor, spec ConvSpec) *Tensor {
 				}
 				wf := w.data[fi*k : (fi+4)*k]
 				for m := m0; m < m1; m++ {
-					a := dot4(lw.patch[(m-m0)*k:(m-m0+1)*k], wf, k, bias)
+					a := posDot4(lw.patch[(m-m0)*k:(m-m0+1)*k], wf, k, bias)
 					for l := range a {
 						ys[(fi+l)*outVol+m] = a[l]
 					}

@@ -57,8 +57,8 @@ func positive(v float64) uint64 {
 // or nil. The result is [N, Out].
 //
 // A fully-connected layer is the degenerate convolution of the paper's
-// notation (filter size equal to the input size), but a dedicated matmul
-// keeps the real execution path fast.
+// notation (filter size equal to the input size), and it runs the
+// convolution's backward-weight GEMM block (gemmCols).
 func FCForward(x, w, b *Tensor) *Tensor {
 	y := New(x.shape[0], w.shape[0])
 	FCForwardInto(y, x, w, b)
@@ -66,8 +66,9 @@ func FCForward(x, w, b *Tensor) *Tensor {
 }
 
 // FCForwardInto is FCForward writing every element of the caller's y
-// ([N, Out]), whatever it held.
-func FCForwardInto(y, x, w, b *Tensor) {
+// ([N, Out]), whatever it held. It takes an optional Scratch, as the
+// window kernels do, for the GEMM's packed steps and padded lanes.
+func FCForwardInto(y, x, w, b *Tensor, s ...*Scratch) {
 	n := x.shape[0]
 	in := x.Len() / n
 	out, win := w.shape[0], w.Len()/w.shape[0]
@@ -80,21 +81,27 @@ func FCForwardInto(y, x, w, b *Tensor) {
 	if y.Rank() != 2 || y.shape[0] != n || y.shape[1] != out {
 		panic(fmt.Sprintf("tensor: fc y shape %v does not match N=%d Out=%d", y.Shape(), n, out))
 	}
-	// Weight-row blocks outer, samples inner: w streams once per call,
-	// and every output is its zero-initialised k-ordered dot plus bias.
-	oi := 0
-	for ; oi+4 <= out; oi += 4 {
-		wRows := w.data[oi*in : (oi+4)*in]
-		for ni := 0; ni < n; ni++ {
-			acc := dot4(x.data[ni*in:(ni+1)*in], wRows, in, [4]float64{})
-			copy(y.data[ni*out+oi:], acc[:])
-		}
+	// gemmCols with the samples as its lanes and the weight rows as its
+	// columns: every output is its zero-initialised k-ordered dot, then
+	// the bias. The samples past a multiple of 4 run the same 4-lane
+	// block, padded with zero lanes, never the dense one-lane tail.
+	var own Scratch
+	sc := scratchOf(s, &own)
+	full, rest := n&^3, n&3
+	floats := 4 * in // pack
+	if rest > 0 {
+		floats += 4*in + 4*out // padded lanes of x and y
 	}
-	for ; oi < out; oi++ {
-		wRow := w.data[oi*in : (oi+1)*in]
-		for ni := 0; ni < n; ni++ {
-			y.data[ni*out+oi] = dot1(x.data[ni*in:(ni+1)*in], wRow, 0)
-		}
+	buf := grow(&sc.floats, floats)
+	pack, steps := buf[:4*in], grow(&sc.steps, in)
+	clear(y.data)
+	gemmCols(y.data, out, full, out, w.data, in, x.data, in, in, pack, steps)
+	if rest > 0 {
+		xp, yp := buf[4*in:8*in], buf[8*in:]
+		clear(xp[copy(xp, x.data[full*in:n*in]):])
+		clear(yp)
+		gemmCols(yp, out, 4, out, w.data, in, xp, in, in, pack, steps)
+		copy(y.data[full*out:], yp[:rest*out])
 	}
 	if b != nil {
 		for ni := 0; ni < n; ni++ {
@@ -128,7 +135,7 @@ func FCBackwardInto(dw, db, dy, x, w *Tensor, xShape []int) (dx *Tensor) {
 // output rows outer, samples inner, clearing each dw row right before
 // accumulating into it — cache-hot, no full-size zeroing pass. Every
 // element sums its nonzero-dy contributions in order: dx over output
-// rows, dw and db over samples.
+// rows, dw and db over samples, the dx and dw rows through axpy.
 func FCBackwardGradsInto(dx, dw, db, dy, x, w *Tensor) {
 	n := x.shape[0]
 	in := x.Len() / n
@@ -150,7 +157,7 @@ func FCBackwardGradsInto(dx, dw, db, dy, x, w *Tensor) {
 	}
 	for oi := 0; oi < out; oi++ {
 		wRow := w.data[oi*in : (oi+1)*in]
-		dwRow := dw.data[oi*in : (oi+1)*in][:len(wRow)]
+		dwRow := dw.data[oi*in : (oi+1)*in]
 		clear(dwRow)
 		bias := 0.0
 		for ni := 0; ni < n; ni++ {
@@ -159,18 +166,10 @@ func FCBackwardGradsInto(dx, dw, db, dy, x, w *Tensor) {
 				continue
 			}
 			bias += g
-			xRow := x.data[ni*in : (ni+1)*in][:len(wRow)]
-			if dx == nil {
-				for k, xv := range xRow {
-					dwRow[k] += g * xv
-				}
-				continue
+			if dx != nil {
+				axpy(dx.data[ni*in:(ni+1)*in], wRow, g)
 			}
-			dxRow := dx.data[ni*in : (ni+1)*in][:len(wRow)]
-			for k, wv := range wRow {
-				dxRow[k] += g * wv
-				dwRow[k] += g * xRow[k]
-			}
+			axpy(dwRow, x.data[ni*in:(ni+1)*in], g)
 		}
 		db.data[oi] = bias
 	}
@@ -238,10 +237,10 @@ func AddBias(y, b *Tensor) {
 	}
 }
 
-// SGDStep applies w -= lr*dw in place.
+// SGDStep applies w -= lr*dw in place, as w + (−lr)·dw through axpy:
+// negating a rounded product is exact, and w + (−p) is w − p, so every
+// element is w − lr·dw's bits, signed zeros included.
 func SGDStep(w, dw *Tensor, lr float64) {
 	w.MustSameShape(dw)
-	for i, g := range dw.data {
-		w.data[i] -= lr * g
-	}
+	axpy(w.data, dw.data, -lr)
 }

@@ -114,9 +114,10 @@ func refFCForward(x, w, b *Tensor) *Tensor {
 	return y
 }
 
-// The row-blocked FCForward sums every output in the reference's order
-// (zero-initialised k-ordered dot, bias last), so it matches it bit for
-// bit — over full blocks of four rows, the dot1 tail, and nil bias.
+// FCForward sums every output in the reference's order (zero-initialised
+// k-ordered dot, bias last), so it matches it bit for bit — over full
+// blocks of four samples, the zero-padded rest, outputs off the 8-wide
+// block, and nil bias.
 func TestFCForwardBitIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, g := range []struct{ n, in, out int }{

@@ -1,8 +1,9 @@
 package tensor
 
-// useAVX2 routes the convolution kernels' inner loops to simd_amd64.s.
-// It is read from the CPU once, at package init; tests clear it to run
-// the scalar loops on the same machine.
+// useAVX2 routes the inner loops of the convolution and fully-connected
+// kernels and of the SGD update to simd_amd64.s. It is read from the CPU
+// once, at package init; tests clear it to run the scalar loops on the
+// same machine.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reports whether the CPU executes AVX2 (CPUID leaf 7) and the
@@ -58,3 +59,11 @@ func gemmCols4x8AVX2(y []float64, ys int, a []float64, as int, bp []float64, ste
 //
 //go:noescape
 func addAVX2(dst, src []float64)
+
+// axpyAVX2 is axpy four lanes at a time: dst[i] += s·src[i] as a
+// VMULPD rounded product, then a VADDPD rounded sum, never fused, so
+// every element is the scalar loop's bits. len(dst) must be at least
+// len(src).
+//
+//go:noescape
+func axpyAVX2(dst, src []float64, s float64)

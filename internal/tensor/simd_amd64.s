@@ -214,6 +214,56 @@ done:
 	VZEROUPPER
 	RET
 
+// func axpyAVX2(dst, src []float64, s float64)
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         src_base+24(FP), SI
+	MOVQ         src_len+32(FP), CX
+	VBROADCASTSD s+48(FP), Y0
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-8, DX      // DX = elements in whole 8-lane steps
+
+	// dst[i] = dst[i] + s·src[i]: the product rounded, then the sum, with
+	// dst the first operand of the add as in the scalar dst[i] += s*v.
+pairs:
+	CMPQ    AX, DX
+	JAE     quad
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMULPD  32(SI)(AX*8), Y0, Y2
+	VMOVUPD (DI)(AX*8), Y3
+	VMOVUPD 32(DI)(AX*8), Y4
+	VADDPD  Y1, Y3, Y3
+	VADDPD  Y2, Y4, Y4
+	VMOVUPD Y3, (DI)(AX*8)
+	VMOVUPD Y4, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	JMP     pairs
+
+quad:
+	LEAQ    4(AX), DX
+	CMPQ    DX, CX
+	JA      tail
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMOVUPD (DI)(AX*8), Y3
+	VADDPD  Y1, Y3, Y3
+	VMOVUPD Y3, (DI)(AX*8)
+	MOVQ    DX, AX
+
+tail:
+	CMPQ   AX, CX
+	JAE    done
+	VMULSD (SI)(AX*8), X0, X1
+	VMOVSD (DI)(AX*8), X3
+	VADDSD X1, X3, X3
+	VMOVSD X3, (DI)(AX*8)
+	INCQ   AX
+	JMP    tail
+
+done:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
