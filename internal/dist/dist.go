@@ -32,10 +32,13 @@
 // Table 3 feasibility checks, a per-PE build that returns the
 // iteration closure, and an ownership table (elastic_state.go) saying
 // which slice of the canonical state each PE holds — the one table
-// checkpoint gather and velocity restore both walk. The registry
-// (registry.go) maps every strategy onto the grid engines of §3/§3.6:
+// checkpoint gather and velocity restore both walk. Every parameter is
+// stepped in one place, the PE's gradient exchanger (overlap.go), at
+// its drain or inside the ring. The registry (registry.go) maps every
+// strategy onto the three grid engines of §3/§3.6, one per Table 3
+// family:
 //
-//	serial        — single-PE SGD, the baseline every strategy must match
+//	serial        — single-PE SGD, the baseline every strategy must match (1×1 corner of the Tensor engine)
 //	data          — batch sharded over replicas, gradient Allreduce (§3.1; p2=1 edge of the Tensor engine)
 //	spatial       — sample domain sharded, neighbour halo exchange (§3.2; p1=1 edge of ds)
 //	filter        — output-channel shards, activation Allgather (§3.4; p1=1 edge of the Tensor engine)

@@ -148,38 +148,44 @@ func TestHybridSyncBNParity(t *testing.T) {
 
 // TestHybridDegenerateEdges: the pure strategies are the p1=1 / p2=1
 // edges of the grid and must agree with the hybrid entry points
-// bit-for-bit. Today the pure registry entries share the grid engines,
-// so this is a determinism check plus a canary — it becomes
-// load-bearing the day a pure strategy gets a specialized engine (e.g.
-// for performance) and starts drifting from its grid edge.
+// bit-for-bit, and serial is the Tensor grid's 1×1 corner: every
+// width-1 Tensor plan must equal it bit for bit. The pure registry
+// entries share the grid engines, so this is a determinism check plus a
+// canary — it becomes load-bearing the day a pure strategy gets a
+// specialized engine (e.g. for performance) and starts drifting from its
+// grid edge. tinycnn has batch norm: at 1×1 its gradients are pushed to
+// a singleton exchange, under df:2x1 and data:2 they are synchronized
+// over a 2-PE segment and held; tinyresnet is a DAG.
 func TestHybridDegenerateEdges(t *testing.T) {
-	m := model.Tiny3D()
-	batches := toyBatches(t, m, 3, 4)
 	type edge struct {
-		name       string
-		hybrid     *dist.Result
-		pure       *dist.Result
-		hErr, pErr error
+		m            *nn.Model
+		hybrid, pure string
 	}
-	df21, e1 := run(m, batches, dist.Plan{Strategy: core.DataFilter, P1: 2, P2: 1})
-	data2, e2 := run(m, batches, dist.Plan{Strategy: core.Data, P1: 2})
-	df12, e3 := run(m, batches, dist.Plan{Strategy: core.DataFilter, P1: 1, P2: 2})
-	filter2, e4 := run(m, batches, dist.Plan{Strategy: core.Filter, P2: 2})
-	ds12, e5 := run(m, batches, dist.Plan{Strategy: core.DataSpatial, P1: 1, P2: 2})
-	spatial2, e6 := run(m, batches, dist.Plan{Strategy: core.Spatial, P2: 2})
-	for _, e := range []edge{
-		{"df(2,1)=data(2)", df21, data2, e1, e2},
-		{"df(1,2)=filter(2)", df12, filter2, e3, e4},
-		{"ds(1,2)=spatial(2)", ds12, spatial2, e5, e6},
-	} {
-		if e.hErr != nil || e.pErr != nil {
-			t.Fatalf("%s: %v / %v", e.name, e.hErr, e.pErr)
+	edges := []edge{
+		{model.Tiny3D(), "df:2x1", "data:2"},
+		{model.Tiny3D(), "df:1x2", "filter:2"},
+		{model.Tiny3D(), "ds:1x2", "spatial:2"},
+		{model.TinyCNN(), "df:2x1", "data:2"},
+	}
+	for _, m := range []*nn.Model{model.TinyCNN(), model.TinyResNet()} {
+		for _, corner := range []string{"data:1", "filter:1", "channel:1", "df:1x1"} {
+			edges = append(edges, edge{m, corner, "serial"})
 		}
-		for i := range e.pure.Losses {
-			if e.hybrid.Losses[i] != e.pure.Losses[i] {
-				t.Fatalf("%s iter %d: %.17g != %.17g", e.name, i, e.hybrid.Losses[i], e.pure.Losses[i])
+	}
+	for _, e := range edges {
+		t.Run(e.m.Name+"/"+e.hybrid+"="+e.pure, func(t *testing.T) {
+			batches := toyBatches(t, e.m, 3, 6)
+			hybrid, hErr := run(e.m, batches, mustPlan(t, e.hybrid))
+			pure, pErr := run(e.m, batches, mustPlan(t, e.pure))
+			if hErr != nil || pErr != nil {
+				t.Fatalf("%v / %v", hErr, pErr)
 			}
-		}
+			for i := range pure.Losses {
+				if math.Float64bits(hybrid.Losses[i]) != math.Float64bits(pure.Losses[i]) {
+					t.Fatalf("iter %d: %.17g != %.17g", i, hybrid.Losses[i], pure.Losses[i])
+				}
+			}
+		})
 	}
 }
 

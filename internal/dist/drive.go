@@ -43,6 +43,18 @@ func (s bnSync) AllReduceScalar(v float64) float64 {
 	return s.c.AllReduceScalar(v)
 }
 
+// globalLoss sums this PE's weighted loss v over c, whose PEs' batch
+// shards tile the global batch, into the iteration's global loss. The
+// sum is a collective-wait span only where c has more than one PE: over
+// one PE it is v itself and nothing is waited for.
+func (pe *peCtx) globalLoss(c *Comm, v float64) float64 {
+	if c.Size() == 1 {
+		return v
+	}
+	defer pe.tr.Begin(pe.tr.Begin(trace.CollectiveWait))
+	return c.AllReduceScalar(v)
+}
+
 // stepFunc runs one training iteration — forward, backward with the
 // strategy's exchanges, optimizer step — on this PE's share (x, labels)
 // of the batch, weighted n_g/B in the global loss, and returns the
@@ -70,7 +82,8 @@ type engine struct {
 // drive executes one validated plan: it spawns the P1×P2 world and
 // runs, on every PE, replica → optimizer → engine build → velocity
 // re-seed (on resume) → one engine step per batch → trace end. This is
-// the only batch loop of the runtime; serial is its 1×1 world.
+// the only batch loop of the runtime; serial is its 1×1 world, run by
+// the Tensor engine.
 func drive(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
 	entry := registry[pl.Strategy]
 	var eng *engine
@@ -127,26 +140,4 @@ func drive(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, erro
 		return nil, err
 	}
 	return &Result{Strategy: entry.label, P: pl.P1 * pl.P2, P1: pl.P1, P2: pl.P2, Losses: losses}, nil
-}
-
-// serialEngine is the baseline every strategy must match: single-PE
-// training, one optimizer step per batch, on a fresh replica
-// deterministically initialized from the seed. It is the 1×1 world of
-// the driver; the whole state is held by its one rank.
-func serialEngine(*nn.Model, Plan, string, *runConfig) (*engine, error) {
-	return &engine{build: func(pe *peCtx) (stepFunc, ownership, error) {
-		net, tr := pe.net, pe.tr
-		return func(x *tensor.Tensor, labels []int, _ float64) float64 {
-			// The explicit forward/loss/backward/step composition is
-			// TrainStep verbatim (see nn/exec.go), split so each
-			// phase lands on its own span.
-			tr.Begin(trace.ComputeForward)
-			logits, states := net.Forward(x)
-			loss, dLogits := tensor.SoftmaxCrossEntropy(logits, labels)
-			tr.Begin(trace.ComputeBackward)
-			grads := net.BackwardParams(dLogits, states)
-			pe.step.stepNet(net, grads)
-			return loss
-		}, wholeOwnership(net), nil
-	}}, nil
 }

@@ -13,7 +13,8 @@ import (
 // unsharded tensors a checkpoint records, and such a snapshot RESTORED
 // by overwriting the freshly-initialized replica before shards are
 // carved. Because every engine derives its shards from the full replica
-// by Narrow (a copy), parameter restore is uniform: write the canonical
+// by Narrow (a copy), or runs on the replica itself where it carves
+// none, parameter restore is uniform: write the canonical
 // parameters into the replica and the usual sharding path re-shards
 // them — under the original plan, a shrunken plan, or an entirely
 // different strategy. What differs per engine — which slice of each
@@ -28,8 +29,9 @@ type holding int
 
 const (
 	// everyRank: the whole tensor, held and stepped in lockstep by every
-	// rank of the group (replicated layers; the serial, data and
-	// spatial engines' entire state; channel-parallel biases).
+	// rank of the group (replicated layers — the whole state of the
+	// Tensor engine's data edge and 1×1 corner, serial, and of the
+	// spatial engine; channel-parallel biases).
 	everyRank holding = iota
 	// oneStage: the whole tensor, held by one group rank alone — the
 	// pipeline stage that owns the layer. Other ranks keep a stale

@@ -161,8 +161,8 @@ func runAllocBytes(t *testing.T, m *nn.Model, batches []dist.Batch, pl dist.Plan
 // iteration, the difference between a run of 4n batches and one of n
 // over the 3n extra iterations (set-up cancels), at batch 8 on the
 // train_small models. With a group of one every collective is the
-// identity and the data edge runs entirely on the frame: data:2 and
-// data:4 stay under 64 KiB. The spatial and pipeline engines keep their
+// identity and the data edge runs entirely on the frame: serial (the
+// 1×1 corner, ≤ 2 KiB), data:2 and data:4 stay under 64 KiB. The spatial and pipeline engines keep their
 // halo buffers and micro-batch rows too, and what stays fresh is small
 // (the halo rows in flight, the gathered slab, the loss gradient): they
 // stay under 256 KiB, their hybrids included. Past a group of one the
@@ -178,12 +178,13 @@ func runAllocBytes(t *testing.T, m *nn.Model, batches []dist.Batch, pl dist.Plan
 // ds:2x2 5 545 / 3 274 / 3 555, dp:2x2 3 981 / 2 188 / 2 596.
 //
 // tinycnn has batch norm, synchronized over the PEs that split its
-// batch; its statistics and gradients live in the frame too, so data:2,
-// spatial:2 and ds:2x2 hold it to the same ceilings. Before synchronized
+// batch; its statistics and gradients live in the frame too, so serial,
+// data:2, spatial:2 and ds:2x2 hold it to the same ceilings. Before synchronized
 // BN ran in the layer op, which allocated its outputs on every call,
 // they allocated 390, 561 and 575 KiB per iteration on it.
 func TestEngineStepAllocationsSteady(t *testing.T) {
 	ceilings := map[string][]uint64{ // KiB per iteration: tinycnn-nobn, tinyresnet, tiny3d[, tinycnn]
+		"serial":     {64, 64, 64, 64},
 		"data:2":     {64, 64, 64, 64},
 		"data:4":     {64, 64, 64},
 		"filter:2":   {4590 / 2, 3039 / 2, 2416 / 2},
@@ -197,7 +198,7 @@ func TestEngineStepAllocationsSteady(t *testing.T) {
 	models := append(trainSmall(), model.TinyCNN())
 	const n = 4
 	runtime.GC() // start the GC's workers before counting
-	for _, ps := range []string{"data:2", "data:4", "filter:2", "df:2x2", "spatial:2", "channel:2", "pipeline:2", "ds:2x2", "dp:2x2"} {
+	for _, ps := range []string{"serial", "data:2", "data:4", "filter:2", "df:2x2", "spatial:2", "channel:2", "pipeline:2", "ds:2x2", "dp:2x2"} {
 		for mi, m := range models[:len(ceilings[ps])] {
 			t.Run(ps+"/"+m.Name, func(t *testing.T) {
 				pl := mustPlan(t, ps)

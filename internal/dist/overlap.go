@@ -29,16 +29,20 @@ const BenchOverlapBucketBytes = 8 << 10
 
 // gradExchanger is the bucketed gradient exchange every engine's
 // cross-group reduction goes through, and the one place the optimizer
-// is applied to what it exchanges. (Parameter, gradient) pairs — the
-// parameter named by its row of the PE's ownership table — are pushed
-// in backward order (layer l's as soon as its backward completes); full
-// buckets launch — nonblocking, overlapping the backward of the layers
-// below, when overlap is on; blocking at the same flush points when it
-// is off; the tail bucket at drain blocking in both modes, no compute
-// being left to hide behind — and drain steps every parameter from its
-// reduced gradient. Both modes form identical buckets and run identical
+// is applied: every parameter of a run is stepped here, at drain or
+// inside the ring. (Parameter, gradient) pairs — the parameter named by
+// its row of the PE's ownership table — are pushed in backward order
+// (layer l's as soon as its backward completes); full buckets launch —
+// nonblocking, overlapping the backward of the layers below, when
+// overlap is on; blocking at the same flush points when it is off; the
+// tail bucket at drain blocking in both modes, no compute being left to
+// hide behind — and drain steps every parameter from its reduced
+// gradient. Both modes form identical buckets and run identical
 // collectives, so their results are bit-identical — the overlap A/B the
-// determinism suite pins.
+// determinism suite pins. A layer whose op already synchronized its
+// gradients (a batch norm with LayerState.Sync set) has them held
+// instead of pushed: they join no bucket, and drain steps them as they
+// are (take).
 //
 // Who owns a gradient buffer, and until when: the tensors pushed belong
 // to whoever holds the parameter (nn.Network.GradBuffers, a weightShard,
@@ -59,6 +63,7 @@ type gradExchanger struct {
 	bucketBytes int
 	queued      []gradPair
 	queuedBytes int
+	held        []gradPair // already global: stepped at drain, never exchanged
 	// flights are this iteration's buckets in launch order. Bucket
 	// boundaries depend on push order and sizes only, so the slots are
 	// reused across iterations (nextFlight), flat buffers included.
@@ -141,6 +146,36 @@ func (ex *gradExchanger) push(o *ownedField, g *tensor.Tensor) {
 	ex.queuedBytes += b
 	if ex.queuedBytes >= ex.bucketBytes {
 		ex.flush(ex.overlap)
+	}
+}
+
+// adopt declares, while the engine builds, every field of a layer's
+// ownership row that take will push (see shard); the held fields of a
+// layer whose op runs synchronized are stepped whole.
+func (ex *gradExchanger) adopt(st *nn.LayerState, row *[4]ownedField) {
+	if st.Sync == nil {
+		for f := range row {
+			ex.shard(&row[f])
+		}
+	}
+}
+
+// take hands over one layer's gradients g, written by its op in state
+// st, once that op has run; row is the layer's ownership row. It is the
+// one rule the Tensor and Spatial frames follow for every layer: the
+// gradients are pushed for exchange, unless the op synchronized them
+// itself (st.Sync: a batch norm sums them over the PEs that split its
+// batch, so they are already global) — those are held, unexchanged.
+// drain steps both kinds.
+func (ex *gradExchanger) take(st *nn.LayerState, row *[4]ownedField, g *nn.Grads) {
+	if st.Sync == nil {
+		ex.pushGrads(row, g)
+		return
+	}
+	for f, t := range [4]*tensor.Tensor{g.W, g.B, g.Gamma, g.Beta} {
+		if row[f].live != nil && t != nil {
+			ex.held = append(ex.held, gradPair{&row[f], t})
+		}
 	}
 }
 
@@ -243,8 +278,9 @@ func (ex *gradExchanger) flush(async bool) {
 // there is no backward compute left to overlap, so a worker goroutine
 // would be pure overhead — waits every in-flight collective, unpacks
 // each reduced bucket back into its gradient tensors, and steps every
-// parameter that was not already updated inside the ring. The step runs
-// under the caller's phase (compute-backward covers BW + WU).
+// parameter that was not already updated inside the ring, the held ones
+// last. The step runs under the caller's phase (compute-backward covers
+// BW + WU).
 func (ex *gradExchanger) drain() {
 	ex.flush(false)
 	if ex.c.Size() > 1 {
@@ -275,5 +311,8 @@ func (ex *gradExchanger) drain() {
 			}
 		}
 	}
-	ex.flights = ex.flights[:0]
+	for _, pr := range ex.held {
+		ex.step.step(pr.o.live, pr.g)
+	}
+	ex.flights, ex.held = ex.flights[:0], ex.held[:0]
 }

@@ -85,9 +85,7 @@ func dataPipelineEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*en
 			if lastStage {
 				// The last-stage segment sums the per-group weighted
 				// losses into the global mean loss.
-				pe.tr.Begin(trace.CollectiveWait)
-				loss = pe.seg.AllReduceScalar(loss)
-				pe.tr.Begin(trace.ComputeBackward)
+				loss = pe.globalLoss(pe.seg, loss)
 			}
 			return loss
 		}, own, nil

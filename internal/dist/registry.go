@@ -247,13 +247,13 @@ func (c *runConfig) emit(modelName string, bi int, tail []float64, params, vel [
 	})
 }
 
-// stepper adapts the configured optimizer to the runtime's three update
-// surfaces: whole networks (stepNet), bare parameter shards (step) —
-// filter/channel slices and pipeline stages never appear in a
-// []nn.Params — and the flat chunk of a parameter a PE updates inside
-// the ring (stepChunk). With zero momentum it is plain SGD; otherwise it
-// wraps one nn.Momentum per PE, whose identity-keyed velocities give
-// each shard its own slice of the global velocity.
+// stepper adapts the configured optimizer to the runtime's two update
+// surfaces, both driven by the gradient exchanger: a whole parameter
+// tensor or shard stepped at drain (step), and the flat chunk of a
+// parameter a PE updates inside the ring (stepChunk). With zero momentum
+// it is plain SGD; otherwise it wraps one nn.Momentum per PE, whose
+// identity-keyed velocities give each shard its own slice of the global
+// velocity.
 type stepper struct {
 	lr  float64
 	mom *nn.Momentum // nil for plain SGD
@@ -293,34 +293,23 @@ func (s *stepper) stepChunk(ch *paramChunk, g *tensor.Tensor) {
 	s.mom.UpdateWith(ch.v, ch.w, g)
 }
 
-// stepNet applies the update to every (param, grad) pair of the
-// network; both paths visit pairs in nn's own order, so zero-momentum
-// runs are bit-identical to Network.Step.
-func (s *stepper) stepNet(net *nn.Network, grads []nn.Grads) {
-	if s.mom != nil {
-		net.StepWith(s.mom, grads)
-		return
-	}
-	net.Step(grads, s.lr)
-}
-
 // engineFunc applies one strategy's Table 3 feasibility checks to a
 // normalized, validated plan and returns the engine drive will run;
 // label is the Result.Strategy name, which the checks quote.
 type engineFunc func(m *nn.Model, pl Plan, label string, cfg *runConfig) (*engine, error)
 
 // registry maps every executable strategy to its Result label and its
-// engine, one per Table 3 family plus serial. The pure strategies are
-// registered as the degenerate edges of the grid engines they share with
-// the hybrids — data is the P2=1 edge of the Tensor grid, filter and
-// channel its P1=1 edges (output- and input-channel shards),
-// spatial/pipeline the P1=1 edges of their grids, serial the 1×1 world —
-// so a new strategy lands as one entry here, not a new export.
+// engine, one per Table 3 family. The pure strategies are registered as
+// the degenerate edges of the grid engines they share with the hybrids —
+// data is the P2=1 edge of the Tensor grid, filter and channel its P1=1
+// edges (output- and input-channel shards), spatial/pipeline the P1=1
+// edges of their grids, serial the Tensor grid's 1×1 corner — so a new
+// strategy lands as one entry here, not a new export.
 var registry = map[core.Strategy]struct {
 	label  string
 	engine engineFunc
 }{
-	core.Serial:       {"sequential", serialEngine},
+	core.Serial:       {"sequential", tensorEngine},
 	core.Data:         {"data", tensorEngine},
 	core.Filter:       {"filter", tensorEngine},
 	core.Spatial:      {"spatial", dataSpatialEngine},

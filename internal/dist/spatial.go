@@ -293,29 +293,25 @@ type spatialFrame struct {
 	fcStart        int
 	states         []*nn.LayerState
 	acc            []*tensor.Tensor // see haloScatter
-	grads          []nn.Grads       // the synchronized BN's buffers, which stepNet applies
 }
 
 // newSpatialFrame builds the frame of one PE. Two bucketed exchanges:
 // trunk gradients sum over the whole world, head gradients over the
 // segment; batch norm synchronizes over the same communicators, inside
-// its layer op (the state's Sync, see peCtx.layerState).
+// its layer op (the state's Sync, see peCtx.layerState), and every
+// layer's gradients enter its exchanger by the one rule (take).
 func newSpatialFrame(pe *peCtx, cfg *runConfig, plans []*layerPlan, fcStart int) *spatialFrame {
 	g := len(plans)
 	f := &spatialFrame{pe: pe, exWorld: newGradExchanger(pe.world, pe.step, cfg), exSeg: newGradExchanger(pe.seg, pe.step, cfg),
 		own: wholeOwnership(pe.net), plans: plans, fcStart: fcStart,
-		states: make([]*nn.LayerState, g), acc: make([]*tensor.Tensor, g), grads: make([]nn.Grads, g)}
+		states: make([]*nn.LayerState, g), acc: make([]*tensor.Tensor, g)}
 	for l := range f.states {
 		ex, c := f.exchange(l)
 		f.states[l] = pe.layerState(l, c)
 		if plans[l] != nil {
 			f.states[l].Pad = zeroAxis(pe.net.Model.Layers[l].Pad)
 		}
-		if f.states[l].Sync != nil {
-			f.grads[l] = pe.net.GradBuffers(l)
-		}
-		ex.shard(&f.own[l][fieldW])
-		ex.shard(&f.own[l][fieldB])
+		ex.adopt(f.states[l], &f.own[l])
 	}
 	return f
 }
@@ -388,16 +384,11 @@ func dataSpatialStep(f *spatialFrame, x *tensor.Tensor, labels []int, weight flo
 	// sums over this PE's (batch shard, output rows) block and were
 	// pushed into the world-wide bucketed exchange above; head gradients
 	// are identical within a group and were pushed into the segmented
-	// one. Draining both waits every in-flight bucket and steps what it
-	// exchanged; grads holds what needs no exchange — sync-BN gradients
-	// are already global — and stepNet applies it.
+	// one; sync-BN gradients are already global and were held. Draining
+	// both waits every in-flight bucket and steps every parameter.
 	f.exWorld.drain()
 	f.exSeg.drain()
-	f.pe.step.stepNet(net, f.grads)
-	tr.Begin(trace.CollectiveWait)
-	global := seg.AllReduceScalar(loss * weight)
-	tr.Begin(trace.ComputeBackward)
-	return global
+	return f.pe.globalLoss(seg, loss*weight)
 }
 
 // forward is layer l's forward op on this PE: the layer's op in its
@@ -413,8 +404,8 @@ func (f *spatialFrame) forward(l int, xin *tensor.Tensor) *tensor.Tensor {
 }
 
 // backward is forward's counterpart. A layer's gradients enter its
-// exchanger after the op's last read of its weights; a synchronized
-// BN's are already global and stepNet applies them from grads. A layer
+// exchanger after the op's last read of its weights — a synchronized
+// BN's held, being already global (take). A layer
 // with no consumer for its input gradient — the bottom layer, or a
 // shortcut tapping the network input — skips the data backward and,
 // windowed, its halo scatter, on every PE alike.
@@ -422,10 +413,8 @@ func (f *spatialFrame) backward(l int, dy *tensor.Tensor) *tensor.Tensor {
 	net, tr, st := f.pe.net, f.pe.tr, f.states[l]
 	gr := net.GradBuffers(l)
 	dx := net.BackwardInto(l, dy, st, net.Params[l], gr, net.Graph().Src(l) >= 0)
-	if st.Sync == nil {
-		ex, _ := f.exchange(l)
-		ex.pushGrads(&f.own[l], &gr)
-	}
+	ex, _ := f.exchange(l)
+	ex.take(st, &f.own[l], &gr)
 	if pl := f.plans[l]; pl != nil && dx != nil {
 		tr.Begin(trace.Halo)
 		f.acc[l] = haloScatter(f.pe.group, dx, pl, f.acc[l])

@@ -15,8 +15,7 @@ import (
 // channels (W alone; the bias stays whole in the replica). g holds the
 // buffers the backward kernels write the slice's gradients into,
 // overwritten by the layer's next backward (on axis 1 its B is the whole
-// bias's gradient) — the replica's GradBuffers when the slice is the
-// whole layer.
+// bias's gradient).
 type weightShard struct {
 	p    nn.Params
 	g    nn.Grads
@@ -25,9 +24,9 @@ type weightShard struct {
 }
 
 // tensorEngine is the one engine of Table 3's Tensor row, behind the
-// data (p2=1), filter and channel (p1=1), and data+filter registry
-// entries: a p1×p2 grid of model-parallel groups joined by segmented
-// cross-group gradient exchange.
+// serial (1×1), data (p2=1), filter and channel (p1=1), and data+filter
+// registry entries: a p1×p2 grid of model-parallel groups joined by
+// segmented cross-group gradient exchange.
 //
 // Filter parallelism (§3.4) shards every weighted layer's output
 // channels (filters) across the PEs of a group. Each PE holds the full
@@ -49,9 +48,11 @@ type weightShard struct {
 //
 // Data parallelism (§3.1) is the p2=1 edge: p full replicas, each
 // training on a contiguous shard of every batch — groups of one, so
-// every filter shard spans its whole layer and the segmented
-// cross-group exchange is the classic gradient allreduce, after which
-// the replicas take identical SGD steps and stay bit-synchronized.
+// nothing is sharded, every layer runs replicated on the replica, and
+// the segmented cross-group exchange is the classic gradient allreduce,
+// after which the replicas take identical SGD steps and stay
+// bit-synchronized. Serial is the 1×1 corner: one replica, whose
+// exchange is a singleton that only steps.
 //
 // The df hybrid (§3.6) has both axes free: each of p1 groups trains on
 // its batch shard with filter width p2, and the segmented allreduce
@@ -69,19 +70,12 @@ func tensorEngine(m *nn.Model, pl Plan, _ string, cfg *runConfig) (*engine, erro
 	}
 	rsOK := scatterableInputGrads(m, p2, cfg)
 	return &engine{build: func(pe *peCtx) (stepFunc, ownership, error) {
-		ex := newGradExchanger(pe.seg, pe.step, cfg)
 		own := wholeOwnership(pe.net)
 		shards, err := tensorShards(pe.net, pe.group.Rank(), p2, channel, own)
 		if err != nil {
 			return nil, nil, err
 		}
-		for l := range shards {
-			if shards[l] != nil {
-				ex.shard(&own[l][fieldW])
-				ex.shard(&own[l][fieldB])
-			}
-		}
-		f := newTensorFrame(pe, ex, own, shards, rsOK)
+		f := newTensorFrame(pe, newGradExchanger(pe.seg, pe.step, cfg), own, shards, rsOK)
 		return func(x *tensor.Tensor, labels []int, weight float64) float64 {
 			return tensorStep(f, x, labels, weight)
 		}, own, nil
@@ -89,9 +83,9 @@ func tensorEngine(m *nn.Model, pl Plan, _ string, cfg *runConfig) (*engine, erro
 }
 
 // tensorFrame is what one PE of the Tensor grid keeps from step to
-// step, built once by the engine's build: the exchanger, the ownership
-// table and the weight shards, plus per layer the nn.LayerState every
-// step reuses.
+// step, built once by the engine's build: the exchanger every layer's
+// gradients enter (take), the ownership table and the weight shards,
+// plus per layer the nn.LayerState every step reuses.
 type tensorFrame struct {
 	pe     *peCtx
 	ex     *gradExchanger
@@ -99,10 +93,6 @@ type tensorFrame struct {
 	shards []*weightShard // nil for replicated layers
 	rsOK   []bool         // see scatterableInputGrads; read at axis-0 shards only
 	states []*nn.LayerState
-	// grads is what stepNet applies: the replicated layers' buffers —
-	// among them the segment-synchronized BN's, whose gradients are
-	// global — and nothing for the shards, which the exchanger steps.
-	grads []nn.Grads
 	// chunkX and chunkDx are a ReLU's inside a reduce-scatter chain: this
 	// rank's channel chunk of its stored input and the sliced gradient
 	// backpropagated against it (see reluChunk).
@@ -111,15 +101,13 @@ type tensorFrame struct {
 
 // newTensorFrame builds the frame of a PE whose shards are carved.
 func newTensorFrame(pe *peCtx, ex *gradExchanger, own ownership, shards []*weightShard, rsOK []bool) *tensorFrame {
-	net, g := pe.net, len(shards)
+	g := len(shards)
 	f := &tensorFrame{pe: pe, ex: ex, own: own, shards: shards, rsOK: rsOK,
-		states: make([]*nn.LayerState, g), grads: make([]nn.Grads, g),
+		states: make([]*nn.LayerState, g),
 		chunkX: make([]*tensor.Tensor, g), chunkDx: make([]*tensor.Tensor, g)}
-	for l, sh := range shards {
+	for l := range shards {
 		f.states[l] = pe.layerState(l, pe.seg)
-		if sh == nil {
-			f.grads[l] = net.GradBuffers(l)
-		}
+		ex.adopt(f.states[l], &own[l])
 	}
 	return f
 }
@@ -131,7 +119,7 @@ func (f *tensorFrame) op(l int) (nn.Params, nn.Grads) {
 	if sh := f.shards[l]; sh != nil {
 		return sh.p, sh.g
 	}
-	return f.pe.net.Params[l], f.grads[l]
+	return f.pe.net.Params[l], f.pe.net.GradBuffers(l)
 }
 
 // scatterableInputGrads marks the sharded layers whose backward input
@@ -140,7 +128,7 @@ func (f *tensorFrame) op(l int) (nn.Params, nn.Grads) {
 // between l and the sharded layer below it is element-wise and
 // channel-preserving (ReLU), so each PE consumes only its own
 // output-channel slice of the gradient: the slice flows through the
-// intermediate ReLUs and arrives at the lower layer's shardGrad already
+// intermediate ReLUs and arrives at the lower layer's slice already
 // narrowed, and the chunking (tensor.SplitSizes over the channel axis)
 // coincides with strategy.FilterShards by construction. Windowed layers
 // (Pool) and segment-synchronized BN need the full-width gradient and
@@ -181,19 +169,20 @@ func scatterableInputGrads(m *nn.Model, p2 int, cfg *runConfig) []bool {
 // output-channel slice of W and B, or with channel set the input-channel
 // slice of W. The slices are the PE's authoritative parameters from
 // here on; the replica keeps only the replicated layers' parameters
-// (and the channel shards' whole biases) live. On the channel edge a
-// layer with fewer channels than PEs, and every layer at width 1, keeps
-// shards[l] == nil and runs replicated; an FC weight is sliced by
-// channel blocks of the flattened input (the layer is the paper's
-// kernel-equals-input convolution, so a channel is a contiguous run of
-// vol(In) columns — contiguous per rank, so the same axis-1 Allgather
-// inverts both kinds).
+// (and the channel shards' whole biases) live. Nothing is carved at
+// width 1 — the data edge and the 1×1 corner, where the replica is the
+// PE's whole state — and on the channel edge a layer with fewer
+// channels than PEs keeps shards[l] == nil too: both run replicated. An
+// FC weight is sliced by channel blocks of the flattened input (the
+// layer is the paper's kernel-equals-input convolution, so a channel is
+// a contiguous run of vol(In) columns — contiguous per rank, so the
+// same axis-1 Allgather inverts both kinds).
 func tensorShards(net *nn.Network, rank, p int, channel bool, own ownership) ([]*weightShard, error) {
 	layers := net.Model.Layers
 	shards := make([]*weightShard, len(layers))
 	for l := range layers {
 		spec := &layers[l]
-		if spec.Kind != nn.Conv && spec.Kind != nn.FC || channel && (p == 1 || spec.C < p) {
+		if spec.Kind != nn.Conv && spec.Kind != nn.FC || p == 1 || channel && spec.C < p {
 			continue
 		}
 		ranges, axis, vol := strategy.FilterShards, 0, 1 // vol: canonical columns per channel
@@ -208,14 +197,6 @@ func tensorShards(net *nn.Network, rank, p int, channel bool, own ownership) ([]
 			return nil, err
 		}
 		rng := rngs[rank]
-		if p == 1 {
-			// Degenerate filter width (the data-parallel grid edge): the
-			// shard IS the whole parameter — alias it and the replica's
-			// gradient buffers instead of Narrow-copying every weight
-			// tensor per replica; own already says "whole".
-			shards[l] = &weightShard{p: net.Params[l], g: net.GradBuffers(l), rng: rng}
-			continue
-		}
 		sh := &weightShard{axis: axis, rng: rng}
 		sh.p.W = net.Params[l].W.Narrow(axis, rng.Start*vol, rng.Size()*vol)
 		own.slice(l, fieldW, sh.p.W, axis, rng.Start*vol, rng.Size()*vol)
@@ -227,16 +208,6 @@ func tensorShards(net *nn.Network, rank, p int, channel bool, own ownership) ([]
 		shards[l] = sh
 	}
 	return shards, nil
-}
-
-// shardGrad returns this PE's output-channel slice of the loss
-// gradient — the whole tensor when the group is singleton (the
-// data-parallel grid edge), avoiding a full-width Narrow copy.
-func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
-	if group.Size() == 1 {
-		return dy
-	}
-	return dy.Narrow(1, sh.rng.Start, sh.rng.Size())
 }
 
 // tensorStep runs one SGD iteration of the Tensor grid on this group's
@@ -252,8 +223,9 @@ func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
 //
 // Every layer runs through the frame's op table (nn.ForwardInto,
 // nn.BackwardInto): a sharded Conv/FC is the layer's op over its
-// shard's weights, bias and gradient buffers, and the data edge (a
-// group of one) is the same walk with identity collectives. The frame's
+// shard's weights, bias and gradient buffers, every other layer the op
+// over the replica's, and the data edge (a group of one) is the same
+// walk with nothing sharded and no group collective. The frame's
 // buffers are rewritten by the next step, so the ownership rule is: a
 // frame buffer may be handed to a group collective only if that
 // collective returns it with no peer still reading it. The partial
@@ -261,10 +233,9 @@ func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
 // buffer after the closing ack, its tree after the upward send was
 // consumed, and ReduceScatterSum reads its input locally and sends
 // narrowed copies. AllGather does not (it forwards its input with no
-// ack), so past a group of one a filter shard's forward output and a
-// channel shard's input gradient travel as copies (gatherShard) and the
-// concatenation is fresh; a group of one gathers nothing, and the data
-// edge runs entirely on the frame.
+// ack), so a filter shard's forward output and a channel shard's input
+// gradient travel as copies (gatherShard) and the concatenation is
+// fresh; the data edge, which has no shard, runs entirely on the frame.
 //
 // A channel shard (axis 1) convolves its input-channel slice of the
 // activation, its partial output is Allreduced and the whole bias added
@@ -277,11 +248,11 @@ func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
 // against the matching slice of their stored input) and is consumed by
 // the sharded layer below without ever materializing the full tensor.
 //
-// The cross-group exchange is bucketed (ex): each sharded layer's
-// weight/bias gradients are pushed the moment its backward completes —
-// the whole of it: the exchange may rewrite the weights from then on —
-// so with overlap on the segment exchange of layer l hides behind the
-// backward compute of the layers below it.
+// The cross-group exchange is bucketed (ex): each layer's gradients
+// enter it (take) the moment its backward completes — the whole of it:
+// the exchange may rewrite the weights from then on — so with overlap on
+// the segment exchange of layer l hides behind the backward compute of
+// the layers below it.
 func tensorStep(f *tensorFrame, x *tensor.Tensor, labels []int, weight float64) float64 {
 	group, seg, net, tr := f.pe.group, f.pe.seg, f.pe.net, f.pe.tr
 	layers := net.Model.Layers
@@ -297,8 +268,9 @@ func tensorStep(f *tensorFrame, x *tensor.Tensor, labels []int, weight float64) 
 		y := net.ForwardInto(l, xin, st, p)
 		if sh == nil {
 			// Channel-wise layers (and, on the channel edge, layers too
-			// narrow to split) run replicated on the group's full
-			// activation and stay bit-identical across the group.
+			// narrow to split; at width 1, every layer) run replicated on
+			// the group's full activation and stay bit-identical across
+			// the group.
 			return y
 		}
 		// Shortcut convolutions shard exactly like main-path ones: the
@@ -338,19 +310,16 @@ func tensorStep(f *tensorFrame, x *tensor.Tensor, labels []int, weight float64) 
 			}
 			return f.reluChunk(l, dy, st.X, group)
 		case sh != nil && sh.axis == 0 && !dySliced:
-			dy = shardGrad(dy, sh, group)
+			dy = dy.Narrow(1, sh.rng.Start, sh.rng.Size())
 		}
 		p, bufs := f.op(l)
 		dx := net.BackwardInto(l, dy, st, p, bufs, inputGrad)
-		if sh == nil {
+		// The gradients enter the exchange after the op's last read of
+		// the layer's weights. A channel shard's bias gradient goes to
+		// its whole bias's everyRank row.
+		f.ex.take(st, &f.own[l], &bufs)
+		if sh == nil || dx == nil {
 			return dx
-		}
-		// The push comes after the op's last read of the shard's weights.
-		// A channel shard's bias gradient goes to its whole bias's
-		// everyRank row.
-		f.ex.pushGrads(&f.own[l], &bufs)
-		if dx == nil {
-			return nil
 		}
 		tr.Begin(trace.CollectiveWait)
 		out, sliced := exchangeInputGrad(group, dx, sh.axis, f.rsOK[l])
@@ -361,27 +330,21 @@ func tensorStep(f *tensorFrame, x *tensor.Tensor, labels []int, weight float64) 
 		return out
 	})
 
-	// Cross-group gradient exchange (§4.5.1, segmented): every shard
+	// Cross-group gradient exchange (§4.5.1, segmented): every pushed
 	// gradient is this group's batch-shard contribution to the global
 	// mean gradient and sums over the segment, in the size-bounded
 	// buckets pushed above as each layer's backward completed — drain is
 	// the barrier that synchronizes every in-flight bucket and leaves
-	// every shard stepped. Within a group the exchange is free: filter
-	// shards are exact for their own filters, channel shards for their
-	// channels, and a channel shard's bias gradient Σdy is the same on
-	// every PE. No other parameters need traffic: the parameterless
-	// layers contribute empty grads, the channel edge's replicated narrow
-	// layers are exact on every PE, and BN is segment-synchronized
-	// whenever the segment is wider than one, so its gradients are
-	// already global and stepNet applies them. With p1=1 — pure filter or
-	// channel — the segment is singleton: no exchange at all, drain only
-	// steps.
+	// every parameter stepped. Within a group the exchange is free:
+	// filter shards are exact for their own filters, channel shards for
+	// their channels, a channel shard's bias gradient Σdy is the same on
+	// every PE, and the channel edge's replicated narrow layers are exact
+	// on every PE. BN is segment-synchronized whenever the segment is
+	// wider than one, so its gradients are already global and held, not
+	// pushed. With p1=1 — serial, pure filter or channel — the segment is
+	// singleton: no exchange at all, drain only steps.
 	f.ex.drain()
-	f.pe.step.stepNet(net, f.grads)
-	tr.Begin(trace.CollectiveWait)
-	global := seg.AllReduceScalar(loss * weight)
-	tr.Begin(trace.ComputeBackward)
-	return global
+	return f.pe.globalLoss(seg, loss*weight)
 }
 
 // gatherShard allgathers a frame buffer along axis: a filter shard's
@@ -411,7 +374,7 @@ func exchangeInputGrad(group *Comm, dxPart *tensor.Tensor, axis int, rs bool) (*
 	switch {
 	case axis == 1:
 		return gatherShard(group, dxPart, 1), false
-	case rs && group.Size() > 1:
+	case rs:
 		return group.ReduceScatterSum(dxPart, 1), true
 	}
 	return group.AllReduceSum(dxPart), false

@@ -121,8 +121,11 @@ func TestTraceBNSync(t *testing.T) {
 	}
 }
 
-// TestTraceSerialBaseline: the sequential engine traces too (one PE
-// track, forward/backward spans), so -train serial -trace works.
+// TestTraceSerialBaseline: the sequential run traces too (one PE
+// track, forward/backward spans), so -train serial -trace works. Serial
+// is the Tensor engine's 1×1 corner, where every communicator has one
+// PE: nothing is exchanged and nothing waited for, so the timeline holds
+// compute and the driver's idle spans only — no collective phase.
 func TestTraceSerialBaseline(t *testing.T) {
 	m := model.TinyCNNNoBN()
 	batches := toyBatches(t, m, 2, 8)
@@ -138,5 +141,14 @@ func TestTraceSerialBaseline(t *testing.T) {
 		if sum.PhaseNS[ph.String()] <= 0 {
 			t.Fatalf("phase %q absent from serial trace: %v", ph, sum.PhaseNS)
 		}
+	}
+	allowed := map[string]bool{trace.ComputeForward.String(): true, trace.ComputeBackward.String(): true, trace.Idle.String(): true}
+	for ph, ns := range sum.PhaseNS {
+		if !allowed[ph] {
+			t.Fatalf("serial trace records a %q span (%d ns): %v", ph, ns, sum.PhaseNS)
+		}
+	}
+	if sum.AsyncNS != 0 {
+		t.Fatalf("serial trace records %d ns in flight", sum.AsyncNS)
 	}
 }
