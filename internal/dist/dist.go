@@ -54,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -108,21 +109,80 @@ type Result struct {
 	Losses   []float64
 }
 
-// replica builds this PE's full replica: parameters drawn from the
-// seed (every PE draws the same ones, so replicas are bit-identical),
-// then — when resuming — the canonical checkpoint parameters copied
-// over them. The seed init still runs first so the model's RNG stream
-// is consumed identically to a fresh run; engines then carve their
-// shards from the restored replica exactly as they would from a fresh
-// one, which is what makes re-sharding under any plan a non-event.
+// replica builds this PE's full replica by copying the run's canonical
+// initial parameters: the snapshot's when resuming (initState), else the
+// seed's draw, which every PE of every run of the same model geometry
+// and seed in this process shares (initialParams). A resumed run draws
+// nothing. Every PE copies the same parameters, so replicas start
+// bit-identical; engines then carve their shards from the replica
+// exactly as they would from a fresh one, which is what makes
+// re-sharding under any plan a non-event.
 func (c *runConfig) replica(m *nn.Model) (*nn.Network, error) {
-	net := nn.NewNetwork(m, rand.New(rand.NewSource(c.seed)))
-	if c.initState != nil {
-		if err := restoreParams(net, c.initState); err != nil {
-			return nil, err
+	st := c.initState
+	if st == nil {
+		return nn.NewNetworkFrom(m, initialParams(m, c.seed))
+	}
+	net, err := nn.NewNetworkFrom(m, st.Params)
+	if err != nil {
+		return nil, fmt.Errorf("dist: checkpoint does not fit the model: %w", err)
+	}
+	return net, checkVelocities(net, st)
+}
+
+// draws is this process's memo of initial parameters: the last seed
+// draw (nn.NewNetwork's) and the key it was drawn for. It holds at most
+// one model's parameters — 9.5 MB for the repo benchmark's bench-fcnet
+// — until a different key is drawn. A draw is never written after it
+// is made, so PEs copy from it outside the lock, and a miss replaces
+// params with a new draw rather than writing into the old one.
+var draws struct {
+	sync.Mutex
+	key    []int64
+	params []nn.Params
+	misses int // draws made, read by the tests
+}
+
+// initialParams returns the seed's initial parameters for m, read-only:
+// the memo's when its key matches, else a new draw. The first PE to miss
+// draws under the lock and the PEs behind it wait and then share it, so
+// a cold run draws once, not once per PE.
+func initialParams(m *nn.Model, seed int64) []nn.Params {
+	key := drawKey(m, seed)
+	draws.Lock()
+	defer draws.Unlock()
+	if draws.params == nil || !slices.Equal(draws.key, key) {
+		draws.misses++
+		draws.key, draws.params = key, nn.NewNetwork(m, rand.New(rand.NewSource(seed))).Params
+	}
+	return draws.params
+}
+
+// drawKey is everything nn.NewNetwork's draw reads: the seed and, per
+// layer, its kind and what the kind's parameters are drawn from — a
+// conv's F, C, kernel and InSize (its weight σ reads C·∏In, so two
+// models with equal weight shapes but different image sizes draw
+// differently), an FC's F and InSize, a batch norm's C. A model's
+// pointer or name never enters it. It restates what nn.NewNetwork
+// reads, so TestDrawKeyCoversDraw nudges every layer field and fails
+// when a nudge changes the draw but not the key.
+func drawKey(m *nn.Model, seed int64) []int64 {
+	key := []int64{seed}
+	for i := range m.Layers {
+		l := &m.Layers[i]
+		key = append(key, int64(l.Kind))
+		switch l.Kind {
+		case nn.Conv:
+			key = append(key, int64(l.F), int64(l.C), l.InSize(), int64(len(l.Kernel)))
+			for _, k := range l.Kernel {
+				key = append(key, int64(k))
+			}
+		case nn.FC:
+			key = append(key, int64(l.F), l.InSize())
+		case nn.BatchNorm:
+			key = append(key, int64(l.C))
 		}
 	}
-	return net, nil
+	return key
 }
 
 // runWorld spawns one goroutine per PE, runs body on each, and returns
@@ -204,29 +264,27 @@ func checkBatches(m *nn.Model, batches []Batch, p1 int) error {
 	return nil
 }
 
-// accumulate folds src — a view the next backward overwrites — into the
-// persistent accumulator dst, created on first use: a flush's first
-// micro-batch overwrites what the last iteration left, later ones add.
-func accumulate(dst, src *tensor.Tensor, first bool) *tensor.Tensor {
-	if src == nil {
-		return dst
+// gradsLike returns zeroed gradient buffers shaped like g's.
+func gradsLike(g nn.Grads) nn.Grads {
+	like := func(t *tensor.Tensor) *tensor.Tensor {
+		if t == nil {
+			return nil
+		}
+		return tensor.New(t.Shape()...)
 	}
-	if dst == nil {
-		dst = tensor.New(src.Shape()...)
-	}
-	if first {
-		copy(dst.Data(), src.Data())
-	} else {
-		dst.Add(src)
-	}
-	return dst
+	return nn.Grads{W: like(g.W), B: like(g.B), Gamma: like(g.Gamma), Beta: like(g.Beta)}
 }
 
-// accumulateGrads folds one microbatch's gradients into the running
-// per-layer accumulator.
-func accumulateGrads(dst *nn.Grads, g nn.Grads, first bool) {
-	dst.W = accumulate(dst.W, g.W, first)
-	dst.B = accumulate(dst.B, g.B, first)
-	dst.Gamma = accumulate(dst.Gamma, g.Gamma, first)
-	dst.Beta = accumulate(dst.Beta, g.Beta, first)
+// accumulateGrads adds one microbatch's gradients g into the running
+// per-layer accumulator dst.
+func accumulateGrads(dst *nn.Grads, g nn.Grads) {
+	add := func(d, s *tensor.Tensor) {
+		if s != nil {
+			d.Add(s)
+		}
+	}
+	add(dst.W, g.W)
+	add(dst.B, g.B)
+	add(dst.Gamma, g.Gamma)
+	add(dst.Beta, g.Beta)
 }

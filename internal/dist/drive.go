@@ -80,10 +80,11 @@ type engine struct {
 }
 
 // drive executes one validated plan: it spawns the P1×P2 world and
-// runs, on every PE, replica → optimizer → engine build → velocity
-// re-seed (on resume) → one engine step per batch → trace end. This is
-// the only batch loop of the runtime; serial is its 1×1 world, run by
-// the Tensor engine.
+// runs, on every PE, replica (a copy of the checkpoint's parameters on
+// resume, else of the seed's shared draw) → optimizer → engine build →
+// velocity re-seed (on resume) → one engine step per batch → trace end.
+// This is the only batch loop of the runtime; serial is its 1×1 world,
+// run by the Tensor engine.
 func drive(m *nn.Model, batches []Batch, pl Plan, cfg *runConfig) (*Result, error) {
 	entry := registry[pl.Strategy]
 	var eng *engine

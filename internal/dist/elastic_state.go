@@ -11,16 +11,17 @@ import (
 // This file is the canonical-state machinery of the elastic runtime:
 // every engine's sharded training state can be GATHERED into the full
 // unsharded tensors a checkpoint records, and such a snapshot RESTORED
-// by overwriting the freshly-initialized replica before shards are
-// carved. Because every engine derives its shards from the full replica
-// by Narrow (a copy), or runs on the replica itself where it carves
-// none, parameter restore is uniform: write the canonical
-// parameters into the replica and the usual sharding path re-shards
-// them — under the original plan, a shrunken plan, or an entirely
-// different strategy. What differs per engine — which slice of each
-// canonical tensor a PE holds — is stated once, in the ownership table
-// its build returns; gatherState and seedVelocities both walk that
-// table, so a gather and a restore cannot disagree about the geometry.
+// by building each PE's replica from its parameters instead of the
+// seed's draw (replica), before shards are carved. Because every engine
+// derives its shards from the full replica by Narrow (a copy), or runs
+// on the replica itself where it carves none, parameter restore is
+// uniform: the replica holds the canonical parameters and the usual
+// sharding path re-shards them — under the original plan, a shrunken
+// plan, or an entirely different strategy. What differs per engine —
+// which slice of each canonical tensor a PE holds — is stated once, in
+// the ownership table its build returns; gatherState and
+// seedVelocities both walk that table, so a gather and a restore
+// cannot disagree about the geometry.
 // Gathers are pure data movement over cloned tensors, so a
 // checkpointing run is bit-identical to a plain one.
 
@@ -92,45 +93,25 @@ func (own ownership) slice(l, f int, shard *tensor.Tensor, axis, start, size int
 	own[l][f] = ownedField{live: shard, how: sliced, axis: axis, start: start, size: size}
 }
 
-// restoreParams copies the canonical snapshot parameters over net's
-// seed-derived ones, field by field, with strict shape checking; it
-// also validates the snapshot's velocity geometry so seedVelocities
-// cannot fail mid-world.
-func restoreParams(net *nn.Network, st *ckpt.State) error {
+// checkVelocities validates the snapshot's velocity geometry against
+// net, the replica built from its parameters, so seedVelocities cannot
+// fail mid-world.
+func checkVelocities(net *nn.Network, st *ckpt.State) error {
+	if st.Vel == nil {
+		return nil
+	}
 	names := [4]string{"W", "B", "Gamma", "Beta"}
 	for l := range net.Params {
-		dst := paramFields(&net.Params[l])
-		for f, src := range paramFields(&st.Params[l]) {
-			if err := restoreField(*dst[f], *src, l, names[f]); err != nil {
-				return err
-			}
-		}
-		if st.Vel == nil {
-			continue
-		}
+		params := paramFields(&net.Params[l])
 		for f, vel := range paramFields(&st.Vel[l]) {
 			if *vel == nil {
 				continue
 			}
-			if *dst[f] == nil || !tensor.EqualShapes((*vel).Shape(), (*dst[f]).Shape()) {
+			if *params[f] == nil || !tensor.EqualShapes((*vel).Shape(), (*params[f]).Shape()) {
 				return fmt.Errorf("dist: checkpoint velocity for layer %d %s does not match the model's parameter geometry", l, names[f])
 			}
 		}
 	}
-	return nil
-}
-
-func restoreField(dst, src *tensor.Tensor, l int, name string) error {
-	if (dst == nil) != (src == nil) {
-		return fmt.Errorf("dist: checkpoint and model disagree on layer %d parameter %s", l, name)
-	}
-	if dst == nil {
-		return nil
-	}
-	if !tensor.EqualShapes(dst.Shape(), src.Shape()) {
-		return fmt.Errorf("dist: checkpoint layer %d %s has shape %v, model wants %v", l, name, src.Shape(), dst.Shape())
-	}
-	copy(dst.Data(), src.Data())
 	return nil
 }
 

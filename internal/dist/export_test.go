@@ -34,3 +34,22 @@ func FCNetShapedForTest(width, classes int) *nn.Model {
 	b.FC(classes)
 	return b.MustBuild()
 }
+
+// DrawMissesForTest returns how many initial-parameter draws this
+// process has made: the misses of the memo every replica copies from.
+func DrawMissesForTest() int {
+	draws.Lock()
+	defer draws.Unlock()
+	return draws.misses
+}
+
+// DrawnParamsForTest returns the memo's current draw (nil before the
+// first), the parameters every replica of its key copies.
+func DrawnParamsForTest() []nn.Params {
+	draws.Lock()
+	defer draws.Unlock()
+	return draws.params
+}
+
+// DrawKeyForTest returns the memo key a run of m at seed draws under.
+func DrawKeyForTest(m *nn.Model, seed int64) []int64 { return drawKey(m, seed) }

@@ -71,7 +71,7 @@ func dataPipelineEngine(m *nn.Model, pl Plan, label string, cfg *runConfig) (*en
 		// no step past that report allocates anything parameter-sized.
 		f.acc = make([]nn.Grads, f.stage.End-f.stage.Start)
 		for i := range f.acc {
-			accumulateGrads(&f.acc[i], pe.net.GradBuffers(f.stage.Start+i), true)
+			f.acc[i] = gradsLike(pe.net.GradBuffers(f.stage.Start + i))
 		}
 		for mb := range f.rows {
 			f.rows[mb] = make([]*nn.LayerState, len(f.acc))
@@ -266,16 +266,25 @@ func dataPipelineStep(f *pipelineFrame, x *tensor.Tensor, labels []int, weight f
 		}
 		row := f.rows[mb]
 		dy = gph.BackwardRange(st.Start, st.End, dy, func(l int, d *tensor.Tensor) *tensor.Tensor {
-			g := net.GradBuffers(l)
+			// The flush's first microbatch writes its gradients straight
+			// into the accumulator, over what the last iteration left;
+			// later ones write the layer's GradBuffers and add them.
+			acc := &f.acc[l-st.Start]
+			g := *acc
+			if mb < nm-1 {
+				g = net.GradBuffers(l)
+			}
 			// The network input's gradient (stage 0's bottom layer) is
 			// skipped: no stage consumes it.
 			dx := net.BackwardInto(l, d, row[l-st.Start], net.Params[l], g, gph.Src(l) >= 0)
-			accumulateGrads(&f.acc[l-st.Start], g, mb == nm-1)
+			if mb < nm-1 {
+				accumulateGrads(acc, g)
+			}
 			if mb == 0 {
 				// The reverse-order flush visits microbatch 0 last, so
 				// this layer's accumulation is complete: its exchange can
 				// launch while the flush continues below it.
-				f.ex.pushGrads(&f.own[l], &f.acc[l-st.Start])
+				f.ex.pushGrads(&f.own[l], acc)
 			}
 			return dx
 		})

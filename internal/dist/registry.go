@@ -46,8 +46,9 @@ type runConfig struct {
 	// restored checkpoint), so emitted snapshots carry the full history.
 	prefixLosses []float64
 	// initState, when set, replaces the seed-derived initial parameters:
-	// every PE restores the canonical snapshot into its replica before
-	// carving shards, and momentum velocities are re-seeded per shard.
+	// every PE builds its replica from the canonical snapshot, drawing
+	// nothing, before carving shards, and momentum velocities are
+	// re-seeded per shard.
 	initState *ckpt.State
 	// ckptEvery/ckptSink: every ckptEvery global iterations the engines
 	// gather the canonical training state and hand it to ckptSink on the
@@ -82,7 +83,9 @@ func defaultConfig() runConfig {
 }
 
 // WithSeed sets the parameter-initialization seed (default 1). Every PE
-// derives its replica from the same seed, so runs are reproducible.
+// copies its replica from the seed's draw, made once per model geometry
+// and seed in the process and shared read-only, so runs are
+// reproducible.
 func WithSeed(seed int64) Option { return func(c *runConfig) { c.seed = seed } }
 
 // WithLR sets the SGD learning rate (default 0.01).
@@ -174,12 +177,12 @@ func WithCheckpoint(every int, sink func(*ckpt.State)) Option {
 	return func(c *runConfig) { c.ckptEvery, c.ckptSink = every, sink }
 }
 
-// WithInitState resumes from a canonical checkpoint: every PE restores
-// the snapshot's full parameters into its replica before carving
-// shards (so any plan re-shards the same canonical state), momentum
-// velocities are re-seeded shard by shard, and the run's seed, lr,
-// momentum, loss history, and iteration offset all come from the
-// snapshot. Resuming under the checkpoint's own plan is bit-identical
+// WithInitState resumes from a canonical checkpoint: every PE builds
+// its replica from the snapshot's full parameters, drawing nothing,
+// before carving shards (so any plan re-shards the same canonical
+// state), momentum velocities are re-seeded shard by shard, and the
+// run's seed, lr, momentum, loss history, and iteration offset all come
+// from the snapshot. Resuming under the checkpoint's own plan is bit-identical
 // to never having stopped; resuming under a different plan is a live
 // migration through the same path.
 func WithInitState(st *ckpt.State) Option {

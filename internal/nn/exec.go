@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"paradl/internal/tensor"
 )
@@ -43,27 +44,77 @@ func NewNetwork(m *Model, rng *rand.Rand) *Network {
 	if err != nil {
 		panic(err)
 	}
-	net := &Network{Model: m, Params: make([]Params, len(m.Layers)), graph: g, grads: make([]Grads, len(m.Layers))}
+	net := newNetwork(m, g)
 	for i := range m.Layers {
-		l := &m.Layers[i]
+		l, p := &m.Layers[i], &net.Params[i]
+		shapes := paramShapes(l)
 		switch l.Kind {
-		case Conv:
-			shape := append([]int{l.F, l.C}, l.Kernel...)
-			fanIn := float64(l.InSize())
-			net.Params[i].W = tensor.New(shape...).RandN(rng, 1.0/(1.0+fanIn/64))
-			net.Params[i].B = tensor.New(l.F).RandN(rng, 0.01)
-		case FC:
-			in := int(l.InSize())
-			net.Params[i].W = tensor.New(l.F, in).RandN(rng, 1.0/(1.0+float64(in)/64))
-			net.Params[i].B = tensor.New(l.F).RandN(rng, 0.01)
+		case Conv, FC:
+			p.W = tensor.New(shapes[0]...).RandN(rng, 1.0/(1.0+float64(l.InSize())/64))
+			p.B = tensor.New(shapes[1]...).RandN(rng, 0.01)
 		case BatchNorm:
-			g := tensor.New(l.C)
-			g.Fill(1)
-			net.Params[i].Gamma = g
-			net.Params[i].Beta = tensor.New(l.C)
+			p.Gamma = tensor.New(shapes[2]...)
+			p.Gamma.Fill(1)
+			p.Beta = tensor.New(shapes[3]...)
 		}
 	}
 	return net
+}
+
+// NewNetworkFrom builds a Network of m whose parameters are copies of
+// params, one entry per layer in the shapes NewNetwork gives them: a
+// NewNetwork draw, or a checkpoint's canonical parameters. The copies
+// are the network's own, so many networks may be built from one params
+// at once and train without touching it. It returns an error when m
+// does not compile (see CompileGraph) or params lacks, adds or
+// misshapes a parameter.
+func NewNetworkFrom(m *Model, params []Params) (*Network, error) {
+	g, err := CompileGraph(m)
+	if err != nil {
+		return nil, err
+	}
+	if len(params) != len(m.Layers) {
+		return nil, fmt.Errorf("nn: %d layers of parameters for model %q of %d layers", len(params), m.Name, len(m.Layers))
+	}
+	net := newNetwork(m, g)
+	names := [4]string{"W", "B", "Gamma", "Beta"}
+	for i := range m.Layers {
+		want := paramShapes(&m.Layers[i])
+		src, dst := &params[i], &net.Params[i]
+		to := [4]**tensor.Tensor{&dst.W, &dst.B, &dst.Gamma, &dst.Beta}
+		for f, t := range [4]*tensor.Tensor{src.W, src.B, src.Gamma, src.Beta} {
+			switch {
+			case (t == nil) != (want[f] == nil):
+				return nil, fmt.Errorf("nn: layer %d parameter %s: given and model disagree on its presence", i, names[f])
+			case t == nil:
+				continue
+			case !tensor.EqualShapes(t.Shape(), want[f]):
+				return nil, fmt.Errorf("nn: layer %d %s has shape %v, model wants %v", i, names[f], t.Shape(), want[f])
+			}
+			// slices.Clone copies without first zeroing the new array.
+			*to[f] = tensor.FromSlice(slices.Clone(t.Data()), want[f]...)
+		}
+	}
+	return net, nil
+}
+
+// newNetwork is a Network of m, compiled to g, with no parameters yet.
+func newNetwork(m *Model, g *Graph) *Network {
+	return &Network{Model: m, Params: make([]Params, len(m.Layers)), graph: g, grads: make([]Grads, len(m.Layers))}
+}
+
+// paramShapes returns the shapes of layer l's W, B, Gamma and Beta, nil
+// where the layer has no such parameter.
+func paramShapes(l *Layer) [4][]int {
+	switch l.Kind {
+	case Conv:
+		return [4][]int{append([]int{l.F, l.C}, l.Kernel...), {l.F}}
+	case FC:
+		return [4][]int{{l.F, int(l.InSize())}, {l.F}}
+	case BatchNorm:
+		return [4][]int{2: {l.C}, 3: {l.C}}
+	}
+	return [4][]int{}
 }
 
 // LayerState carries forward-pass intermediates a layer's backward pass

@@ -232,6 +232,40 @@ func TestCloneParamsIndependent(t *testing.T) {
 	}
 }
 
+// NewNetworkFrom copies a draw bit for bit into buffers of its own, and
+// rejects parameters that do not fit the model.
+func TestNewNetworkFrom(t *testing.T) {
+	m := smallModel(t)
+	src := NewNetwork(m, rand.New(rand.NewSource(5))).Params
+	net, err := NewNetworkFrom(m, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := range src {
+		for f, pair := range [4][2]*tensor.Tensor{{src[l].W, net.Params[l].W}, {src[l].B, net.Params[l].B},
+			{src[l].Gamma, net.Params[l].Gamma}, {src[l].Beta, net.Params[l].Beta}} {
+			if (pair[0] == nil) != (pair[1] == nil) {
+				t.Fatalf("layer %d field %d: presence differs", l, f)
+			}
+			if pair[0] != nil && (!pair[0].AllClose(pair[1], 0) || &pair[0].Data()[0] == &pair[1].Data()[0]) {
+				t.Fatalf("layer %d field %d: not an equal private copy", l, f)
+			}
+		}
+	}
+	if _, err := NewNetworkFrom(m, src[1:]); err == nil {
+		t.Fatal("too few layers must be rejected")
+	}
+	bad := append([]Params(nil), src...)
+	bad[0].W = tensor.New(1, 2, 3)
+	if _, err := NewNetworkFrom(m, bad); err == nil {
+		t.Fatal("a misshapen weight must be rejected")
+	}
+	bad[0].W, bad[1].Gamma = src[0].W, nil
+	if _, err := NewNetworkFrom(m, bad); err == nil {
+		t.Fatal("a missing batch-norm scale must be rejected")
+	}
+}
+
 // Property: InSize/OutSize/WeightSize are non-negative and consistent
 // with FLOP counts for random conv geometries.
 func TestConvLayerAccountingProperty(t *testing.T) {

@@ -1,9 +1,12 @@
+//go:build amd64 && !purego
+
 package tensor
 
 // useAVX2 routes the inner loops of the convolution and fully-connected
 // kernels and of the SGD update to simd_amd64.s. It is read from the CPU
 // once, at package init; tests clear it to run the scalar loops on the
-// same machine.
+// same machine. The purego build tag leaves this file and simd_amd64.s
+// out, so a whole build runs the scalar loops (simd_other.go).
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reports whether the CPU executes AVX2 (CPUID leaf 7) and the

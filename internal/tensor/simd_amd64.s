@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // Every lane is one output summed exactly as the scalar loops sum it: a
